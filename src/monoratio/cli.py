@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 expression parse error, 2 validation
 error (a standing assumption failed), 3 at least one check failed,
-64 usage/config error.  MONOTONE_RATIO_THREADS caps verify parallelism.
+64 usage/config error.  MONOTONE_RATIO_THREADS caps verify parallelism
+(also capped at the CPU count and the number of cases).
 """
 
 from __future__ import annotations
@@ -152,8 +153,17 @@ def cmd_verify(args) -> int:
     if args.grid_n < 64:
         print("error: --grid-n must be at least 64", file=sys.stderr)
         return EXIT_USAGE
+    raw_threads = os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print("error: MONOTONE_RATIO_THREADS must be a positive integer, "
+              f"got {raw_threads!r}", file=sys.stderr)
+        return EXIT_USAGE
     seeds = [args.seed + i for i in range(args.cases)]
-    threads = int(os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1")
+    threads = min(threads, os.cpu_count() or 1, len(seeds))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:

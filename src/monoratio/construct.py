@@ -7,9 +7,11 @@ the chosen constancy interval of rho, and K = rho(z), the function
 
 has f'/g' = rho, and the only maximal constancy interval of f/g is the
 chosen one.  Since g is differentiable the Stieltjes integral reduces to
-an ordinary integral of rho*g', done here with adaptive Simpson panels
-split a priori at the staircase breakpoints, cumulative checkpoints making
-each later query a single local panel.
+an ordinary integral of rho*g'.  The build runs adaptive Simpson on a
+node grid split a priori at the staircase breakpoints and keeps every
+accepted panel as a leaf of a table: cumulative integral plus the
+integrated quartic through the leaf's five samples.  A query then looks
+up its leaf and evaluates a polynomial, with no integrand calls.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +41,48 @@ class StaircaseError(ValueError):
     """Invalid staircase specification."""
 
 
+def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
+                    tol: float, max_depth: int):
+    """Yield the panels adaptive Simpson accepts on each [nodes[i],
+    nodes[i + 1]] (nodes ascending), left to right, as
+    (x0, h, f0, f1, f2, f3, f4, value): fn sampled at x0 + k*h/4 and the
+    accepted, Richardson-corrected integral.
+
+    Every node interval starts at tolerance tol, which halves with each
+    split; a panel's error estimate is |S_fine - S_coarse|/15.  Adjacent
+    intervals share their end sample, and empty ones yield nothing.  The
+    subdivision runs on an explicit stack: a self-referencing closure
+    would be a reference cycle that keeps every caller's table alive
+    until a full garbage collection.
+
+    Raises QuadratureError if a panel's estimate is still above tolerance
+    at max_depth.
+    """
+    fb = fn(nodes[0])
+    for a, b in zip(nodes, nodes[1:]):
+        fa, fb = fb, fn(b)
+        if a == b:
+            continue
+        fm = fn(0.5 * (a + b))
+        stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)]
+        while stack:
+            x0, x2, f0, f1, f2, whole, panel_tol, depth = stack.pop()
+            x1 = 0.5 * (x0 + x2)
+            flm, frm = fn(0.5 * (x0 + x1)), fn(0.5 * (x1 + x2))
+            h12 = (x2 - x0) / 12.0
+            left = h12 * (f0 + 4.0 * flm + f1)
+            right = h12 * (f1 + 4.0 * frm + f2)
+            est = (left + right - whole) / 15.0
+            if abs(est) <= panel_tol:
+                yield x0, x2 - x0, f0, flm, f1, frm, f2, left + right + est
+                continue
+            if depth >= max_depth:
+                raise QuadratureError(x0, x2, abs(est))
+            half = 0.5 * panel_tol
+            stack.append((x1, x2, f1, frm, f2, right, half, depth + 1))
+            stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
+
+
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
     """Integrate fn from a to b by adaptive Simpson subdivision.
@@ -53,50 +98,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
         return 0.0
     if b < a:
         return -adaptive_simpson(fn, b, a, tol, max_depth)
-
-    def step(x0: float, x2: float, f0: float, f1: float, f2: float,
-             whole: float, tol: float, depth: int) -> float:
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm, frm = fn(lm), fn(rm)
-        h6 = (x2 - x0) / 12.0
-        left = h6 * (f0 + 4.0 * flm + f1)
-        right = h6 * (f1 + 4.0 * frm + f2)
-        est = (left + right - whole) / 15.0
-        if abs(est) <= tol:
-            return left + right + est
-        if depth >= max_depth:
-            raise QuadratureError(x0, x2, abs(est))
-        half = 0.5 * tol
-        return (step(x0, x1, f0, flm, f1, left, half, depth + 1)
-                + step(x1, x2, f1, frm, f2, right, half, depth + 1))
-
-    fa, fb = fn(a), fn(b)
-    fm = fn(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return step(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def _integrate(fn: Callable[[float], float], a: float, b: float,
-               breaks: Sequence[float], tol: float, max_depth: int = 40) -> float:
-    """Integrate with the panel pre-split at any breakpoints inside (a, b),
-    so Simpson never straddles a kink."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    cuts = [a]
-    lo_idx = bisect.bisect_right(breaks, a)
-    hi_idx = bisect.bisect_left(breaks, b)
-    cuts.extend(breaks[lo_idx:hi_idx])
-    cuts.append(b)
-    pieces = len(cuts) - 1
-    total = 0.0
-    for i in range(pieces):
-        total += adaptive_simpson(fn, cuts[i], cuts[i + 1], tol / pieces, max_depth)
-    return sign * total
+    return sum(value for *_, value in _simpson_leaves(fn, (a, b), tol, max_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -214,48 +216,78 @@ def make_staircase_rho(spec: StaircaseSpec) -> StaircaseFn:
 # ---------------------------------------------------------------------------
 # The constructor
 
+# panels of the uniform node grid the constructor starts from
+_PANELS = 1024
+
+
 class ConstructedFn:
     """f built as K*g(z) + cumulative integral of rho*g' from z.
 
-    The cumulative integral is checkpointed on a dense node grid, so a
-    query only integrates one partial panel.  The derivative is
-    rho(x)*g'(x) by construction, not by differentiating the quadrature.
+    The build runs adaptive Simpson over a uniform node grid joined with
+    rho's breakpoints, so no panel straddles a known kink, and keeps every
+    accepted sub-panel as a leaf: its start, its inverse width, the
+    cumulative integral up to it and the five coefficients of the
+    integrated quartic through its five samples.  A query bisects for its
+    leaf and evaluates one degree-5 polynomial; it calls neither rho nor
+    g for the value.  At each leaf end the polynomial equals the accepted
+    Simpson value, so f is continuous across leaves.  Outside the window
+    the first and last leaves' polynomials are extended, so f is only
+    meaningful on the window.  The derivative is rho(x)*g'(x) by
+    construction, not by differentiating the quadrature.
     """
 
     def __init__(self, g: DifferentiableFn, rho: DifferentiableFn, z: float,
-                 K: float, window: Interval, quad_tol: float = 1e-10,
-                 nodes: int = 1024):
+                 K: float, window: Interval, quad_tol: float = 1e-10):
         self.g = g
         self.rho = rho
         self.z = z
         self.K = K
         self.window = window
         self.quad_tol = quad_tol
-        self._breaks = tuple(sorted(getattr(rho, "breakpoints", ())))
-        self._lo = window.lo
-        self._node_step = window.length / nodes
-        self._node_xs = [window.lo + i * self._node_step for i in range(nodes + 1)]
-        self._n_panels = nodes
 
         def integrand(u: float) -> float:
             return rho(u)[0] * g(u)[1]
 
-        self._integrand = integrand
-        cum = [0.0] * (nodes + 1)
-        for i in range(nodes):
-            cum[i + 1] = cum[i] + _integrate(integrand, self._node_xs[i],
-                                             self._node_xs[i + 1], self._breaks,
-                                             quad_tol)
-        self._cum = cum
+        lo, hi, step = window.lo, window.hi, window.length / _PANELS
+        nodes = [lo + i * step for i in range(_PANELS)]
+        nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
+        nodes.sort()
+        nodes.append(hi)
+        starts = array("d")
+        table = array("d")  # per leaf: cumulative integral, 1/h, c1 ... c5
+        cum = 0.0
+        for x0, h, f0, f1, f2, f3, f4, _ in _simpson_leaves(integrand, nodes,
+                                                            quad_tol, 40):
+            # h * (integral from 0 to t of the quartic through (k/4, f_k))
+            # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
+            # of the samples; at t = 1 it is Boole's rule, the accepted value
+            p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
+            q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
+            r1, r2 = q2 - q1, q3 - q2
+            d1, d2, d3, d4 = p1, q1, r1, r2 - r1
+            c1 = h * f0
+            c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
+            c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
+            c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
+            c5 = h * (32.0 / 15.0 * d4)
+            starts.append(x0)
+            table.extend((cum, 1.0 / h, c1, c2, c3, c4, c5))
+            cum += c1 + (c2 + (c3 + (c4 + c5)))
+        self._starts = starts
+        self._table = table
         self._base = K * g(z)[0]
         self._Fz = self._antideriv(z)
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"
 
     def _antideriv(self, x: float) -> float:
-        k = int((x - self._lo) / self._node_step)
-        k = min(max(k, 0), self._n_panels - 1)
-        return self._cum[k] + _integrate(self._integrand, self._node_xs[k], x,
-                                         self._breaks, self.quad_tol)
+        i = bisect.bisect_right(self._starts, x) - 1
+        if i < 0:
+            i = 0
+        c = self._table
+        k = 7 * i
+        t = (x - self._starts[i]) * c[k + 1]
+        return c[k] + t * (c[k + 2] + t * (c[k + 3] + t * (c[k + 4] + t * (
+            c[k + 5] + t * c[k + 6]))))
 
     def __call__(self, x: float) -> tuple[float, float]:
         rv, _ = self.rho(x)

@@ -16,7 +16,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .intervals import Interval
-from .ratio import FunctionPair, median_abs, rho_tilde_at, sample_table
+from .ratio import (BadBracket, FunctionPair, median_abs, refine_sign_change,  # noqa: F401
+                    rho_tilde_at, sample_table)
 
 
 class Unclassifiable(Exception):
@@ -27,10 +28,6 @@ class Unclassifiable(Exception):
 class NonInterval(Exception):
     """The sub-tolerance set of rho-tilde has several separated
     components, which a monotone rho cannot produce."""
-
-
-class BadBracket(ValueError):
-    """refine_sign_change called without a sign change in the bracket."""
 
 
 class PatternKind(str, Enum):
@@ -81,37 +78,6 @@ class MicSet:
 
     def __getitem__(self, i: int) -> Interval:
         return self.intervals[i]
-
-
-def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, float],
-                       xtol: float) -> float:
-    """Bisect probe's sign change inside bracket down to xtol.
-
-    The probe must have opposite (or zero) signs at the bracket ends;
-    BadBracket otherwise.  Returns the midpoint of the final bracket.
-    """
-    lo, hi = bracket
-    if hi < lo:
-        lo, hi = hi, lo
-    flo, fhi = probe(lo), probe(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BadBracket(f"probe has the same sign at both bracket ends ({lo:g}, {hi:g})")
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = probe(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _split_samples(samples: Sequence[tuple[float, float]]) -> tuple[list[float], list[float]]:

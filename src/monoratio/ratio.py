@@ -49,6 +49,10 @@ class SignChange(ValidationError):
         super().__init__(x, f"sign of {what} changes discontinuously")
 
 
+class BadBracket(ValueError):
+    """refine_sign_change called without a sign change in the bracket."""
+
+
 @dataclass(frozen=True)
 class FunctionPair:
     """A validated (f, g) bundle: the unit of analysis.
@@ -72,14 +76,28 @@ def _chebyshev_points(window: Interval, n: int) -> list[float]:
     return pts
 
 
-def _bisect_root(value_at: Callable[[float], float], lo: float, hi: float,
-                 xtol: float) -> float:
-    flo = value_at(lo)
+def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, float],
+                       xtol: float) -> float:
+    """Bisect probe's sign change inside bracket down to xtol.
+
+    The probe must have opposite (or zero) signs at the bracket ends;
+    BadBracket otherwise.  Returns the midpoint of the final bracket.
+    """
+    lo, hi = bracket
+    if hi < lo:
+        lo, hi = hi, lo
+    flo, fhi = probe(lo), probe(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BadBracket(f"probe has the same sign at both bracket ends ({lo:g}, {hi:g})")
     for _ in range(200):
         if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)
-        fm = value_at(mid)
+        fm = probe(mid)
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -116,12 +134,12 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     xtol = 1e-9 * (1.0 + window.length)
     for i in range(len(xs) - 1):
         if (values[i] > 0.0) != (values[i + 1] > 0.0):
-            root = _bisect_root(lambda t: g(t)[0], xs[i], xs[i + 1], xtol)
+            root = refine_sign_change(lambda t: g(t)[0], (xs[i], xs[i + 1]), xtol)
             if abs(g(root)[0]) <= 1e-6 * scale_v:
                 raise ZeroG(root)
             raise SignChange(root, "g")
         if (derivs[i] > 0.0) != (derivs[i + 1] > 0.0):
-            root = _bisect_root(lambda t: g(t)[1], xs[i], xs[i + 1], xtol)
+            root = refine_sign_change(lambda t: g(t)[1], (xs[i], xs[i + 1]), xtol)
             if abs(g(root)[1]) <= 1e-6 * scale_d:
                 raise ZeroGPrime(root)
             raise SignChange(root, "g'")

@@ -17,7 +17,7 @@ observation against prediction.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .intervals import Interval
@@ -97,18 +97,6 @@ class Tolerances:
     c_tol: float = 1e-6           # |C| below this counts as zero
     fd_shrink: float = 16.0       # sign-check FD step = grid step / fd_shrink
 
-    def as_dict(self) -> dict:
-        return {
-            "tol_zero": self.tol_zero,
-            "tol_flat": self.tol_flat,
-            "min_ic_steps": self.min_ic_steps,
-            "switch_tol": self.switch_tol,
-            "mic_match_steps": self.mic_match_steps,
-            "residual_tol": self.residual_tol,
-            "c_tol": self.c_tol,
-            "fd_shrink": self.fd_shrink,
-        }
-
 
 @dataclass(frozen=True)
 class MicFit:
@@ -187,7 +175,7 @@ class AnalysisReport:
             },
             "sign_violations": self.sign_violations,
             "failure": self.failure,
-            "tolerances": self.tolerances.as_dict(),
+            "tolerances": asdict(self.tolerances),
         }
 
 

@@ -150,6 +150,42 @@ def test_verify_zero_cases_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_verify_bad_thread_count_is_usage_error(capsys, monkeypatch, threads):
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", threads)
+    code, out, err = run(capsys, "verify", "--cases", "1", "--grid-n", "256")
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "MONOTONE_RATIO_THREADS" in err
+
+
+@pytest.mark.parametrize("cases,cpus,workers", [(3, 8, 3), (6, 4, 4)])
+def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers):
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:  # records the requested size, spawns nothing
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1000")
+    code, out, _ = run(capsys, "verify", "--cases", str(cases), "--grid-n", "256")
+    assert seen == [workers]
+    assert code == 0 and json.loads(out)["cases"] == cases
+
+
 def test_tables_text(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
