@@ -12,16 +12,15 @@ from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
                         StaircaseError, StaircaseFn, StaircaseSpec,
                         adaptive_simpson, construct_f, make_staircase_rho,
                         random_pair)
-from .expr import (Dual, DomainFault, ExprFn, Fault, ParseError, eval_dual,
-                   expr_fn, format_expr, parse, scan_domain)
+from .expr import (Dual, DomainFault, ExprFn, ParseError, eval_dual, expr_fn,
+                   format_expr, parse)
 from .intervals import Interval
 from .patterns import (BadBracket, MicSet, NonInterval, Pattern, PatternKind,
                        Unclassifiable, detect_mics, detect_pattern, level0_set,
                        refine_sign_change)
 from .ratio import (DifferentiableFn, FunctionPair, SampleTable, SignChange,
                     ValidationError, ZeroG, ZeroGPrime, make_pair, mirrored,
-                    negated, ratio_at, rho_at, rho_tilde_at, sample,
-                    sample_table)
+                    negated, ratio_at, rho_at, rho_tilde_at, sample_table)
 from .rules import (AnalysisReport, Direction, Family, MicFit, RULE_ROWS,
                     RuleRow, Tolerances, check_pair, predict_r_family,
                     predict_rho_tilde_dir, reflect)
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "BadBracket", "ConstructedFn", "Direction",
-    "DifferentiableFn", "DomainFault", "Dual", "ExprFn", "Family", "Fault",
+    "DifferentiableFn", "DomainFault", "Dual", "ExprFn", "Family",
     "FunctionPair", "GeneratorConfig", "Interval", "MicFit", "MicSet",
     "NonInterval", "ParseError", "Pattern", "PatternKind", "QuadratureError",
     "RULE_ROWS", "RuleRow", "SampleTable", "SignChange", "StaircaseError",
@@ -40,6 +39,5 @@ __all__ = [
     "format_expr", "level0_set", "make_pair", "make_staircase_rho",
     "mirrored", "negated", "parse", "predict_r_family",
     "predict_rho_tilde_dir", "random_pair", "ratio_at", "reflect",
-    "refine_sign_change", "rho_at", "rho_tilde_at", "sample", "sample_table",
-    "scan_domain",
+    "refine_sign_change", "rho_at", "rho_tilde_at", "sample_table",
 ]

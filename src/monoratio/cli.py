@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -26,8 +25,8 @@ from .construct import (GeneratorConfig, QuadratureError, StaircaseError,
                         random_pair)
 from .expr import DomainFault, ExprFn, ParseError, parse
 from .intervals import Interval
-from .ratio import ValidationError, make_pair, sample_table
-from .rules import RULE_ROWS, Tolerances, check_pair
+from .ratio import ValidationError, check_grid, make_pair, sample_table
+from .rules import RULE_ROWS, RuleRow, Tolerances, check_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,22 +55,21 @@ def _emit_csv(pair, path: str) -> None:
                              repr(table.rho_tilde[i])])
 
 
-def _window_from(args) -> Interval | None:
-    lo, hi = args.window
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        print(f"error: window must be finite with lo < hi, got ({lo}, {hi})",
-              file=sys.stderr)
-        return None
-    return Interval(lo, hi)
-
-
-def _tolerances_from(args) -> Tolerances:
-    return Tolerances(tol_zero=args.tol_zero)
-
-
-def _analyze_pair(pair, args) -> int:
+def _checked_tolerances(args, windows) -> Tolerances | None:
+    """The run's tolerances, after checking the grid against every window
+    it will sample; None (with one line on stderr) on a usage error."""
     try:
-        report = check_pair(pair, _tolerances_from(args))
+        for lo, hi in windows:
+            check_grid(lo, hi, args.grid_n)
+        return Tolerances(tol_zero=args.tol_zero)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
+
+
+def _analyze_pair(pair, args, tol: Tolerances) -> int:
+    try:
+        report = check_pair(pair, tol)
         if args.csv:
             _emit_csv(pair, args.csv)
     except DomainFault as err:
@@ -83,10 +81,8 @@ def _analyze_pair(pair, args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    window = _window_from(args)
-    if window is None or args.grid_n < 64:
-        if window is not None:
-            print("error: --grid-n must be at least 64", file=sys.stderr)
+    tol = _checked_tolerances(args, [args.window])
+    if tol is None:
         return EXIT_USAGE
     try:
         f = ExprFn(parse(args.f), label=args.f)
@@ -95,18 +91,16 @@ def cmd_analyze(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        pair = make_pair(f, g, window, args.grid_n)
+        pair = make_pair(f, g, Interval(*args.window), args.grid_n)
     except (ValidationError, DomainFault) as err:
         print(f"error: assumption violated: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _analyze_pair(pair, args)
+    return _analyze_pair(pair, args, tol)
 
 
 def cmd_construct(args) -> int:
-    window = _window_from(args)
-    if window is None or args.grid_n < 64:
-        if window is not None:
-            print("error: --grid-n must be at least 64", file=sys.stderr)
+    tol = _checked_tolerances(args, [args.window])
+    if tol is None:
         return EXIT_USAGE
     if (args.staircase is None) == (args.rho is None):
         print("error: give exactly one of --staircase or --rho", file=sys.stderr)
@@ -123,13 +117,14 @@ def cmd_construct(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     k = args.K if args.K is not None else rho(args.z)[0]
+    window = Interval(*args.window)
     try:
         f = construct_f(g, rho, args.z, k, window, args.quad_tol)
         pair = make_pair(f, g, window, args.grid_n)
     except (ValidationError, DomainFault, QuadratureError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _analyze_pair(pair, args)
+    return _analyze_pair(pair, args, tol)
 
 
 def _verify_case(case_seed: int, grid_n: int, tol_zero: float,
@@ -150,8 +145,7 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         print("error: --cases must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.grid_n < 64:
-        print("error: --grid-n must be at least 64", file=sys.stderr)
+    if _checked_tolerances(args, GeneratorConfig().windows) is None:
         return EXIT_USAGE
     raw_threads = os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1"
     try:
@@ -196,16 +190,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not summary["failing_seeds"] else EXIT_CHECKS_FAILED
 
 
+# (JSON key, title, value column, extra JSON fields) of each rule table;
+# every table lists RULE_ROWS by rho's direction and sign(gg')
+_TABLES = (
+    ("table1", "Table 1: monotonicity rules (switch at a single point c)", "r", {}),
+    ("table2", "Table 2: improved rules (switch on a flat [c, d])", "r",
+     {"switch": "flat [c, d]"}),
+    ("table3", "Table 3: direction of rho-tilde", "rho_tilde", {}),
+)
+
+
+def _cell(row: RuleRow, column: str) -> str:
+    return (row.r_family if column == "r" else row.rho_tilde_dir).value
+
+
 def _tables_payload() -> dict:
-    return {
-        "table1": [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
-                    "r": row.r_family.value} for row in RULE_ROWS],
-        "table2": [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
-                    "r": row.r_family.value, "switch": "flat [c, d]"}
-                   for row in RULE_ROWS],
-        "table3": [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
-                    "rho_tilde": row.rho_tilde_dir.value} for row in RULE_ROWS],
-    }
+    return {key: [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
+                   column: _cell(row, column), **extra} for row in RULE_ROWS]
+            for key, _, column, extra in _TABLES}
 
 
 def cmd_tables(args) -> int:
@@ -213,20 +215,13 @@ def cmd_tables(args) -> int:
         _emit_json(_tables_payload(), args.out)
         return EXIT_OK
     sgg = {1: "> 0", -1: "< 0"}
-    print("Table 1: monotonicity rules (switch at a single point c)")
-    print("  rho    gg'    r")
-    for row in RULE_ROWS:
-        print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {row.r_family.value}")
-    print()
-    print("Table 2: improved rules (switch on a flat [c, d])")
-    print("  rho    gg'    r")
-    for row in RULE_ROWS:
-        print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {row.r_family.value}")
-    print()
-    print("Table 3: direction of rho-tilde")
-    print("  rho    gg'    rho_tilde")
-    for row in RULE_ROWS:
-        print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {row.rho_tilde_dir.value}")
+    for n, (_, title, column, _) in enumerate(_TABLES):
+        if n:
+            print()
+        print(title)
+        print(f"  rho    gg'    {column}")
+        for row in RULE_ROWS:
+            print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {_cell(row, column)}")
     if args.out:
         _emit_json(_tables_payload(), args.out)
     return EXIT_OK

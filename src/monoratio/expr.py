@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .intervals import Interval
-
 UNARY_FUNCTIONS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 BINARY_FUNCTIONS = ("min", "max")
 
@@ -314,10 +312,6 @@ class Dual:
         return Dual(-self.value, -self.deriv)
 
 
-def _u_neg(u: Dual) -> Dual:
-    return Dual(-u.value, -u.deriv)
-
-
 def _u_sin(u: Dual) -> Dual:
     return Dual(math.sin(u.value), math.cos(u.value) * u.deriv)
 
@@ -367,7 +361,7 @@ def _u_tanh(u: Dual) -> Dual:
 
 
 _UNARY_IMPL = {
-    "neg": _u_neg, "sin": _u_sin, "cos": _u_cos, "exp": _u_exp,
+    "neg": Dual.__neg__, "sin": _u_sin, "cos": _u_cos, "exp": _u_exp,
     "log": _u_log, "sqrt": _u_sqrt, "abs": _u_abs, "atan": _u_atan,
     "tanh": _u_tanh,
 }
@@ -447,7 +441,7 @@ def eval_dual(ast: Expr, x: float) -> Dual:
     Raises DomainFault for points outside the expression's domain (log of
     a non-positive value, division by zero, 0 to a negative power, ...).
     Overflow that Python floats absorb silently surfaces as an infinite
-    value instead; scan_domain flags both.
+    value instead.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
@@ -459,30 +453,6 @@ def eval_dual(ast: Expr, x: float) -> Dual:
         raise DomainFault(x, "division by zero") from None
     except (OverflowError, ValueError) as err:
         raise DomainFault(x, str(err) or type(err).__name__) from None
-
-
-class Fault(NamedTuple):
-    x: float
-    reason: str
-
-
-def scan_domain(ast: Expr, window: Interval, n: int) -> list[Fault]:
-    """Evaluate on n uniform points across the window and collect every x
-    where evaluation faults or yields a non-finite value/derivative."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    step = (window.hi - window.lo) / (n - 1)
-    faults = []
-    for i in range(n):
-        x = window.hi if i == n - 1 else window.lo + i * step
-        try:
-            d = eval_dual(ast, x)
-        except DomainFault as err:
-            faults.append(Fault(x, err.reason))
-            continue
-        if not (math.isfinite(d.value) and math.isfinite(d.deriv)):
-            faults.append(Fault(x, "non-finite value or derivative"))
-    return faults
 
 
 class ExprFn:

@@ -11,13 +11,15 @@ distinguished; sampled floating-point data cannot certify strictness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from .intervals import Interval
-from .ratio import (BadBracket, FunctionPair, median_abs, refine_sign_change,  # noqa: F401
-                    rho_tilde_at, sample_table)
+from .ratio import (BadBracket, FunctionPair, SampleTable, median_abs,  # noqa: F401
+                    refine_sign_change, rho_tilde_at, sample_table)
 
 
 class Unclassifiable(Exception):
@@ -106,17 +108,39 @@ def _runs(signs: Sequence[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _linear_boundary(px: Sequence[float], pv: Sequence[float], i_left: int,
-                     i_right: int, target: float, xtol: float) -> float:
-    """Where the linear interpolant of (px, pv) crosses target, between
-    two adjacent samples of opposite (target-relative) sign."""
-    x0, x1 = px[i_left], px[i_right]
-    y0, y1 = pv[i_left] - target, pv[i_right] - target
+def _interpolant(px: Sequence[float], pv: Sequence[float]) -> Callable[[float], float]:
+    """The piecewise-linear interpolant of (px, pv), extended linearly
+    past the end samples.  A boundary found on it is only good to within
+    one grid cell."""
+    last = len(px) - 2
 
-    def probe(t: float) -> float:
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    def value(t: float) -> float:
+        i = min(max(bisect_right(px, t) - 1, 0), last)
+        x0 = px[i]
+        return pv[i] + (pv[i + 1] - pv[i]) * (t - x0) / (px[i + 1] - x0)
 
-    return refine_sign_change(probe, (x0, x1), xtol)
+    return value
+
+
+def _run_interval(px: Sequence[float], i0: int, i1: int,
+                  lo_probe: Callable[[float], float], hi_probe: Callable[[float], float],
+                  lo_edge: float, hi_edge: float, xtol: float) -> Interval:
+    """The extent of the sample run px[i0..i1].
+
+    Each end is bisected to its probe's sign change in the grid cell next
+    to the run.  An end that touches the first or last sample snaps to
+    the edge instead and is flagged open: window-truncated, true extent
+    unknown.
+    """
+    if i0 == 0:
+        lo, lo_closed = lo_edge, False
+    else:
+        lo, lo_closed = refine_sign_change(lo_probe, (px[i0 - 1], px[i0]), xtol), True
+    if i1 == len(px) - 1:
+        hi, hi_closed = hi_edge, False
+    else:
+        hi, hi_closed = refine_sign_change(hi_probe, (px[i1], px[i1 + 1]), xtol), True
+    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def detect_pattern(samples: Sequence[tuple[float, float]], tol: float,
@@ -151,63 +175,40 @@ def detect_pattern(samples: Sequence[tuple[float, float]], tol: float,
         probe = None  # no point function behind first differences
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if probe is None:
+        probe = _interpolant(px, pv)
 
     lo_edge = window.lo if window is not None else xs[0]
     hi_edge = window.hi if window is not None else xs[-1]
     xtol = 1e-12 * (hi_edge - lo_edge)
 
-    signs = _signs(pv, tol)
-    runs = _runs(signs)
+    runs = _runs(_signs(pv, tol))
     shape = [s for s, _, _ in runs]
 
     if shape == [0]:
         return Pattern(PatternKind.CONSTANT, Interval(lo_edge, hi_edge, False, False))
 
-    if mode == "diffs" and (1 not in shape or -1 not in shape):
-        # monotone, flats anywhere
-        kind = PatternKind.INCREASING if 1 in shape else PatternKind.DECREASING
-        edge = lo_edge if kind is PatternKind.INCREASING else hi_edge
-        return Pattern(kind, Interval(edge, edge))
-
-    if shape == [1]:
-        return Pattern(PatternKind.INCREASING, Interval(lo_edge, lo_edge))
-    if shape == [-1]:
+    if (1 in shape) != (-1 in shape) and (mode == "diffs" or len(shape) == 1):
+        # monotone; first differences may sit on flats anywhere
+        if 1 in shape:
+            return Pattern(PatternKind.INCREASING, Interval(lo_edge, lo_edge))
         return Pattern(PatternKind.DECREASING, Interval(hi_edge, hi_edge))
 
-    down_up_shapes = ([-1, 1], [-1, 0, 1], [0, 1], [-1, 0])
-    up_down_shapes = ([1, -1], [1, 0, -1], [0, -1], [1, 0])
-    if shape in down_up_shapes:
-        kind, first, last = PatternKind.DOWN_UP, -1, 1
-    elif shape in up_down_shapes:
-        kind, first, last = PatternKind.UP_DOWN, 1, -1
-    else:
+    first = shape[0] or -shape[-1]  # the sign before the switch
+    if shape not in ([first, -first], [first, 0, -first], [0, -first], [first, 0]):
         raise Unclassifiable(
             f"sign sequence {shape} does not fit a one-switch pattern")
+    kind = PatternKind.DOWN_UP if first < 0 else PatternKind.UP_DOWN
 
-    # entering tolerance band: proxy crosses -tol (DownUp) / +tol (UpDown)
-    by_sign = {s: (i0, i1) for s, i0, i1 in runs}
-    lo_open = hi_open = False
-
-    def boundary(i_left: int, i_right: int, target: float) -> float:
-        if probe is not None:
-            return refine_sign_change(lambda t: probe(t) - target,
-                                      (px[i_left], px[i_right]), xtol)
-        return _linear_boundary(px, pv, i_left, i_right, target, xtol)
-
-    if shape in ([-1, 1], [1, -1]):
-        c = d = boundary(by_sign[first][1], by_sign[last][0], 0.0)
-    else:
-        enter_target = -tol if kind is PatternKind.DOWN_UP else tol
-        leave_target = tol if kind is PatternKind.DOWN_UP else -tol
-        if shape[0] == 0:
-            c, lo_open = lo_edge, True
-        else:
-            c = boundary(by_sign[first][1], by_sign[0][0], enter_target)
-        if shape[-1] == 0:
-            d, hi_open = hi_edge, True
-        else:
-            d = boundary(by_sign[0][1], by_sign[last][0], leave_target)
-    return Pattern(kind, Interval(min(c, d), max(c, d), not lo_open, not hi_open))
+    if 0 not in shape:  # a bare crossing: the switch is a point
+        i = runs[0][2]
+        c = refine_sign_change(probe, (px[i], px[i + 1]), xtol)
+        return Pattern(kind, Interval(c, c))
+    # the values enter the tolerance band across first*tol, leave across -first*tol
+    _, z0, z1 = runs[shape.index(0)]
+    enter = first * tol
+    return Pattern(kind, _run_interval(px, z0, z1, lambda t: probe(t) - enter,
+                                       lambda t: probe(t) + enter, lo_edge, hi_edge, xtol))
 
 
 def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
@@ -226,10 +227,10 @@ def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
     tol_abs = tol * (1.0 + median_abs(vs))
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
+    value = probe if probe is not None else _interpolant(xs, vs)
 
     # two-pointer sweep with min/max deques: j(i) = furthest right index
     # keeping [i..j] within tol_abs; j is nondecreasing in i
-    from collections import deque
     max_dq: deque[int] = deque()
     min_dq: deque[int] = deque()
     j = -1
@@ -273,73 +274,53 @@ def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
         run_max = max(vs[i0:i1 + 1])
         run_min = min(vs[i0:i1 + 1])
 
-        def flat_probe(t: float, xa: float, xb: float, ya: float, yb: float) -> float:
-            if probe is not None:
-                v = probe(t)
-            else:
-                v = ya + (yb - ya) * (t - xa) / (xb - xa)
+        def flat_probe(t: float) -> float:
+            v = value(t)
             return tol_abs - (max(run_max, v) - min(run_min, v))
 
-        if i0 == 0:
-            lo, lo_closed = xs[0], False
-        else:
-            xa, xb, ya, yb = xs[i0 - 1], xs[i0], vs[i0 - 1], vs[i0]
-            lo = refine_sign_change(
-                lambda t: flat_probe(t, xa, xb, ya, yb), (xa, xb), xtol)
-            lo_closed = True
-        if i1 == n - 1:
-            hi, hi_closed = xs[-1], False
-        else:
-            xa, xb, ya, yb = xs[i1], xs[i1 + 1], vs[i1], vs[i1 + 1]
-            hi = refine_sign_change(
-                lambda t: flat_probe(t, xa, xb, ya, yb), (xa, xb), xtol)
-            hi_closed = True
-
-        if hi - lo <= min_ic_len or lo < last_hi:
+        run = _run_interval(xs, i0, i1, flat_probe, flat_probe, xs[0], xs[-1], xtol)
+        if run.length <= min_ic_len or run.lo < last_hi:
             continue
-        intervals.append(Interval(lo, hi, lo_closed, hi_closed))
-        last_hi = hi
+        intervals.append(run)
+        last_hi = run.hi
     return MicSet(tuple(intervals))
 
 
-def level0_set(pair: FunctionPair, tol: float, n: int | None = None,
-               _table=None) -> Interval | None:
+def level0_set(pair: FunctionPair, tol: float,
+               table: SampleTable | None = None) -> Interval | None:
     """The set where |rho-tilde| <= tol*(1 + median |rho-tilde|), reported
     as one interval with bisection-refined endpoints.
 
-    Returns None when rho-tilde keeps one sign clear of the tolerance.  A
-    plain sign crossing with no sub-tolerance sample yields a length-0
-    interval: a switch point, not an interval of constancy.  Several
-    components separated by more than 2 grid steps raise NonInterval,
-    which signals a non-monotone rho (broken precondition).
+    ``table`` is the pair's sample table when the caller already has one;
+    otherwise the pair is sampled on its own grid.  Returns None when
+    rho-tilde keeps one sign clear of the tolerance.  A plain sign
+    crossing with no sub-tolerance sample yields a length-0 interval: a
+    switch point, not an interval of constancy.  Several components
+    separated by more than 2 grid steps raise NonInterval, which signals a
+    non-monotone rho (broken precondition).
     """
-    table = _table if _table is not None else sample_table(pair, n)
+    table = table if table is not None else sample_table(pair)
     xs, rt = table.xs, table.rho_tilde
-    count = len(xs)
     tol_abs = tol * (1.0 + median_abs(rt))
     xtol = 1e-9 * (1.0 + pair.window.length)
 
-    inside = [abs(v) <= tol_abs for v in rt]
-    features: list[tuple[int, int]] = []  # index ranges; i0 > i1 never
-    start = None
-    for i in range(count):
-        if inside[i] and start is None:
-            start = i
-        elif not inside[i] and start is not None:
-            features.append((start, i - 1))
-            start = None
-    if start is not None:
-        features.append((start, count - 1))
-    # direct sign crossings between out-of-band neighbours
-    for i in range(count - 1):
-        if not inside[i] and not inside[i + 1] and (rt[i] > 0.0) != (rt[i + 1] > 0.0):
-            features.append((i, i + 1))
-    features.sort()
+    runs = _runs(_signs(rt, tol_abs))
+    band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
+    # index ranges of the sub-tolerance runs and of the direct sign
+    # crossings between out-of-band neighbours, in order
+    features = []
+    prev = 0
+    for s, i0, i1 in runs:
+        if s == 0:
+            features.append((i0, i1))
+        elif prev:
+            features.append((i0 - 1, i0))
+        prev = s
 
     merged: list[list[int]] = []
     for i0, i1 in features:
         if merged and i0 - merged[-1][1] <= 2:
-            merged[-1][1] = max(merged[-1][1], i1)
+            merged[-1][1] = i1
         else:
             merged.append([i0, i1])
     if not merged:
@@ -350,26 +331,15 @@ def level0_set(pair: FunctionPair, tol: float, n: int | None = None,
             f"level-0 set of rho-tilde splits into {len(merged)} components "
             f"({spots}); rho is not monotone here")
 
-    i0, i1 = merged[0]
-    in_range = [i for i in range(i0, i1 + 1) if inside[i]]
-    if not in_range:
+    if not band_runs:
         # bare crossing: refine on rho-tilde itself
+        i0, i1 = merged[0]
         root = refine_sign_change(lambda t: rho_tilde_at(pair, t),
                                   (xs[i0], xs[i1]), xtol)
         return Interval(root, root)
-    i0, i1 = in_range[0], in_range[-1]
 
     def band_probe(t: float) -> float:
         return abs(rho_tilde_at(pair, t)) - tol_abs
 
-    if i0 == 0:
-        lo, lo_closed = pair.window.lo, False
-    else:
-        lo = refine_sign_change(band_probe, (xs[i0 - 1], xs[i0]), xtol)
-        lo_closed = True
-    if i1 == count - 1:
-        hi, hi_closed = pair.window.hi, False
-    else:
-        hi = refine_sign_change(band_probe, (xs[i1], xs[i1 + 1]), xtol)
-        hi_closed = True
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _run_interval(xs, band_runs[0][0], band_runs[-1][1], band_probe, band_probe,
+                         pair.window.lo, pair.window.hi, xtol)

@@ -149,15 +149,25 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     return sign_g, sign_gp
 
 
+def check_grid(lo: float, hi: float, grid_n: int) -> None:
+    """Reject an analysis grid the pipeline cannot resolve: the window
+    must be finite with lo < hi, grid_n at least 64, and the grid step
+    above 64 ulps of max(|lo|, |hi|), so the sign check's finite-difference
+    probes at a sixteenth of a step stay distinct from the sample x."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise ValueError(f"window must be finite with lo < hi, got ({lo}, {hi})")
+    if grid_n < 64:
+        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
+    if (hi - lo) / grid_n <= 64.0 * math.ulp(max(abs(lo), abs(hi))):
+        raise ValueError(f"window ({lo!r}, {hi!r}) is too narrow for a {grid_n}-point "
+                         "grid: the step must exceed 64 ulps of max(|lo|, |hi|)")
+
+
 def make_pair(f: DifferentiableFn, g: DifferentiableFn, window: Interval,
               grid_n: int = 2048) -> FunctionPair:
-    """Bundle f and g after validating the standing assumptions on g."""
-    if not (math.isfinite(window.lo) and math.isfinite(window.hi)):
-        raise ValueError("analysis window must be finite")
-    if window.length <= 0.0:
-        raise ValueError("analysis window must have positive length")
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
+    """Bundle f and g after validating the grid (check_grid) and the
+    standing assumptions on g."""
+    check_grid(window.lo, window.hi, grid_n)
     sign_g, sign_gp = check_g_assumptions(g, window, grid_n)
     return FunctionPair(f=f, g=g, window=window, sign_gg=sign_g * sign_gp,
                         sign_gprime=sign_gp, grid_n=grid_n)
@@ -194,9 +204,7 @@ class SampleTable:
 
     xs: list[float]
     f_values: list[float]
-    f_derivs: list[float]
     g_values: list[float]
-    g_derivs: list[float]
     r: list[float]
     rho: list[float]
     rho_tilde: list[float]
@@ -213,30 +221,18 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     if n < 2:
         raise ValueError("n must be >= 2")
     lo, step = pair.window.lo, pair.window.length / n
-    xs, fv, fd, gv, gd, r, rho, rho_t = [], [], [], [], [], [], [], []
+    xs, fv, gv, r, rho, rho_t = [], [], [], [], [], []
     for i in range(n):
         x = lo + (i + 0.5) * step
         a, ap = pair.f(x)
         b, bp = pair.g(x)
         xs.append(x)
         fv.append(a)
-        fd.append(ap)
         gv.append(b)
-        gd.append(bp)
         r.append(a / b)
         rho.append(ap / bp)
         rho_t.append((ap * b - a * bp) / abs(bp))
-    return SampleTable(xs, fv, fd, gv, gd, r, rho, rho_t)
-
-
-def sample(pair: FunctionPair, which: str, n: int) -> list[tuple[float, float]]:
-    """n uniform interior samples of "r", "rho", or "rho_tilde"."""
-    table = sample_table(pair, n)
-    try:
-        values = {"r": table.r, "rho": table.rho, "rho_tilde": table.rho_tilde}[which]
-    except KeyError:
-        raise ValueError(f"unknown quantity {which!r}") from None
-    return list(zip(table.xs, values))
+    return SampleTable(xs, fv, gv, r, rho, rho_t)
 
 
 def median_abs(values: Sequence[float]) -> float:

@@ -16,6 +16,7 @@ observation against prediction.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -68,15 +69,6 @@ RULE_ROWS: tuple[RuleRow, ...] = tuple(
                  (Direction.UP, -1), (Direction.DOWN, -1)))
 
 
-# membership: the composite kind plus its degenerate placements
-_FAMILY_KINDS = {
-    Family.DOWN_UP: (PatternKind.DOWN_UP, PatternKind.INCREASING,
-                     PatternKind.DECREASING, PatternKind.CONSTANT),
-    Family.UP_DOWN: (PatternKind.UP_DOWN, PatternKind.INCREASING,
-                     PatternKind.DECREASING, PatternKind.CONSTANT),
-}
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Every tolerance the pipeline uses, echoed into reports.
@@ -96,6 +88,11 @@ class Tolerances:
     residual_tol: float = 1e-6    # r - (K1 + C/g) residual on rho's flats
     c_tol: float = 1e-6           # |C| below this counts as zero
     fd_shrink: float = 16.0       # sign-check FD step = grid step / fd_shrink
+
+    def __post_init__(self):
+        # at 1 or above the zero band covers at least the median magnitude
+        if not (math.isfinite(self.tol_zero) and 0.0 <= self.tol_zero < 1.0):
+            raise ValueError(f"tol_zero must be finite and in [0, 1), got {self.tol_zero!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,8 @@ def _check_prop1(observed: Pattern | None, family: Family | None,
     if observed is None or family is None:
         return False
     kind = observed.kind
-    if kind not in _FAMILY_KINDS[family]:
+    if kind.value == family.mirrored().value:
+        # the other family's composite; the degenerate kinds fit either
         return False
     if constant_rho and kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
         # constant rho makes r = K1 + C/g, which is monotone or constant
@@ -313,7 +311,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     level0 = None
     try:
-        level0 = level0_set(pair, tol.tol_zero, _table=table)
+        level0 = level0_set(pair, tol.tol_zero, table=table)
     except NonInterval as err:
         failure = failure or str(err)
 

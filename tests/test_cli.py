@@ -72,6 +72,43 @@ def test_analyze_bad_window(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+def test_window_below_grid_resolution_is_usage_error(capsys, command):
+    # a 2048-point grid on a 1e-13 window has steps of a fraction of an ulp
+    argv = {"analyze": ("analyze", "--f", "x^2", "--g", "x+1"),
+            "construct": ("construct", "--g", "exp(x)", "--rho", "atan(x)",
+                          "--z", "1")}[command]
+    code, out, err = run(capsys, *argv, "--window", "1", "1.0000000000001")
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "too narrow" in err
+
+
+_TOL_ZERO_ARGV = {
+    "analyze": ("analyze", "--f", "x^2", "--g", "x", "--window", "0.1", "10"),
+    "construct": ("construct", "--g", "exp(x)", "--rho", "atan(x)", "--z", "0",
+                  "--window", "-2", "2"),
+    "verify": ("verify", "--cases", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TOL_ZERO_ARGV))
+@pytest.mark.parametrize("tol_zero", ["nan", "-1", "1", "10"])
+def test_bad_tol_zero_is_usage_error(capsys, command, tol_zero):
+    code, out, err = run(capsys, *_TOL_ZERO_ARGV[command], "--grid-n", "256",
+                         "--tol-zero", tol_zero)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "tol_zero" in err
+
+
+def test_zero_tol_zero_is_valid(capsys):
+    code, out, _ = run(capsys, *_TOL_ZERO_ARGV["analyze"], "--grid-n", "256",
+                       "--tol-zero", "0")
+    assert code == 0
+    assert json.loads(out)["tolerances"]["tol_zero"] == 0.0
+
+
 def test_analyze_csv_rows_match_grid(tmp_path, capsys):
     out_csv = tmp_path / "dump.csv"
     code, _, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x",

@@ -210,7 +210,8 @@ def test_random_pair_chosen_flat_is_the_mic():
     for seed in range(8):
         pair, spec, chosen = random_pair(seed, config)
         step = pair.window.length / pair.grid_n
-        samples = mr.sample(pair, "r", pair.grid_n)
+        table = mr.sample_table(pair, pair.grid_n)
+        samples = list(zip(table.xs, table.r))
         mics = mr.detect_mics(samples, 1e-9, 3 * step,
                               probe=lambda t: mr.ratio_at(pair, t))
         assert len(mics) == 1

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from monoratio.expr import (Binary, Call2, Const, DomainFault, Dual, ExprFn,
                             ParseError, Unary, Var, eval_dual, format_expr,
-                            parse, scan_domain)
-from monoratio.intervals import Interval
+                            parse)
 
 from helpers import central_fd, pick_usable_point, random_ast
 
@@ -115,28 +114,6 @@ def test_min_max_tie_takes_left():
     assert eval_dual(parse("min(x, x)"), 1.0).deriv == 1.0
     assert eval_dual(parse("max(2*x, x)"), 2.0).deriv == 2.0
     assert eval_dual(parse("max(2*x, x)"), -2.0).deriv == 1.0
-
-
-def test_scan_domain_log_positive_window():
-    assert scan_domain(parse("log(x)"), Interval(0.5, 2.0), 8) == []
-
-
-def test_scan_domain_pole():
-    faults = scan_domain(parse("1/x"), Interval(-1.0, 1.0), 9)
-    assert [f.x for f in faults] == [0.0]
-
-
-def test_scan_domain_sqrt():
-    faults = scan_domain(parse("sqrt(x)"), Interval(-1.0, 1.0), 9)
-    fault_xs = {f.x for f in faults}
-    # every negative grid point faults; positive ones never do
-    assert {-1.0, -0.75, -0.5, -0.25} <= fault_xs
-    assert not any(x > 0 for x in fault_xs)
-
-
-def test_scan_domain_needs_two_points():
-    with pytest.raises(ValueError):
-        scan_domain(parse("x"), Interval(0.0, 1.0), 1)
 
 
 def test_expr_fn_protocol():

@@ -96,7 +96,8 @@ def test_down_up_with_true_probe_is_sharp():
 
 def test_staircase_rho_tilde_pattern(staircase_pair):
     pair, _, _ = staircase_pair
-    samples = mr.sample(pair, "rho_tilde", 2048)
+    table = mr.sample_table(pair, 2048)
+    samples = list(zip(table.xs, table.rho_tilde))
     tol = 1e-7 * (1.0 + median_abs([v for _, v in samples]))
     pat = detect_pattern(samples, tol, mode="values", window=pair.window,
                          probe=lambda t: mr.rho_tilde_at(pair, t))
@@ -210,7 +211,8 @@ def test_too_few_samples():
 
 def test_mics_on_staircase_ratio(staircase_pair):
     pair, _, _ = staircase_pair
-    samples = mr.sample(pair, "r", 2048)
+    table = mr.sample_table(pair, 2048)
+    samples = list(zip(table.xs, table.r))
     step = pair.window.length / 2048
     mics = detect_mics(samples, 1e-9, 3 * step,
                        probe=lambda t: mr.ratio_at(pair, t))
@@ -304,7 +306,8 @@ def test_level0_non_interval_for_wavy_rho():
 def test_level0_agrees_with_r_mics(staircase_pair):
     pair, _, _ = staircase_pair
     l0 = level0_set(pair, 1e-7)
-    samples = mr.sample(pair, "r", 2048)
+    table = mr.sample_table(pair, 2048)
+    samples = list(zip(table.xs, table.r))
     mics = detect_mics(samples, 1e-9, 3 * pair.window.length / 2048,
                        probe=lambda t: mr.ratio_at(pair, t))
     assert len(mics) == 1

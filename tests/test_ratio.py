@@ -40,6 +40,10 @@ def test_make_pair_window_checks():
         _pair("x", "x", 2.0, 1.0)
     with pytest.raises(ValueError):
         mr.make_pair(mr.expr_fn("x"), mr.expr_fn("x"), Interval(1.0, 2.0), 32)
+    with pytest.raises(ValueError, match="too narrow"):
+        # steps of 1e-13/2048 cannot hold the sign check's probes apart
+        _pair("x", "x + 1", 1.0, 1.0 + 1e-13, 2048)
+    _pair("x", "x + 1", 1.0, 1.0 + 1e-9, 2048)  # step ~2000 ulps: accepted
 
 
 def test_ratio_rho_values():
@@ -79,30 +83,28 @@ def test_staircase_point_values(staircase_pair):
 
 def test_sample_line():
     pair = _pair("x^2", "x", 0.1, 10.0)
-    pts = mr.sample(pair, "r", 5)
-    assert len(pts) == 5
+    table = mr.sample_table(pair, 5)
+    assert len(table.xs) == len(table.r) == 5
     step = (10.0 - 0.1) / 5
-    assert pts[0][0] == pytest.approx(0.1 + step / 2)
-    for x, v in pts:
+    assert table.xs[0] == pytest.approx(0.1 + step / 2)
+    for x, v in zip(table.xs, table.r):
         assert v == pytest.approx(x)  # r = x
 
 
 def test_sample_rho_tilde_of_identity_is_zero():
     pair = _pair("x", "x", 1.0, 2.0)
-    for _, v in mr.sample(pair, "rho_tilde", 5):
+    table = mr.sample_table(pair, 5)
+    assert len(table.rho_tilde) == 5
+    for v in table.rho_tilde:
         assert v == 0.0
 
 
 def test_sample_rho_cosine():
     pair = _pair("sin(x)", "x", 0.1, 3.0)
-    for x, v in mr.sample(pair, "rho", 3):
+    table = mr.sample_table(pair, 3)
+    assert len(table.rho) == 3
+    for x, v in zip(table.xs, table.rho):
         assert v == pytest.approx(math.cos(x), abs=1e-6)
-
-
-def test_sample_unknown_quantity():
-    pair = _pair("x", "x", 1.0, 2.0)
-    with pytest.raises(ValueError):
-        mr.sample(pair, "bogus", 5)
 
 
 @pytest.mark.parametrize("f_src,g_src,lo,hi", [

@@ -2,7 +2,8 @@ import pytest
 
 import monoratio as mr
 from monoratio import Direction, Family, Interval, PatternKind
-from monoratio.rules import RULE_ROWS, predict_r_family, predict_rho_tilde_dir
+from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, predict_r_family,
+                            predict_rho_tilde_dir)
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
@@ -50,6 +51,27 @@ def test_family_xor_rule():
 def _pair(f_src, g_src, lo, hi, n=512):
     return mr.make_pair(mr.expr_fn(f_src), mr.expr_fn(g_src),
                         Interval(lo, hi), n)
+
+
+def test_prop1_family_membership():
+    # a family holds its composite and every degenerate kind, never the
+    # other family's composite
+    switch = Interval(0.0, 1.0)
+    for family in Family:
+        for kind in PatternKind:
+            ok = _check_prop1(mr.Pattern(kind, switch), family, False, switch, 1e-3)
+            assert ok == ((family, kind) not in {(Family.DOWN_UP, PatternKind.UP_DOWN),
+                                                 (Family.UP_DOWN, PatternKind.DOWN_UP)})
+
+
+@pytest.mark.parametrize("tol_zero", [float("nan"), float("inf"), -1e-9, 1.0, 10.0])
+def test_tolerances_reject_bad_tol_zero(tol_zero):
+    with pytest.raises(ValueError, match="tol_zero"):
+        Tolerances(tol_zero=tol_zero)
+
+
+def test_tolerances_accept_zero_tol_zero():
+    assert Tolerances(tol_zero=0.0).tol_zero == 0.0
 
 
 def test_check_pair_square_over_x():
