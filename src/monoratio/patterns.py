@@ -334,6 +334,10 @@ def level0_set(pair: FunctionPair, tol: float,
     if not band_runs:
         # bare crossing: refine on rho-tilde itself
         i0, i1 = merged[0]
+        if (rt[i0] > 0.0) == (rt[i1] > 0.0):
+            raise NonInterval(
+                f"rho-tilde changes sign an even number of times within "
+                f"{xs[i0]:.6g}..{xs[i1]:.6g}; rho is not monotone here")
         root = refine_sign_change(lambda t: rho_tilde_at(pair, t),
                                   (xs[i0], xs[i1]), xtol)
         return Interval(root, root)

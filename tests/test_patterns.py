@@ -303,6 +303,18 @@ def test_level0_non_interval_for_wavy_rho():
         level0_set(pair, 1e-7)
 
 
+def test_level0_close_double_crossing_is_non_interval():
+    # rho-tilde dips below zero for three samples and comes back: two sign
+    # changes close enough to merge into one component with no sample in
+    # the zero band, which bracket no single root
+    f = "(-1.977267)*(exp(-x) - 2.60666)^3 + (-0.101499)*exp(-x) + (-0.000974)"
+    pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(-x)"), Interval(-2.0, 2.0))
+    with pytest.raises(NonInterval, match="even number"):
+        level0_set(pair, 1e-7)
+    report = mr.check_pair(pair)
+    assert report.failure and not report.all_ok
+
+
 def test_level0_agrees_with_r_mics(staircase_pair):
     pair, _, _ = staircase_pair
     l0 = level0_set(pair, 1e-7)
