@@ -159,7 +159,7 @@ def check_grid(lo: float, hi: float, grid_n: int) -> None:
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
     if (hi - lo) / grid_n <= 64.0 * math.ulp(max(abs(lo), abs(hi))):
-        raise ValueError(f"window ({lo!r}, {hi!r}) is too narrow for a {grid_n}-point "
+        raise ValueError(f"window ({lo}, {hi}) is too narrow for a {grid_n}-point "
                          "grid: the step must exceed 64 ulps of max(|lo|, |hi|)")
 
 
