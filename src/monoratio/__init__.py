@@ -15,7 +15,7 @@ from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
 from .expr import (Dual, DomainFault, ExprFn, ParseError, eval_dual, expr_fn,
                    format_expr, parse)
 from .intervals import Interval
-from .patterns import (BadBracket, MicSet, NonInterval, Pattern, PatternKind,
+from .patterns import (BadBracket, NonInterval, Pattern, PatternKind,
                        Unclassifiable, detect_mics, detect_pattern, level0_set,
                        refine_sign_change)
 from .ratio import (DifferentiableFn, FunctionPair, SampleTable, SignChange,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport", "BadBracket", "ConstructedFn", "Direction",
     "DifferentiableFn", "DomainFault", "Dual", "ExprFn", "Family",
-    "FunctionPair", "GeneratorConfig", "Interval", "MicFit", "MicSet",
+    "FunctionPair", "GeneratorConfig", "Interval", "MicFit",
     "NonInterval", "ParseError", "Pattern", "PatternKind", "QuadratureError",
     "RULE_ROWS", "RuleRow", "SampleTable", "SignChange", "StaircaseError",
     "StaircaseFn", "StaircaseSpec", "Tolerances", "Unclassifiable",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -61,6 +62,8 @@ def _checked_tolerances(args, windows) -> Tolerances | None:
     try:
         for lo, hi in windows:
             check_grid(lo, hi, args.grid_n)
+        if "quad_tol" in args and not (math.isfinite(args.quad_tol) and args.quad_tol > 0.0):
+            raise ValueError(f"--quad-tol must be finite and above 0, got {args.quad_tol!r}")
         return Tolerances(tol_zero=args.tol_zero)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -72,8 +75,9 @@ def _analyze_pair(pair, args, tol: Tolerances) -> int:
         report = check_pair(pair, tol)
         if args.csv:
             _emit_csv(pair, args.csv)
-    except DomainFault as err:
-        # f left its domain inside the window; g alone was validated
+    except (DomainFault, ValidationError) as err:
+        # f left its domain, or a sampled quantity is not finite; only g
+        # was validated
         print(f"error: assumption violated: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit_json(report.to_dict(), args.out)

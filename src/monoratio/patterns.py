@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .intervals import Interval
 from .ratio import (BadBracket, FunctionPair, SampleTable, median_abs,  # noqa: F401
-                    refine_sign_change, rho_tilde_at, sample_table)
+                    refine_sign_change, rho_tilde_at)
 
 
 class Unclassifiable(Exception):
@@ -66,31 +66,12 @@ _VERTICAL_MIRROR = {
 }
 
 
-@dataclass(frozen=True)
-class MicSet:
-    """Ordered disjoint maximal intervals of constancy."""
-
-    intervals: tuple[Interval, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __getitem__(self, i: int) -> Interval:
-        return self.intervals[i]
-
-
-def _split_samples(samples: Sequence[tuple[float, float]]) -> tuple[list[float], list[float]]:
-    xs = [x for x, _ in samples]
-    vs = [v for _, v in samples]
-    if len(xs) < 16:
-        raise ValueError("at least 16 samples required")
+def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
+    if len(xs) != len(vs) or len(xs) < 16:
+        raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
     for i in range(len(xs) - 1):
         if xs[i] >= xs[i + 1]:
             raise ValueError("sample x's must be strictly increasing")
-    return xs, vs
 
 
 def _signs(values: Sequence[float], tol: float) -> list[int]:
@@ -116,8 +97,8 @@ def _interpolant(px: Sequence[float], pv: Sequence[float]) -> Callable[[float], 
 
     def value(t: float) -> float:
         i = min(max(bisect_right(px, t) - 1, 0), last)
-        x0 = px[i]
-        return pv[i] + (pv[i + 1] - pv[i]) * (t - x0) / (px[i + 1] - x0)
+        j = i + 1 if t >= px[i + 1] else i  # the anchor: exact at every sample
+        return pv[j] + (pv[i + 1] - pv[i]) * (t - px[j]) / (px[i + 1] - px[i])
 
     return value
 
@@ -143,10 +124,11 @@ def _run_interval(px: Sequence[float], i0: int, i1: int,
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def detect_pattern(samples: Sequence[tuple[float, float]], tol: float,
+def detect_pattern(xs: Sequence[float], vs: Sequence[float], tol: float,
                    mode: str = "values", window: Interval | None = None,
                    probe: Callable[[float], float] | None = None) -> Pattern:
-    """Classify the monotonicity pattern behind a sample sequence.
+    """Classify the monotonicity pattern behind the values vs sampled at
+    the strictly increasing xs.
 
     mode="values": the sample values themselves are a derivative proxy
     (use this on rho-tilde samples to get the pattern of r; the tolerance-
@@ -166,7 +148,7 @@ def detect_pattern(samples: Sequence[tuple[float, float]], tol: float,
     switch endpoint snaps to the window edge (or sample span if no window
     is given) and is flagged open: truncated, true extent unknown.
     """
-    xs, vs = _split_samples(samples)
+    _check_columns(xs, vs)
     if mode == "values":
         px, pv = xs, vs
     elif mode == "diffs":
@@ -211,11 +193,13 @@ def detect_pattern(samples: Sequence[tuple[float, float]], tol: float,
                                        lambda t: probe(t) + enter, lo_edge, hi_edge, xtol))
 
 
-def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
+def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
                 min_ic_len: float,
-                probe: Callable[[float], float] | None = None) -> MicSet:
-    """Find maximal runs where max - min of the values stays within
-    tol*(1 + median |value|), keeping only runs longer than min_ic_len.
+                probe: Callable[[float], float] | None = None) -> tuple[Interval, ...]:
+    """Find the maximal intervals of constancy of the values vs sampled at
+    the strictly increasing xs: maximal runs where max - min of the values
+    stays within tol*(1 + median |value|), keeping only runs longer than
+    min_ic_len.  Returns them ordered and disjoint.
 
     Run endpoints are refined by bisection on the constancy predicate,
     evaluated on ``probe`` (the underlying function, when the caller has
@@ -223,45 +207,34 @@ def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
     can only place an endpoint to within one grid cell.  Endpoints at the
     sampled edge are flagged open (window-truncated).
     """
-    xs, vs = _split_samples(samples)
+    _check_columns(xs, vs)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be at least 0, got {tol!r}")
     tol_abs = tol * (1.0 + median_abs(vs))
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
     value = probe if probe is not None else _interpolant(xs, vs)
 
-    # two-pointer sweep with min/max deques: j(i) = furthest right index
-    # keeping [i..j] within tol_abs; j is nondecreasing in i
+    # streaming min/max filter (Lemire 2006): the deques hold the indices
+    # of the window [lo..j]'s running max and min; when j breaks the band,
+    # [lo..j-1] is maximal and lo moves past the older extreme until the
+    # window fits again
     max_dq: deque[int] = deque()
     min_dq: deque[int] = deque()
-    j = -1
+    lo = 0
     raw_runs: list[tuple[int, int]] = []
-    prev_j = -1
-    for i in range(n):
-        if j < i - 1:
-            j = i - 1
-            max_dq.clear()
-            min_dq.clear()
-        while j + 1 < n:
-            cand = j + 1
-            v = vs[cand]
-            hi_v = max(v, vs[max_dq[0]] if max_dq else v)
-            lo_v = min(v, vs[min_dq[0]] if min_dq else v)
-            if hi_v - lo_v > tol_abs:
-                break
-            while max_dq and vs[max_dq[-1]] <= v:
-                max_dq.pop()
-            max_dq.append(cand)
-            while min_dq and vs[min_dq[-1]] >= v:
-                min_dq.pop()
-            min_dq.append(cand)
-            j = cand
-        if j > i - 1 and (i == 0 or j > prev_j):
-            raw_runs.append((i, j))
-        prev_j = j
-        if max_dq and max_dq[0] == i:
-            max_dq.popleft()
-        if min_dq and min_dq[0] == i:
-            min_dq.popleft()
+    for j, v in enumerate(vs):
+        while max_dq and vs[max_dq[-1]] <= v:
+            max_dq.pop()
+        max_dq.append(j)
+        while min_dq and vs[min_dq[-1]] >= v:
+            min_dq.pop()
+        min_dq.append(j)
+        if vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+            raw_runs.append((lo, j - 1))
+            while vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+                lo = (max_dq if max_dq[0] < min_dq[0] else min_dq).popleft() + 1
+    raw_runs.append((lo, n - 1))
 
     intervals: list[Interval] = []
     last_hi = -math.inf
@@ -283,23 +256,18 @@ def detect_mics(samples: Sequence[tuple[float, float]], tol: float,
             continue
         intervals.append(run)
         last_hi = run.hi
-    return MicSet(tuple(intervals))
+    return tuple(intervals)
 
 
-def level0_set(pair: FunctionPair, tol: float,
-               table: SampleTable | None = None) -> Interval | None:
-    """The set where |rho-tilde| <= tol*(1 + median |rho-tilde|), reported
-    as one interval with bisection-refined endpoints.
-
-    ``table`` is the pair's sample table when the caller already has one;
-    otherwise the pair is sampled on its own grid.  Returns None when
-    rho-tilde keeps one sign clear of the tolerance.  A plain sign
-    crossing with no sub-tolerance sample yields a length-0 interval: a
-    switch point, not an interval of constancy.  Several components
-    separated by more than 2 grid steps raise NonInterval, which signals a
-    non-monotone rho (broken precondition).
+def level0_set(pair: FunctionPair, tol: float, table: SampleTable) -> Interval | None:
+    """The set where |rho-tilde| <= tol*(1 + median |rho-tilde|) over the
+    pair's sample table, reported as one interval with bisection-refined
+    endpoints.  Returns None when rho-tilde keeps one sign clear of the
+    tolerance.  A plain sign crossing with no sub-tolerance sample yields
+    a length-0 interval: a switch point, not an interval of constancy.
+    Several components separated by more than 2 grid steps raise
+    NonInterval, which signals a non-monotone rho (broken precondition).
     """
-    table = table if table is not None else sample_table(pair)
     xs, rt = table.xs, table.rho_tilde
     tol_abs = tol * (1.0 + median_abs(rt))
     xtol = 1e-9 * (1.0 + pair.window.length)

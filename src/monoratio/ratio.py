@@ -216,7 +216,8 @@ class SampleTable:
 
 def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     """Evaluate f and g on n uniform interior points (inset from the window
-    endpoints by half a step) and derive r, rho, rho-tilde."""
+    endpoints by half a step) and derive r, rho, rho-tilde, all of which
+    must be finite (ValidationError at the first x where one is not)."""
     n = pair.grid_n if n is None else n
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -232,6 +233,10 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
         r.append(a / b)
         rho.append(ap / bp)
         rho_t.append((ap * b - a * bp) / abs(bp))
+    for name, column in (("r", r), ("rho", rho), ("rho-tilde", rho_t)):
+        if not all(map(math.isfinite, column)):
+            i = next(i for i, v in enumerate(column) if not math.isfinite(v))
+            raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
     return SampleTable(xs, fv, gv, r, rho, rho_t)
 
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .intervals import Interval
-from .patterns import (MicSet, NonInterval, Pattern, PatternKind, Unclassifiable,
+from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_mics, detect_pattern, level0_set)
-from .ratio import (FunctionPair, SampleTable, make_pair, median_abs, mirrored,
-                    negated, ratio_at, rho_at, rho_tilde_at, sample_table)
+from .ratio import (FunctionPair, SampleTable, median_abs, mirrored, negated,
+                    ratio_at, rho_at, rho_tilde_at, sample_table)
 
 
 class Direction(str, Enum):
@@ -121,9 +121,9 @@ class AnalysisReport:
     observed_pattern: Pattern | None
     rho_tilde_pattern: Pattern | None
     level0: Interval | None
-    mics_r: MicSet
-    mics_rho: MicSet
-    mics_rho_tilde: MicSet
+    mics_r: tuple[Interval, ...]
+    mics_rho: tuple[Interval, ...]
+    mics_rho_tilde: tuple[Interval, ...]
     mic_fits: tuple[MicFit, ...]
     prop1_ok: bool
     prop2_ok: bool
@@ -142,8 +142,8 @@ class AnalysisReport:
         def iv(interval: Interval | None):
             return None if interval is None else [interval.lo, interval.hi]
 
-        def mics(mic_set: MicSet):
-            return [[m.lo, m.hi] for m in mic_set]
+        def mics(intervals: tuple[Interval, ...]):
+            return [[m.lo, m.hi] for m in intervals]
 
         return {
             "pair": {"f": self.f_label, "g": self.g_label},
@@ -210,8 +210,8 @@ def _fit_on_interval(table: SampleTable, interval: Interval) -> tuple[float, flo
     return k1, c, residual
 
 
-def _check_prop2(table: SampleTable, mics_r: MicSet, mics_rho: MicSet,
-                 tol: Tolerances) -> tuple[bool, tuple[MicFit, ...]]:
+def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
+                 mics_rho: tuple[Interval, ...], tol: Tolerances) -> tuple[bool, tuple[MicFit, ...]]:
     """r's constancy interval (if any) must coincide with one of rho's, and
     on every flat of rho, r = K1 + C/g must hold with C vanishing exactly
     on the flat that is r's constancy interval."""
@@ -259,9 +259,10 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
 def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisReport:
     """Run the full analysis pipeline on a validated pair.
 
-    Requires rho monotone on the window; if it is not, the report carries
-    the failure and every check flag stays False.  A failed check is never
-    silently passed; the report records exactly what was measured.
+    Requires rho monotone on the window and the window longer than
+    switch_tol (prop1 could not fail on a shorter one); if not, the report
+    carries the failure and every check flag stays False.  A failed check
+    is never silently passed; the report records exactly what was measured.
     """
     tol = tol or Tolerances()
     table = sample_table(pair, pair.grid_n)
@@ -269,6 +270,9 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     step = table.step
     window = pair.window
     failure = None
+    if window.length <= tol.switch_tol:
+        failure = (f"window length {window.length:.6g} is not above switch_tol "
+                   f"{tol.switch_tol:g}, so the switch check cannot fail")
 
     tol_rho = tol.tol_zero * (1.0 + median_abs(table.rho))
     tol_rt = tol.tol_zero * (1.0 + median_abs(table.rho_tilde))
@@ -276,10 +280,9 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     rho_pattern = None
     try:
-        rho_pattern = detect_pattern(list(zip(xs, table.rho)), tol_rho,
-                                     mode="diffs", window=window)
+        rho_pattern = detect_pattern(xs, table.rho, tol_rho, mode="diffs", window=window)
     except Unclassifiable as err:
-        failure = f"rho unclassifiable: {err}"
+        failure = failure or f"rho unclassifiable: {err}"
 
     constant_rho = rho_pattern is not None and rho_pattern.kind is PatternKind.CONSTANT
     if rho_pattern is not None and rho_pattern.kind in (
@@ -298,28 +301,27 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     observed = rt_pattern = None
     try:
-        observed = detect_pattern(list(zip(xs, table.rho_tilde)), tol_rt,
-                                  mode="values", window=window,
-                                  probe=lambda t: rho_tilde_at(pair, t))
+        observed = detect_pattern(xs, table.rho_tilde, tol_rt, mode="values",
+                                  window=window, probe=lambda t: rho_tilde_at(pair, t))
     except Unclassifiable as err:
         failure = failure or f"r pattern unclassifiable from rho-tilde signs: {err}"
     try:
-        rt_pattern = detect_pattern(list(zip(xs, table.rho_tilde)), tol_rt,
-                                    mode="diffs", window=window)
+        rt_pattern = detect_pattern(xs, table.rho_tilde, tol_rt, mode="diffs",
+                                    window=window)
     except Unclassifiable as err:
         failure = failure or f"rho-tilde unclassifiable: {err}"
 
     level0 = None
     try:
-        level0 = level0_set(pair, tol.tol_zero, table=table)
+        level0 = level0_set(pair, tol.tol_zero, table)
     except NonInterval as err:
         failure = failure or str(err)
 
-    mics_r = detect_mics(list(zip(xs, table.r)), tol.tol_flat, min_ic_len,
+    mics_r = detect_mics(xs, table.r, tol.tol_flat, min_ic_len,
                          probe=lambda t: ratio_at(pair, t))
-    mics_rho = detect_mics(list(zip(xs, table.rho)), tol.tol_flat, min_ic_len,
+    mics_rho = detect_mics(xs, table.rho, tol.tol_flat, min_ic_len,
                            probe=lambda t: rho_at(pair, t))
-    mics_rt = detect_mics(list(zip(xs, table.rho_tilde)), tol.tol_flat, min_ic_len,
+    mics_rt = detect_mics(xs, table.rho_tilde, tol.tol_flat, min_ic_len,
                           probe=lambda t: rho_tilde_at(pair, t))
 
     prop1 = failure is None and _check_prop1(observed, predicted_family,
@@ -360,10 +362,12 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
 def reflect(pair: FunctionPair, axis: str) -> FunctionPair:
     """Reflect a pair vertically (f -> -f) or horizontally (x -> -x, window
-    mirrored).  The result is re-validated from scratch."""
+    mirrored, flipping the signs of g' and g*g').  Both keep g valid, so g
+    is not validated again."""
     if axis == "vertical":
-        return make_pair(negated(pair.f), pair.g, pair.window, pair.grid_n)
+        return replace(pair, f=negated(pair.f))
     if axis == "horizontal":
-        return make_pair(mirrored(pair.f), mirrored(pair.g),
-                         pair.window.mirrored(), pair.grid_n)
+        return replace(pair, f=mirrored(pair.f), g=mirrored(pair.g),
+                       window=pair.window.mirrored(), sign_gprime=-pair.sign_gprime,
+                       sign_gg=-pair.sign_gg)
     raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")

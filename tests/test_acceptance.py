@@ -116,7 +116,7 @@ def test_criterion_5_constructor():
         if worst > ROUND_TRIP_TOL:
             bad.append((seed, f"f'/g' off by {worst:.3g}"))
             continue
-        mics = mr.detect_mics(list(zip(table.xs, table.r)), 1e-9, 3 * step,
+        mics = mr.detect_mics(table.xs, table.r, 1e-9, 3 * step,
                               probe=lambda t: mr.ratio_at(pair, t))
         if len(mics) != 1:
             bad.append((seed, f"{len(mics)} mics"))

@@ -109,6 +109,38 @@ def test_zero_tol_zero_is_valid(capsys):
     assert json.loads(out)["tolerances"]["tol_zero"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("quad_tol", ["nan", "-1", "0", "inf"])
+def test_bad_quad_tol_is_usage_error(capsys, command, quad_tol):
+    code, out, err = run(capsys, *_TOL_ZERO_ARGV[command], "--grid-n", "256",
+                         "--quad-tol", quad_tol)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--quad-tol" in err
+
+
+@pytest.mark.parametrize("hi", ["1e-300", "1.000000001"])
+def test_window_within_switch_tol_fails(capsys, hi):
+    # any two switch positions inside such a window agree within switch_tol,
+    # so prop1 cannot fail there and a pass would mean nothing
+    lo = "0" if hi == "1e-300" else "1"
+    code, out, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x+1",
+                       "--window", lo, hi)
+    assert code == 3
+    report = json.loads(out)
+    assert "switch_tol 0.001" in report["failure"]
+    assert not report["checks"]["prop1"] and not report["checks"]["prop2"]
+
+
+def test_analyze_non_finite_samples_are_assumption_failure(capsys):
+    # f overflows to inf on the whole window: r, rho and rho-tilde are inf/NaN
+    code, out, err = run(capsys, "analyze", "--f", "exp(400)*exp(400)*x",
+                         "--g", "exp(x)", "--window", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "r takes the non-finite value inf" in err
+
+
 def test_analyze_csv_rows_match_grid(tmp_path, capsys):
     out_csv = tmp_path / "dump.csv"
     code, _, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x",

@@ -69,9 +69,8 @@ def test_staircase_no_flats_is_a_line():
     rho = make_staircase_rho(spec)
     assert rho(0.0) == (0.5, 1.5)
     assert rho(2.0)[0] == pytest.approx(3.5)
-    samples = [(x, rho(x)[0]) for x in
-               [-2 + (i + 0.5) * (4 / 256) for i in range(256)]]
-    assert len(mr.detect_mics(samples, 1e-9, 3 * 4 / 256)) == 0
+    xs = [-2 + (i + 0.5) * (4 / 256) for i in range(256)]
+    assert len(mr.detect_mics(xs, [rho(x)[0] for x in xs], 1e-9, 3 * 4 / 256)) == 0
 
 
 def test_staircase_spec_validation():
@@ -211,8 +210,7 @@ def test_random_pair_chosen_flat_is_the_mic():
         pair, spec, chosen = random_pair(seed, config)
         step = pair.window.length / pair.grid_n
         table = mr.sample_table(pair, pair.grid_n)
-        samples = list(zip(table.xs, table.r))
-        mics = mr.detect_mics(samples, 1e-9, 3 * step,
+        mics = mr.detect_mics(table.xs, table.r, 1e-9, 3 * step,
                               probe=lambda t: mr.ratio_at(pair, t))
         assert len(mics) == 1
         assert mics[0].lo == pytest.approx(chosen.lo, abs=1e-3)

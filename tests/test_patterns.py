@@ -1,12 +1,16 @@
+import functools
+import itertools
 import math
+import random
+from collections import deque
 
 import pytest
 
 import monoratio as mr
 from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
-                                detect_mics, detect_pattern, level0_set,
-                                refine_sign_change)
+                                _interpolant, _run_interval, detect_mics,
+                                detect_pattern, level0_set, refine_sign_change)
 from monoratio.ratio import median_abs
 
 
@@ -16,7 +20,8 @@ def _grid(lo, hi, n):
 
 
 def _samples(fn, lo, hi, n=256):
-    return [(x, fn(x)) for x in _grid(lo, hi, n)]
+    xs = _grid(lo, hi, n)
+    return xs, [fn(x) for x in xs]
 
 
 # --- refine_sign_change ----------------------------------------------------
@@ -44,21 +49,21 @@ def test_refine_zero_at_endpoint():
 def test_all_positive_values_increasing():
     # derivative proxy positive everywhere: x^2 on (0.1, 10)
     samples = _samples(lambda x: x * x, 0.1, 10.0)
-    pat = detect_pattern(samples, 1e-6, mode="values", window=Interval(0.1, 10.0))
+    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.1, 10.0))
     assert pat.kind is PatternKind.INCREASING
     assert pat.switch.lo == 0.1 and pat.switch.hi == 0.1
 
 
 def test_all_negative_values_decreasing():
     samples = _samples(lambda x: -1.0 - x * x, 0.0, 1.0)
-    pat = detect_pattern(samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.DECREASING
     assert pat.switch.as_pair() == (1.0, 1.0)
 
 
 def test_zero_values_constant():
     samples = _samples(lambda x: 0.0, 0.0, 1.0)
-    pat = detect_pattern(samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.CONSTANT
     assert pat.switch.as_pair() == (0.0, 1.0)
     assert not pat.switch.lo_closed and not pat.switch.hi_closed
@@ -73,7 +78,7 @@ def test_down_up_with_flat():
         return 0.0
 
     samples = _samples(proxy, -2.0, 2.0, 512)
-    pat = detect_pattern(samples, 1e-7, mode="values", window=Interval(-2.0, 2.0))
+    pat = detect_pattern(*samples, 1e-7, mode="values", window=Interval(-2.0, 2.0))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-2)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-2)
@@ -88,7 +93,7 @@ def test_down_up_with_true_probe_is_sharp():
         return 0.0
 
     samples = _samples(proxy, -2.0, 2.0, 512)
-    pat = detect_pattern(samples, 1e-7, mode="values",
+    pat = detect_pattern(*samples, 1e-7, mode="values",
                          window=Interval(-2.0, 2.0), probe=proxy)
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-6)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-6)
@@ -97,10 +102,9 @@ def test_down_up_with_true_probe_is_sharp():
 def test_staircase_rho_tilde_pattern(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
-    samples = list(zip(table.xs, table.rho_tilde))
-    tol = 1e-7 * (1.0 + median_abs([v for _, v in samples]))
-    pat = detect_pattern(samples, tol, mode="values", window=pair.window,
-                         probe=lambda t: mr.rho_tilde_at(pair, t))
+    tol = 1e-7 * (1.0 + median_abs(table.rho_tilde))
+    pat = detect_pattern(table.xs, table.rho_tilde, tol, mode="values",
+                         window=pair.window, probe=lambda t: mr.rho_tilde_at(pair, t))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-3)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-3)
@@ -108,7 +112,7 @@ def test_staircase_rho_tilde_pattern(staircase_pair):
 
 def test_single_crossing_gives_degenerate_switch():
     samples = _samples(lambda x: x - 0.3, 0.0, 1.0)
-    pat = detect_pattern(samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.degenerate
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
@@ -117,7 +121,7 @@ def test_single_crossing_gives_degenerate_switch():
 def test_up_down_values():
     # derivative proxy positive then negative: r rises then falls
     samples = _samples(lambda x: 0.3 - x, 0.0, 1.0)
-    pat = detect_pattern(samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.UP_DOWN
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
 
@@ -125,7 +129,7 @@ def test_up_down_values():
 def test_values_mode_rejects_wiggles():
     samples = _samples(math.sin, 0.0, 12.0, 512)
     with pytest.raises(Unclassifiable):
-        detect_pattern(samples, 1e-9, mode="values")
+        detect_pattern(*samples, 1e-9, mode="values")
 
 
 def test_diffs_mode_monotone_with_flats():
@@ -137,26 +141,26 @@ def test_diffs_mode_monotone_with_flats():
             return x - 1.0
         return 0.0
 
-    pat = detect_pattern(_samples(stair, -2.0, 2.0), 1e-9, mode="diffs")
+    pat = detect_pattern(*_samples(stair, -2.0, 2.0), 1e-9, mode="diffs")
     assert pat.kind is PatternKind.INCREASING
 
 
 def test_diffs_mode_directions():
-    assert detect_pattern(_samples(lambda x: 2 * x, 0, 1), 1e-9,
+    assert detect_pattern(*_samples(lambda x: 2 * x, 0, 1), 1e-9,
                           mode="diffs").kind is PatternKind.INCREASING
-    assert detect_pattern(_samples(lambda x: -x, 0, 1), 1e-9,
+    assert detect_pattern(*_samples(lambda x: -x, 0, 1), 1e-9,
                           mode="diffs").kind is PatternKind.DECREASING
-    assert detect_pattern(_samples(lambda x: 5.0, 0, 1), 1e-9,
+    assert detect_pattern(*_samples(lambda x: 5.0, 0, 1), 1e-9,
                           mode="diffs").kind is PatternKind.CONSTANT
-    assert detect_pattern(_samples(lambda x: x * x, -1, 1), 1e-9,
+    assert detect_pattern(*_samples(lambda x: x * x, -1, 1), 1e-9,
                           mode="diffs").kind is PatternKind.DOWN_UP
-    assert detect_pattern(_samples(lambda x: -x * x, -1, 1), 1e-9,
+    assert detect_pattern(*_samples(lambda x: -x * x, -1, 1), 1e-9,
                           mode="diffs").kind is PatternKind.UP_DOWN
 
 
 def test_diffs_mode_rejects_double_switch():
     with pytest.raises(Unclassifiable):
-        detect_pattern(_samples(math.sin, 0.0, 12.0, 512), 1e-9, mode="diffs")
+        detect_pattern(*_samples(math.sin, 0.0, 12.0, 512), 1e-9, mode="diffs")
 
 
 def test_vertical_mirror_property():
@@ -182,8 +186,9 @@ def test_vertical_mirror_property():
     }
     for mode, mode_cases in cases.items():
         for samples in mode_cases:
-            pat = detect_pattern(samples, 1e-9, mode=mode)
-            neg = detect_pattern([(x, -v) for x, v in samples], 1e-9, mode=mode)
+            pat = detect_pattern(*samples, 1e-9, mode=mode)
+            xs, vs = samples
+            neg = detect_pattern(xs, [-v for v in vs], 1e-9, mode=mode)
             assert neg.kind is mirror[pat.kind]
             if pat.kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
                 assert neg.switch.lo == pytest.approx(pat.switch.lo, abs=1e-9)
@@ -193,9 +198,9 @@ def test_vertical_mirror_property():
 def test_horizontal_mirror_property_diffs():
     # sampling the same values on the reversed axis mirrors the pattern
     samples = _samples(lambda x: (x - 0.6) ** 2, 0.0, 2.0)
-    reversed_axis = [(-x, v) for x, v in reversed(samples)]
-    pat = detect_pattern(samples, 1e-9, mode="diffs")
-    mirrored_pat = detect_pattern(reversed_axis, 1e-9, mode="diffs")
+    reversed_axis = ([-x for x in reversed(samples[0])], samples[1][::-1])
+    pat = detect_pattern(*samples, 1e-9, mode="diffs")
+    mirrored_pat = detect_pattern(*reversed_axis, 1e-9, mode="diffs")
     assert pat.kind is PatternKind.DOWN_UP
     assert mirrored_pat.kind is PatternKind.DOWN_UP
     assert mirrored_pat.switch.lo == pytest.approx(-pat.switch.hi, abs=1e-6)
@@ -204,7 +209,7 @@ def test_horizontal_mirror_property_diffs():
 
 def test_too_few_samples():
     with pytest.raises(ValueError):
-        detect_pattern([(float(i), 0.0) for i in range(8)], 1e-9)
+        detect_pattern([float(i) for i in range(8)], [0.0] * 8, 1e-9)
 
 
 # --- detect_mics -------------------------------------------------------------
@@ -212,9 +217,8 @@ def test_too_few_samples():
 def test_mics_on_staircase_ratio(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
-    samples = list(zip(table.xs, table.r))
     step = pair.window.length / 2048
-    mics = detect_mics(samples, 1e-9, 3 * step,
+    mics = detect_mics(table.xs, table.r, 1e-9, 3 * step,
                        probe=lambda t: mr.ratio_at(pair, t))
     assert len(mics) == 1
     assert mics[0].lo == pytest.approx(-1.0, abs=1e-3)
@@ -225,8 +229,8 @@ def test_mics_two_flat_staircase():
     spec = mr.StaircaseSpec(flats=((-1.5, -1.0), (1.0, 1.5)),
                             slopes=(1.0, 1.0, 1.0))
     rho = mr.make_staircase_rho(spec)
-    samples = [(x, rho(x)[0]) for x in _grid(-2.0, 2.0, 1024)]
-    mics = detect_mics(samples, 1e-9, 3 * (4.0 / 1024),
+    samples = _samples(lambda x: rho(x)[0], -2.0, 2.0, 1024)
+    mics = detect_mics(*samples, 1e-9, 3 * (4.0 / 1024),
                        probe=lambda t: rho(t)[0])
     assert len(mics) == 2
     assert mics[0].lo == pytest.approx(-1.5, abs=1e-3)
@@ -237,18 +241,16 @@ def test_mics_two_flat_staircase():
 
 def test_mics_strictly_increasing_is_empty():
     samples = _samples(lambda x: x, 0.0, 1.0)
-    assert len(detect_mics(samples, 1e-7, 3 * (1.0 / 256))) == 0
+    assert len(detect_mics(*samples, 1e-7, 3 * (1.0 / 256))) == 0
 
 
 def test_mics_maximality():
     spec = mr.StaircaseSpec(flats=((-1.0, 0.2),), slopes=(1.0, 1.0))
     rho = mr.make_staircase_rho(spec)
     n = 512
-    samples = [(x, rho(x)[0]) for x in _grid(-2.0, 2.0, n)]
-    xs = [x for x, _ in samples]
-    vs = [v for _, v in samples]
+    xs, vs = _samples(lambda x: rho(x)[0], -2.0, 2.0, n)
     tol_abs = 1e-9 * (1.0 + median_abs(vs))
-    mics = detect_mics(samples, 1e-9, 3 * (4.0 / n))
+    mics = detect_mics(xs, vs, 1e-9, 3 * (4.0 / n))
     assert len(mics) == 1
     inside = [i for i, x in enumerate(xs) if mics[0].lo <= x <= mics[0].hi]
     i0, i1 = inside[0], inside[-1]
@@ -262,16 +264,140 @@ def test_mics_maximality():
 
 def test_mics_whole_span_flagged_open():
     samples = _samples(lambda x: 2.0, 0.0, 1.0)
-    mics = detect_mics(samples, 1e-9, 0.1)
+    mics = detect_mics(*samples, 1e-9, 0.1)
     assert len(mics) == 1
     assert not mics[0].lo_closed and not mics[0].hi_closed
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan])
+def test_mics_rejects_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        detect_mics(*_samples(lambda x: 1.0, 0.0, 1.0), tol, 0.0)
+
+
+def test_mics_zero_tol_run_on_the_last_sample():
+    # with a zero band, the last sample must probe as exactly its own value
+    # or the one-sample run there has no sign change to refine
+    a = 0.2501106518892491
+    xs = _grid(0.0, 1.0, 17)
+    mics = detect_mics(xs, [3.0] * 7 + [a] * 7 + [-3.0] * 2 + [a], 0.0, 0.0)
+    assert [m.as_pair() for m in mics] == [(xs[0], xs[6]), (xs[7], xs[13]),
+                                           (xs[14], xs[15])]
+
+
+def _reference_detect_mics(samples, tol, min_ic_len, probe=None):
+    """detect_mics as it was before the streaming min/max sweep: for each
+    left end i, a two-pointer scan finds the furthest right end j(i); runs
+    whose j(i) grows are the maximal ones.  Kept as the sweep's oracle."""
+    xs = [x for x, _ in samples]
+    vs = [v for _, v in samples]
+    tol_abs = tol * (1.0 + median_abs(vs))
+    n = len(xs)
+    xtol = 1e-12 * (xs[-1] - xs[0])
+    value = probe if probe is not None else _interpolant(xs, vs)
+
+    max_dq: deque[int] = deque()
+    min_dq: deque[int] = deque()
+    j = -1
+    raw_runs = []
+    prev_j = -1
+    for i in range(n):
+        if j < i - 1:
+            j = i - 1
+            max_dq.clear()
+            min_dq.clear()
+        while j + 1 < n:
+            cand = j + 1
+            v = vs[cand]
+            hi_v = max(v, vs[max_dq[0]] if max_dq else v)
+            lo_v = min(v, vs[min_dq[0]] if min_dq else v)
+            if hi_v - lo_v > tol_abs:
+                break
+            while max_dq and vs[max_dq[-1]] <= v:
+                max_dq.pop()
+            max_dq.append(cand)
+            while min_dq and vs[min_dq[-1]] >= v:
+                min_dq.pop()
+            min_dq.append(cand)
+            j = cand
+        if j > i - 1 and (i == 0 or j > prev_j):
+            raw_runs.append((i, j))
+        prev_j = j
+        if max_dq and max_dq[0] == i:
+            max_dq.popleft()
+        if min_dq and min_dq[0] == i:
+            min_dq.popleft()
+
+    intervals = []
+    last_hi = -math.inf
+    for i0, i1 in raw_runs:
+        if xs[i1] - xs[i0] + (xs[min(i1 + 1, n - 1)] - xs[i1]) \
+                + (xs[i0] - xs[max(i0 - 1, 0)]) <= min_ic_len:
+            continue
+        run_max = max(vs[i0:i1 + 1])
+        run_min = min(vs[i0:i1 + 1])
+
+        def flat_probe(t):
+            v = value(t)
+            return tol_abs - (max(run_max, v) - min(run_min, v))
+
+        run = _run_interval(xs, i0, i1, flat_probe, flat_probe, xs[0], xs[-1], xtol)
+        if run.length <= min_ic_len or run.lo < last_hi:
+            continue
+        intervals.append(run)
+        last_hi = run.hi
+    return tuple(intervals)
+
+
+def test_mics_sweep_matches_reference_on_generated_pairs():
+    for seed in range(16):
+        pair, _, _ = mr.random_pair(seed)
+        table = mr.sample_table(pair)
+        for column, probe in ((table.r, mr.ratio_at), (table.rho, mr.rho_at),
+                              (table.rho_tilde, mr.rho_tilde_at)):
+            args = (1e-9, 3 * table.step)
+            bound = functools.partial(probe, pair)
+            got = detect_mics(table.xs, column, *args, probe=bound)
+            want = _reference_detect_mics(list(zip(table.xs, column)), *args, probe=bound)
+            assert got == want, (seed, probe.__name__)
+
+
+def _plateau_column(rng, n):
+    """Runs of repeated values, some repeating an earlier value exactly."""
+    vs = []
+    while len(vs) < n:
+        roll = rng.random()
+        if roll < 0.3 and vs:
+            v = rng.choice(vs)
+        elif roll < 0.7:
+            v = float(rng.randint(-3, 3))
+        else:
+            v = rng.uniform(-3.0, 3.0)
+        vs.extend([v] * rng.randint(1, 8))
+    return vs[:n]
+
+
+def test_mics_sweep_matches_reference_on_plateaus_and_ties():
+    rng = random.Random(20061)
+    for case in range(600):
+        n = rng.choice((16, 17, 40, 128, 300))
+        if case % 2:
+            xs = _grid(0.0, 1.0, n)
+        else:
+            xs = list(itertools.accumulate(rng.uniform(0.1, 1.0) for _ in range(n)))
+        vs = _plateau_column(rng, n)
+        step = (xs[-1] - xs[0]) / (n - 1)
+        tol = 0.0 if case % 3 else rng.choice((1e-9, 0.3))
+        min_ic_len = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, 6.0)) * step
+        got = detect_mics(xs, vs, tol, min_ic_len)
+        assert got == _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len), case
 
 
 # --- level0_set --------------------------------------------------------------
 
 def test_level0_staircase(staircase_pair):
     pair, _, _ = staircase_pair
-    l0 = level0_set(pair, 1e-7)
+    l0 = level0_set(pair, 1e-7, mr.sample_table(pair))
     assert l0 is not None
     assert l0.lo == pytest.approx(-1.0, abs=1e-3)
     assert l0.hi == pytest.approx(1.0, abs=1e-3)
@@ -280,14 +406,14 @@ def test_level0_staircase(staircase_pair):
 def test_level0_none_when_rho_tilde_positive():
     pair = mr.make_pair(mr.expr_fn("x^2"), mr.expr_fn("x"),
                         Interval(0.1, 10.0), 256)
-    assert level0_set(pair, 1e-7) is None
+    assert level0_set(pair, 1e-7, mr.sample_table(pair)) is None
 
 
 def test_level0_single_crossing_degenerate():
     # rho-tilde = x^2/2 - 0.5 crosses zero once at x = 1
     pair = mr.make_pair(mr.expr_fn("x^2/2 + 0.5"), mr.expr_fn("x"),
                         Interval(0.1, 2.0), 512)
-    l0 = level0_set(pair, 1e-7)
+    l0 = level0_set(pair, 1e-7, mr.sample_table(pair))
     assert l0 is not None and l0.degenerate
     # brute-force oracle: the fine-grid minimizer of |rho-tilde|
     xs = [0.1 + i * (1.9 / 50000) for i in range(50001)]
@@ -300,7 +426,7 @@ def test_level0_non_interval_for_wavy_rho():
     pair = mr.make_pair(mr.expr_fn("sin(x)"), mr.expr_fn("x"),
                         Interval(0.1, 9.0), 1024)
     with pytest.raises(NonInterval):
-        level0_set(pair, 1e-7)
+        level0_set(pair, 1e-7, mr.sample_table(pair))
 
 
 def test_level0_close_double_crossing_is_non_interval():
@@ -310,17 +436,16 @@ def test_level0_close_double_crossing_is_non_interval():
     f = "(-1.977267)*(exp(-x) - 2.60666)^3 + (-0.101499)*exp(-x) + (-0.000974)"
     pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(-x)"), Interval(-2.0, 2.0))
     with pytest.raises(NonInterval, match="even number"):
-        level0_set(pair, 1e-7)
+        level0_set(pair, 1e-7, mr.sample_table(pair))
     report = mr.check_pair(pair)
     assert report.failure and not report.all_ok
 
 
 def test_level0_agrees_with_r_mics(staircase_pair):
     pair, _, _ = staircase_pair
-    l0 = level0_set(pair, 1e-7)
     table = mr.sample_table(pair, 2048)
-    samples = list(zip(table.xs, table.r))
-    mics = detect_mics(samples, 1e-9, 3 * pair.window.length / 2048,
+    l0 = level0_set(pair, 1e-7, table)
+    mics = detect_mics(table.xs, table.r, 1e-9, 3 * pair.window.length / 2048,
                        probe=lambda t: mr.ratio_at(pair, t))
     assert len(mics) == 1
     assert abs(mics[0].lo - l0.lo) <= 2e-3

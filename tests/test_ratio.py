@@ -174,3 +174,13 @@ def test_mirrored_wrapper():
     v, d = fn(1.0)
     assert v == pytest.approx(math.exp(-1.0))
     assert d == pytest.approx(-math.exp(-1.0))
+
+
+@pytest.mark.parametrize("f,lo,quantity", [("exp(400)*exp(400)*x", 0.0, "r"),
+                                            ("exp(709)*x", 1.0, "rho-tilde")])
+def test_sample_table_rejects_non_finite_samples(f, lo, quantity):
+    # exp(709)*x keeps r and rho finite but f'g and fg' overflow to inf
+    pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(x)"), Interval(lo, lo + 1.0), 256)
+    with pytest.raises(mr.ValidationError, match=f"^{quantity} takes the non-finite") as err:
+        mr.sample_table(pair)
+    assert err.value.x == lo + 0.5 / 256

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import monoratio as mr
@@ -192,6 +194,20 @@ def test_reflect_twice_restores_report(staircase_pair):
         assert rep.observed_pattern.switch.lo == pytest.approx(
             base.observed_pattern.switch.lo, abs=1e-9)
         assert rep.all_ok
+
+
+def test_reflect_does_not_validate_g_again():
+    pair = _pair("x^2", "x", 0.1, 10.0)
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return pair.g(x)
+
+    counted = dataclasses.replace(pair, g=g)
+    for axis in ("vertical", "horizontal"):
+        mr.reflect(counted, axis)
+    assert calls == []
 
 
 def test_reflect_rejects_unknown_axis():
