@@ -119,13 +119,12 @@ def test_bad_quad_tol_is_usage_error(capsys, command, quad_tol):
     assert len(err.splitlines()) == 1 and "--quad-tol" in err
 
 
-@pytest.mark.parametrize("hi", ["1e-300", "1.000000001"])
-def test_window_within_switch_tol_fails(capsys, hi):
+@pytest.mark.parametrize("window", [("0", "1e-300"), ("1", "1.000000001")])
+def test_window_within_switch_tol_fails(capsys, window):
     # any two switch positions inside such a window agree within switch_tol,
     # so prop1 cannot fail there and a pass would mean nothing
-    lo = "0" if hi == "1e-300" else "1"
     code, out, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x+1",
-                       "--window", lo, hi)
+                       "--window", *window)
     assert code == 3
     report = json.loads(out)
     assert "switch_tol 0.001" in report["failure"]
