@@ -1,5 +1,5 @@
 """Small math expression language: recursive-descent parser plus
-forward-mode dual-number evaluation.
+forward-mode evaluation of (value, derivative) pairs.
 
 Grammar (single variable ``x``, ``^`` right-associative):
 
@@ -10,7 +10,8 @@ Grammar (single variable ``x``, ``^`` right-associative):
     atom   := number | "x" | ident "(" expr ("," expr)? ")" | "(" expr ")"
 
 Numbers are decimal literals with an optional exponent.  Derivatives are
-propagated through dual numbers; nothing is rewritten symbolically.
+propagated forward as (value, derivative) float pairs; nothing is
+rewritten symbolically.
 """
 
 from __future__ import annotations
@@ -263,196 +264,162 @@ def format_expr(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
+# Forward-mode evaluation on (value, derivative) float pairs
 
-@dataclass(frozen=True)
-class Dual:
-    """First-order dual number (value, derivative)."""
+
+class Dual(NamedTuple):
+    """First-order dual number (value, derivative), as eval_dual returns it."""
 
     value: float
     deriv: float
 
-    @staticmethod
-    def _coerce(other) -> "Dual":
-        if isinstance(other, Dual):
-            return other
-        return Dual(float(other), 0.0)
 
-    def __add__(self, other):
-        o = Dual._coerce(other)
-        return Dual(self.value + o.value, self.deriv + o.deriv)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Dual._coerce(other)
-        return Dual(self.value - o.value, self.deriv - o.deriv)
-
-    def __rsub__(self, other):
-        o = Dual._coerce(other)
-        return Dual(o.value - self.value, o.deriv - self.deriv)
-
-    def __mul__(self, other):
-        o = Dual._coerce(other)
-        return Dual(self.value * o.value, self.deriv * o.value + self.value * o.deriv)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Dual._coerce(other)
-        if o.value == 0.0:
-            raise ZeroDivisionError("division by zero")
-        inv = 1.0 / o.value
-        return Dual(self.value * inv, (self.deriv * o.value - self.value * o.deriv) * inv * inv)
-
-    def __rtruediv__(self, other):
-        return Dual._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
+def _u_neg(v: float, d: float) -> tuple[float, float]:
+    return -v, -d
 
 
-def _u_sin(u: Dual) -> Dual:
-    return Dual(math.sin(u.value), math.cos(u.value) * u.deriv)
+def _u_sin(v: float, d: float) -> tuple[float, float]:
+    return math.sin(v), math.cos(v) * d
 
 
-def _u_cos(u: Dual) -> Dual:
-    return Dual(math.cos(u.value), -math.sin(u.value) * u.deriv)
+def _u_cos(v: float, d: float) -> tuple[float, float]:
+    return math.cos(v), -math.sin(v) * d
 
 
-def _u_exp(u: Dual) -> Dual:
+def _u_exp(v: float, d: float) -> tuple[float, float]:
     try:
-        v = math.exp(u.value)
+        e = math.exp(v)
     except OverflowError:
         raise _Fault("exp overflow") from None
-    return Dual(v, v * u.deriv)
+    return e, e * d
 
 
-def _u_log(u: Dual) -> Dual:
-    if u.value <= 0.0:
+def _u_log(v: float, d: float) -> tuple[float, float]:
+    if v <= 0.0:
         raise _Fault("log of non-positive argument")
-    return Dual(math.log(u.value), u.deriv / u.value)
+    return math.log(v), d / v
 
 
-def _u_sqrt(u: Dual) -> Dual:
-    if u.value < 0.0:
+def _u_sqrt(v: float, d: float) -> tuple[float, float]:
+    if v < 0.0:
         raise _Fault("sqrt of negative argument")
-    if u.value == 0.0:
-        if u.deriv == 0.0:
-            return Dual(0.0, 0.0)
+    if v == 0.0:
+        if d == 0.0:
+            return 0.0, 0.0
         raise _Fault("sqrt derivative singular at zero")
-    v = math.sqrt(u.value)
-    return Dual(v, u.deriv / (2.0 * v))
+    s = math.sqrt(v)
+    return s, d / (2.0 * s)
 
 
-def _u_abs(u: Dual) -> Dual:
+def _u_abs(v: float, d: float) -> tuple[float, float]:
     # abs'(0) := 0 by convention
-    s = 1.0 if u.value > 0.0 else (-1.0 if u.value < 0.0 else 0.0)
-    return Dual(abs(u.value), s * u.deriv)
+    s = 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
+    return abs(v), s * d
 
 
-def _u_atan(u: Dual) -> Dual:
-    return Dual(math.atan(u.value), u.deriv / (1.0 + u.value * u.value))
+def _u_atan(v: float, d: float) -> tuple[float, float]:
+    return math.atan(v), d / (1.0 + v * v)
 
 
-def _u_tanh(u: Dual) -> Dual:
-    t = math.tanh(u.value)
-    return Dual(t, (1.0 - t * t) * u.deriv)
+def _u_tanh(v: float, d: float) -> tuple[float, float]:
+    t = math.tanh(v)
+    return t, (1.0 - t * t) * d
 
 
 _UNARY_IMPL = {
-    "neg": Dual.__neg__, "sin": _u_sin, "cos": _u_cos, "exp": _u_exp,
+    "neg": _u_neg, "sin": _u_sin, "cos": _u_cos, "exp": _u_exp,
     "log": _u_log, "sqrt": _u_sqrt, "abs": _u_abs, "atan": _u_atan,
     "tanh": _u_tanh,
 }
 
 
-def _d_pow(a: Dual, b: Dual) -> Dual:
-    if b.deriv == 0.0:
+def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
+    if db == 0.0:
         # constant exponent: also covers negative bases with integer powers
-        c = b.value
-        if a.value == 0.0:
-            if c < 0.0:
+        if a == 0.0:
+            if b < 0.0:
                 raise _Fault("zero raised to a negative power")
-            if c == 0.0:
-                return Dual(1.0, 0.0)
-            if c == 1.0:
-                return Dual(0.0, a.deriv)
-            if c < 1.0:
-                if a.deriv == 0.0:
-                    return Dual(0.0, 0.0)
+            if b == 0.0:
+                return 1.0, 0.0
+            if b == 1.0:
+                return 0.0, da
+            if b < 1.0:
+                if da == 0.0:
+                    return 0.0, 0.0
                 raise _Fault("power derivative singular at zero base")
-            return Dual(0.0, 0.0)
-        if a.value < 0.0:
-            if c != round(c):
+            return 0.0, 0.0
+        if a < 0.0:
+            if b != round(b):
                 raise _Fault("negative base with non-integer exponent")
-            n = int(round(c))
+            n = int(round(b))
             try:
-                v = a.value ** n
+                v = a ** n
             except OverflowError:
                 raise _Fault("pow overflow") from None
-            return Dual(v, n * a.value ** (n - 1) * a.deriv)
+            return v, n * a ** (n - 1) * da
         try:
-            v = a.value ** c
-            d = c * a.value ** (c - 1.0) * a.deriv
+            return a ** b, b * a ** (b - 1.0) * da
         except OverflowError:
             raise _Fault("pow overflow") from None
-        return Dual(v, d)
-    if a.value <= 0.0:
+    if a <= 0.0:
         raise _Fault("non-positive base with non-constant exponent")
     try:
-        v = a.value ** b.value
+        v = a ** b
     except OverflowError:
         raise _Fault("pow overflow") from None
-    return Dual(v, v * (b.deriv * math.log(a.value) + b.value * a.deriv / a.value))
+    return v, v * (db * math.log(a) + b * da / a)
 
 
-def _eval(node: Expr, xd: Dual) -> Dual:
+def _eval(node: Expr, x: float) -> tuple[float, float]:
     if isinstance(node, Const):
-        return Dual(node.value, 0.0)
+        return node.value, 0.0
     if isinstance(node, Var):
-        return xd
+        return x, 1.0
     if isinstance(node, Unary):
-        return _UNARY_IMPL[node.op](_eval(node.arg, xd))
-    if isinstance(node, Binary):
-        a = _eval(node.lhs, xd)
-        b = _eval(node.rhs, xd)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return _d_pow(a, b)
-    # Call2: ties take the left argument's derivative
-    a = _eval(node.lhs, xd)
-    b = _eval(node.rhs, xd)
-    if node.op == "min":
-        return a if a.value <= b.value else b
-    return a if a.value >= b.value else b
+        return _UNARY_IMPL[node.op](*_eval(node.arg, x))
+    a, da = _eval(node.lhs, x)
+    b, db = _eval(node.rhs, x)
+    if isinstance(node, Call2):
+        # ties take the left argument's derivative
+        if node.op == "min":
+            return (a, da) if a <= b else (b, db)
+        return (a, da) if a >= b else (b, db)
+    op = node.op
+    if op == "+":
+        return a + b, da + db
+    if op == "-":
+        return a - b, da - db
+    if op == "*":
+        return a * b, da * b + a * db
+    if op == "/":
+        inv = 1.0 / b  # b == 0 raises ZeroDivisionError: a DomainFault
+        return a * inv, (da * b - a * db) * inv * inv
+    return _d_pow(a, da, b, db)
 
 
-def eval_dual(ast: Expr, x: float) -> Dual:
-    """Evaluate (h(x), h'(x)) by dual-number propagation.
-
-    Raises DomainFault for points outside the expression's domain (log of
-    a non-positive value, division by zero, 0 to a negative power, ...).
-    Overflow that Python floats absorb silently surfaces as an infinite
-    value instead.
-    """
+def _eval_checked(ast: Expr, x: float) -> tuple[float, float]:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     try:
-        return _eval(ast, Dual(float(x), 1.0))
+        return _eval(ast, float(x))
     except _Fault as err:
         raise DomainFault(x, err.reason) from None
     except ZeroDivisionError:
         raise DomainFault(x, "division by zero") from None
     except (OverflowError, ValueError) as err:
         raise DomainFault(x, str(err) or type(err).__name__) from None
+
+
+def eval_dual(ast: Expr, x: float) -> Dual:
+    """Evaluate (h(x), h'(x)) by forward-mode propagation of (value,
+    derivative) float pairs.
+
+    Raises DomainFault for points outside the expression's domain (log of
+    a non-positive value, division by zero, 0 to a negative power, ...).
+    Overflow that Python floats absorb silently surfaces as an infinite
+    value instead.
+    """
+    return Dual(*_eval_checked(ast, x))
 
 
 class ExprFn:
@@ -465,8 +432,7 @@ class ExprFn:
         self.label = label if label is not None else format_expr(ast)
 
     def __call__(self, x: float) -> tuple[float, float]:
-        d = eval_dual(self.ast, x)
-        return d.value, d.deriv
+        return _eval_checked(self.ast, x)
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

@@ -124,22 +124,29 @@ def test_expr_fn_protocol():
 
 
 # --- dual number laws ---------------------------------------------------
+#
+# A pair (a, da) enters the evaluator as the AST a + da*x at x = 0, which
+# evaluates to exactly (a, da).
+
+def _pair(a, da):
+    return Binary("+", Const(a), Binary("*", Const(da), Var()))
+
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 @given(finite, finite, finite, finite)
 def test_dual_product_rule(a, da, b, db):
-    p = Dual(a, da) * Dual(b, db)
+    p = eval_dual(Binary("*", _pair(a, da), _pair(b, db)), 0.0)
     assert p.value == a * b
     assert p.deriv == da * b + a * db
 
 
 @given(finite, finite, finite, finite)
 def test_dual_sum_linearity(a, da, b, db):
-    s = Dual(a, da) + Dual(b, db)
+    s = eval_dual(Binary("+", _pair(a, da), _pair(b, db)), 0.0)
     assert s.value == a + b and s.deriv == da + db
-    d = Dual(a, da) - Dual(b, db)
+    d = eval_dual(Binary("-", _pair(a, da), _pair(b, db)), 0.0)
     assert d.value == a - b and d.deriv == da - db
 
 
@@ -148,10 +155,16 @@ moderate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @given(moderate, moderate, st.floats(min_value=0.1, max_value=1e3), moderate)
 def test_dual_division_inverts_product(a, da, b, db):
-    q = Dual(a, da) / Dual(b, db)
-    back = q * Dual(b, db)
+    back = eval_dual(Binary("*", Binary("/", _pair(a, da), _pair(b, db)),
+                            _pair(b, db)), 0.0)
     assert back.value == pytest.approx(a, rel=1e-12, abs=1e-12)
     assert back.deriv == pytest.approx(da, rel=1e-9, abs=1e-6)
+
+
+def test_eval_dual_returns_named_pair():
+    d = eval_dual(parse("x^2"), 3.0)
+    assert isinstance(d, Dual) and tuple(d) == (9.0, 6.0)
+    assert type(ExprFn(parse("x^2"))(3.0)) is tuple
 
 
 # --- print/parse round trip ----------------------------------------------
