@@ -76,8 +76,8 @@ def _analyze_pair(pair, args, tol: Tolerances) -> int:
         if args.csv:
             _emit_csv(pair, args.csv)
     except (DomainFault, ValidationError) as err:
-        # f left its domain, or a sampled quantity is not finite; only g
-        # was validated
+        # f left its domain, a sampled quantity is not finite, or f flips
+        # sign across a pole between grid points
         print(f"error: assumption violated: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit_json(report.to_dict(), args.out)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -107,6 +109,36 @@ def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, fl
     return 0.5 * (lo + hi)
 
 
+def _chase_sign_flips(xs: list[float], window: Interval, columns) -> None:
+    """Bisect each sign flip between adjacent samples, scanning the columns
+    together in x order.  A column is (values, probe, name, zero_error).
+    A crossing where |probe| <= 1e-6 * max(1, max |values|) is a root,
+    raised as zero_error(root) unless zero_error is None (roots allowed);
+    any other flip, or an arithmetic fault of the probe inside the
+    bracket, is a SignChange: typically a pole."""
+    xtol = 1e-9 * (1.0 + window.length)
+    flips = []
+    for k, (values, *_) in enumerate(columns):
+        # one sign throughout, the common case, costs three C-level passes;
+        # a NaN makes min/max order-dependent, so it takes the scan below
+        if not math.isnan(sum(values)) and (min(values) > 0.0 or max(values) <= 0.0):
+            continue
+        positive = [v > 0.0 for v in values]
+        flips += ((i, k) for i in compress(range(len(xs) - 1),
+                                           map(ne, positive, positive[1:])))
+    for i, k in sorted(flips):
+        values, probe, name, zero_error = columns[k]
+        try:
+            root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
+            small = abs(probe(root)) <= 1e-6 * max(1.0, max(map(abs, values)))
+        except ArithmeticError as err:  # e.g. a DomainFault on the pole
+            raise SignChange(getattr(err, "x", xs[i]), name) from None
+        if not small:
+            raise SignChange(root, name)
+        if zero_error is not None:
+            raise zero_error(root)
+
+
 def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[int, int]:
     """Validate g != 0, g' != 0, constant signs, on n Chebyshev samples.
 
@@ -131,18 +163,8 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
         if abs(d) <= ZERO_REL_TOL * scale_d:
             raise ZeroGPrime(x)
 
-    xtol = 1e-9 * (1.0 + window.length)
-    for i in range(len(xs) - 1):
-        if (values[i] > 0.0) != (values[i + 1] > 0.0):
-            root = refine_sign_change(lambda t: g(t)[0], (xs[i], xs[i + 1]), xtol)
-            if abs(g(root)[0]) <= 1e-6 * scale_v:
-                raise ZeroG(root)
-            raise SignChange(root, "g")
-        if (derivs[i] > 0.0) != (derivs[i + 1] > 0.0):
-            root = refine_sign_change(lambda t: g(t)[1], (xs[i], xs[i + 1]), xtol)
-            if abs(g(root)[1]) <= 1e-6 * scale_d:
-                raise ZeroGPrime(root)
-            raise SignChange(root, "g'")
+    _chase_sign_flips(xs, window, ((values, lambda t: g(t)[0], "g", ZeroG),
+                                   (derivs, lambda t: g(t)[1], "g'", ZeroGPrime)))
 
     sign_g = 1 if values[0] > 0.0 else -1
     sign_gp = 1 if derivs[0] > 0.0 else -1
@@ -217,7 +239,8 @@ class SampleTable:
 def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     """Evaluate f and g on n uniform interior points (inset from the window
     endpoints by half a step) and derive r, rho, rho-tilde, all of which
-    must be finite (ValidationError at the first x where one is not)."""
+    must be finite (ValidationError at the first x where one is not).  A
+    sign flip of f that is not a continuous zero crossing is a SignChange."""
     n = pair.grid_n if n is None else n
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -237,6 +260,9 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
         if not all(map(math.isfinite, column)):
             i = next(i for i, v in enumerate(column) if not math.isfinite(v))
             raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
+    # f may cross zero, but a sign flip it does not cross continuously (a
+    # pole between grid points) breaks the analysis
+    _chase_sign_flips(xs, pair.window, ((fv, lambda t: pair.f(t)[0], "f", None),))
     return SampleTable(xs, fv, gv, r, rho, rho_t)
 
 

@@ -140,6 +140,16 @@ def test_analyze_non_finite_samples_are_assumption_failure(capsys):
     assert len(err.splitlines()) == 1 and "r takes the non-finite value inf" in err
 
 
+def test_analyze_pole_of_f_is_assumption_failure(capsys):
+    # no grid point lands on the pole, so every sample is finite
+    code, out, err = run(capsys, "analyze", "--f", "1/(x-0.5)", "--g", "exp(x)",
+                         "--window", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "sign of f changes discontinuously near x = 0.5" in err
+
+
 def test_analyze_csv_rows_match_grid(tmp_path, capsys):
     out_csv = tmp_path / "dump.csv"
     code, _, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x",

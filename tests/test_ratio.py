@@ -35,6 +35,14 @@ def test_make_pair_pole_is_sign_change():
         _pair("x", "1/x", -1.0, 1.0)
 
 
+def test_make_pair_nan_g_is_sign_change():
+    # 1e308*x*10 overflows to inf past x = 0.18, so g = exp(x) + NaN there;
+    # min/max over a column with NaN samples would miss the flip
+    with pytest.raises(mr.SignChange) as exc:
+        _pair("x", "exp(x) + 0*(1e308*x*10)", 0.0, 1.0)
+    assert exc.value.x == pytest.approx(0.18, abs=1e-3)
+
+
 def test_make_pair_window_checks():
     with pytest.raises(ValueError):
         _pair("x", "x", 2.0, 1.0)
@@ -184,3 +192,12 @@ def test_sample_table_rejects_non_finite_samples(f, lo, quantity):
     with pytest.raises(mr.ValidationError, match=f"^{quantity} takes the non-finite") as err:
         mr.sample_table(pair)
     assert err.value.x == lo + 0.5 / 256
+
+
+@pytest.mark.parametrize("f,pole", [("1/(x - 0.5)", 0.5),   # bisection lands on the pole
+                                    ("1/(x - 0.3)", 0.3)])  # ... or brackets it
+def test_sample_table_rejects_a_pole_of_f(f, pole):
+    pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(x)"), Interval(0.0, 1.0), 256)
+    with pytest.raises(mr.SignChange, match="^sign of f changes") as err:
+        mr.sample_table(pair)
+    assert err.value.x == pytest.approx(pole, abs=1e-8)
