@@ -6,10 +6,11 @@ Subcommands:
     verify     run a seeded campaign of generated pairs through all checks
     tables     print the encoded rule tables
 
-Exit codes: 0 all checks passed, 1 expression parse error, 2 validation
-error (a standing assumption failed), 3 at least one check failed,
-64 usage/config error.  MONOTONE_RATIO_THREADS caps verify parallelism
-(also capped at the CPU count and the number of cases).
+Exit codes: 0 all checks passed, 1 expression or staircase parse error,
+2 a standing assumption failed, 3 at least one check failed, 64 usage
+error or a file that cannot be read or written.  Handlers raise and main
+maps each failure family to its code.  MONOTONE_RATIO_THREADS caps verify
+parallelism (also capped at the CPU count and the number of cases).
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ def _emit_csv(pair, path: str) -> None:
                              repr(table.rho_tilde[i])])
 
 
-def _checked_tolerances(args, windows) -> Tolerances | None:
+class _UsageError(Exception):
+    """A command line the run cannot use."""
+
+
+def _checked_tolerances(args, windows) -> Tolerances:
     """The run's tolerances, after checking the grid against every window
-    it will sample; None (with one line on stderr) on a usage error."""
+    it will sample; raises _UsageError if either is unusable."""
     try:
         for lo, hi in windows:
             check_grid(lo, hi, args.grid_n)
@@ -66,69 +71,40 @@ def _checked_tolerances(args, windows) -> Tolerances | None:
             raise ValueError(f"--quad-tol must be finite and above 0, got {args.quad_tol!r}")
         return Tolerances(tol_zero=args.tol_zero)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
+        raise _UsageError(err) from None
 
 
 def _analyze_pair(pair, args, tol: Tolerances) -> int:
-    try:
-        report = check_pair(pair, tol)
-        if args.csv:
-            _emit_csv(pair, args.csv)
-    except (DomainFault, ValidationError) as err:
-        # f left its domain, a sampled quantity is not finite, or f flips
-        # sign across a pole between grid points
-        print(f"error: assumption violated: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = check_pair(pair, tol)
+    if args.csv:
+        _emit_csv(pair, args.csv)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.all_ok else EXIT_CHECKS_FAILED
 
 
 def cmd_analyze(args) -> int:
     tol = _checked_tolerances(args, [args.window])
-    if tol is None:
-        return EXIT_USAGE
-    try:
-        f = ExprFn(parse(args.f), label=args.f)
-        g = ExprFn(parse(args.g), label=args.g)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        pair = make_pair(f, g, Interval(*args.window), args.grid_n)
-    except (ValidationError, DomainFault) as err:
-        print(f"error: assumption violated: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return _analyze_pair(pair, args, tol)
+    f = ExprFn(parse(args.f), label=args.f)
+    g = ExprFn(parse(args.g), label=args.g)
+    return _analyze_pair(make_pair(f, g, Interval(*args.window), args.grid_n), args, tol)
 
 
 def cmd_construct(args) -> int:
     tol = _checked_tolerances(args, [args.window])
-    if tol is None:
-        return EXIT_USAGE
     if (args.staircase is None) == (args.rho is None):
-        print("error: give exactly one of --staircase or --rho", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        g = ExprFn(parse(args.g), label=args.g)
-        if args.staircase:
-            with open(args.staircase) as handle:
-                spec = StaircaseSpec.from_json_dict(json.load(handle))
-            rho = make_staircase_rho(spec)
-        else:
-            rho = ExprFn(parse(args.rho), label=args.rho)
-    except (ParseError, StaircaseError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    k = args.K if args.K is not None else rho(args.z)[0]
+        raise _UsageError("give exactly one of --staircase or --rho")
     window = Interval(*args.window)
-    try:
-        f = construct_f(g, rho, args.z, k, window, args.quad_tol)
-        pair = make_pair(f, g, window, args.grid_n)
-    except (ValidationError, DomainFault, QuadratureError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return _analyze_pair(pair, args, tol)
+    if not (math.isfinite(args.z) and window.contains(args.z)):
+        raise _UsageError(f"--z must be finite and in the window {window}, got {args.z!r}")
+    g = ExprFn(parse(args.g), label=args.g)
+    if args.staircase:
+        with open(args.staircase) as handle:
+            rho = make_staircase_rho(StaircaseSpec.from_json_dict(json.load(handle)))
+    else:
+        rho = ExprFn(parse(args.rho), label=args.rho)
+    k = args.K if args.K is not None else rho(args.z)[0]
+    f = construct_f(g, rho, args.z, k, window, args.quad_tol)
+    return _analyze_pair(make_pair(f, g, window, args.grid_n), args, tol)
 
 
 def _verify_case(case_seed: int, grid_n: int, tol_zero: float,
@@ -147,19 +123,16 @@ def _verify_case(case_seed: int, grid_n: int, tol_zero: float,
 
 def cmd_verify(args) -> int:
     if args.cases < 1:
-        print("error: --cases must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if _checked_tolerances(args, GeneratorConfig().windows) is None:
-        return EXIT_USAGE
+        raise _UsageError("--cases must be at least 1")
+    _checked_tolerances(args, GeneratorConfig().windows)
     raw_threads = os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1"
     try:
         threads = int(raw_threads)
     except ValueError:
         threads = 0
     if threads < 1:
-        print("error: MONOTONE_RATIO_THREADS must be a positive integer, "
-              f"got {raw_threads!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("MONOTONE_RATIO_THREADS must be a positive integer, "
+                          f"got {raw_threads!r}")
     seeds = [args.seed + i for i in range(args.cases)]
     threads = min(threads, os.cpu_count() or 1, len(seeds))
     if threads > 1:
@@ -288,8 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, mapping each failure family to its exit code and one
+    stderr line; any other exception (BadBracket too) is a fault and propagates."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ParseError, StaircaseError, json.JSONDecodeError) as err:
+        code, message = EXIT_PARSE, str(err)
+    except (ValidationError, DomainFault, QuadratureError) as err:
+        code, message = EXIT_VALIDATION, f"assumption violated: {err}"
+    except (_UsageError, OSError) as err:
+        code, message = EXIT_USAGE, str(err)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .intervals import Interval
-from .ratio import DifferentiableFn, FunctionPair, check_g_assumptions, make_pair
+from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
+                    check_g_assumptions, make_pair)
 
 
 class QuadratureError(ArithmeticError):
@@ -151,12 +152,18 @@ class StaircaseSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StaircaseSpec":
-        return cls(
-            flats=tuple((float(lo), float(hi)) for lo, hi in data.get("flats", [])),
-            slopes=tuple(float(s) for s in data.get("slopes", [1.0])),
-            direction=data.get("direction", "up"),
-            anchor_value=float(data.get("anchor_value", 0.0)),
-        )
+        """The spec a parsed JSON object describes; StaircaseError if it is
+        malformed (wrong shapes or types) or invalid."""
+        try:
+            fields = dict(
+                flats=tuple((float(lo), float(hi)) for lo, hi in data.get("flats", [])),
+                slopes=tuple(float(s) for s in data.get("slopes", [1.0])),
+                direction=data.get("direction", "up"),
+                anchor_value=float(data.get("anchor_value", 0.0)),
+            )
+        except (AttributeError, TypeError, ValueError) as err:
+            raise StaircaseError(f"malformed staircase spec: {err}") from None
+        return cls(**fields)
 
 
 class StaircaseFn:
@@ -299,13 +306,19 @@ class ConstructedFn:
 
 
 def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -> None:
+    """Raise ValidationError at the first of n samples where rho's sampled
+    direction reverses; steps within 1e-12 relative count as flat."""
     step = window.length / (n - 1)
-    values = [rho(window.lo + i * step)[0] for i in range(n)]
+    xs = [window.lo + i * step for i in range(n)]
+    values = [rho(x)[0] for x in xs]
     tol = 1e-12 * (1.0 + max(abs(v) for v in values))
-    rising = any(values[i + 1] - values[i] > tol for i in range(n - 1))
-    falling = any(values[i + 1] - values[i] < -tol for i in range(n - 1))
-    if rising and falling:
-        raise ValueError("rho must be monotone on the window")
+    direction = 0
+    for i in range(n - 1):
+        delta = values[i + 1] - values[i]
+        step_dir = 1 if delta > tol else -1 if delta < -tol else 0
+        if step_dir and step_dir == -direction:
+            raise ValidationError(xs[i], "rho is not monotone on the window")
+        direction = step_dir or direction
 
 
 def construct_f(g: DifferentiableFn, rho: DifferentiableFn, z: float, K: float,

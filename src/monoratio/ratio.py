@@ -25,8 +25,8 @@ DifferentiableFn = Callable[[float], tuple[float, float]]
 ZERO_REL_TOL = 1e-12
 
 
-class ValidationError(Exception):
-    """A standing assumption on g failed at a concrete point."""
+class ValidationError(ValueError):
+    """A standing assumption failed at a concrete point."""
 
     def __init__(self, x: float, message: str):
         self.x = x

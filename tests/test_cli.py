@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monoratio
+from monoratio import BadBracket
 from monoratio.cli import main
 
 
@@ -10,6 +16,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_analyze_happy_path(capsys):
@@ -203,6 +214,98 @@ def test_construct_needs_exactly_one_rho_source(capsys):
     code, _, _ = run(capsys, "construct", "--g", "exp(x)", "--z", "0",
                      "--window", "-2", "2")
     assert code == 64
+
+
+_CONSTRUCT = ("construct", "--g", "exp(x)", "--window", "-2", "2", "--grid-n", "256")
+
+
+@pytest.mark.parametrize("spec", [
+    "[1, 2]",
+    '{"flats": "ab"}',
+    '{"slopes": ["a"]}',
+    '{"flats": [[0, 1]], "slopes": [1, 1], "anchor_value": null}',
+])
+def test_construct_malformed_staircase_is_parse_error(tmp_path, capsys, spec):
+    spec_path = tmp_path / "stair.json"
+    spec_path.write_text(spec)
+    code, out, err = run(capsys, *_CONSTRUCT, "--staircase", str(spec_path), "--z", "0")
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "malformed staircase spec" in err
+
+
+@pytest.mark.parametrize("z", ["inf", "nan", "5", "-2.5"])
+def test_construct_z_outside_window_is_usage_error(capsys, z):
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x", "--z", z)
+    assert code == 64
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--z" in err
+
+
+def test_construct_rho_domain_fault_at_z_is_assumption_failure(capsys):
+    # the default K = rho(z) leaves log's domain
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "log(x)", "--z", "-1")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert err.startswith("error: assumption violated: log")
+
+
+def test_construct_non_monotone_rho_names_the_turn(capsys):
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x^2", "--z", "0")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert err.startswith("error: assumption violated: ") and "monotone" in err
+    assert abs(float(err.split("near x =")[1])) < 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    (*_CONSTRUCT, "--z", "0", "--staircase", "{missing}/stair.json"),
+    (*_CONSTRUCT, "--z", "0", "--staircase", "{tmp}"),
+    ("analyze", "--f", "x^2", "--g", "x", "--window", "0.1", "10", "--grid-n", "256",
+     "--out", "{missing}/report.json"),
+    ("analyze", "--f", "x^2", "--g", "x", "--window", "0.1", "10", "--grid-n", "256",
+     "--csv", "{missing}/dump.csv"),
+    ("verify", "--cases", "1", "--grid-n", "256", "--out", "{missing}/summary.json"),
+    ("tables", "--out", "{missing}/tables.json"),
+], ids=["staircase-missing", "staircase-directory", "analyze-out", "analyze-csv",
+        "verify-out", "tables-out"])
+def test_unusable_file_path_is_usage_error(tmp_path, capsys, argv):
+    paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 64
+    assert_one_error_line(err)
+    assert str(tmp_path) in err
+
+
+def test_fault_in_analysis_propagates(capsys, monkeypatch):
+    # a plain ValueError from inside the pipeline is a bug, not bad input
+    def broken_check_pair(pair, tol):
+        raise BadBracket("no sign change in the bracket")
+
+    monkeypatch.setattr("monoratio.cli.check_pair", broken_check_pair)
+    with pytest.raises(BadBracket):
+        main(["analyze", "--f", "x^2", "--g", "x", "--window", "0.1", "10",
+              "--grid-n", "256"])
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("analyze", "--f", "x +* 2", "--g", "x", "--window", "1", "2"), 1),
+    (("analyze", "--f", "x", "--g", "sin(x)", "--window", "0.5", "3",
+      "--grid-n", "256"), 2),
+    (("analyze", "--f", "x", "--g", "x", "--window", "2", "1"), 64),
+], ids=["parse", "assumption", "usage"])
+def test_process_exit_code_and_one_stderr_line(argv, code):
+    src = str(Path(monoratio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "monoratio.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
 
 
 def test_verify_small_campaign(capsys):
