@@ -61,6 +61,14 @@ class _UsageError(Exception):
     """A command line the run cannot use."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors (subcommands' too) raise _UsageError
+    inside main's boundary instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _checked_tolerances(args, windows) -> Tolerances:
     """The run's tolerances, after checking the grid against every window
     it will sample; raises _UsageError if either is unusable."""
@@ -98,8 +106,12 @@ def cmd_construct(args) -> int:
         raise _UsageError(f"--z must be finite and in the window {window}, got {args.z!r}")
     g = ExprFn(parse(args.g), label=args.g)
     if args.staircase:
-        with open(args.staircase) as handle:
-            rho = make_staircase_rho(StaircaseSpec.from_json_dict(json.load(handle)))
+        with open(args.staircase, encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            except UnicodeDecodeError as err:
+                raise StaircaseError(f"malformed staircase spec: {err}") from None
+        rho = make_staircase_rho(StaircaseSpec.from_json_dict(data))
     else:
         rho = ExprFn(parse(args.rho), label=args.rho)
     k = args.K if args.K is not None else rho(args.z)[0]
@@ -205,7 +217,7 @@ def cmd_tables(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monoratio",
         description="Monotonicity-pattern analysis of ratios f/g via the "
                     "derivative ratio f'/g'.")
@@ -263,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command, mapping each failure family to its exit code and one
     stderr line; any other exception (BadBracket too) is a fault and propagates."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ParseError, StaircaseError, json.JSONDecodeError) as err:
         code, message = EXIT_PARSE, str(err)

@@ -21,11 +21,12 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .intervals import Interval
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
-                    check_g_assumptions, make_pair)
+                    check_g_assumptions, columns, make_pair)
 
 
 class QuadratureError(ArithmeticError):
@@ -236,8 +237,10 @@ class ConstructedFn:
     cumulative integral up to it and the five coefficients of the
     integrated quartic through its five samples.  A query bisects for its
     leaf and evaluates one degree-5 polynomial; it calls neither rho nor
-    g for the value.  At each leaf end the polynomial equals the accepted
-    Simpson value, so f is continuous across leaves.  Outside the window
+    g for the value.  A column of queries moves its leaf index along
+    ascending xs and bisects again only where xs step back.  At each leaf
+    end the polynomial equals the accepted Simpson value, so f is
+    continuous across leaves.  Outside the window
     the first and last leaves' polynomials are extended, so f is only
     meaningful on the window.  The derivative is rho(x)*g'(x) by
     construction, not by differentiating the quadrature.
@@ -283,13 +286,15 @@ class ConstructedFn:
         self._starts = starts
         self._table = table
         self._base = K * g(z)[0]
-        self._Fz = self._antideriv(z)
+        self._Fz = self._antideriv(z, self._leaf(z))
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"
 
-    def _antideriv(self, x: float) -> float:
-        i = bisect.bisect_right(self._starts, x) - 1
-        if i < 0:
-            i = 0
+    def _leaf(self, x: float) -> int:
+        """Index of the last leaf starting at or before x (0 left of all)."""
+        return max(bisect.bisect_right(self._starts, x) - 1, 0)
+
+    def _antideriv(self, x: float, i: int) -> float:
+        """The cumulative integral at x by leaf i's polynomial."""
         c = self._table
         k = 7 * i
         t = (x - self._starts[i]) * c[k + 1]
@@ -299,7 +304,24 @@ class ConstructedFn:
     def __call__(self, x: float) -> tuple[float, float]:
         rv, _ = self.rho(x)
         _, gd = self.g(x)
-        return self._base + self._antideriv(x) - self._Fz, rv * gd
+        return self._base + self._antideriv(x, self._leaf(x)) - self._Fz, rv * gd
+
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x."""
+        rv, _ = columns(self.rho, xs)
+        _, gd = columns(self.g, xs)
+        starts, last = self._starts, len(self._starts) - 1
+        base, fz, antideriv = self._base, self._Fz, self._antideriv
+        values = []
+        i = 0
+        for x in xs:
+            if not starts[i] <= x:  # stepped back (or NaN): bisect again
+                i = self._leaf(x)
+            else:
+                while i < last and starts[i + 1] <= x:
+                    i += 1
+            values.append(base + antideriv(x, i) - fz)
+        return values, list(map(mul, rv, gd))
 
     def __repr__(self) -> str:
         return f"ConstructedFn({self.label})"
@@ -310,8 +332,8 @@ def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -
     direction reverses; steps within 1e-12 relative count as flat."""
     step = window.length / (n - 1)
     xs = [window.lo + i * step for i in range(n)]
-    values = [rho(x)[0] for x in xs]
-    tol = 1e-12 * (1.0 + max(abs(v) for v in values))
+    values, _ = columns(rho, xs)
+    tol = 1e-12 * (1.0 + max(map(abs, values)))
     direction = 0
     for i in range(n - 1):
         delta = values[i + 1] - values[i]

@@ -1,38 +1,19 @@
-"""Small math expression language: recursive-descent parser plus
-forward-mode evaluation of (value, derivative) pairs.
-
-Grammar (single variable ``x``, ``^`` right-associative):
-
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := unary ("^" factor)?
-    unary  := "-" unary | atom
-    atom   := number | "x" | ident "(" expr ("," expr)? ")" | "(" expr ")"
-
-Numbers are decimal literals with an optional exponent.  Derivatives are
-propagated forward as (value, derivative) float pairs; nothing is
-rewritten symbolically.
+"""Forward-mode evaluation of parsed expressions (``syntax``) on
+(value, derivative) float pairs; nothing is rewritten symbolically.  A
+column of points is evaluated in blocks, one AST walk per node over lists
+(vector forward mode), with the same float operations as the scalar walk.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from functools import partial
+from operator import add, ge, le, lt, mul, sub, truediv
+from typing import NamedTuple, Sequence
 
-UNARY_FUNCTIONS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
-BINARY_FUNCTIONS = ("min", "max")
-
-
-class ParseError(ValueError):
-    """Syntax or name error, carrying the byte offset where it happened."""
-
-    def __init__(self, offset: int, message: str, expected: str | None = None):
-        self.offset = offset
-        self.expected = expected
-        hint = f", expected {expected}" if expected else ""
-        super().__init__(f"{message} at offset {offset}{hint}")
+# the syntax names stay importable from here
+from .syntax import (Binary, Call2, Const, Expr, ParseError, Unary, Var,  # noqa: F401
+                     format_expr, parse)
 
 
 class DomainFault(ArithmeticError):
@@ -44,223 +25,11 @@ class DomainFault(ArithmeticError):
         super().__init__(f"{reason} at x = {x!r}")
 
 
-class _Fault(Exception):
+class _Fault(ArithmeticError):
     """Internal domain error; eval_dual attaches the offending x."""
 
     def __init__(self, reason: str):
         self.reason = reason
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    """The single variable x."""
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # one of UNARY_FUNCTIONS
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * / ^
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Call2:
-    op: str  # min or max
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-Expr = Union[Const, Var, Unary, Binary, Call2]
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer / parser
-
-class _Token(NamedTuple):
-    kind: str  # "num", "ident", one of "+-*/^(),", or "end"
-    text: str
-    pos: int
-
-
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = "+-*/^(),"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-_ATOM_HINT = "a number, 'x', a function call, '-', or '('"
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, f"unexpected token {tok.text!r}", expected=repr(kind))
-        return self.take()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            node = Binary(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Expr:
-        base = self.parse_unary()
-        if self.peek().kind == "^":
-            self.take()
-            return Binary("^", base, self.parse_factor())  # right-assoc
-        return base
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.take()
-            return Unary("neg", self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return Const(float(tok.text))
-        if tok.kind == "(":
-            self.take()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if tok.kind == "ident":
-            self.take()
-            if tok.text == "x":
-                return Var()
-            if tok.text in UNARY_FUNCTIONS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return Unary(tok.text, arg)
-            if tok.text in BINARY_FUNCTIONS:
-                self.expect("(")
-                lhs = self.parse_expr()
-                self.expect(",")
-                rhs = self.parse_expr()
-                self.expect(")")
-                return Call2(tok.text, lhs, rhs)
-            raise ParseError(tok.pos, f"unknown identifier {tok.text!r}")
-        raise ParseError(tok.pos, f"unexpected token {tok.text!r}", expected=_ATOM_HINT)
-
-
-def parse(text: str) -> Expr:
-    """Parse ``text`` into an AST, or raise ParseError with an offset."""
-    if not text.strip():
-        raise ParseError(0, "empty expression", expected=_ATOM_HINT)
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.pos, f"unexpected token {tail.text!r}", expected="end of input")
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-#
-# Binding strength mirrors the grammar so parse(format_expr(t)) == t for
-# any parser-produced tree.  (The parser never emits negative Const nodes,
-# so constants print unsigned.)
-
-_ADD, _MUL, _POW, _UNARY, _ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt(node: Expr, need: int) -> str:
-    if isinstance(node, Const):
-        return _fmt_num(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Call2):
-        return f"{node.op}({_fmt(node.lhs, _ADD)}, {_fmt(node.rhs, _ADD)})"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            s, lvl = "-" + _fmt(node.arg, _UNARY), _UNARY
-        else:
-            return f"{node.op}({_fmt(node.arg, _ADD)})"
-    else:  # Binary
-        op = node.op
-        if op in "+-":
-            s, lvl = f"{_fmt(node.lhs, _ADD)} {op} {_fmt(node.rhs, _MUL)}", _ADD
-        elif op in "*/":
-            s, lvl = f"{_fmt(node.lhs, _MUL)}{op}{_fmt(node.rhs, _POW)}", _MUL
-        else:  # ^  (left side must be a unary, right side a factor)
-            s, lvl = f"{_fmt(node.lhs, _UNARY)}^{_fmt(node.rhs, _POW)}", _POW
-    return f"({s})" if lvl < need else s
-
-
-def format_expr(node: Expr) -> str:
-    """Render an AST back to source text."""
-    return _fmt(node, _ADD)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +191,117 @@ def eval_dual(ast: Expr, x: float) -> Dual:
     return Dual(*_eval_checked(ast, x))
 
 
+# ---------------------------------------------------------------------------
+# Column evaluation: one walk per node over a block of points
+#
+# Each node maps lists with the same float operations, in the same order,
+# as its scalar case above.  It raises wherever the scalar walk faults
+# (math's ValueError or OverflowError, ZeroDivisionError, _Fault), and it
+# may also raise where the scalar walk has a special case (sqrt or a power
+# at a zero base).  Either way the block is walked again point by point,
+# which gives the scalar floats or raises the scalar walk's DomainFault at
+# the first faulting x: the fault rules live in the scalar walk alone.
+
+COLUMN_BLOCK = 256  # points per column walk; bounds the transient lists
+
+_positive = partial(lt, 0.0)
+
+
+def _c_neg(v: list, d: list) -> tuple[list, list]:
+    return [-a for a in v], [-b for b in d]
+
+
+def _c_sin(v: list, d: list) -> tuple[list, list]:
+    return list(map(math.sin, v)), list(map(mul, map(math.cos, v), d))
+
+
+def _c_cos(v: list, d: list) -> tuple[list, list]:
+    return list(map(math.cos, v)), [-s * b for s, b in zip(map(math.sin, v), d)]
+
+
+def _c_exp(v: list, d: list) -> tuple[list, list]:
+    e = list(map(math.exp, v))
+    return e, list(map(mul, e, d))
+
+
+def _c_log(v: list, d: list) -> tuple[list, list]:
+    return list(map(math.log, v)), list(map(truediv, d, v))
+
+
+def _c_sqrt(v: list, d: list) -> tuple[list, list]:
+    s = list(map(math.sqrt, v))
+    return s, [b / (2.0 * r) for b, r in zip(d, s)]
+
+
+def _c_abs(v: list, d: list) -> tuple[list, list]:
+    return list(map(abs, v)), [(1.0 if a > 0.0 else (-1.0 if a < 0.0 else 0.0)) * b
+                               for a, b in zip(v, d)]
+
+
+def _c_atan(v: list, d: list) -> tuple[list, list]:
+    return list(map(math.atan, v)), [b / (1.0 + a * a) for a, b in zip(v, d)]
+
+
+def _c_tanh(v: list, d: list) -> tuple[list, list]:
+    t = list(map(math.tanh, v))
+    return t, [(1.0 - u * u) * b for u, b in zip(t, d)]
+
+
+_UNARY_COLUMN = {
+    "neg": _c_neg, "sin": _c_sin, "cos": _c_cos, "exp": _c_exp,
+    "log": _c_log, "sqrt": _c_sqrt, "abs": _c_abs, "atan": _c_atan,
+    "tanh": _c_tanh,
+}
+
+
+def _column(node: Expr, xs: list[float]) -> tuple[list, list]:
+    if isinstance(node, Const):
+        return [node.value] * len(xs), [0.0] * len(xs)
+    if isinstance(node, Var):
+        return xs, [1.0] * len(xs)
+    if isinstance(node, Unary):
+        return _UNARY_COLUMN[node.op](*_column(node.arg, xs))
+    a, da = _column(node.lhs, xs)
+    b, db = _column(node.rhs, xs)
+    if isinstance(node, Call2):
+        take_lhs = list(map(le if node.op == "min" else ge, a, b))
+        return ([p if t else q for t, p, q in zip(take_lhs, a, b)],
+                [p if t else q for t, p, q in zip(take_lhs, da, db)])
+    op = node.op
+    if op == "+":
+        return list(map(add, a, b)), list(map(add, da, db))
+    if op == "-":
+        return list(map(sub, a, b)), list(map(sub, da, db))
+    if op == "*":
+        return list(map(mul, a, b)), [p * y + x * q for x, p, y, q in zip(a, da, b, db)]
+    if op == "/":
+        inv = [1.0 / y for y in b]
+        return (list(map(mul, a, inv)),
+                [(p * y - x * q) * i * i for x, p, y, q, i in zip(a, da, b, db, inv)])
+    if isinstance(node.rhs, Const):
+        # _d_pow's constant-exponent case off a zero base, when no base is
+        # negative or the exponent is integral (float ** int computes as
+        # float ** float, so both of its branches are this formula)
+        c = node.rhs.value
+        if all(map(_positive, a)) or (all(a) and c == round(c)):
+            c1 = c - 1.0
+            return [x ** c for x in a], [c * x ** c1 * p for x, p in zip(a, da)]
+    pairs = list(map(_d_pow, a, da, b, db))
+    return [v for v, _ in pairs], [d for _, d in pairs]
+
+
+def _eval_block(ast: Expr, chunk: Sequence[float]) -> tuple[list, list]:
+    """(values, derivatives) over one block: one column walk, or where that
+    raises, the scalar walk point by point."""
+    try:
+        if all(map(math.isfinite, chunk)):
+            return _column(ast, list(map(float, chunk)))
+    except (ArithmeticError, ValueError):
+        pass
+    pairs = [_eval_checked(ast, x) for x in chunk]
+    return [v for v, _ in pairs], [d for _, d in pairs]
+
+
 class ExprFn:
     """Adapter turning a parsed AST into a differentiable-function callable."""
 
@@ -433,6 +313,18 @@ class ExprFn:
 
     def __call__(self, x: float) -> tuple[float, float]:
         return _eval_checked(self.ast, x)
+
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x: the floats of one call per x,
+        walked in blocks of COLUMN_BLOCK points.  A fault raises the
+        DomainFault (or ValueError) the first faulting x raises alone."""
+        values: list[float] = []
+        derivs: list[float] = []
+        for k in range(0, len(xs), COLUMN_BLOCK):
+            v, d = _eval_block(self.ast, xs[k:k + COLUMN_BLOCK])
+            values += v
+            derivs += d
+        return values, derivs
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -69,9 +70,8 @@ _VERTICAL_MIRROR = {
 def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
     if len(xs) != len(vs) or len(xs) < 16:
         raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
-    for i in range(len(xs) - 1):
-        if xs[i] >= xs[i + 1]:
-            raise ValueError("sample x's must be strictly increasing")
+    if not all(map(lt, xs, xs[1:])):
+        raise ValueError("sample x's must be strictly increasing")
 
 
 def _signs(values: Sequence[float], tol: float) -> list[int]:

@@ -13,12 +13,13 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import ne, truediv
 from typing import Callable, Sequence
 
 from .intervals import Interval
 
-# Anything callable as x -> (value, derivative).
+# Anything callable as x -> (value, derivative).  One may also have a
+# column(xs) -> (values, derivatives) method, which columns() prefers.
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -109,16 +110,26 @@ def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, fl
     return 0.5 * (lo + hi)
 
 
-def _chase_sign_flips(xs: list[float], window: Interval, columns) -> None:
-    """Bisect each sign flip between adjacent samples, scanning the columns
-    together in x order.  A column is (values, probe, name, zero_error).
+def columns(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(values, derivatives) of fn at every x, the floats one call per x
+    gives: fn.column(xs) when fn has that method, else one call per x."""
+    column = getattr(fn, "column", None)
+    if column is not None:
+        return column(xs)
+    pairs = list(map(fn, xs))
+    return [v for v, _ in pairs], [d for _, d in pairs]
+
+
+def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
+    """Bisect each sign flip between adjacent samples, scanning the tracks
+    together in x order.  A track is (values, probe, name, zero_error).
     A crossing where |probe| <= 1e-6 * max(1, max |values|) is a root,
     raised as zero_error(root) unless zero_error is None (roots allowed);
     any other flip, or an arithmetic fault of the probe inside the
     bracket, is a SignChange: typically a pole."""
     xtol = 1e-9 * (1.0 + window.length)
     flips = []
-    for k, (values, *_) in enumerate(columns):
+    for k, (values, *_) in enumerate(tracks):
         # one sign throughout, the common case, costs three C-level passes;
         # a NaN makes min/max order-dependent, so it takes the scan below
         if not math.isnan(sum(values)) and (min(values) > 0.0 or max(values) <= 0.0):
@@ -127,7 +138,7 @@ def _chase_sign_flips(xs: list[float], window: Interval, columns) -> None:
         flips += ((i, k) for i in compress(range(len(xs) - 1),
                                            map(ne, positive, positive[1:])))
     for i, k in sorted(flips):
-        values, probe, name, zero_error = columns[k]
+        values, probe, name, zero_error = tracks[k]
         try:
             root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
             small = abs(probe(root)) <= 1e-6 * max(1.0, max(map(abs, values)))
@@ -147,15 +158,10 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     ZeroGPrime at the located crossing, anything else is a SignChange.
     """
     xs = _chebyshev_points(window, n)
-    values = []
-    derivs = []
-    for x in xs:
-        v, d = g(x)
-        values.append(v)
-        derivs.append(d)
+    values, derivs = columns(g, xs)
 
-    scale_v = max(1.0, max(abs(v) for v in values))
-    scale_d = max(1.0, max(abs(d) for d in derivs))
+    scale_v = max(1.0, max(map(abs, values)))
+    scale_d = max(1.0, max(map(abs, derivs)))
     for x, v in zip(xs, values):
         if abs(v) <= ZERO_REL_TOL * scale_v:
             raise ZeroG(x)
@@ -245,17 +251,12 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     if n < 2:
         raise ValueError("n must be >= 2")
     lo, step = pair.window.lo, pair.window.length / n
-    xs, fv, gv, r, rho, rho_t = [], [], [], [], [], []
-    for i in range(n):
-        x = lo + (i + 0.5) * step
-        a, ap = pair.f(x)
-        b, bp = pair.g(x)
-        xs.append(x)
-        fv.append(a)
-        gv.append(b)
-        r.append(a / b)
-        rho.append(ap / bp)
-        rho_t.append((ap * b - a * bp) / abs(bp))
+    xs = [lo + (i + 0.5) * step for i in range(n)]
+    fv, fd = columns(pair.f, xs)
+    gv, gd = columns(pair.g, xs)
+    r = list(map(truediv, fv, gv))
+    rho = list(map(truediv, fd, gd))
+    rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
     for name, column in (("r", r), ("rho", rho), ("rho-tilde", rho_t)):
         if not all(map(math.isfinite, column)):
             i = next(i for i, v in enumerate(column) if not math.isfinite(v))
@@ -267,7 +268,7 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
 
 
 def median_abs(values: Sequence[float]) -> float:
-    return statistics.median(abs(v) for v in values)
+    return statistics.median(map(abs, values))
 
 
 def negated(fn: DifferentiableFn) -> DifferentiableFn:

@@ -20,12 +20,14 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from operator import truediv
 
+from .expr import COLUMN_BLOCK
 from .intervals import Interval
 from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_mics, detect_pattern, level0_set)
-from .ratio import (FunctionPair, SampleTable, median_abs, mirrored, negated,
-                    ratio_at, rho_at, rho_tilde_at, sample_table)
+from .ratio import (FunctionPair, SampleTable, columns, median_abs, mirrored,
+                    negated, ratio_at, rho_at, rho_tilde_at, sample_table)
 
 
 class Direction(str, Enum):
@@ -245,14 +247,24 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
                          fd_step: float) -> tuple[bool, int]:
     """sign(r') = sign(rho-tilde) wherever rho-tilde is clear of zero; r' is
     probed by a central finite difference with a step well below the grid
-    spacing, so curvature near a crossing cannot flip the compared sign."""
+    spacing, so curvature near a crossing cannot flip the compared sign.
+    r is evaluated as columns on the shifted points, COLUMN_BLOCK samples
+    at a time."""
+
+    def r_column(xs: list[float]) -> list[float]:
+        return list(map(truediv, columns(pair.f, xs)[0], columns(pair.g, xs)[0]))
+
     violations = 0
-    for x, rt in zip(table.xs, table.rho_tilde):
-        if abs(rt) <= tol_abs:
-            continue
-        fd = (ratio_at(pair, x + fd_step) - ratio_at(pair, x - fd_step)) / (2.0 * fd_step)
-        if fd == 0.0 or (fd > 0.0) != (rt > 0.0):
-            violations += 1
+    for k in range(0, len(table.xs), COLUMN_BLOCK):
+        kept = [(x, rt) for x, rt in zip(table.xs[k:k + COLUMN_BLOCK],
+                                         table.rho_tilde[k:k + COLUMN_BLOCK])
+                if abs(rt) > tol_abs]
+        r_hi = r_column([x + fd_step for x, _ in kept])
+        r_lo = r_column([x - fd_step for x, _ in kept])
+        for (_, rt), hi, lo in zip(kept, r_hi, r_lo):
+            fd = (hi - lo) / (2.0 * fd_step)
+            if fd == 0.0 or (fd > 0.0) != (rt > 0.0):
+                violations += 1
     return violations == 0, violations
 
 

@@ -224,10 +224,11 @@ _CONSTRUCT = ("construct", "--g", "exp(x)", "--window", "-2", "2", "--grid-n", "
     '{"flats": "ab"}',
     '{"slopes": ["a"]}',
     '{"flats": [[0, 1]], "slopes": [1, 1], "anchor_value": null}',
+    b"\xff\xfe\x7b",  # not UTF-8
 ])
 def test_construct_malformed_staircase_is_parse_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "stair.json"
-    spec_path.write_text(spec)
+    spec_path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
     code, out, err = run(capsys, *_CONSTRUCT, "--staircase", str(spec_path), "--z", "0")
     assert code == 1
     assert out == ""
@@ -281,6 +282,20 @@ def test_unusable_file_path_is_usage_error(tmp_path, capsys, argv):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    (*_CONSTRUCT, "--rho", "x", "--z", "abc"),
+    ("analyze", "--f", "x", "--g", "x", "--window", "0.5", "2", "--bogus"),
+    ("analyze", "--f", "x", "--g", "x"),
+    (),
+], ids=["bad-float", "unknown-option", "missing-option", "no-command"])
+def test_argument_error_is_usage_error(capsys, argv):
+    # argparse's own errors: one line and exit 64, not usage text and exit 2
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert_one_error_line(err)
+
+
 def test_fault_in_analysis_propagates(capsys, monkeypatch):
     # a plain ValueError from inside the pipeline is a bug, not bad input
     def broken_check_pair(pair, tol):
@@ -297,7 +312,8 @@ def test_fault_in_analysis_propagates(capsys, monkeypatch):
     (("analyze", "--f", "x", "--g", "sin(x)", "--window", "0.5", "3",
       "--grid-n", "256"), 2),
     (("analyze", "--f", "x", "--g", "x", "--window", "2", "1"), 64),
-], ids=["parse", "assumption", "usage"])
+    (("analyze", "--f", "x", "--g", "x", "--window", "0.5", "2", "--bogus"), 64),
+], ids=["parse", "assumption", "usage", "argparse"])
 def test_process_exit_code_and_one_stderr_line(argv, code):
     src = str(Path(monoratio.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
