@@ -21,7 +21,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -212,6 +212,33 @@ class StaircaseFn:
             return self._values[i - 1], 0.0
         return self._values[i - 1] + s * (x - nodes[i - 1]), s
 
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x.
+        The segment index moves along ascending xs; it is bisected again
+        only where xs step back or are NaN."""
+        nodes, slopes, last = self.breakpoints, self._slopes, len(self.breakpoints)
+        if not nodes:
+            s, a = slopes[0], self.spec.anchor_value
+            return [a + s * x for x in xs], [s] * len(xs)
+        values, derivs = [], []
+        i, prev, nxt = 0, math.nan, -math.inf
+        for x in xs:
+            if not prev <= x < nxt:
+                if prev <= x:
+                    while i < last and nodes[i] <= x:
+                        i += 1
+                else:
+                    i = bisect.bisect_right(nodes, x)
+                # the scalar call's three branches, fixed for segment i
+                s = slopes[i]
+                k = max(i - 1, 0)
+                base, x0 = self._values[k], nodes[k]
+                nxt = nodes[i] if i < last else math.inf
+            prev = x
+            values.append(base if s == 0.0 else base + s * (x - x0))
+            derivs.append(s)
+        return values, derivs
+
     def __repr__(self) -> str:
         return f"StaircaseFn({self.label})"
 
@@ -310,17 +337,22 @@ class ConstructedFn:
         """(values, derivatives) at every x, the floats of one call per x."""
         rv, _ = columns(self.rho, xs)
         _, gd = columns(self.g, xs)
-        starts, last = self._starts, len(self._starts) - 1
-        base, fz, antideriv = self._base, self._Fz, self._antideriv
+        starts, table, last = self._starts, self._table, len(self._starts) - 1
+        base, fz = self._base, self._Fz
         values = []
-        i = 0
+        i, lo, nxt = 0, math.nan, -math.inf
         for x in xs:
-            if not starts[i] <= x:  # stepped back (or NaN): bisect again
-                i = self._leaf(x)
-            else:
-                while i < last and starts[i + 1] <= x:
-                    i += 1
-            values.append(base + antideriv(x, i) - fz)
+            if not lo <= x < nxt:  # left leaf i: reload its start and coefficients
+                if lo <= x:
+                    while i < last and starts[i + 1] <= x:
+                        i += 1
+                else:  # stepped back (or NaN): bisect again
+                    i = self._leaf(x)
+                lo, nxt = starts[i], starts[i + 1] if i < last else math.inf
+                c0, inv_h, c1, c2, c3, c4, c5 = table[7 * i:7 * i + 7]
+            t = (x - lo) * inv_h
+            values.append(base + (c0 + t * (c1 + t * (c2 + t * (c3 + t * (
+                c4 + t * c5))))) - fz)
         return values, list(map(mul, rv, gd))
 
     def __repr__(self) -> str:
@@ -399,11 +431,45 @@ def _recip_neg(x: float) -> tuple[float, float]:
     return -v, v * v
 
 
-for _fn, _name in ((_exp_pos, "exp(x)"), (_exp_neg, "-exp(x)"),
-                   (_dexp_pos, "exp(-x)"), (_dexp_neg, "-exp(-x)"),
-                   (_affine_pos, "x + 3"), (_affine_neg, "-x - 3"),
-                   (_recip_pos, "1/(x + 4)"), (_recip_neg, "-1/(x + 4)")):
-    _fn.label = _name
+def _exp_pos_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    e = list(map(math.exp, xs))
+    return e, e.copy()
+
+
+def _exp_neg_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    v = [-e for e in map(math.exp, xs)]
+    return v, v.copy()
+
+
+def _dexp_pos_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    e = list(map(math.exp, map(neg, xs)))
+    return e, [-v for v in e]
+
+
+def _dexp_neg_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    e = list(map(math.exp, map(neg, xs)))
+    return [-v for v in e], e
+
+
+def _recip_pos_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    v = [1.0 / (x + 4.0) for x in xs]
+    return v, [-w * w for w in v]
+
+
+def _recip_neg_column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    v = [1.0 / (x + 4.0) for x in xs]
+    return [-w for w in v], [w * w for w in v]
+
+
+# each column gives the floats of its scalar form, operation for operation
+for _fn, _name, _column in (
+        (_exp_pos, "exp(x)", _exp_pos_column), (_exp_neg, "-exp(x)", _exp_neg_column),
+        (_dexp_pos, "exp(-x)", _dexp_pos_column), (_dexp_neg, "-exp(-x)", _dexp_neg_column),
+        (_affine_pos, "x + 3", lambda xs: ([x + 3.0 for x in xs], [1.0] * len(xs))),
+        (_affine_neg, "-x - 3", lambda xs: ([-x - 3.0 for x in xs], [-1.0] * len(xs))),
+        (_recip_pos, "1/(x + 4)", _recip_pos_column),
+        (_recip_neg, "-1/(x + 4)", _recip_neg_column)):
+    _fn.label, _fn.column = _name, _column
 
 # keyed by the sign of g*g'; each list spans both signs of g'
 G_TEMPLATES = {

@@ -15,7 +15,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import lt
+from itertools import compress, groupby, repeat
+from operator import add, eq, le, lt, sub
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -82,10 +83,10 @@ def _runs(signs: Sequence[int]) -> list[tuple[int, int, int]]:
     """Compress a sign sequence to (sign, first index, last index) runs."""
     runs = []
     start = 0
-    for i in range(1, len(signs) + 1):
-        if i == len(signs) or signs[i] != signs[start]:
-            runs.append((signs[start], start, i - 1))
-            start = i
+    for sign, group in groupby(signs):
+        end = start + len(list(group))
+        runs.append((sign, start, end - 1))
+        start = end
     return runs
 
 
@@ -152,8 +153,8 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], tol: float,
     if mode == "values":
         px, pv = xs, vs
     elif mode == "diffs":
-        px = [0.5 * (xs[i] + xs[i + 1]) for i in range(len(xs) - 1)]
-        pv = [vs[i + 1] - vs[i] for i in range(len(vs) - 1)]
+        px = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+        pv = list(map(sub, vs[1:], vs))
         probe = None  # no point function behind first differences
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -215,34 +216,52 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
     xtol = 1e-12 * (xs[-1] - xs[0])
     value = probe if probe is not None else _interpolant(xs, vs)
 
-    # streaming min/max filter (Lemire 2006): the deques hold the indices
-    # of the window [lo..j]'s running max and min; when j breaks the band,
-    # [lo..j-1] is maximal and lo moves past the older extreme until the
-    # window fits again
-    max_dq: deque[int] = deque()
-    min_dq: deque[int] = deque()
-    lo = 0
-    raw_runs: list[tuple[int, int]] = []
-    for j, v in enumerate(vs):
-        while max_dq and vs[max_dq[-1]] <= v:
-            max_dq.pop()
-        max_dq.append(j)
-        while min_dq and vs[min_dq[-1]] >= v:
-            min_dq.pop()
-        min_dq.append(j)
-        if vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
-            raw_runs.append((lo, j - 1))
-            while vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
-                lo = (max_dq if max_dq[0] < min_dq[0] else min_dq).popleft() + 1
-    raw_runs.append((lo, n - 1))
+    # A step |vs[j] - vs[j-1]| above the band fits in no window, so the
+    # sweep below would always close a run at j - 1 there and restart at
+    # j: cut the column at such steps (C-level passes) and sweep only the
+    # pieces longer than one sample.  A NaN can hide a window's true
+    # extremes from the deques, so a column holding one (or both
+    # infinities) is swept whole.
+    cuts = [] if math.isnan(sum(vs)) else list(compress(
+        range(1, n), map(lt, repeat(tol_abs), map(abs, map(sub, vs[1:], vs)))))
+    starts, ends = [0, *cuts], [*cuts, n]
+    sizes = list(map(sub, ends, starts))
+    # the cells right and left of each sample (none past the ends); a
+    # one-sample piece is a run of its own, and the length test of the
+    # loop further down, taken for all of them at once, drops the short ones
+    cell = list(map(sub, xs[1:], xs))
+    right, left = [*cell, xs[-1] - xs[-1]], [xs[0] - xs[0], *cell]
+    short = list(map(le, map(add, map(add, map(sub, xs, xs), right), left), repeat(min_ic_len)))
+    raw_runs = [(i, i) for i in compress(starts, map(eq, sizes, repeat(1))) if not short[i]]
+    for a, b in compress(zip(starts, ends), map(lt, repeat(1), sizes)):
+        # streaming min/max filter (Lemire 2006): the deques hold the
+        # indices of the window [lo..j]'s running max and min; when j
+        # breaks the band, [lo..j-1] is maximal and lo moves past the older
+        # extreme until the window fits again
+        max_dq: deque[int] = deque()
+        min_dq: deque[int] = deque()
+        lo = a
+        for j in range(a, b):
+            v = vs[j]
+            while max_dq and vs[max_dq[-1]] <= v:
+                max_dq.pop()
+            max_dq.append(j)
+            while min_dq and vs[min_dq[-1]] >= v:
+                min_dq.pop()
+            min_dq.append(j)
+            if vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+                raw_runs.append((lo, j - 1))
+                while vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+                    lo = (max_dq if max_dq[0] < min_dq[0] else min_dq).popleft() + 1
+        raw_runs.append((lo, b - 1))
+    raw_runs.sort()
 
     intervals: list[Interval] = []
     last_hi = -math.inf
     for i0, i1 in raw_runs:
         # refinement extends less than one cell per side, so a short run
         # can be discarded without refining it
-        if xs[i1] - xs[i0] + (xs[min(i1 + 1, n - 1)] - xs[i1]) \
-                + (xs[i0] - xs[max(i0 - 1, 0)]) <= min_ic_len:
+        if xs[i1] - xs[i0] + right[i1] + left[i0] <= min_ic_len:
             continue
         run_max = max(vs[i0:i1 + 1])
         run_min = min(vs[i0:i1 + 1])

@@ -278,7 +278,12 @@ def negated(fn: DifferentiableFn) -> DifferentiableFn:
         v, d = fn(x)
         return -v, -d
 
+    def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        values, derivs = columns(fn, xs)
+        return [-v for v in values], [-d for d in derivs]
+
     wrapped.label = f"-({getattr(fn, 'label', 'f')})"
+    wrapped.column = column
     return wrapped
 
 
@@ -289,5 +294,11 @@ def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
         v, d = fn(-x)
         return v, -d
 
+    def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        # fn sees the points in ascending order when xs ascend
+        values, derivs = columns(fn, [-x for x in reversed(xs)])
+        return values[::-1], [-d for d in reversed(derivs)]
+
     wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
+    wrapped.column = column
     return wrapped

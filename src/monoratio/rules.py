@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from operator import truediv
@@ -197,10 +198,15 @@ def _check_prop1(observed: Pattern | None, family: Family | None,
             and abs(switch.hi - level0.hi) <= switch_tol)
 
 
+def _inside(table: SampleTable, interval: Interval) -> range:
+    """Indices of the samples inside the interval (the grid ascends strictly)."""
+    return range(bisect_left(table.xs, interval.lo), bisect_right(table.xs, interval.hi))
+
+
 def _fit_on_interval(table: SampleTable, interval: Interval) -> tuple[float, float, float] | None:
     """Fit r = K1 + C/g over the samples inside the interval; returns
     (K1, C, max residual) or None if too few samples land inside."""
-    idx = [i for i, x in enumerate(table.xs) if interval.lo <= x <= interval.hi]
+    idx = _inside(table, interval)
     if len(idx) < 4:
         return None
     k1 = statistics.median(table.rho[i] for i in idx)
@@ -227,8 +233,8 @@ def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
         if fit is None:
             continue
         k1, c, residual = fit
-        scale = 1.0 + median_abs([table.r[i] for i, x in enumerate(table.xs)
-                                  if j.lo <= x <= j.hi])
+        inside = _inside(table, j)
+        scale = 1.0 + median_abs(table.r[inside.start:inside.stop])
         is_r_mic = (mic_r is not None
                     and abs(j.lo - mic_r.lo) <= match_tol
                     and abs(j.hi - mic_r.hi) <= match_tol)

@@ -1,6 +1,7 @@
 """Column evaluation against one call per point: values, derivatives and
 domain faults must agree bit for bit."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -9,8 +10,10 @@ import tracemalloc
 import pytest
 
 import monoratio as mr
+from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn
 from monoratio.expr import COLUMN_BLOCK, DomainFault, ExprFn, parse
-from monoratio.ratio import columns
+from monoratio.ratio import columns, median_abs, mirrored, negated
+from monoratio.rules import _check_sign_identity
 
 from helpers import random_ast
 
@@ -111,6 +114,113 @@ def test_constructed_column_matches_per_point_calls(seed):
     for xs in (grid, sorted(extra), shuffled):
         expected = tuple(map(list, zip(*(f(x) for x in xs))))
         assert _bits(f.column(xs)) == _bits(expected)
+
+
+_STAIRCASES = [
+    mr.StaircaseSpec(),
+    mr.StaircaseSpec(slopes=(0.7,), direction="down", anchor_value=-0.25),
+    mr.StaircaseSpec(flats=((-0.5, 0.25),), slopes=(1.0, 2.0), anchor_value=0.3),
+    mr.StaircaseSpec(flats=((-1.5, -1.0), (0.1, 0.6)), slopes=(1.3, 0.9, 2.2),
+                     direction="down", anchor_value=1.1),
+    mr.StaircaseSpec(flats=((-1.6, -1.1), (-0.4, 0.2), (0.9, 1.7)),
+                     slopes=(2.0, 1.0, 0.8, 1.5), anchor_value=-1.0),
+    # a flat at -0.0, which x - x0 times a zero slope would turn into 0.0
+    mr.StaircaseSpec(flats=((-1.6, -1.1), (-0.4, 0.2), (0.9, 1.7)),
+                     slopes=(2.0, 1.0, 0.8, 1.5), direction="down", anchor_value=-0.0),
+]
+
+
+@pytest.mark.parametrize("spec", _STAIRCASES)
+def test_staircase_column_matches_per_point_calls(spec):
+    rho = StaircaseFn(spec)
+    rng = random.Random(len(spec.flats))
+    grid = [-2.0 + (i + 0.5) * (4.0 / 2048) for i in range(2048)]
+    # exactly on every breakpoint and next to it, and off the window
+    edges = [y for x in rho.breakpoints for y in (math.nextafter(x, -math.inf), x,
+                                                  math.nextafter(x, math.inf))]
+    extra = sorted(edges + [-5.0, -2.0, -0.0, 0.0, 2.0, 5.0, math.inf, -math.inf])
+    shuffled = grid + extra
+    rng.shuffle(shuffled)
+    with_nan = grid[:700] + [math.nan] + grid[700:1400] + [math.nan, math.nan] + grid[1400:]
+    for xs in (grid, extra, shuffled, with_nan, grid[::-1], []):
+        expected = tuple(map(list, zip(*map(rho, xs)))) or ([], [])
+        assert _bits(rho.column(xs)) == _bits(expected)
+
+
+_TEMPLATE_XS = [-2.0 + (i + 0.5) * (4.0 / 512) for i in range(512)] + [
+    -3.0, -0.0, 0.0, 700.0, -700.0, 1e-300, math.inf, -math.inf, math.nan, -math.nan]
+
+
+@pytest.mark.parametrize("g", G_TEMPLATES[1] + G_TEMPLATES[-1],
+                         ids=lambda g: g.label)
+def test_template_column_matches_per_point_calls(g):
+    xs = list(_TEMPLATE_XS)
+    random.Random(g.label).shuffle(xs)
+    for column in (_TEMPLATE_XS, xs):
+        expected = tuple(map(list, zip(*map(g, column))))
+        values, derivs = g.column(column)
+        assert values is not derivs
+        assert _bits((values, derivs)) == _bits(expected)
+
+
+@pytest.mark.parametrize("wrap", [negated, mirrored])
+def test_reflection_wrappers_column_matches_per_point_calls(wrap):
+    pair, _, _ = mr.random_pair(7)
+    window = pair.window
+    step = window.length / pair.grid_n
+    grid = [window.lo + (i + 0.5) * step for i in range(pair.grid_n)]
+    mirror_grid = [-x for x in reversed(grid)]
+    rng = random.Random(3)
+    for fn in (pair.f, ExprFn(parse("exp(-x)*sin(3*x) + x^2/(1 + x^2)"))):
+        wrapped = wrap(fn)
+        shuffled = grid + mirror_grid
+        rng.shuffle(shuffled)
+        for xs in (grid, mirror_grid, shuffled):
+            expected = tuple(map(list, zip(*map(wrapped, xs))))
+            assert _bits(wrapped.column(xs)) == _bits(expected)
+
+
+class _CountCalls:
+    """Counts scalar calls and forwards every other attribute (column)."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+
+def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
+    # the only scalar calls left are the sign-flip chase's probes of f,
+    # each of which evaluates rho and g once
+    calls = {"f": 0, "rho": 0}
+
+    def counting(role, method):
+        def call(self, x):
+            calls[role] += 1
+            return method(self, x)
+        return call
+
+    labels = set()
+    for seed in range(32):
+        pair, _, _ = mr.random_pair(seed)
+        g = _CountCalls(pair.g)
+        pair.f.g = g
+        pair = dataclasses.replace(pair, g=g)
+        labels.add(g.label)
+        calls.update(f=0, rho=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(StaircaseFn, "__call__", counting("rho", StaircaseFn.__call__))
+            patch.setattr(ConstructedFn, "__call__", counting("f", ConstructedFn.__call__))
+            table = mr.sample_table(pair)
+            tol_abs = 1e-7 * (1.0 + median_abs(table.rho_tilde))
+            assert _check_sign_identity(pair, table, tol_abs, table.step / 16.0)[0]
+        assert calls["rho"] == g.calls == calls["f"] < 100, (seed, calls, g.calls)
+    assert labels == {g.label for g in G_TEMPLATES[1] + G_TEMPLATES[-1]}
 
 
 def test_columns_calls_a_plain_function_once_per_point():

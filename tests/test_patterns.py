@@ -393,6 +393,70 @@ def test_mics_sweep_matches_reference_on_plateaus_and_ties():
         assert got == _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len), case
 
 
+def _jump_column(rng, n):
+    """Plateaus (exactly flat or wandering inside a 1e-9 band), isolated
+    jump samples, alternating singletons and ramps, with plateaus that
+    touch a jump on either side; now and then a sample is +-inf."""
+    vs = []
+    while len(vs) < n:
+        roll = rng.random()
+        base = float(rng.randint(-3, 3))
+        if roll < 0.3:
+            vs += [base + rng.uniform(0.0, 1e-9) * rng.random()
+                   for _ in range(rng.randint(2, 12))]
+        elif roll < 0.5:
+            vs.append(base + 0.5)  # an isolated jump between plateaus
+        elif roll < 0.65:
+            vs += [base, base + 1.0] * rng.randint(1, 5)
+        elif roll < 0.85:
+            vs += [base + 0.3 * k for k in range(rng.randint(2, 10))]
+        elif roll < 0.95:
+            vs.append(rng.choice((math.inf, -math.inf)))
+        else:
+            vs += [base] * rng.randint(2, 6)
+    return vs[:n]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_mics_split_sweep_matches_reference_on_jumps_and_infinities():
+    rng = random.Random(20060807)
+    for case in range(800):
+        n = rng.choice((16, 33, 100, 257))
+        xs = _grid(-1.0, 2.0, n)
+        vs = _jump_column(rng, n)
+        if case % 50 == 0:  # both infinities: the column is swept whole
+            vs[rng.randrange(n)] = math.inf
+            vs[rng.randrange(n)] = -math.inf
+        step = 3.0 / n
+        tol = rng.choice((0.0, 0.0, 1e-9, 1e-3, 0.3))
+        min_ic_len = rng.choice((0.0, 0.0, 0.5, 2.0, 3.0)) * step
+        got = _outcome(detect_mics, xs, vs, tol, min_ic_len)
+        want = _outcome(_reference_detect_mics, list(zip(xs, vs)), tol, min_ic_len)
+        assert got == want, (case, vs, tol, min_ic_len)
+        if isinstance(got, tuple) and got and isinstance(got[0], Interval):
+            # the closed/open flags too, which Interval equality also covers
+            assert [(m.lo_closed, m.hi_closed) for m in got] == \
+                [(m.lo_closed, m.hi_closed) for m in want]
+
+
+@pytest.mark.parametrize("vs,tol,min_ic_len", [
+    ([0.0, 1.0] * 8, 1e-9, 0.0),  # alternating singletons all survive
+    ([0.0] * 5 + [4.0] + [0.0] * 5 + [4.0] * 5, 0.0, 0.0),  # isolated jump, tol 0
+    ([1.0] * 6 + [math.inf] * 4 + [1.0] * 6, 1e-9, 0.0),  # inf - inf is no cut
+    ([2.0] * 7 + [-math.inf] + [2.0] * 8, 0.0, 0.1),
+])
+def test_mics_split_sweep_edge_columns(vs, tol, min_ic_len):
+    xs = _grid(0.0, 1.0, len(vs))
+    assert _outcome(detect_mics, xs, vs, tol, min_ic_len) == \
+        _outcome(_reference_detect_mics, list(zip(xs, vs)), tol, min_ic_len)
+
+
 # --- level0_set --------------------------------------------------------------
 
 def test_level0_staircase(staircase_pair):

@@ -4,8 +4,8 @@ import pytest
 
 import monoratio as mr
 from monoratio import Direction, Family, Interval, PatternKind
-from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, predict_r_family,
-                            predict_rho_tilde_dir)
+from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, _inside,
+                            predict_r_family, predict_rho_tilde_dir)
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
@@ -74,6 +74,17 @@ def test_tolerances_reject_bad_tol_zero(tol_zero):
 
 def test_tolerances_accept_zero_tol_zero():
     assert Tolerances(tol_zero=0.0).tol_zero == 0.0
+
+
+def test_flat_index_range_is_the_samples_inside():
+    xs = [-2.0 + (i + 0.5) * (4.0 / 64) for i in range(64)]
+    table = mr.SampleTable(xs, xs, xs, xs, xs, xs)
+    ends = [-3.0, -2.0, xs[0], xs[1], 0.01, xs[40], xs[41], xs[-1], 3.0]
+    for lo in ends:
+        for hi in ends:
+            if lo <= hi:
+                want = [i for i, x in enumerate(xs) if lo <= x <= hi]
+                assert list(_inside(table, Interval(lo, hi))) == want, (lo, hi)
 
 
 def test_check_pair_square_over_x():
