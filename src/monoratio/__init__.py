@@ -9,9 +9,8 @@ constancy.
 """
 
 from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
-                        StaircaseError, StaircaseFn, StaircaseSpec,
-                        adaptive_simpson, construct_f, make_staircase_rho,
-                        random_pair)
+                        StaircaseError, StaircaseFn, StaircaseSpec, construct_f,
+                        make_staircase_rho, random_pair)
 from .expr import (Dual, DomainFault, ExprFn, ParseError, eval_dual, expr_fn,
                    format_expr, parse)
 from .intervals import Interval
@@ -34,7 +33,7 @@ __all__ = [
     "NonInterval", "ParseError", "Pattern", "PatternKind", "QuadratureError",
     "RULE_ROWS", "RuleRow", "SampleTable", "SignChange", "StaircaseError",
     "StaircaseFn", "StaircaseSpec", "Tolerances", "Unclassifiable",
-    "ValidationError", "ZeroG", "ZeroGPrime", "adaptive_simpson", "check_pair",
+    "ValidationError", "ZeroG", "ZeroGPrime", "check_pair",
     "construct_f", "detect_mics", "detect_pattern", "eval_dual", "expr_fn",
     "format_expr", "level0_set", "make_pair", "make_staircase_rho",
     "mirrored", "negated", "parse", "predict_r_family",

@@ -104,6 +104,8 @@ def cmd_construct(args) -> int:
     window = Interval(*args.window)
     if not (math.isfinite(args.z) and window.contains(args.z)):
         raise _UsageError(f"--z must be finite and in the window {window}, got {args.z!r}")
+    if args.K is not None and not math.isfinite(args.K):
+        raise _UsageError(f"--K must be finite, got {args.K!r}")
     g = ExprFn(parse(args.g), label=args.g)
     if args.staircase:
         with open(args.staircase, encoding="utf-8") as handle:

@@ -85,24 +85,6 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
             stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Integrate fn from a to b by adaptive Simpson subdivision.
-
-    The panel error estimate is |S_fine - S_coarse|/15; accepted panels get
-    the Richardson correction.  Orientation follows the convention that
-    integrating from a to b with b < a flips the sign.
-
-    Raises QuadratureError if a panel's estimate is still above tolerance
-    at max_depth.
-    """
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_simpson(fn, b, a, tol, max_depth)
-    return sum(value for *_, value in _simpson_leaves(fn, (a, b), tol, max_depth))
-
-
 # ---------------------------------------------------------------------------
 # Staircase rho
 

@@ -3,8 +3,10 @@ intervals of constancy, and the level-0 set of rho-tilde.
 
 A pattern is one of Increasing, Decreasing, DownUp (falls, may sit on a
 flat [c, d], then rises), UpDown (the mirror), or Constant.  Everything
-here works on a tolerance-truncated sign sequence: values within the zero
-tolerance count as zero.  Strict and non-strict monotonicity are not
+here works on a sign sequence in which values within the zero band
+count as zero.  Every detector reads one column of finite samples
+at strictly increasing x's and takes its band in the column's own units;
+the caller scales it.  Strict and non-strict monotonicity are not
 distinguished; sampled floating-point data cannot certify strictness.
 """
 
@@ -20,8 +22,7 @@ from operator import add, eq, le, lt, sub
 from typing import Callable, Sequence
 
 from .intervals import Interval
-from .ratio import (BadBracket, FunctionPair, SampleTable, median_abs,  # noqa: F401
-                    refine_sign_change, rho_tilde_at)
+from .ratio import BadBracket, refine_sign_change  # noqa: F401
 
 
 class Unclassifiable(Exception):
@@ -73,10 +74,16 @@ def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
         raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
     if not all(map(lt, xs, xs[1:])):
         raise ValueError("sample x's must be strictly increasing")
+    # a NaN or an infinity makes the sum non-finite; so can finite samples
+    # whose sum overflows, hence the scan
+    if not math.isfinite(sum(vs)):
+        i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
+        if i is not None:
+            raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
 
 
-def _signs(values: Sequence[float], tol: float) -> list[int]:
-    return [0 if abs(v) <= tol else (1 if v > 0.0 else -1) for v in values]
+def _signs(values: Sequence[float], band: float) -> list[int]:
+    return [0 if abs(v) <= band else (1 if v > 0.0 else -1) for v in values]
 
 
 def _runs(signs: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -125,16 +132,16 @@ def _run_interval(px: Sequence[float], i0: int, i1: int,
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def detect_pattern(xs: Sequence[float], vs: Sequence[float], tol: float,
+def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
                    mode: str = "values", window: Interval | None = None,
                    probe: Callable[[float], float] | None = None) -> Pattern:
     """Classify the monotonicity pattern behind the values vs sampled at
     the strictly increasing xs.
 
     mode="values": the sample values themselves are a derivative proxy
-    (use this on rho-tilde samples to get the pattern of r; the tolerance-
-    truncated sign sequence must then be of the one-switch form, e.g.
-    (-)*(0)*(+)* for DownUp).
+    (use this on rho-tilde samples to get the pattern of r; the sign
+    sequence, zero within the absolute band, must then be of the
+    one-switch form, e.g. (-)*(0)*(+)* for DownUp).
 
     mode="diffs": classify the sampled function's own direction from the
     signs of its first differences.  Zeros interior to a monotone run are
@@ -165,7 +172,7 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], tol: float,
     hi_edge = window.hi if window is not None else xs[-1]
     xtol = 1e-12 * (hi_edge - lo_edge)
 
-    runs = _runs(_signs(pv, tol))
+    runs = _runs(_signs(pv, band))
     shape = [s for s, _, _ in runs]
 
     if shape == [0]:
@@ -187,19 +194,19 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], tol: float,
         i = runs[0][2]
         c = refine_sign_change(probe, (px[i], px[i + 1]), xtol)
         return Pattern(kind, Interval(c, c))
-    # the values enter the tolerance band across first*tol, leave across -first*tol
+    # the values enter the band across first*band, leave across -first*band
     _, z0, z1 = runs[shape.index(0)]
-    enter = first * tol
+    enter = first * band
     return Pattern(kind, _run_interval(px, z0, z1, lambda t: probe(t) - enter,
                                        lambda t: probe(t) + enter, lo_edge, hi_edge, xtol))
 
 
-def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
+def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
                 min_ic_len: float,
                 probe: Callable[[float], float] | None = None) -> tuple[Interval, ...]:
     """Find the maximal intervals of constancy of the values vs sampled at
     the strictly increasing xs: maximal runs where max - min of the values
-    stays within tol*(1 + median |value|), keeping only runs longer than
+    stays within the absolute band, keeping only runs longer than
     min_ic_len.  Returns them ordered and disjoint.
 
     Run endpoints are refined by bisection on the constancy predicate,
@@ -209,9 +216,8 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
     sampled edge are flagged open (window-truncated).
     """
     _check_columns(xs, vs)
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be at least 0, got {tol!r}")
-    tol_abs = tol * (1.0 + median_abs(vs))
+    if not band >= 0.0:
+        raise ValueError(f"band must be at least 0, got {band!r}")
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
     value = probe if probe is not None else _interpolant(xs, vs)
@@ -219,11 +225,8 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
     # A step |vs[j] - vs[j-1]| above the band fits in no window, so the
     # sweep below would always close a run at j - 1 there and restart at
     # j: cut the column at such steps (C-level passes) and sweep only the
-    # pieces longer than one sample.  A NaN can hide a window's true
-    # extremes from the deques, so a column holding one (or both
-    # infinities) is swept whole.
-    cuts = [] if math.isnan(sum(vs)) else list(compress(
-        range(1, n), map(lt, repeat(tol_abs), map(abs, map(sub, vs[1:], vs)))))
+    # pieces longer than one sample
+    cuts = list(compress(range(1, n), map(lt, repeat(band), map(abs, map(sub, vs[1:], vs)))))
     starts, ends = [0, *cuts], [*cuts, n]
     sizes = list(map(sub, ends, starts))
     # the cells right and left of each sample (none past the ends); a
@@ -249,9 +252,9 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
             while min_dq and vs[min_dq[-1]] >= v:
                 min_dq.pop()
             min_dq.append(j)
-            if vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+            if vs[max_dq[0]] - vs[min_dq[0]] > band:
                 raw_runs.append((lo, j - 1))
-                while vs[max_dq[0]] - vs[min_dq[0]] > tol_abs:
+                while vs[max_dq[0]] - vs[min_dq[0]] > band:
                     lo = (max_dq if max_dq[0] < min_dq[0] else min_dq).popleft() + 1
         raw_runs.append((lo, b - 1))
     raw_runs.sort()
@@ -268,7 +271,7 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
 
         def flat_probe(t: float) -> float:
             v = value(t)
-            return tol_abs - (max(run_max, v) - min(run_min, v))
+            return band - (max(run_max, v) - min(run_min, v))
 
         run = _run_interval(xs, i0, i1, flat_probe, flat_probe, xs[0], xs[-1], xtol)
         if run.length <= min_ic_len or run.lo < last_hi:
@@ -278,22 +281,23 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], tol: float,
     return tuple(intervals)
 
 
-def level0_set(pair: FunctionPair, tol: float, table: SampleTable) -> Interval | None:
-    """The set where |rho-tilde| <= tol*(1 + median |rho-tilde|) over the
-    pair's sample table, reported as one interval with bisection-refined
-    endpoints.  Returns None when rho-tilde keeps one sign clear of the
-    tolerance.  A plain sign crossing with no sub-tolerance sample yields
-    a length-0 interval: a switch point, not an interval of constancy.
-    Several components separated by more than 2 grid steps raise
-    NonInterval, which signals a non-monotone rho (broken precondition).
+def level0_set(xs: Sequence[float], rho_tilde: Sequence[float], band: float,
+               probe: Callable[[float], float], window: Interval) -> Interval | None:
+    """The set where |rho-tilde| <= band over its column sampled at the
+    strictly increasing xs inside the window, reported as one interval
+    whose endpoints are bisected on probe (rho-tilde as a function).
+    Returns None when rho-tilde keeps one sign clear of the band.  A plain
+    sign crossing with no in-band sample yields a length-0 interval: a
+    switch point, not an interval of constancy.  Several components
+    separated by more than 2 grid steps raise NonInterval, which signals
+    a non-monotone rho (broken precondition).
     """
-    xs, rt = table.xs, table.rho_tilde
-    tol_abs = tol * (1.0 + median_abs(rt))
-    xtol = 1e-9 * (1.0 + pair.window.length)
+    _check_columns(xs, rho_tilde)
+    xtol = 1e-9 * (1.0 + window.length)
 
-    runs = _runs(_signs(rt, tol_abs))
+    runs = _runs(_signs(rho_tilde, band))
     band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
-    # index ranges of the sub-tolerance runs and of the direct sign
+    # index ranges of the in-band runs and of the direct sign
     # crossings between out-of-band neighbours, in order
     features = []
     prev = 0
@@ -321,16 +325,15 @@ def level0_set(pair: FunctionPair, tol: float, table: SampleTable) -> Interval |
     if not band_runs:
         # bare crossing: refine on rho-tilde itself
         i0, i1 = merged[0]
-        if (rt[i0] > 0.0) == (rt[i1] > 0.0):
+        if (rho_tilde[i0] > 0.0) == (rho_tilde[i1] > 0.0):
             raise NonInterval(
                 f"rho-tilde changes sign an even number of times within "
                 f"{xs[i0]:.6g}..{xs[i1]:.6g}; rho is not monotone here")
-        root = refine_sign_change(lambda t: rho_tilde_at(pair, t),
-                                  (xs[i0], xs[i1]), xtol)
+        root = refine_sign_change(probe, (xs[i0], xs[i1]), xtol)
         return Interval(root, root)
 
     def band_probe(t: float) -> float:
-        return abs(rho_tilde_at(pair, t)) - tol_abs
+        return abs(probe(t)) - band
 
     return _run_interval(xs, band_runs[0][0], band_runs[-1][1], band_probe, band_probe,
-                         pair.window.lo, pair.window.hi, xtol)
+                         window.lo, window.hi, xtol)

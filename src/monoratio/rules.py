@@ -16,12 +16,14 @@ observation against prediction.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import truediv
+from typing import ClassVar
 
 from .expr import COLUMN_BLOCK
 from .intervals import Interval
@@ -74,8 +76,10 @@ RULE_ROWS: tuple[RuleRow, ...] = tuple(
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every tolerance the pipeline uses, echoed into reports.
+    """Every tolerance the pipeline uses, echoed into reports.  Only
+    tol_zero is settable; the others are fixed class constants.
 
+    The zero and constancy bands scale with a column's 1 + median |value|.
     tol_flat is deliberately much tighter than tol_zero: a ratio leaves
     its constancy value quadratically, so a detected flat edge moves like
     sqrt(tolerance), and localizing endpoints to ~1e-3 needs a flatness
@@ -83,19 +87,23 @@ class Tolerances:
     true flats, leaving three orders of headroom.
     """
 
-    tol_zero: float = 1e-7        # zero band of rho-tilde, relative to median
-    tol_flat: float = 1e-9        # constancy band for m.i.c. detection
-    min_ic_steps: float = 3.0     # shortest constancy run, in grid steps
-    switch_tol: float = 1e-3      # switch vs level-0 endpoint agreement, in x
-    mic_match_steps: float = 2.0  # r-mic vs rho-mic agreement, in grid steps
-    residual_tol: float = 1e-6    # r - (K1 + C/g) residual on rho's flats
-    c_tol: float = 1e-6           # |C| below this counts as zero
-    fd_shrink: float = 16.0       # sign-check FD step = grid step / fd_shrink
+    tol_zero: float = 1e-7                   # zero band of rho and rho-tilde
+    tol_flat: ClassVar[float] = 1e-9         # constancy band for m.i.c. detection
+    min_ic_steps: ClassVar[float] = 3.0      # shortest constancy run, in grid steps
+    switch_tol: ClassVar[float] = 1e-3       # switch vs level-0 endpoint agreement, in x
+    mic_match_steps: ClassVar[float] = 2.0   # r-mic vs rho-mic agreement, in grid steps
+    residual_tol: ClassVar[float] = 1e-6     # r - (K1 + C/g) residual on rho's flats
+    c_tol: ClassVar[float] = 1e-6            # |C| below this counts as zero
+    fd_shrink: ClassVar[float] = 16.0        # sign-check FD step = grid step / fd_shrink
 
     def __post_init__(self):
         # at 1 or above the zero band covers at least the median magnitude
         if not (math.isfinite(self.tol_zero) and 0.0 <= self.tol_zero < 1.0):
             raise ValueError(f"tol_zero must be finite and in [0, 1), got {self.tol_zero!r}")
+
+    def as_dict(self) -> dict[str, float]:
+        """All eight values, in declaration order."""
+        return {name: getattr(self, name) for name in type(self).__annotations__}
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ class AnalysisReport:
             },
             "sign_violations": self.sign_violations,
             "failure": self.failure,
-            "tolerances": asdict(self.tolerances),
+            "tolerances": self.tolerances.as_dict(),
         }
 
 
@@ -203,12 +211,8 @@ def _inside(table: SampleTable, interval: Interval) -> range:
     return range(bisect_left(table.xs, interval.lo), bisect_right(table.xs, interval.hi))
 
 
-def _fit_on_interval(table: SampleTable, interval: Interval) -> tuple[float, float, float] | None:
-    """Fit r = K1 + C/g over the samples inside the interval; returns
-    (K1, C, max residual) or None if too few samples land inside."""
-    idx = _inside(table, interval)
-    if len(idx) < 4:
-        return None
+def _fit_on_interval(table: SampleTable, idx: range) -> tuple[float, float, float]:
+    """Fit r = K1 + C/g over the samples idx; returns (K1, C, max residual)."""
     k1 = statistics.median(table.rho[i] for i in idx)
     errors = [table.r[i] - k1 for i in idx]
     weights = [1.0 / table.g_values[i] for i in idx]
@@ -229,11 +233,10 @@ def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
     fits = []
     matched = False
     for j in mics_rho:
-        fit = _fit_on_interval(table, j)
-        if fit is None:
-            continue
-        k1, c, residual = fit
         inside = _inside(table, j)
+        if len(inside) < 4:  # too few samples to fit
+            continue
+        k1, c, residual = _fit_on_interval(table, inside)
         scale = 1.0 + median_abs(table.r[inside.start:inside.stop])
         is_r_mic = (mic_r is not None
                     and abs(j.lo - mic_r.lo) <= match_tol
@@ -292,13 +295,17 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
         failure = (f"window length {window.length:.6g} is not above switch_tol "
                    f"{tol.switch_tol:g}, so the switch check cannot fail")
 
-    tol_rho = tol.tol_zero * (1.0 + median_abs(table.rho))
-    tol_rt = tol.tol_zero * (1.0 + median_abs(table.rho_tilde))
+    # every band is a tolerance times its column's 1 + median |value|
+    scale_r, scale_rho, scale_rt = (1.0 + median_abs(column)
+                                    for column in (table.r, table.rho, table.rho_tilde))
+    tol_rt = tol.tol_zero * scale_rt
     min_ic_len = tol.min_ic_steps * step
+    rho_tilde = functools.partial(rho_tilde_at, pair)
 
     rho_pattern = None
     try:
-        rho_pattern = detect_pattern(xs, table.rho, tol_rho, mode="diffs", window=window)
+        rho_pattern = detect_pattern(xs, table.rho, tol.tol_zero * scale_rho, mode="diffs",
+                                     window=window)
     except Unclassifiable as err:
         failure = failure or f"rho unclassifiable: {err}"
 
@@ -320,7 +327,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     observed = rt_pattern = None
     try:
         observed = detect_pattern(xs, table.rho_tilde, tol_rt, mode="values",
-                                  window=window, probe=lambda t: rho_tilde_at(pair, t))
+                                  window=window, probe=rho_tilde)
     except Unclassifiable as err:
         failure = failure or f"r pattern unclassifiable from rho-tilde signs: {err}"
     try:
@@ -331,16 +338,16 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     level0 = None
     try:
-        level0 = level0_set(pair, tol.tol_zero, table)
+        level0 = level0_set(xs, table.rho_tilde, tol_rt, rho_tilde, window)
     except NonInterval as err:
         failure = failure or str(err)
 
-    mics_r = detect_mics(xs, table.r, tol.tol_flat, min_ic_len,
-                         probe=lambda t: ratio_at(pair, t))
-    mics_rho = detect_mics(xs, table.rho, tol.tol_flat, min_ic_len,
-                           probe=lambda t: rho_at(pair, t))
-    mics_rt = detect_mics(xs, table.rho_tilde, tol.tol_flat, min_ic_len,
-                          probe=lambda t: rho_tilde_at(pair, t))
+    mics_r = detect_mics(xs, table.r, tol.tol_flat * scale_r, min_ic_len,
+                         probe=functools.partial(ratio_at, pair))
+    mics_rho = detect_mics(xs, table.rho, tol.tol_flat * scale_rho, min_ic_len,
+                           probe=functools.partial(rho_at, pair))
+    mics_rt = detect_mics(xs, table.rho_tilde, tol.tol_flat * scale_rt, min_ic_len,
+                          probe=rho_tilde)
 
     prop1 = failure is None and _check_prop1(observed, predicted_family,
                                              constant_rho, level0, tol.switch_tol)

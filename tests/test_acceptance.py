@@ -13,6 +13,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import PatternKind
+from monoratio.ratio import median_abs
 
 from conftest import record_criterion
 from helpers import central_fd, pick_usable_point, random_ast
@@ -116,8 +117,8 @@ def test_criterion_5_constructor():
         if worst > ROUND_TRIP_TOL:
             bad.append((seed, f"f'/g' off by {worst:.3g}"))
             continue
-        mics = mr.detect_mics(table.xs, table.r, 1e-9, 3 * step,
-                              probe=lambda t: mr.ratio_at(pair, t))
+        mics = mr.detect_mics(table.xs, table.r, 1e-9 * (1.0 + median_abs(table.r)),
+                              3 * step, probe=lambda t: mr.ratio_at(pair, t))
         if len(mics) != 1:
             bad.append((seed, f"{len(mics)} mics"))
             continue

@@ -245,6 +245,15 @@ def test_construct_z_outside_window_is_usage_error(capsys, z):
     assert "--z" in err
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_construct_non_finite_k_is_usage_error(capsys, k):
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x", "--z", "0", f"--K={k}")
+    assert code == 64
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--K" in err
+
+
 def test_construct_rho_domain_fault_at_z_is_assumption_failure(capsys):
     # the default K = rho(z) leaves log's domain
     code, out, err = run(capsys, *_CONSTRUCT, "--rho", "log(x)", "--z", "-1")

@@ -5,9 +5,9 @@ import pytest
 import monoratio as mr
 from monoratio import Interval
 from monoratio.construct import (GeneratorConfig, QuadratureError,
-                                 StaircaseError, StaircaseSpec,
-                                 adaptive_simpson, construct_f,
-                                 make_staircase_rho, random_pair)
+                                 StaircaseError, StaircaseSpec, _simpson_leaves,
+                                 construct_f, make_staircase_rho, random_pair)
+from monoratio.ratio import median_abs
 
 
 def _unit_flat_spec():
@@ -17,19 +17,13 @@ def _unit_flat_spec():
 # --- adaptive Simpson --------------------------------------------------------
 
 def test_simpson_polynomial_exact():
-    assert adaptive_simpson(lambda u: u * u, 0.0, 3.0) == pytest.approx(9.0, abs=1e-12)
-
-
-def test_simpson_orientation():
-    fwd = adaptive_simpson(math.exp, 0.0, 1.0)
-    assert fwd == pytest.approx(math.e - 1.0, abs=1e-10)
-    assert adaptive_simpson(math.exp, 1.0, 0.0) == pytest.approx(-fwd, abs=1e-12)
-    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+    leaves = _simpson_leaves(lambda u: u * u, (0.0, 3.0), 1e-10, 40)
+    assert sum(value for *_, value in leaves) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_simpson_depth_exhaustion():
     with pytest.raises(QuadratureError):
-        adaptive_simpson(math.exp, 0.0, 4.0, tol=1e-18, max_depth=1)
+        list(_simpson_leaves(math.exp, (0.0, 4.0), 1e-18, 1))
 
 
 # --- staircase ---------------------------------------------------------------
@@ -70,7 +64,8 @@ def test_staircase_no_flats_is_a_line():
     assert rho(0.0) == (0.5, 1.5)
     assert rho(2.0)[0] == pytest.approx(3.5)
     xs = [-2 + (i + 0.5) * (4 / 256) for i in range(256)]
-    assert len(mr.detect_mics(xs, [rho(x)[0] for x in xs], 1e-9, 3 * 4 / 256)) == 0
+    vs = [rho(x)[0] for x in xs]
+    assert len(mr.detect_mics(xs, vs, 1e-9 * (1.0 + median_abs(vs)), 3 * 4 / 256)) == 0
 
 
 def test_staircase_spec_validation():
@@ -210,8 +205,8 @@ def test_random_pair_chosen_flat_is_the_mic():
         pair, spec, chosen = random_pair(seed, config)
         step = pair.window.length / pair.grid_n
         table = mr.sample_table(pair, pair.grid_n)
-        mics = mr.detect_mics(table.xs, table.r, 1e-9, 3 * step,
-                              probe=lambda t: mr.ratio_at(pair, t))
+        mics = mr.detect_mics(table.xs, table.r, 1e-9 * (1.0 + median_abs(table.r)),
+                              3 * step, probe=lambda t: mr.ratio_at(pair, t))
         assert len(mics) == 1
         assert mics[0].lo == pytest.approx(chosen.lo, abs=1e-3)
         assert mics[0].hi == pytest.approx(chosen.hi, abs=1e-3)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -22,6 +23,11 @@ def _grid(lo, hi, n):
 def _samples(fn, lo, hi, n=256):
     xs = _grid(lo, hi, n)
     return xs, [fn(x) for x in xs]
+
+
+def _band(tol, vs):
+    """The absolute band check_pair hands a detector for a relative tol."""
+    return tol * (1.0 + median_abs(vs))
 
 
 # --- refine_sign_change ----------------------------------------------------
@@ -102,8 +108,7 @@ def test_down_up_with_true_probe_is_sharp():
 def test_staircase_rho_tilde_pattern(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
-    tol = 1e-7 * (1.0 + median_abs(table.rho_tilde))
-    pat = detect_pattern(table.xs, table.rho_tilde, tol, mode="values",
+    pat = detect_pattern(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde), mode="values",
                          window=pair.window, probe=lambda t: mr.rho_tilde_at(pair, t))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-3)
@@ -218,7 +223,7 @@ def test_mics_on_staircase_ratio(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
     step = pair.window.length / 2048
-    mics = detect_mics(table.xs, table.r, 1e-9, 3 * step,
+    mics = detect_mics(table.xs, table.r, _band(1e-9, table.r), 3 * step,
                        probe=lambda t: mr.ratio_at(pair, t))
     assert len(mics) == 1
     assert mics[0].lo == pytest.approx(-1.0, abs=1e-3)
@@ -229,8 +234,8 @@ def test_mics_two_flat_staircase():
     spec = mr.StaircaseSpec(flats=((-1.5, -1.0), (1.0, 1.5)),
                             slopes=(1.0, 1.0, 1.0))
     rho = mr.make_staircase_rho(spec)
-    samples = _samples(lambda x: rho(x)[0], -2.0, 2.0, 1024)
-    mics = detect_mics(*samples, 1e-9, 3 * (4.0 / 1024),
+    xs, vs = _samples(lambda x: rho(x)[0], -2.0, 2.0, 1024)
+    mics = detect_mics(xs, vs, _band(1e-9, vs), 3 * (4.0 / 1024),
                        probe=lambda t: rho(t)[0])
     assert len(mics) == 2
     assert mics[0].lo == pytest.approx(-1.5, abs=1e-3)
@@ -240,8 +245,8 @@ def test_mics_two_flat_staircase():
 
 
 def test_mics_strictly_increasing_is_empty():
-    samples = _samples(lambda x: x, 0.0, 1.0)
-    assert len(detect_mics(*samples, 1e-7, 3 * (1.0 / 256))) == 0
+    xs, vs = _samples(lambda x: x, 0.0, 1.0)
+    assert len(detect_mics(xs, vs, _band(1e-7, vs), 3 * (1.0 / 256))) == 0
 
 
 def test_mics_maximality():
@@ -249,8 +254,8 @@ def test_mics_maximality():
     rho = mr.make_staircase_rho(spec)
     n = 512
     xs, vs = _samples(lambda x: rho(x)[0], -2.0, 2.0, n)
-    tol_abs = 1e-9 * (1.0 + median_abs(vs))
-    mics = detect_mics(xs, vs, 1e-9, 3 * (4.0 / n))
+    tol_abs = _band(1e-9, vs)
+    mics = detect_mics(xs, vs, tol_abs, 3 * (4.0 / n))
     assert len(mics) == 1
     inside = [i for i, x in enumerate(xs) if mics[0].lo <= x <= mics[0].hi]
     i0, i1 = inside[0], inside[-1]
@@ -263,16 +268,16 @@ def test_mics_maximality():
 
 
 def test_mics_whole_span_flagged_open():
-    samples = _samples(lambda x: 2.0, 0.0, 1.0)
-    mics = detect_mics(*samples, 1e-9, 0.1)
+    xs, vs = _samples(lambda x: 2.0, 0.0, 1.0)
+    mics = detect_mics(xs, vs, _band(1e-9, vs), 0.1)
     assert len(mics) == 1
     assert not mics[0].lo_closed and not mics[0].hi_closed
 
 
-@pytest.mark.parametrize("tol", [-1e-9, math.nan])
-def test_mics_rejects_negative_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        detect_mics(*_samples(lambda x: 1.0, 0.0, 1.0), tol, 0.0)
+@pytest.mark.parametrize("band", [-1e-9, math.nan])
+def test_mics_rejects_negative_tol(band):
+    with pytest.raises(ValueError, match="band"):
+        detect_mics(*_samples(lambda x: 1.0, 0.0, 1.0), band, 0.0)
 
 
 def test_mics_zero_tol_run_on_the_last_sample():
@@ -355,10 +360,11 @@ def test_mics_sweep_matches_reference_on_generated_pairs():
         table = mr.sample_table(pair)
         for column, probe in ((table.r, mr.ratio_at), (table.rho, mr.rho_at),
                               (table.rho_tilde, mr.rho_tilde_at)):
-            args = (1e-9, 3 * table.step)
             bound = functools.partial(probe, pair)
-            got = detect_mics(table.xs, column, *args, probe=bound)
-            want = _reference_detect_mics(list(zip(table.xs, column)), *args, probe=bound)
+            got = detect_mics(table.xs, column, _band(1e-9, column), 3 * table.step,
+                              probe=bound)
+            want = _reference_detect_mics(list(zip(table.xs, column)), 1e-9, 3 * table.step,
+                                          probe=bound)
             assert got == want, (seed, probe.__name__)
 
 
@@ -389,14 +395,14 @@ def test_mics_sweep_matches_reference_on_plateaus_and_ties():
         step = (xs[-1] - xs[0]) / (n - 1)
         tol = 0.0 if case % 3 else rng.choice((1e-9, 0.3))
         min_ic_len = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, 6.0)) * step
-        got = detect_mics(xs, vs, tol, min_ic_len)
+        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
         assert got == _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len), case
 
 
 def _jump_column(rng, n):
     """Plateaus (exactly flat or wandering inside a 1e-9 band), isolated
     jump samples, alternating singletons and ramps, with plateaus that
-    touch a jump on either side; now and then a sample is +-inf."""
+    touch a jump on either side; now and then a sample jumps to +-1e300."""
     vs = []
     while len(vs) < n:
         roll = rng.random()
@@ -411,57 +417,83 @@ def _jump_column(rng, n):
         elif roll < 0.85:
             vs += [base + 0.3 * k for k in range(rng.randint(2, 10))]
         elif roll < 0.95:
-            vs.append(rng.choice((math.inf, -math.inf)))
+            vs.append(rng.choice((1e300, -1e300)))
         else:
             vs += [base] * rng.randint(2, 6)
     return vs[:n]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ArithmeticError, ValueError) as err:
-        return type(err).__name__, str(err)
-
-
 def test_mics_split_sweep_matches_reference_on_jumps_and_infinities():
+    # every column is finite, so neither side may raise
     rng = random.Random(20060807)
     for case in range(800):
         n = rng.choice((16, 33, 100, 257))
         xs = _grid(-1.0, 2.0, n)
         vs = _jump_column(rng, n)
-        if case % 50 == 0:  # both infinities: the column is swept whole
-            vs[rng.randrange(n)] = math.inf
-            vs[rng.randrange(n)] = -math.inf
+        if case % 50 == 0:  # jumps to both extremes: steps of 2e300
+            vs[rng.randrange(n)] = 1e300
+            vs[rng.randrange(n)] = -1e300
         step = 3.0 / n
         tol = rng.choice((0.0, 0.0, 1e-9, 1e-3, 0.3))
         min_ic_len = rng.choice((0.0, 0.0, 0.5, 2.0, 3.0)) * step
-        got = _outcome(detect_mics, xs, vs, tol, min_ic_len)
-        want = _outcome(_reference_detect_mics, list(zip(xs, vs)), tol, min_ic_len)
+        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
+        want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
         assert got == want, (case, vs, tol, min_ic_len)
-        if isinstance(got, tuple) and got and isinstance(got[0], Interval):
-            # the closed/open flags too, which Interval equality also covers
-            assert [(m.lo_closed, m.hi_closed) for m in got] == \
-                [(m.lo_closed, m.hi_closed) for m in want]
+        # the closed/open flags too, which Interval equality also covers
+        assert [(m.lo_closed, m.hi_closed) for m in got] == \
+            [(m.lo_closed, m.hi_closed) for m in want]
 
 
 @pytest.mark.parametrize("vs,tol,min_ic_len", [
     ([0.0, 1.0] * 8, 1e-9, 0.0),  # alternating singletons all survive
     ([0.0] * 5 + [4.0] + [0.0] * 5 + [4.0] * 5, 0.0, 0.0),  # isolated jump, tol 0
-    ([1.0] * 6 + [math.inf] * 4 + [1.0] * 6, 1e-9, 0.0),  # inf - inf is no cut
-    ([2.0] * 7 + [-math.inf] + [2.0] * 8, 0.0, 0.1),
+    ([1.0] * 6 + [1e300] * 4 + [1.0] * 6, 1e-9, 0.0),  # a huge plateau between two cuts
+    ([2.0] * 7 + [-1e300] + [2.0] * 8, 0.0, 0.1),  # a lone huge jump
 ])
 def test_mics_split_sweep_edge_columns(vs, tol, min_ic_len):
     xs = _grid(0.0, 1.0, len(vs))
-    assert _outcome(detect_mics, xs, vs, tol, min_ic_len) == \
-        _outcome(_reference_detect_mics, list(zip(xs, vs)), tol, min_ic_len)
+    assert detect_mics(xs, vs, _band(tol, vs), min_ic_len) == \
+        _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+
+
+@pytest.mark.parametrize("vs", [
+    [1.0] * 6 + [math.inf] * 4 + [1.0] * 6,  # once a BadBracket in detect_mics
+    [math.nan] + [1.0] * 15,  # once read as a negative sign: DownUp
+    [1.0] * 8 + [-math.inf] + [1.0] * 7,
+])
+def test_detectors_reject_non_finite_samples(vs):
+    xs = _grid(0.0, 1.0, len(vs))
+    bad_x = xs[next(i for i, v in enumerate(vs) if not math.isfinite(v))]
+    match = re.escape(f"x = {bad_x!r} is not finite")
+    for mode in ("values", "diffs"):
+        with pytest.raises(ValueError, match=match):
+            detect_pattern(xs, vs, 1e-9, mode=mode)
+    with pytest.raises(ValueError, match=match):
+        detect_mics(xs, vs, 1e-9, 0.0)
+    with pytest.raises(ValueError, match=match):
+        level0_set(xs, vs, 1e-9, lambda t: 1.0, Interval(0.0, 1.0))
+
+
+def test_detectors_accept_finite_samples_whose_sum_overflows():
+    xs = _grid(0.0, 1.0, 16)
+    vs = [1.5e308] * 16
+    assert [m.as_pair() for m in detect_mics(xs, vs, 0.0, 0.0)] == [(xs[0], xs[-1])]
+    assert detect_pattern(xs, vs, 0.0, mode="diffs").kind is PatternKind.CONSTANT
+    assert level0_set(xs, vs, 0.0, lambda t: 1.5e308, Interval(0.0, 1.0)) is None
 
 
 # --- level0_set --------------------------------------------------------------
 
+def _level0(pair, table=None):
+    """level0_set on the pair's rho-tilde column, banded as check_pair bands it."""
+    table = table or mr.sample_table(pair)
+    return level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
+                      functools.partial(mr.rho_tilde_at, pair), pair.window)
+
+
 def test_level0_staircase(staircase_pair):
     pair, _, _ = staircase_pair
-    l0 = level0_set(pair, 1e-7, mr.sample_table(pair))
+    l0 = _level0(pair)
     assert l0 is not None
     assert l0.lo == pytest.approx(-1.0, abs=1e-3)
     assert l0.hi == pytest.approx(1.0, abs=1e-3)
@@ -470,14 +502,14 @@ def test_level0_staircase(staircase_pair):
 def test_level0_none_when_rho_tilde_positive():
     pair = mr.make_pair(mr.expr_fn("x^2"), mr.expr_fn("x"),
                         Interval(0.1, 10.0), 256)
-    assert level0_set(pair, 1e-7, mr.sample_table(pair)) is None
+    assert _level0(pair) is None
 
 
 def test_level0_single_crossing_degenerate():
     # rho-tilde = x^2/2 - 0.5 crosses zero once at x = 1
     pair = mr.make_pair(mr.expr_fn("x^2/2 + 0.5"), mr.expr_fn("x"),
                         Interval(0.1, 2.0), 512)
-    l0 = level0_set(pair, 1e-7, mr.sample_table(pair))
+    l0 = _level0(pair)
     assert l0 is not None and l0.degenerate
     # brute-force oracle: the fine-grid minimizer of |rho-tilde|
     xs = [0.1 + i * (1.9 / 50000) for i in range(50001)]
@@ -490,7 +522,7 @@ def test_level0_non_interval_for_wavy_rho():
     pair = mr.make_pair(mr.expr_fn("sin(x)"), mr.expr_fn("x"),
                         Interval(0.1, 9.0), 1024)
     with pytest.raises(NonInterval):
-        level0_set(pair, 1e-7, mr.sample_table(pair))
+        _level0(pair)
 
 
 def test_level0_close_double_crossing_is_non_interval():
@@ -500,7 +532,7 @@ def test_level0_close_double_crossing_is_non_interval():
     f = "(-1.977267)*(exp(-x) - 2.60666)^3 + (-0.101499)*exp(-x) + (-0.000974)"
     pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(-x)"), Interval(-2.0, 2.0))
     with pytest.raises(NonInterval, match="even number"):
-        level0_set(pair, 1e-7, mr.sample_table(pair))
+        _level0(pair)
     report = mr.check_pair(pair)
     assert report.failure and not report.all_ok
 
@@ -508,8 +540,8 @@ def test_level0_close_double_crossing_is_non_interval():
 def test_level0_agrees_with_r_mics(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
-    l0 = level0_set(pair, 1e-7, table)
-    mics = detect_mics(table.xs, table.r, 1e-9, 3 * pair.window.length / 2048,
+    l0 = _level0(pair, table)
+    mics = detect_mics(table.xs, table.r, _band(1e-9, table.r), 3 * pair.window.length / 2048,
                        probe=lambda t: mr.ratio_at(pair, t))
     assert len(mics) == 1
     assert abs(mics[0].lo - l0.lo) <= 2e-3

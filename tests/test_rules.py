@@ -4,6 +4,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import Direction, Family, Interval, PatternKind
+from monoratio import rules
 from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, _inside,
                             predict_r_family, predict_rho_tilde_dir)
 
@@ -74,6 +75,29 @@ def test_tolerances_reject_bad_tol_zero(tol_zero):
 
 def test_tolerances_accept_zero_tol_zero():
     assert Tolerances(tol_zero=0.0).tol_zero == 0.0
+
+
+@pytest.mark.parametrize("name", ["tol_flat", "min_ic_steps", "switch_tol", "mic_match_steps",
+                                  "residual_tol", "c_tol", "fd_shrink"])
+def test_tolerances_set_only_tol_zero(name):
+    with pytest.raises(TypeError):
+        Tolerances(**{name: 1e-8})
+    tol = Tolerances(tol_zero=1e-5)
+    assert list(tol.as_dict()) == ["tol_zero", "tol_flat", "min_ic_steps", "switch_tol",
+                                   "mic_match_steps", "residual_tol", "c_tol", "fd_shrink"]
+    assert tol.as_dict()["tol_zero"] == 1e-5
+    assert tol.as_dict()[name] == getattr(Tolerances, name)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_pair_takes_one_median_per_column_and_fitted_flat(seed, monkeypatch):
+    # r, rho and rho-tilde once each for every band, plus one per m.i.c. fit
+    calls = []
+    median_abs = rules.median_abs
+    monkeypatch.setattr(rules, "median_abs", lambda vs: calls.append(len(vs)) or median_abs(vs))
+    report = mr.check_pair(mr.random_pair(seed)[0])
+    assert len(calls) == 3 + len(report.mic_fits)
+    assert calls[:3] == [report.grid_n] * 3
 
 
 def test_flat_index_range_is_the_samples_inside():
