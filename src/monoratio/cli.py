@@ -63,10 +63,18 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors (subcommands' too) raise _UsageError
-    inside main's boundary instead of printing usage and exiting 2."""
+    inside main's boundary instead of printing usage and exiting 2, and
+    which reads every token float() accepts (-1e-3, -inf) as a value."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _checked_tolerances(args, windows) -> Tolerances:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .intervals import Interval
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
-                    check_g_assumptions, columns, make_pair)
+                    check_g_assumptions, columns, make_pair, values)
 
 
 class QuadratureError(ArithmeticError):
@@ -315,13 +315,11 @@ class ConstructedFn:
         _, gd = self.g(x)
         return self._base + self._antideriv(x, self._leaf(x)) - self._Fz, rv * gd
 
-    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x."""
-        rv, _ = columns(self.rho, xs)
-        _, gd = columns(self.g, xs)
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """The value at every x, the float of one call per x."""
         starts, table, last = self._starts, self._table, len(self._starts) - 1
         base, fz = self._base, self._Fz
-        values = []
+        out = []
         i, lo, nxt = 0, math.nan, -math.inf
         for x in xs:
             if not lo <= x < nxt:  # left leaf i: reload its start and coefficients
@@ -333,9 +331,13 @@ class ConstructedFn:
                 lo, nxt = starts[i], starts[i + 1] if i < last else math.inf
                 c0, inv_h, c1, c2, c3, c4, c5 = table[7 * i:7 * i + 7]
             t = (x - lo) * inv_h
-            values.append(base + (c0 + t * (c1 + t * (c2 + t * (c3 + t * (
+            out.append(base + (c0 + t * (c1 + t * (c2 + t * (c3 + t * (
                 c4 + t * c5))))) - fz)
-        return values, list(map(mul, rv, gd))
+        return out
+
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x."""
+        return self.values(xs), list(map(mul, values(self.rho, xs), columns(self.g, xs)[1]))
 
     def __repr__(self) -> str:
         return f"ConstructedFn({self.label})"
@@ -346,11 +348,11 @@ def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -
     direction reverses; steps within 1e-12 relative count as flat."""
     step = window.length / (n - 1)
     xs = [window.lo + i * step for i in range(n)]
-    values, _ = columns(rho, xs)
-    tol = 1e-12 * (1.0 + max(map(abs, values)))
+    vs = values(rho, xs)
+    tol = 1e-12 * (1.0 + max(map(abs, vs)))
     direction = 0
     for i in range(n - 1):
-        delta = values[i + 1] - values[i]
+        delta = vs[i + 1] - vs[i]
         step_dir = 1 if delta > tol else -1 if delta < -tol else 0
         if step_dir and step_dir == -direction:
             raise ValidationError(xs[i], "rho is not monotone on the window")

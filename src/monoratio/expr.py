@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import add, ge, le, lt, mul, sub, truediv
+from operator import add, ge, le, lt, mul, neg, sub, truediv
 from typing import NamedTuple, Sequence
 
 # the syntax names stay importable from here
@@ -201,101 +201,96 @@ def eval_dual(ast: Expr, x: float) -> Dual:
 # at a zero base).  Either way the block is walked again point by point,
 # which gives the scalar floats or raises the scalar walk's DomainFault at
 # the first faulting x: the fault rules live in the scalar walk alone.
+#
+# A walk for values alone skips the derivatives, except at the nodes where
+# the scalar walk can fault on a derivative and not on the value: there it
+# takes the node's full rule, derivatives and all.
 
 COLUMN_BLOCK = 256  # points per column walk; bounds the transient lists
 
 _positive = partial(lt, 0.0)
 
 
-def _c_neg(v: list, d: list) -> tuple[list, list]:
-    return [-a for a in v], [-b for b in d]
+def _abs_slope(v: list, w: list, d: list) -> list:
+    return [(1.0 if a > 0.0 else (-1.0 if a < 0.0 else 0.0)) * b for a, b in zip(v, d)]
 
 
-def _c_sin(v: list, d: list) -> tuple[list, list]:
-    return list(map(math.sin, v)), list(map(mul, map(math.cos, v), d))
-
-
-def _c_cos(v: list, d: list) -> tuple[list, list]:
-    return list(map(math.cos, v)), [-s * b for s, b in zip(map(math.sin, v), d)]
-
-
-def _c_exp(v: list, d: list) -> tuple[list, list]:
-    e = list(map(math.exp, v))
-    return e, list(map(mul, e, d))
-
-
-def _c_log(v: list, d: list) -> tuple[list, list]:
-    return list(map(math.log, v)), list(map(truediv, d, v))
-
-
-def _c_sqrt(v: list, d: list) -> tuple[list, list]:
-    s = list(map(math.sqrt, v))
-    return s, [b / (2.0 * r) for b, r in zip(d, s)]
-
-
-def _c_abs(v: list, d: list) -> tuple[list, list]:
-    return list(map(abs, v)), [(1.0 if a > 0.0 else (-1.0 if a < 0.0 else 0.0)) * b
-                               for a, b in zip(v, d)]
-
-
-def _c_atan(v: list, d: list) -> tuple[list, list]:
-    return list(map(math.atan, v)), [b / (1.0 + a * a) for a, b in zip(v, d)]
-
-
-def _c_tanh(v: list, d: list) -> tuple[list, list]:
-    t = list(map(math.tanh, v))
-    return t, [(1.0 - u * u) * b for u, b in zip(t, d)]
-
-
+# op -> (the value map, and the derivatives from the argument's values v,
+# the node's values w and the argument's derivatives d)
 _UNARY_COLUMN = {
-    "neg": _c_neg, "sin": _c_sin, "cos": _c_cos, "exp": _c_exp,
-    "log": _c_log, "sqrt": _c_sqrt, "abs": _c_abs, "atan": _c_atan,
-    "tanh": _c_tanh,
+    "neg": (neg, lambda v, w, d: list(map(neg, d))),
+    "sin": (math.sin, lambda v, w, d: list(map(mul, map(math.cos, v), d))),
+    "cos": (math.cos, lambda v, w, d: [-s * b for s, b in zip(map(math.sin, v), d)]),
+    "exp": (math.exp, lambda v, w, d: list(map(mul, w, d))),
+    "log": (math.log, lambda v, w, d: list(map(truediv, d, v))),
+    "sqrt": (math.sqrt, lambda v, w, d: [b / (2.0 * r) for b, r in zip(d, w)]),
+    "abs": (abs, _abs_slope),
+    "atan": (math.atan, lambda v, w, d: [b / (1.0 + a * a) for a, b in zip(v, d)]),
+    "tanh": (math.tanh, lambda v, w, d: [(1.0 - u * u) * b for u, b in zip(w, d)]),
 }
 
 
-def _column(node: Expr, xs: list[float]) -> tuple[list, list]:
+def _column(node: Expr, xs: list[float], slopes: bool = True) -> tuple[list, list | None]:
+    """(values, derivatives) of node over xs; with slopes False the
+    derivatives are None."""
     if isinstance(node, Const):
-        return [node.value] * len(xs), [0.0] * len(xs)
+        return [node.value] * len(xs), [0.0] * len(xs) if slopes else None
     if isinstance(node, Var):
-        return xs, [1.0] * len(xs)
+        return xs, [1.0] * len(xs) if slopes else None
     if isinstance(node, Unary):
-        return _UNARY_COLUMN[node.op](*_column(node.arg, xs))
-    a, da = _column(node.lhs, xs)
-    b, db = _column(node.rhs, xs)
+        v, d = _column(node.arg, xs, slopes)
+        fn, slope = _UNARY_COLUMN[node.op]
+        if not slopes and fn is math.sqrt and 0.0 in v:
+            return _column(node, xs)[0], None  # the slope is singular at zero
+        w = list(map(fn, v))
+        return w, slope(v, w, d) if slopes else None
+    a, da = _column(node.lhs, xs, slopes)
+    b, db = _column(node.rhs, xs, slopes)
     if isinstance(node, Call2):
         take_lhs = list(map(le if node.op == "min" else ge, a, b))
         return ([p if t else q for t, p, q in zip(take_lhs, a, b)],
-                [p if t else q for t, p, q in zip(take_lhs, da, db)])
+                [p if t else q for t, p, q in zip(take_lhs, da, db)] if slopes else None)
     op = node.op
     if op == "+":
-        return list(map(add, a, b)), list(map(add, da, db))
+        return list(map(add, a, b)), list(map(add, da, db)) if slopes else None
     if op == "-":
-        return list(map(sub, a, b)), list(map(sub, da, db))
+        return list(map(sub, a, b)), list(map(sub, da, db)) if slopes else None
     if op == "*":
-        return list(map(mul, a, b)), [p * y + x * q for x, p, y, q in zip(a, da, b, db)]
+        return (list(map(mul, a, b)),
+                [p * y + x * q for x, p, y, q in zip(a, da, b, db)] if slopes else None)
     if op == "/":
         inv = [1.0 / y for y in b]
         return (list(map(mul, a, inv)),
-                [(p * y - x * q) * i * i for x, p, y, q, i in zip(a, da, b, db, inv)])
+                [(p * y - x * q) * i * i for x, p, y, q, i in zip(a, da, b, db, inv)]
+                if slopes else None)
     if isinstance(node.rhs, Const):
         # _d_pow's constant-exponent case off a zero base, when no base is
         # negative or the exponent is integral (float ** int computes as
         # float ** float, so both of its branches are this formula)
         c = node.rhs.value
         if all(map(_positive, a)) or (all(a) and c == round(c)):
-            c1 = c - 1.0
-            return [x ** c for x in a], [c * x ** c1 * p for x, p in zip(a, da)]
+            v = [x ** c for x in a]
+            if slopes:
+                c1 = c - 1.0
+                return v, [c * x ** c1 * p for x, p in zip(a, da)]
+            # the slope's x ** (c - 1), about |x ** c / x|, cannot overflow
+            # below this (a NaN fails the test)
+            if max(map(abs, v)) < 1e300 * min(map(abs, a)):
+                return v, None
+    if not slopes:
+        return _column(node, xs)[0], None
     pairs = list(map(_d_pow, a, da, b, db))
     return [v for v, _ in pairs], [d for _, d in pairs]
 
 
-def _eval_block(ast: Expr, chunk: Sequence[float]) -> tuple[list, list]:
+def _eval_block(ast: Expr, chunk: Sequence[float],
+                slopes: bool = True) -> tuple[list, list | None]:
     """(values, derivatives) over one block: one column walk, or where that
-    raises, the scalar walk point by point."""
+    raises, the scalar walk point by point.  With slopes False the column
+    walk's derivatives are None."""
     try:
         if all(map(math.isfinite, chunk)):
-            return _column(ast, list(map(float, chunk)))
+            return _column(ast, list(map(float, chunk)), slopes)
     except (ArithmeticError, ValueError):
         pass
     pairs = [_eval_checked(ast, x) for x in chunk]
@@ -325,6 +320,14 @@ class ExprFn:
             values += v
             derivs += d
         return values, derivs
+
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """column(xs)'s values, faults included, with the derivatives
+        computed only where a fault can depend on them."""
+        values: list[float] = []
+        for k in range(0, len(xs), COLUMN_BLOCK):
+            values += _eval_block(self.ast, xs[k:k + COLUMN_BLOCK], False)[0]
+        return values
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

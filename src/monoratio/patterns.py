@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, groupby, repeat
-from operator import add, eq, le, lt, sub
+from operator import eq, lt, sub
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -230,12 +230,13 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     starts, ends = [0, *cuts], [*cuts, n]
     sizes = list(map(sub, ends, starts))
     # the cells right and left of each sample (none past the ends); a
-    # one-sample piece is a run of its own, and the length test of the
-    # loop further down, taken for all of them at once, drops the short ones
+    # one-sample piece is a run of its own, which the length test of the
+    # loop further down drops whenever two cells fit in min_ic_len
     cell = list(map(sub, xs[1:], xs))
     right, left = [*cell, xs[-1] - xs[-1]], [xs[0] - xs[0], *cell]
-    short = list(map(le, map(add, map(add, map(sub, xs, xs), right), left), repeat(min_ic_len)))
-    raw_runs = [(i, i) for i in compress(starts, map(eq, sizes, repeat(1))) if not short[i]]
+    raw_runs = []
+    if not 2.0 * max(cell) <= min_ic_len:
+        raw_runs += ((i, i) for i in compress(starts, map(eq, sizes, repeat(1))))
     for a, b in compress(zip(starts, ends), map(lt, repeat(1), sizes)):
         # streaming min/max filter (Lemire 2006): the deques hold the
         # indices of the window [lo..j]'s running max and min; when j

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 from .intervals import Interval
 
 # Anything callable as x -> (value, derivative).  One may also have a
-# column(xs) -> (values, derivatives) method, which columns() prefers.
+# column(xs) -> (values, derivatives) method, which columns() prefers, and
+# a values(xs) -> values method, which values() prefers.
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -118,6 +119,15 @@ def columns(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], lis
         return column(xs)
     pairs = list(map(fn, xs))
     return [v for v, _ in pairs], [d for _, d in pairs]
+
+
+def values(fn: DifferentiableFn, xs: Sequence[float]) -> list[float]:
+    """The values of columns(fn, xs): fn.values(xs) when fn has that
+    method, which computes no derivative it need not."""
+    only_values = getattr(fn, "values", None)
+    if only_values is not None:
+        return only_values(xs)
+    return columns(fn, xs)[0]
 
 
 def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
@@ -284,6 +294,7 @@ def negated(fn: DifferentiableFn) -> DifferentiableFn:
 
     wrapped.label = f"-({getattr(fn, 'label', 'f')})"
     wrapped.column = column
+    wrapped.values = lambda xs: [-v for v in values(fn, xs)]
     return wrapped
 
 
@@ -301,4 +312,5 @@ def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
 
     wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
     wrapped.column = column
+    wrapped.values = lambda xs: values(fn, [-x for x in reversed(xs)])[::-1]
     return wrapped

@@ -22,15 +22,16 @@ import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import truediv
+from itertools import compress, repeat
+from operator import add, le, lt, not_, sub, truediv
 from typing import ClassVar
 
 from .expr import COLUMN_BLOCK
 from .intervals import Interval
 from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_mics, detect_pattern, level0_set)
-from .ratio import (FunctionPair, SampleTable, columns, median_abs, mirrored,
-                    negated, ratio_at, rho_at, rho_tilde_at, sample_table)
+from .ratio import (FunctionPair, SampleTable, median_abs, mirrored, negated,
+                    ratio_at, rho_at, rho_tilde_at, sample_table, values)
 
 
 class Direction(str, Enum):
@@ -257,23 +258,27 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
     """sign(r') = sign(rho-tilde) wherever rho-tilde is clear of zero; r' is
     probed by a central finite difference with a step well below the grid
     spacing, so curvature near a crossing cannot flip the compared sign.
-    r is evaluated as columns on the shifted points, COLUMN_BLOCK samples
-    at a time."""
+    r is evaluated from values alone on the shifted points, COLUMN_BLOCK
+    samples at a time."""
 
     def r_column(xs: list[float]) -> list[float]:
-        return list(map(truediv, columns(pair.f, xs)[0], columns(pair.g, xs)[0]))
+        return list(map(truediv, values(pair.f, xs), values(pair.g, xs)))
 
     violations = 0
     for k in range(0, len(table.xs), COLUMN_BLOCK):
-        kept = [(x, rt) for x, rt in zip(table.xs[k:k + COLUMN_BLOCK],
-                                         table.rho_tilde[k:k + COLUMN_BLOCK])
-                if abs(rt) > tol_abs]
-        r_hi = r_column([x + fd_step for x, _ in kept])
-        r_lo = r_column([x - fd_step for x, _ in kept])
-        for (_, rt), hi, lo in zip(kept, r_hi, r_lo):
-            fd = (hi - lo) / (2.0 * fd_step)
-            if fd == 0.0 or (fd > 0.0) != (rt > 0.0):
-                violations += 1
+        rts = table.rho_tilde[k:k + COLUMN_BLOCK]
+        kept = list(map(lt, repeat(tol_abs), map(abs, rts)))
+        xs = list(compress(table.xs[k:k + COLUMN_BLOCK], kept))
+        r_hi = r_column(list(map(add, xs, repeat(fd_step))))
+        r_lo = r_column(list(map(sub, xs, repeat(fd_step))))
+        fd = list(map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step)))
+        # a kept rho-tilde is nonzero; against rho-tilde > 0 a quotient
+        # that is not above 0 is a violation, against rho-tilde < 0 one
+        # that is 0 or above
+        rising = list(map(lt, repeat(0.0), compress(rts, kept)))
+        up = list(compress(fd, rising))
+        violations += (len(up) - sum(map(lt, repeat(0.0), up))
+                       + sum(map(le, repeat(0.0), compress(fd, map(not_, rising)))))
     return violations == 0, violations
 
 

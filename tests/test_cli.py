@@ -254,6 +254,29 @@ def test_construct_non_finite_k_is_usage_error(capsys, k):
     assert "--K" in err
 
 
+def test_spaced_negative_infinity_reaches_the_finiteness_check(capsys):
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x", "--z", "0", "--K", "-inf")
+    assert code == 64
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--K must be finite" in err
+
+
+@pytest.mark.parametrize("argv,same_as", [
+    ((*_CONSTRUCT, "--rho", "x", "--z", "0", "--K", "-1e-3"),
+     (*_CONSTRUCT, "--rho", "x", "--z", "0", "--K=-1e-3")),
+    (("analyze", "--f", "x^2 + 1", "--g", "exp(x)", "--grid-n", "256",
+      "--window", "-2e-1", "1"),
+     ("analyze", "--f", "x^2 + 1", "--g", "exp(x)", "--grid-n", "256",
+      "--window", "-0.2", "1")),
+], ids=["K", "window"])
+def test_negative_literal_after_a_space_is_a_value(capsys, argv, same_as):
+    # argparse alone takes -1e-3 for an option (only -1 or -0.2 count as numbers)
+    result = run(capsys, *argv)
+    assert result == run(capsys, *same_as)
+    assert result[0] == 0 and result[1] and result[2] == ""
+
+
 def test_construct_rho_domain_fault_at_z_is_assumption_failure(capsys):
     # the default K = rho(z) leaves log's domain
     code, out, err = run(capsys, *_CONSTRUCT, "--rho", "log(x)", "--z", "-1")

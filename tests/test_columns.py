@@ -11,7 +11,8 @@ import pytest
 
 import monoratio as mr
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn
-from monoratio.expr import COLUMN_BLOCK, DomainFault, ExprFn, parse
+from monoratio.expr import (COLUMN_BLOCK, Binary, Const, DomainFault, ExprFn, Var,
+                            parse)
 from monoratio.ratio import columns, median_abs, mirrored, negated
 from monoratio.rules import _check_sign_identity
 
@@ -36,6 +37,20 @@ def _by_column(fn, xs):
         return fn.column(xs)
     except DomainFault as err:
         return err.x, err.reason
+
+
+def _by_values(fn, xs):
+    """fn.values(xs) beside an empty derivative list, or the first fault's
+    (x, reason)."""
+    try:
+        return fn.values(xs), []
+    except DomainFault as err:
+        return err.x, err.reason
+
+
+def _values_of(result):
+    """A per-point result with its derivatives dropped (a fault as it is)."""
+    return result if isinstance(result[1], str) else (result[0], [])
 
 
 def _bits(result):
@@ -68,6 +83,7 @@ def test_expr_column_matches_per_point_calls_bit_for_bit():
             xs.sort()
         expected = _per_point(fn, xs)
         assert _bits(_by_column(fn, xs)) == _bits(expected), (fn, xs)
+        assert _bits(_by_values(fn, xs)) == _bits(_values_of(expected)), (fn, xs)
         if isinstance(expected[1], str):
             faulted += 1
         else:
@@ -85,10 +101,21 @@ def test_expr_column_matches_per_point_calls_bit_for_bit():
     ("x^(x - 1)", [2.0, 1.0, 0.5]),  # non-constant exponent
     ("min(x, 1 - x) + max(abs(x), 0.5)", [-1.0, 0.0, 0.5, 1.0]),
     ("tanh(x) + atan(x) - cos(x)*sin(x)", [-1.0, 0.0, 2.0]),
+    # where the scalar walk faults, or takes a special case, on a
+    # derivative alone, so values must not skip it
+    ("sqrt(0*x)", [1.0, -1.0]),  # a -0.0 argument gives +0.0
+    ("x^(x*0 + 0.5)", [1.0, 0.0]),  # non-constant exponent at a zero base
+    ("x^0.5", [1.0, 0.0]),  # constant exponent off the fast path
+    ("x^0.001", [1.0, 5e-324]),  # x ** (c - 1) overflows, x ** c does not
+    (Binary("^", Var(), Const(-308.0)), [1.0, 0.1]),  # the same, c < 0
+    (Binary("^", Binary("*", Var(), Const(1e-200)), Const(-1.5)), [1e150, 1.0]),
+    (Binary("^", Var(), Const(-400.0)), [1.0, 0.1]),  # x ** c overflows
 ])
 def test_expr_column_special_points(text, xs):
-    fn = ExprFn(parse(text))
-    assert _bits(_by_column(fn, xs)) == _bits(_per_point(fn, xs))
+    fn = ExprFn(parse(text) if isinstance(text, str) else text)
+    expected = _per_point(fn, xs)
+    assert _bits(_by_column(fn, xs)) == _bits(expected)
+    assert _bits(_by_values(fn, xs)) == _bits(_values_of(expected))
 
 
 def test_expr_column_rejects_non_finite_x_like_a_call():
@@ -97,6 +124,8 @@ def test_expr_column_rejects_non_finite_x_like_a_call():
         fn(math.inf)
     with pytest.raises(ValueError, match="finite"):
         fn.column([0.0] * COLUMN_BLOCK + [1.0, math.inf])
+    with pytest.raises(ValueError, match="finite"):
+        fn.values([0.0] * COLUMN_BLOCK + [1.0, math.inf])
 
 
 @pytest.mark.parametrize("seed", range(64))
@@ -114,6 +143,7 @@ def test_constructed_column_matches_per_point_calls(seed):
     for xs in (grid, sorted(extra), shuffled):
         expected = tuple(map(list, zip(*(f(x) for x in xs))))
         assert _bits(f.column(xs)) == _bits(expected)
+        assert _bits((f.values(xs), [])) == _bits((expected[0], []))
 
 
 _STAIRCASES = [
@@ -178,6 +208,7 @@ def test_reflection_wrappers_column_matches_per_point_calls(wrap):
         for xs in (grid, mirror_grid, shuffled):
             expected = tuple(map(list, zip(*map(wrapped, xs))))
             assert _bits(wrapped.column(xs)) == _bits(expected)
+            assert _bits((wrapped.values(xs), [])) == _bits((expected[0], []))
 
 
 class _CountCalls:
@@ -221,6 +252,55 @@ def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
             assert _check_sign_identity(pair, table, tol_abs, table.step / 16.0)[0]
         assert calls["rho"] == g.calls == calls["f"] < 100, (seed, calls, g.calls)
     assert labels == {g.label for g in G_TEMPLATES[1] + G_TEMPLATES[-1]}
+
+
+class _ValuesOnly:
+    """Forwards calls and values; a column would compute derivatives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def values(self, xs):
+        return self.fn.values(xs)
+
+    def column(self, xs):
+        raise AssertionError("column called")
+
+
+def _sign_violations_per_point(pair, table, tol_abs, fd_step):
+    """The sign-identity count by one comparison per grid point."""
+    violations = 0
+    for x, rt in zip(table.xs, table.rho_tilde):
+        if abs(rt) > tol_abs:
+            hi = pair.f(x + fd_step)[0] / pair.g(x + fd_step)[0]
+            lo = pair.f(x - fd_step)[0] / pair.g(x - fd_step)[0]
+            fd = (hi - lo) / (2.0 * fd_step)
+            if fd == 0.0 or (fd > 0.0) != (rt > 0.0):
+                violations += 1
+    return violations
+
+
+@pytest.mark.parametrize("f,g,window", [
+    ("exp(-x)*sin(3*x) + x^2/(1 + x^2)", "exp(x)", (-2.0, 2.0)),
+    ("x^3 - x", "x + 3", (-1.5, 2.0)),
+    ("2*exp(x)", "exp(x)", (-2.0, 2.0)),  # r is 2.0 exactly: every quotient is 0
+])
+def test_sign_identity_reads_values_alone(f, g, window):
+    # fakes whose column raises, against one comparison per point, on the
+    # pair's own rho-tilde and on columns that break the identity
+    pair = mr.make_pair(ExprFn(parse(f)), ExprFn(parse(g)), mr.Interval(*window))
+    table = mr.sample_table(pair)
+    fakes = dataclasses.replace(pair, f=_ValuesOnly(pair.f), g=_ValuesOnly(pair.g))
+    fd_step = table.step / 16.0
+    for rho_tilde in (table.rho_tilde, [-v for v in table.rho_tilde],
+                      [(-1.0) ** i * (1.0 + v) for i, v in enumerate(table.rho_tilde)]):
+        broken = dataclasses.replace(table, rho_tilde=rho_tilde)
+        tol_abs = 1e-7 * (1.0 + median_abs(rho_tilde))
+        expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
+        assert _check_sign_identity(fakes, broken, tol_abs, fd_step) == (expected == 0, expected)
 
 
 def test_columns_calls_a_plain_function_once_per_point():
