@@ -10,8 +10,13 @@ chosen one.  Since g is differentiable the Stieltjes integral reduces to
 an ordinary integral of rho*g'.  The build runs adaptive Simpson on a
 node grid split a priori at the staircase breakpoints and keeps every
 accepted panel as a leaf of a table: cumulative integral plus the
-integrated quartic through the leaf's five samples.  A query then looks
-up its leaf and evaluates a polynomial, with no integrand calls.
+integrated quartic through the leaf's five samples.  It works in blocks
+of node intervals: one column of rho's values and g's derivatives holds
+the five samples of every interval in the block, and the acceptance test,
+the coefficients and the running integral are column passes; only an
+interval whose first estimate fails is refined, one point at a time.  A
+query then looks up its leaf and evaluates a polynomial, with no
+integrand calls.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from operator import mul, neg
+from functools import partial
+from itertools import accumulate
+from operator import ge, mul, neg, sub
 from typing import Callable, Sequence
 
+from .expr import COLUMN_BLOCK
 from .intervals import Interval
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
                     check_g_assumptions, columns, make_pair, values)
@@ -83,6 +91,72 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
             half = 0.5 * panel_tol
             stack.append((x1, x2, f1, frm, f2, right, half, depth + 1))
             stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
+
+
+def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
+                  ends: Sequence[float], tol: float):
+    """The leaves _simpson_leaves(integrand, ends, tol, 40) yields, as the
+    columns (x0, h, f0, f1, f2, f3, f4), where integrand(u) is
+    rho(u)[0] * g(u)[1].
+
+    One column of rho's values and g's derivatives holds the five samples
+    of every interval [ends[j], ends[j + 1]], in ascending x, and the first
+    acceptance test runs on all intervals at once, with _simpson_leaves's
+    floats.  Only an interval that fails it goes to _simpson_leaves, which
+    samples it again one point at a time and refines it.
+    """
+    mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    xs = [0.0] * (4 * len(mids) + 1)
+    xs[0::4], xs[2::4] = ends, mids
+    xs[1::4] = [0.5 * (a + m) for a, m in zip(ends, mids)]
+    xs[3::4] = [0.5 * (m + b) for m, b in zip(mids, ends[1:])]
+    fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
+    hs = list(map(sub, ends[1:], ends))
+    f0, f1, f2, f3, f4 = fs[0:-1:4], fs[1::4], fs[2::4], fs[3::4], fs[4::4]
+    ests = [(h / 12.0 * (a + 4.0 * b + c) + h / 12.0 * (c + 4.0 * d + e)
+             - h / 6.0 * (a + 4.0 * c + e)) / 15.0
+            for h, a, b, c, d, e in zip(hs, f0, f1, f2, f3, f4)]
+    if all(hs) and all(map(partial(ge, tol), map(abs, ests))):
+        return ends[:-1], hs, f0, f1, f2, f3, f4
+
+    def integrand(u: float) -> float:
+        return rho(u)[0] * g(u)[1]
+
+    leaves = []
+    for a, b, h, est, *samples in zip(ends, ends[1:], hs, ests, f0, f1, f2, f3, f4):
+        if not abs(est) <= tol:
+            leaves += (leaf[:7] for leaf in _simpson_leaves(integrand, (a, b), tol, 40))
+        elif a != b:  # _simpson_leaves skips an empty interval
+            leaves.append((a, h, *samples))
+    return tuple(map(list, zip(*leaves))) or ([],) * 7
+
+
+def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[float],
+                  f3: list[float], f4: list[float], cum: float) -> tuple[list[float], float]:
+    """The table rows (cumulative integral, 1/h, c1 ... c5) of the leaves
+    with widths hs and samples f0 ... f4, and the cumulative integral after
+    the last, from cum before the first."""
+    # h * (integral from 0 to t of the quartic through (k/4, f_k))
+    # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
+    # of the samples; at t = 1 it is Boole's rule, the accepted value
+    p1, p2, p3, p4 = (list(map(sub, f1, f0)), list(map(sub, f2, f1)),
+                      list(map(sub, f3, f2)), list(map(sub, f4, f3)))
+    q1, q2, q3 = list(map(sub, p2, p1)), list(map(sub, p3, p2)), list(map(sub, p4, p3))
+    r1 = list(map(sub, q2, q1))
+    d1, d2, d3, d4 = p1, q1, r1, list(map(sub, map(sub, q3, q2), r1))
+    c1 = list(map(mul, hs, f0))
+    c2 = [h * (2.0 * a - b + 2.0 / 3.0 * c - 0.5 * d)
+          for h, a, b, c, d in zip(hs, d1, d2, d3, d4)]
+    c3 = [h * (8.0 / 3.0 * (b - c) + 22.0 / 9.0 * d) for h, b, c, d in zip(hs, d2, d3, d4)]
+    c4 = [h * (8.0 / 3.0 * c - 4.0 * d) for h, c, d in zip(hs, d3, d4)]
+    c5 = [h * (32.0 / 15.0 * d) for h, d in zip(hs, d4)]
+    cums = list(accumulate(
+        [a + (b + (c + (d + e))) for a, b, c, d, e in zip(c1, c2, c3, c4, c5)], initial=cum))
+    cum = cums.pop()
+    rows = [0.0] * (7 * len(hs))
+    rows[0::7], rows[1::7] = cums, [1.0 / h for h in hs]
+    rows[2::7], rows[3::7], rows[4::7], rows[5::7], rows[6::7] = c1, c2, c3, c4, c5
+    return rows, cum
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +268,15 @@ class StaircaseFn:
             return self._values[i - 1], 0.0
         return self._values[i - 1] + s * (x - nodes[i - 1]), s
 
-    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x.
-        The segment index moves along ascending xs; it is bisected again
-        only where xs step back or are NaN."""
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """The value at every x, the float of one call per x.  The segment
+        index moves along ascending xs; it is bisected again only where xs
+        step back or are NaN."""
         nodes, slopes, last = self.breakpoints, self._slopes, len(self.breakpoints)
         if not nodes:
             s, a = slopes[0], self.spec.anchor_value
-            return [a + s * x for x in xs], [s] * len(xs)
-        values, derivs = [], []
+            return [a + s * x for x in xs]
+        out = []
         i, prev, nxt = 0, math.nan, -math.inf
         for x in xs:
             if not prev <= x < nxt:
@@ -217,9 +291,13 @@ class StaircaseFn:
                 base, x0 = self._values[k], nodes[k]
                 nxt = nodes[i] if i < last else math.inf
             prev = x
-            values.append(base if s == 0.0 else base + s * (x - x0))
-            derivs.append(s)
-        return values, derivs
+            out.append(base if s == 0.0 else base + s * (x - x0))
+        return out
+
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x."""
+        nodes, slopes = self.breakpoints, self._slopes
+        return self.values(xs), [slopes[bisect.bisect_right(nodes, x)] for x in xs]
 
     def __repr__(self) -> str:
         return f"StaircaseFn({self.label})"
@@ -235,6 +313,8 @@ def make_staircase_rho(spec: StaircaseSpec) -> StaircaseFn:
 
 # panels of the uniform node grid the constructor starts from
 _PANELS = 1024
+# node intervals per build block: about COLUMN_BLOCK integrand samples
+_BLOCK_PANELS = COLUMN_BLOCK // 4
 
 
 class ConstructedFn:
@@ -244,15 +324,22 @@ class ConstructedFn:
     rho's breakpoints, so no panel straddles a known kink, and keeps every
     accepted sub-panel as a leaf: its start, its inverse width, the
     cumulative integral up to it and the five coefficients of the
-    integrated quartic through its five samples.  A query bisects for its
-    leaf and evaluates one degree-5 polynomial; it calls neither rho nor
-    g for the value.  A column of queries moves its leaf index along
-    ascending xs and bisects again only where xs step back.  At each leaf
-    end the polynomial equals the accepted Simpson value, so f is
-    continuous across leaves.  Outside the window
-    the first and last leaves' polynomials are extended, so f is only
-    meaningful on the window.  The derivative is rho(x)*g'(x) by
-    construction, not by differentiating the quadrature.
+    integrated quartic through its five samples.  It takes the node
+    intervals _BLOCK_PANELS at a time: _block_leaves reads rho and g as
+    columns over a block's samples and refines only the intervals whose
+    first estimate fails, and _quartic_rows turns the leaves into table
+    rows by column passes.  The table is, float for float, the one a build
+    of one integrand call per sample and one leaf at a time makes.  A
+    fault of rho (else of g) names the lowest faulting sample of its block.
+
+    A query bisects for its leaf and evaluates one degree-5 polynomial; it
+    calls neither rho nor g for the value.  A column of queries moves its
+    leaf index along ascending xs and bisects again only where xs step
+    back.  At each leaf end the polynomial equals the accepted Simpson
+    value, so f is continuous across leaves.  Outside the window the first
+    and last leaves' polynomials are extended, so f is only meaningful on
+    the window.  The derivative is rho(x)*g'(x) by construction, not by
+    differentiating the quadrature.
     """
 
     def __init__(self, g: DifferentiableFn, rho: DifferentiableFn, z: float,
@@ -264,9 +351,6 @@ class ConstructedFn:
         self.window = window
         self.quad_tol = quad_tol
 
-        def integrand(u: float) -> float:
-            return rho(u)[0] * g(u)[1]
-
         lo, hi, step = window.lo, window.hi, window.length / _PANELS
         nodes = [lo + i * step for i in range(_PANELS)]
         nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
@@ -275,23 +359,12 @@ class ConstructedFn:
         starts = array("d")
         table = array("d")  # per leaf: cumulative integral, 1/h, c1 ... c5
         cum = 0.0
-        for x0, h, f0, f1, f2, f3, f4, _ in _simpson_leaves(integrand, nodes,
-                                                            quad_tol, 40):
-            # h * (integral from 0 to t of the quartic through (k/4, f_k))
-            # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
-            # of the samples; at t = 1 it is Boole's rule, the accepted value
-            p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
-            q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
-            r1, r2 = q2 - q1, q3 - q2
-            d1, d2, d3, d4 = p1, q1, r1, r2 - r1
-            c1 = h * f0
-            c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
-            c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
-            c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
-            c5 = h * (32.0 / 15.0 * d4)
-            starts.append(x0)
-            table.extend((cum, 1.0 / h, c1, c2, c3, c4, c5))
-            cum += c1 + (c2 + (c3 + (c4 + c5)))
+        for k in range(0, len(nodes) - 1, _BLOCK_PANELS):
+            x0s, hs, *samples = _block_leaves(rho, g, nodes[k:k + _BLOCK_PANELS + 1],
+                                              quad_tol)
+            rows, cum = _quartic_rows(hs, *samples, cum)
+            starts.fromlist(x0s)
+            table.fromlist(rows)
         self._starts = starts
         self._table = table
         self._base = K * g(z)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import ne, truediv
 from typing import Callable, Sequence
@@ -73,11 +74,16 @@ class FunctionPair:
     grid_n: int
 
 
+@lru_cache(maxsize=4)
+def _chebyshev_cosines(n: int) -> tuple[float, ...]:
+    """cos(pi (2k + 1) / 2n) for k = n - 1 down to 0: ascending.  The
+    pipeline asks for two n alone (256 and 2048), whatever the window."""
+    return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in reversed(range(n)))
+
+
 def _chebyshev_points(window: Interval, n: int) -> list[float]:
     mid, half = window.midpoint, 0.5 * window.length
-    pts = [mid + half * math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n)]
-    pts.reverse()  # ascending
-    return pts
+    return [mid + half * c for c in _chebyshev_cosines(n)]
 
 
 def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, float],
@@ -117,6 +123,11 @@ def columns(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], lis
     column = getattr(fn, "column", None)
     if column is not None:
         return column(xs)
+    return _pointwise(fn, xs)
+
+
+def _pointwise(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(values, derivatives) of fn at every x, by one call per x in xs order."""
     pairs = list(map(fn, xs))
     return [v for v, _ in pairs], [d for _, d in pairs]
 
@@ -170,14 +181,14 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     xs = _chebyshev_points(window, n)
     values, derivs = columns(g, xs)
 
-    scale_v = max(1.0, max(map(abs, values)))
-    scale_d = max(1.0, max(map(abs, derivs)))
-    for x, v in zip(xs, values):
-        if abs(v) <= ZERO_REL_TOL * scale_v:
-            raise ZeroG(x)
-    for x, d in zip(xs, derivs):
-        if abs(d) <= ZERO_REL_TOL * scale_d:
-            raise ZeroGPrime(x)
+    for column, zero_error in ((values, ZeroG), (derivs, ZeroGPrime)):
+        tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
+        # one C-level pass; a NaN first sample makes min NaN, so that too
+        # takes the walk to the first sample at or below tol
+        if not min(map(abs, column)) > tol:
+            for x, v in zip(xs, column):
+                if abs(v) <= tol:
+                    raise zero_error(x)
 
     _chase_sign_flips(xs, window, ((values, lambda t: g(t)[0], "g", ZeroG),
                                    (derivs, lambda t: g(t)[1], "g'", ZeroGPrime)))
@@ -306,11 +317,22 @@ def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
         return v, -d
 
     def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        # fn sees the points in ascending order when xs ascend
-        values, derivs = columns(fn, [-x for x in reversed(xs)])
+        # fn sees the points in ascending order when xs ascend; a fault
+        # there names the last faulting x of xs, so a fault replays xs one
+        # call per x, in their own order, which raises at the first
+        try:
+            values, derivs = columns(fn, [-x for x in reversed(xs)])
+        except (ArithmeticError, ValueError):
+            return _pointwise(wrapped, xs)
         return values[::-1], [-d for d in reversed(derivs)]
+
+    def only_values(xs: Sequence[float]) -> list[float]:
+        try:
+            return values(fn, [-x for x in reversed(xs)])[::-1]
+        except (ArithmeticError, ValueError):
+            return _pointwise(wrapped, xs)[0]
 
     wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
     wrapped.column = column
-    wrapped.values = lambda xs: values(fn, [-x for x in reversed(xs)])[::-1]
+    wrapped.values = only_values
     return wrapped

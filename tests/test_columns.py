@@ -175,6 +175,7 @@ def test_staircase_column_matches_per_point_calls(spec):
     for xs in (grid, extra, shuffled, with_nan, grid[::-1], []):
         expected = tuple(map(list, zip(*map(rho, xs)))) or ([], [])
         assert _bits(rho.column(xs)) == _bits(expected)
+        assert _bits((rho.values(xs), [])) == _bits((expected[0], []))
 
 
 _TEMPLATE_XS = [-2.0 + (i + 0.5) * (4.0 / 512) for i in range(512)] + [
@@ -209,6 +210,14 @@ def test_reflection_wrappers_column_matches_per_point_calls(wrap):
             expected = tuple(map(list, zip(*map(wrapped, xs))))
             assert _bits(wrapped.column(xs)) == _bits(expected)
             assert _bits((wrapped.values(xs), [])) == _bits((expected[0], []))
+
+
+@pytest.mark.parametrize("read", [_per_point, _by_column, _by_values],
+                         ids=["call", "column", "values"])
+def test_mirrored_faults_at_the_first_x_like_a_call(read):
+    # both points fault; fn itself sees the reversed, negated xs
+    assert read(mirrored(mr.expr_fn("log(x)")), [1.0, 2.0]) == (
+        -1.0, "log of non-positive argument")
 
 
 class _CountCalls:

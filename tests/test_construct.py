@@ -1,12 +1,16 @@
 import math
+import random
+from array import array
 
 import pytest
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.construct import (GeneratorConfig, QuadratureError,
-                                 StaircaseError, StaircaseSpec, _simpson_leaves,
-                                 construct_f, make_staircase_rho, random_pair)
+from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
+                                 GeneratorConfig, QuadratureError,
+                                 StaircaseError, StaircaseFn, StaircaseSpec,
+                                 _draw_flats, _simpson_leaves, construct_f,
+                                 make_staircase_rho, random_pair)
 from monoratio.ratio import median_abs
 
 
@@ -164,6 +168,106 @@ def test_polynomial_case_near_machine_precision():
     g = mr.expr_fn("x + 3")
     f = construct_f(g, rho, z=0.0, K=0.0, window=Interval(-2.0, 2.0))
     assert f(2.0)[0] == pytest.approx(0.5, abs=1e-12)
+
+
+# --- the blocked table build -------------------------------------------------
+
+def _scalar_table(g, rho, window, quad_tol=1e-10):
+    """(starts, table) by one integrand call per sample and one leaf at a
+    time: the reference the blocked build must match float for float."""
+
+    def integrand(u):
+        return rho(u)[0] * g(u)[1]
+
+    lo, hi, step = window.lo, window.hi, window.length / _PANELS
+    nodes = [lo + i * step for i in range(_PANELS)]
+    nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
+    nodes.sort()
+    nodes.append(hi)
+    starts, table, cum = array("d"), array("d"), 0.0
+    for x0, h, f0, f1, f2, f3, f4, _ in _simpson_leaves(integrand, nodes, quad_tol, 40):
+        p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
+        q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
+        r1, r2 = q2 - q1, q3 - q2
+        d1, d2, d3, d4 = p1, q1, r1, r2 - r1
+        c1 = h * f0
+        c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
+        c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
+        c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
+        c5 = h * (32.0 / 15.0 * d4)
+        starts.append(x0)
+        table.extend((cum, 1.0 / h, c1, c2, c3, c4, c5))
+        cum += c1 + (c2 + (c3 + (c4 + c5)))
+    return starts, table
+
+
+def _build_specs():
+    """construct_build-style builds: every template g meets 0-3 flats."""
+    config, templates = GeneratorConfig(), G_TEMPLATES[1] + G_TEMPLATES[-1]
+    for i in range(64):
+        rng = random.Random(i)
+        window = Interval(*config.windows[i // 8 % 4])
+        flats = _draw_flats(rng, window, config, (i + i // 8) % 4)
+        spec = StaircaseSpec(
+            flats=flats, slopes=tuple(rng.uniform(*config.slope_range) for _ in range(len(flats) + 1)),
+            direction=rng.choice(("up", "down")), anchor_value=rng.uniform(*config.anchor_range))
+        yield templates[i % 8], make_staircase_rho(spec), window, 1e-10
+
+
+def _builds():
+    for seed in range(64):
+        pair, spec, _ = random_pair(seed)
+        yield f"seed{seed}", (pair.g, make_staircase_rho(spec), pair.window, 1e-10)
+    for i, build in enumerate(_build_specs()):
+        yield f"spec{i}", build
+    # the README's construct examples
+    window = Interval(-2.0, 2.0)
+    yield "readme-staircase", (mr.expr_fn("exp(x)"), make_staircase_rho(_unit_flat_spec()),
+                               window, 1e-10)
+    yield "readme-atan", (mr.expr_fn("exp(x)"), mr.expr_fn("atan(x)"), window, 1e-10)
+    # refined well past the node grid: about 1,550 leaves each
+    for text in ("exp(3*x)", "1/(x+2.1)"):
+        yield text, (mr.expr_fn(text), make_staircase_rho(StaircaseSpec()), window, 1e-13)
+
+
+_BUILDS = dict(_builds())
+
+
+@pytest.mark.parametrize("name", _BUILDS)
+def test_blocked_build_matches_scalar_build(name):
+    g, rho, window, quad_tol = _BUILDS[name]
+    f = ConstructedFn(g, rho, window.midpoint, 0.0, window, quad_tol)
+    starts, table = _scalar_table(g, rho, window, quad_tol)
+    assert f._starts == starts
+    assert f._table == table
+    if quad_tol < 1e-10:
+        assert len(starts) > 1500
+
+
+def test_blocked_build_depth_exhaustion_matches_scalar_build():
+    # a jump between nodes: the panel holding it never converges
+    def step_rho(x):
+        return (1.0 if x > 0.3 else 0.0), 0.0
+
+    g, window = mr.expr_fn("exp(x)"), Interval(-2.0, 2.0)
+    with pytest.raises(QuadratureError) as scalar:
+        _scalar_table(g, step_rho, window)
+    with pytest.raises(QuadratureError) as blocked:
+        ConstructedFn(g, step_rho, 0.0, 0.0, window)
+    assert (blocked.value.a, blocked.value.b, blocked.value.estimate) == \
+        (scalar.value.a, scalar.value.b, scalar.value.estimate)
+    assert blocked.value.a < 0.3 < blocked.value.b
+
+
+def test_blocked_build_without_split_makes_no_scalar_rho_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(StaircaseFn, "__call__",
+                        lambda self, x: calls.append(x) or (0.0, 0.0))
+    g, rho, window, _ = list(_build_specs())[3]
+    assert rho.breakpoints
+    f = construct_f(g, rho, window.midpoint, 0.0, window)
+    assert len(f._starts) == _PANELS + len(rho.breakpoints)  # no panel split
+    assert calls == []
 
 
 # --- the generator -----------------------------------------------------------

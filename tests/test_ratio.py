@@ -4,7 +4,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.ratio import median_abs
+from monoratio.ratio import _chebyshev_points, median_abs
 
 
 def _pair(f_src, g_src, lo, hi, n=256):
@@ -41,6 +41,26 @@ def test_make_pair_nan_g_is_sign_change():
     with pytest.raises(mr.SignChange) as exc:
         _pair("x", "exp(x) + 0*(1e308*x*10)", 0.0, 1.0)
     assert exc.value.x == pytest.approx(0.18, abs=1e-3)
+
+
+def test_zero_scan_names_the_first_zero_after_a_nan_first_sample():
+    # g is NaN below x = -0.18 (0 times an overflow) and 0 up to x = 0;
+    # a NaN first sample makes min NaN, which must not pass the scan
+    g = "max(x, 0) + 0*(1e308*(0-x)*10)"
+    xs = _chebyshev_points(Interval(-1.0, 1.0), 256)
+    assert math.isnan(mr.expr_fn(g)(xs[0])[0])
+    with pytest.raises(mr.ZeroG) as exc:
+        _pair("x", g, -1.0, 1.0)
+    assert exc.value.x == next(x for x in xs if mr.expr_fn(g)(x)[0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 256, 2047, 2048])
+@pytest.mark.parametrize("window", [(-2.0, 2.0), (-1.8, 2.2), (0.5, 3.0), (1.5, 5.0),
+                                    (-1e-3, 7.25)])
+def test_chebyshev_points_are_the_cosine_formula(window, n):
+    mid, half = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
+    want = [mid + half * math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in range(n)][::-1]
+    assert _chebyshev_points(Interval(*window), n) == want
 
 
 def test_make_pair_window_checks():
