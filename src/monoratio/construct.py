@@ -26,9 +26,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate
-from operator import ge, mul, neg, sub
+from itertools import accumulate, count
+from operator import mul, neg, sub
 from typing import Callable, Sequence
 
 from .expr import COLUMN_BLOCK
@@ -94,41 +93,49 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
 
 
 def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
-                  ends: Sequence[float], tol: float):
+                  ends: list[float], tol: float) -> list[list[float]]:
     """The leaves _simpson_leaves(integrand, ends, tol, 40) yields, as the
-    columns (x0, h, f0, f1, f2, f3, f4), where integrand(u) is
+    columns [x0, h, f0, f1, f2, f3, f4], where integrand(u) is
     rho(u)[0] * g(u)[1].
 
     One column of rho's values and g's derivatives holds the five samples
     of every interval [ends[j], ends[j + 1]], in ascending x, and the first
     acceptance test runs on all intervals at once, with _simpson_leaves's
-    floats.  Only an interval that fails it goes to _simpson_leaves, which
-    samples it again one point at a time and refines it.
+    floats.  An interval that fails it, or is empty, goes alone to
+    _simpson_leaves, which samples it again one point at a time and
+    refines or skips it; the intervals go in ascending order, so the first
+    QuadratureError is the one of the leaf-at-a-time build.  If the column
+    faults, every interval of the block goes that way, so the error raised
+    is the one the leaf-at-a-time build raises first.
     """
     mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     xs = [0.0] * (4 * len(mids) + 1)
     xs[0::4], xs[2::4] = ends, mids
     xs[1::4] = [0.5 * (a + m) for a, m in zip(ends, mids)]
     xs[3::4] = [0.5 * (m + b) for m, b in zip(mids, ends[1:])]
-    fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
+    try:
+        fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
+    except (ArithmeticError, ValueError):
+        fs = [math.nan] * len(xs)  # every estimate NaN: every interval fails
     hs = list(map(sub, ends[1:], ends))
     f0, f1, f2, f3, f4 = fs[0:-1:4], fs[1::4], fs[2::4], fs[3::4], fs[4::4]
     ests = [(h / 12.0 * (a + 4.0 * b + c) + h / 12.0 * (c + 4.0 * d + e)
              - h / 6.0 * (a + 4.0 * c + e)) / 15.0
             for h, a, b, c, d, e in zip(hs, f0, f1, f2, f3, f4)]
-    if all(hs) and all(map(partial(ge, tol), map(abs, ests))):
-        return ends[:-1], hs, f0, f1, f2, f3, f4
 
     def integrand(u: float) -> float:
         return rho(u)[0] * g(u)[1]
 
-    leaves = []
-    for a, b, h, est, *samples in zip(ends, ends[1:], hs, ests, f0, f1, f2, f3, f4):
-        if not abs(est) <= tol:
-            leaves += (leaf[:7] for leaf in _simpson_leaves(integrand, (a, b), tol, 40))
-        elif a != b:  # _simpson_leaves skips an empty interval
-            leaves.append((a, h, *samples))
-    return tuple(map(list, zip(*leaves))) or ([],) * 7
+    redone = []  # (j, interval j's leaves as columns), j ascending
+    for j, h, est in zip(count(), hs, ests):
+        if not (h and abs(est) <= tol):
+            refined = (leaf[:7] for leaf in _simpson_leaves(integrand, ends[j:j + 2], tol, 40))
+            redone.append((j, list(zip(*refined)) or [()] * 7))
+    leaves = [ends[:-1], hs, f0, f1, f2, f3, f4]
+    for j, parts in reversed(redone):
+        for column, part in zip(leaves, parts):
+            column[j:j + 1] = part
+    return leaves
 
 
 def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[float],
@@ -295,7 +302,9 @@ class StaircaseFn:
         return out
 
     def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x."""
+        """(values, derivatives) at every x, the floats of one call per x.
+        Kept for the column protocol: the pipeline reads a staircase rho
+        through values alone."""
         nodes, slopes = self.breakpoints, self._slopes
         return self.values(xs), [slopes[bisect.bisect_right(nodes, x)] for x in xs]
 
@@ -329,8 +338,10 @@ class ConstructedFn:
     columns over a block's samples and refines only the intervals whose
     first estimate fails, and _quartic_rows turns the leaves into table
     rows by column passes.  The table is, float for float, the one a build
-    of one integrand call per sample and one leaf at a time makes.  A
-    fault of rho (else of g) names the lowest faulting sample of its block.
+    of one integrand call per sample and one leaf at a time makes, and so
+    is the error: a block whose column faults is sampled again one point
+    at a time, so a fault of rho or g, or a QuadratureError before it,
+    is raised as that build raises it.
 
     A query bisects for its leaf and evaluates one degree-5 polynomial; it
     calls neither rho nor g for the value.  A column of queries moves its

@@ -11,6 +11,7 @@ from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
                                  StaircaseError, StaircaseFn, StaircaseSpec,
                                  _draw_flats, _simpson_leaves, construct_f,
                                  make_staircase_rho, random_pair)
+from monoratio.expr import DomainFault
 from monoratio.ratio import median_abs
 
 
@@ -257,6 +258,36 @@ def test_blocked_build_depth_exhaustion_matches_scalar_build():
     assert (blocked.value.a, blocked.value.b, blocked.value.estimate) == \
         (scalar.value.a, scalar.value.b, scalar.value.estimate)
     assert blocked.value.a < 0.3 < blocked.value.b
+
+
+def _faulty_step_rho(fault_lo, fault_hi):
+    """A step at 0.3 that rho faults on in [fault_lo, fault_hi): both in
+    the node block [0.25, 0.5] of [-2, 2], clear of the monotonicity
+    probe's samples."""
+    def rho(x):
+        if fault_lo <= x < fault_hi:
+            raise DomainFault(x, "planted fault")
+        return (1.0 if x > 0.3 else 0.0), 0.0
+    return rho
+
+
+@pytest.mark.parametrize("fault_lo, fault_hi, error", [
+    # the jump's interval stops the leaf-at-a-time build before it reaches
+    # the fault at 0.400390625, a sample of the same block
+    (0.4, 0.401, QuadratureError),
+    # [0.2578125, 0.26171875] faults at its mid, last quarter point and
+    # end; the leaf-at-a-time build samples the end first
+    (0.2597, 0.2618, DomainFault),
+])
+def test_blocked_build_raises_scalar_builds_error(fault_lo, fault_hi, error):
+    rho, g, window = _faulty_step_rho(fault_lo, fault_hi), mr.expr_fn("exp(x)"), Interval(-2.0, 2.0)
+    with pytest.raises(error) as scalar:
+        _scalar_table(g, rho, window)
+    with pytest.raises(error) as blocked:
+        construct_f(g, rho, 0.0, 0.0, window)
+    assert vars(blocked.value) == vars(scalar.value)
+    if error is DomainFault:
+        assert blocked.value.x == 0.26171875
 
 
 def test_blocked_build_without_split_makes_no_scalar_rho_calls(monkeypatch):
