@@ -235,7 +235,9 @@ class StaircaseFn:
 
     At a breakpoint the reported derivative is the right-hand slope; rho
     only ever appears inside integrals and value comparisons, so the
-    one-sided convention never leaks into results.
+    one-sided convention never leaks into results.  The pipeline reads a
+    staircase through values alone, so it has no column method: columns()
+    calls it once per x, which gives the same floats.
     """
 
     __slots__ = ("spec", "breakpoints", "_values", "_slopes", "label")
@@ -300,13 +302,6 @@ class StaircaseFn:
             prev = x
             out.append(base if s == 0.0 else base + s * (x - x0))
         return out
-
-    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x.
-        Kept for the column protocol: the pipeline reads a staircase rho
-        through values alone."""
-        nodes, slopes = self.breakpoints, self._slopes
-        return self.values(xs), [slopes[bisect.bisect_right(nodes, x)] for x in xs]
 
     def __repr__(self) -> str:
         return f"StaircaseFn({self.label})"

@@ -198,9 +198,10 @@ def eval_dual(ast: Expr, x: float) -> Dual:
 # as its scalar case above.  It raises wherever the scalar walk faults
 # (math's ValueError or OverflowError, ZeroDivisionError, _Fault), and it
 # may also raise where the scalar walk has a special case (sqrt or a power
-# at a zero base).  Either way the block is walked again point by point,
-# which gives the scalar floats or raises the scalar walk's DomainFault at
-# the first faulting x: the fault rules live in the scalar walk alone.
+# at a zero base).  Either way ratio.columns and ratio.values replay the
+# column point by point, which gives the scalar floats or raises the
+# scalar walk's DomainFault at the first faulting x: the fault rules live
+# in the scalar walk alone.
 #
 # A walk for values alone skips the derivatives, except at the nodes where
 # the scalar walk can fault on a derivative and not on the value: there it
@@ -283,20 +284,6 @@ def _column(node: Expr, xs: list[float], slopes: bool = True) -> tuple[list, lis
     return [v for v, _ in pairs], [d for _, d in pairs]
 
 
-def _eval_block(ast: Expr, chunk: Sequence[float],
-                slopes: bool = True) -> tuple[list, list | None]:
-    """(values, derivatives) over one block: one column walk, or where that
-    raises, the scalar walk point by point.  With slopes False the column
-    walk's derivatives are None."""
-    try:
-        if all(map(math.isfinite, chunk)):
-            return _column(ast, list(map(float, chunk)), slopes)
-    except (ArithmeticError, ValueError):
-        pass
-    pairs = [_eval_checked(ast, x) for x in chunk]
-    return [v for v, _ in pairs], [d for _, d in pairs]
-
-
 class ExprFn:
     """Adapter turning a parsed AST into a differentiable-function callable."""
 
@@ -309,25 +296,31 @@ class ExprFn:
     def __call__(self, x: float) -> tuple[float, float]:
         return _eval_checked(self.ast, x)
 
-    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x: the floats of one call per x,
-        walked in blocks of COLUMN_BLOCK points.  A fault raises the
-        DomainFault (or ValueError) the first faulting x raises alone."""
+    def _walk(self, xs: Sequence[float], slopes: bool) -> tuple[list, list]:
+        """_column over xs, COLUMN_BLOCK points at a time; ValueError up
+        front if an x is not finite.  With slopes False the derivatives
+        are empty."""
+        if not all(map(math.isfinite, xs)):
+            raise ValueError("x must be finite")
         values: list[float] = []
         derivs: list[float] = []
         for k in range(0, len(xs), COLUMN_BLOCK):
-            v, d = _eval_block(self.ast, xs[k:k + COLUMN_BLOCK])
+            v, d = _column(self.ast, list(map(float, xs[k:k + COLUMN_BLOCK])), slopes)
             values += v
-            derivs += d
+            derivs += d if slopes else ()
         return values, derivs
 
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x.
+        A fault raises whatever the column walk raises, for ratio.columns
+        to replay."""
+        return self._walk(xs, True)
+
     def values(self, xs: Sequence[float]) -> list[float]:
-        """column(xs)'s values, faults included, with the derivatives
-        computed only where a fault can depend on them."""
-        values: list[float] = []
-        for k in range(0, len(xs), COLUMN_BLOCK):
-            values += _eval_block(self.ast, xs[k:k + COLUMN_BLOCK], False)[0]
-        return values
+        """column(xs)'s values, with the derivatives computed only where a
+        fault can depend on them.  A fault raises as column does, for
+        ratio.values to replay."""
+        return self._walk(xs, False)[0]
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

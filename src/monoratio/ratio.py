@@ -21,7 +21,12 @@ from .intervals import Interval
 
 # Anything callable as x -> (value, derivative).  One may also have a
 # column(xs) -> (values, derivatives) method, which columns() prefers, and
-# a values(xs) -> values method, which values() prefers.
+# a values(xs) -> values method, which values() prefers.  Either method is
+# a fast path: where it returns, its floats are those of one call per x;
+# where one call per x faults, it raises an ArithmeticError or ValueError,
+# any one.  columns() and values() then replay xs one call per x, in xs
+# order, so a read gives the per-point floats or the first faulting x's
+# own error.  Any other exception propagates.
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -119,10 +124,14 @@ def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, fl
 
 def columns(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], list[float]]:
     """(values, derivatives) of fn at every x, the floats one call per x
-    gives: fn.column(xs) when fn has that method, else one call per x."""
+    gives, or the first faulting x's error: fn.column(xs) when fn has that
+    method and it returns, else one call per x."""
     column = getattr(fn, "column", None)
     if column is not None:
-        return column(xs)
+        try:
+            return column(xs)
+        except (ArithmeticError, ValueError):
+            pass
     return _pointwise(fn, xs)
 
 
@@ -133,12 +142,16 @@ def _pointwise(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], 
 
 
 def values(fn: DifferentiableFn, xs: Sequence[float]) -> list[float]:
-    """The values of columns(fn, xs): fn.values(xs) when fn has that
-    method, which computes no derivative it need not."""
+    """The values of columns(fn, xs), faults included: fn.values(xs) when
+    fn has that method and it returns, which computes no derivative it
+    need not."""
     only_values = getattr(fn, "values", None)
-    if only_values is not None:
+    if only_values is None:
+        return columns(fn, xs)[0]
+    try:
         return only_values(xs)
-    return columns(fn, xs)[0]
+    except (ArithmeticError, ValueError):
+        return _pointwise(fn, xs)[0]
 
 
 def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
@@ -318,21 +331,11 @@ def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
 
     def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
         # fn sees the points in ascending order when xs ascend; a fault
-        # there names the last faulting x of xs, so a fault replays xs one
-        # call per x, in their own order, which raises at the first
-        try:
-            values, derivs = columns(fn, [-x for x in reversed(xs)])
-        except (ArithmeticError, ValueError):
-            return _pointwise(wrapped, xs)
+        # there names the last faulting x of xs, which columns() replays
+        values, derivs = columns(fn, [-x for x in reversed(xs)])
         return values[::-1], [-d for d in reversed(derivs)]
-
-    def only_values(xs: Sequence[float]) -> list[float]:
-        try:
-            return values(fn, [-x for x in reversed(xs)])[::-1]
-        except (ArithmeticError, ValueError):
-            return _pointwise(wrapped, xs)[0]
 
     wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
     wrapped.column = column
-    wrapped.values = only_values
+    wrapped.values = lambda xs: values(fn, [-x for x in reversed(xs)])[::-1]
     return wrapped

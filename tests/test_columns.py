@@ -1,5 +1,6 @@
 """Column evaluation against one call per point: values, derivatives and
-domain faults must agree bit for bit."""
+domain faults must agree bit for bit.  Faults are read through
+ratio.columns and ratio.values, the one owner of the fault contract."""
 
 import dataclasses
 import math
@@ -13,7 +14,8 @@ import monoratio as mr
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn
 from monoratio.expr import (COLUMN_BLOCK, Binary, Const, DomainFault, ExprFn, Var,
                             parse)
-from monoratio.ratio import columns, median_abs, mirrored, negated
+from monoratio import ratio
+from monoratio.ratio import columns, median_abs, mirrored, negated, values
 from monoratio.rules import _check_sign_identity
 
 from helpers import random_ast
@@ -34,16 +36,16 @@ def _per_point(fn, xs):
 
 def _by_column(fn, xs):
     try:
-        return fn.column(xs)
+        return columns(fn, xs)
     except DomainFault as err:
         return err.x, err.reason
 
 
 def _by_values(fn, xs):
-    """fn.values(xs) beside an empty derivative list, or the first fault's
-    (x, reason)."""
+    """values(fn, xs) beside an empty derivative list, or the first
+    fault's (x, reason)."""
     try:
-        return fn.values(xs), []
+        return values(fn, xs), []
     except DomainFault as err:
         return err.x, err.reason
 
@@ -122,10 +124,10 @@ def test_expr_column_rejects_non_finite_x_like_a_call():
     fn = ExprFn(parse("x + 1"))
     with pytest.raises(ValueError, match="finite"):
         fn(math.inf)
-    with pytest.raises(ValueError, match="finite"):
-        fn.column([0.0] * COLUMN_BLOCK + [1.0, math.inf])
-    with pytest.raises(ValueError, match="finite"):
-        fn.values([0.0] * COLUMN_BLOCK + [1.0, math.inf])
+    with pytest.raises(ValueError, match="finite, got inf"):
+        columns(fn, [0.0] * COLUMN_BLOCK + [1.0, math.inf])
+    with pytest.raises(ValueError, match="finite, got inf"):
+        values(fn, [0.0] * COLUMN_BLOCK + [1.0, math.inf])
 
 
 @pytest.mark.parametrize("seed", range(64))
@@ -174,7 +176,7 @@ def test_staircase_column_matches_per_point_calls(spec):
     with_nan = grid[:700] + [math.nan] + grid[700:1400] + [math.nan, math.nan] + grid[1400:]
     for xs in (grid, extra, shuffled, with_nan, grid[::-1], []):
         expected = tuple(map(list, zip(*map(rho, xs)))) or ([], [])
-        assert _bits(rho.column(xs)) == _bits(expected)
+        assert _bits(columns(rho, xs)) == _bits(expected)
         assert _bits((rho.values(xs), [])) == _bits((expected[0], []))
 
 
@@ -333,6 +335,74 @@ def test_columns_prefers_the_column_method():
             return [7.0] * len(xs), [0.0] * len(xs)
 
     assert columns(ColumnOnly(), [1.0, 2.0]) == ([7.0, 7.0], [0.0, 0.0])
+
+
+class _FastPathRaises:
+    """x -> (x*x, 2x) one call per x, a DomainFault at each x in faults.
+    Its column and values raise error, or else the fault of the last
+    faulting x in xs, as a walk over the reversed xs would."""
+
+    def __init__(self, faults=(), error=None):
+        self.faults, self.error = faults, error
+
+    def __call__(self, x):
+        if x in self.faults:
+            raise DomainFault(x, "planted fault")
+        return x * x, 2.0 * x
+
+    def column(self, xs):
+        raise self.error or DomainFault(max(x for x in xs if x in self.faults), "planted fault")
+
+    values = column
+
+
+_DISPATCH_XS = [0.1 * k - 1.3 for k in range(40)]
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"),
+                                   ValueError("math domain error")], ids=repr)
+@pytest.mark.parametrize("read", [_by_column, _by_values], ids=["columns", "values"])
+def test_dispatchers_replay_a_raising_fast_path_one_call_per_x(read, error):
+    fake = _FastPathRaises(error=error)
+    expected = _per_point(fake, _DISPATCH_XS)
+    if read is _by_values:
+        expected = _values_of(expected)
+    assert _bits(read(fake, _DISPATCH_XS)) == _bits(expected)
+
+
+@pytest.mark.parametrize("read", [_by_column, _by_values], ids=["columns", "values"])
+def test_dispatchers_raise_at_the_first_faulting_x_in_xs_order(read):
+    fake = _FastPathRaises(faults={_DISPATCH_XS[5], _DISPATCH_XS[30]})
+    assert read(fake, _DISPATCH_XS) == (_DISPATCH_XS[5], "planted fault")
+
+
+@pytest.mark.parametrize("read", [columns, values], ids=["columns", "values"])
+def test_dispatchers_propagate_other_errors(read):
+    with pytest.raises(TypeError, match="not a float"):
+        read(_FastPathRaises(error=TypeError("not a float")), _DISPATCH_XS)
+
+
+def _no_replay(fn, xs):
+    raise AssertionError(f"{fn!r} replayed one call per x")
+
+
+@pytest.mark.parametrize("case", [
+    ("1.3*(exp(x))^2 + 0.4*exp(x) + 0.2", "exp(x)", (-2.0, 2.0)),
+    ("max(x - 1, 0)^2 + x", "x + 3", (-1.0, 2.0)),  # _d_pow's zero-base branch
+    *range(8), (7, "vertical"), (7, "horizontal"),
+], ids=str)
+def test_pipeline_reads_every_grid_by_its_fast_path(monkeypatch, case):
+    # a fast path that always raised would pass every test above, replayed
+    # one call per x at about ten times the cost
+    monkeypatch.setattr(ratio, "_pointwise", _no_replay)
+    if isinstance(case, int):
+        pair = mr.random_pair(case)[0]
+    elif isinstance(case[0], int):
+        pair = mr.reflect(mr.random_pair(case[0])[0], case[1])
+    else:
+        f, g, window = case
+        pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn(g), mr.Interval(*window))
+    assert mr.check_pair(pair).all_ok
 
 
 def test_expr_case_allocation_peak_stays_small():
