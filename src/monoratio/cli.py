@@ -4,7 +4,7 @@ Subcommands:
     analyze    analyze a user-supplied (f, g) pair
     construct  build f from (g, rho, z, K) and analyze the result
     verify     run a seeded campaign of generated pairs through all checks
-    tables     print the encoded rule tables
+    tables     print the encoded rule table
 
 Exit codes: 0 all checks passed, 1 expression or staircase parse error,
 2 a standing assumption failed, 3 at least one check failed, 64 usage
@@ -28,7 +28,7 @@ from .construct import (GeneratorConfig, QuadratureError, StaircaseError,
 from .expr import DomainFault, ExprFn, ParseError, parse
 from .intervals import Interval
 from .ratio import ValidationError, check_grid, make_pair, sample_table
-from .rules import RULE_ROWS, RuleRow, Tolerances, check_pair
+from .rules import RULE_ROWS, Tolerances, check_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -189,40 +189,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not summary["failing_seeds"] else EXIT_CHECKS_FAILED
 
 
-# (JSON key, title, value column, extra JSON fields) of each rule table;
-# every table lists RULE_ROWS by rho's direction and sign(gg')
-_TABLES = (
-    ("table1", "Table 1: monotonicity rules (switch at a single point c)", "r", {}),
-    ("table2", "Table 2: improved rules (switch on a flat [c, d])", "r",
-     {"switch": "flat [c, d]"}),
-    ("table3", "Table 3: direction of rho-tilde", "rho_tilde", {}),
-)
-
-
-def _cell(row: RuleRow, column: str) -> str:
-    return (row.r_family if column == "r" else row.rho_tilde_dir).value
-
-
-def _tables_payload() -> dict:
-    return {key: [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
-                   column: _cell(row, column), **extra} for row in RULE_ROWS]
-            for key, _, column, extra in _TABLES}
+def _rules_payload() -> dict:
+    return {"rules": [{"rho": row.rho_dir.value, "sign_gg": row.sign_gg,
+                       "r": row.r_family.value, "rho_tilde": row.rho_tilde_dir.value}
+                      for row in RULE_ROWS]}
 
 
 def cmd_tables(args) -> int:
     if args.json:
-        _emit_json(_tables_payload(), args.out)
+        _emit_json(_rules_payload(), args.out)
         return EXIT_OK
     sgg = {1: "> 0", -1: "< 0"}
-    for n, (_, title, column, _) in enumerate(_TABLES):
-        if n:
-            print()
-        print(title)
-        print(f"  rho    gg'    {column}")
-        for row in RULE_ROWS:
-            print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {_cell(row, column)}")
+    print("Monotonicity rules (r switches on a flat [c, d], a point when c = d)")
+    print("  rho    gg'    r        rho_tilde")
+    for row in RULE_ROWS:
+        print(f"  {row.rho_dir.value:<6} {sgg[row.sign_gg]:<6} {row.r_family.value:<8} "
+              f"{row.rho_tilde_dir.value}")
     if args.out:
-        _emit_json(_tables_payload(), args.out)
+        _emit_json(_rules_payload(), args.out)
     return EXIT_OK
 
 
@@ -274,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify, window=False)
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_tables = sub.add_parser("tables", help="print the encoded rule tables")
+    p_tables = sub.add_parser("tables", help="print the encoded rule table")
     p_tables.add_argument("--json", action="store_true",
                           help="emit JSON instead of text")
-    p_tables.add_argument("--out", help="also write the JSON tables here")
+    p_tables.add_argument("--out", help="also write the JSON table here")
     p_tables.set_defaults(handler=cmd_tables)
     return parser
 

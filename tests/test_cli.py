@@ -415,21 +415,24 @@ def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers
     assert code == 0 and json.loads(out)["cases"] == cases
 
 
+# (rho, sign of gg', r family, rho-tilde direction), the paper's rule rows
+_RULES = [("Up", 1, "DownUp", "Up"), ("Down", 1, "UpDown", "Down"),
+          ("Up", -1, "UpDown", "Down"), ("Down", -1, "DownUp", "Up")]
+
+
 def test_tables_text(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
-    assert "Table 1" in out and "Table 3" in out
-    assert "Up     > 0    DownUp" in out
-    assert "Down   < 0    DownUp" in out
-    assert "Down   < 0    Up" in out
+    title, header, *rows = out.splitlines()
+    assert "flat [c, d]" in title and "c = d" in title
+    assert header.split() == ["rho", "gg'", "r", "rho_tilde"]
+    sgg = {1: "> 0", -1: "< 0"}
+    assert [row.split() for row in rows] == [
+        [rho, *sgg[s].split(), r, rt] for rho, s, r, rt in _RULES]
 
 
 def test_tables_json(capsys):
     code, out, _ = run(capsys, "tables", "--json")
     assert code == 0
-    tables = json.loads(out)
-    assert {len(tables[k]) for k in ("table1", "table2", "table3")} == {4}
-    assert tables["table2"][0] == {"rho": "Up", "sign_gg": 1, "r": "DownUp",
-                                   "switch": "flat [c, d]"}
-    assert tables["table3"][3] == {"rho": "Down", "sign_gg": -1,
-                                   "rho_tilde": "Up"}
+    assert json.loads(out) == {"rules": [
+        {"rho": rho, "sign_gg": s, "r": r, "rho_tilde": rt} for rho, s, r, rt in _RULES]}
