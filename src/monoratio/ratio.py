@@ -22,11 +22,12 @@ from .intervals import Interval
 # Anything callable as x -> (value, derivative).  One may also have a
 # column(xs) -> (values, derivatives) method, which columns() prefers, and
 # a values(xs) -> values method, which values() prefers.  Either method is
-# a fast path: where it returns, its floats are those of one call per x;
-# where one call per x faults, it raises an ArithmeticError or ValueError,
-# any one.  columns() and values() then replay xs one call per x, in xs
-# order, so a read gives the per-point floats or the first faulting x's
-# own error.  Any other exception propagates.
+# a fast path: when it returns, it returns the floats of one call per x,
+# and wherever a call faults it raises an ArithmeticError or ValueError,
+# not necessarily that call's (it may raise one elsewhere too).  columns()
+# and values() then replay xs one call per x, in xs order, which gives the
+# per-point floats or the first faulting x's own error.  Any other
+# exception propagates.
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
