@@ -1,15 +1,13 @@
 """Forward-mode evaluation of parsed expressions (``syntax``) on
 (value, derivative) float pairs; nothing is rewritten symbolically.  A
-column of points is evaluated in blocks, one AST walk per node over lists
-(vector forward mode), with the same float operations as the scalar walk.
+column of points runs through loops compiled from the AST (source
+transformation), with the same float operations as the scalar walk.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from operator import add, ge, le, lt, mul, neg, sub, truediv
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # the syntax names stay importable from here
 from .syntax import (Binary, Call2, Const, Expr, ParseError, Unary, Var,  # noqa: F401
@@ -192,135 +190,180 @@ def eval_dual(ast: Expr, x: float) -> Dual:
 
 
 # ---------------------------------------------------------------------------
-# Column evaluation: one walk per node over a block of points
+# Column evaluation: the scalar walk compiled to straight-line loops
 #
-# Each node maps lists with the same float operations, in the same order,
-# as its scalar case above.  It raises wherever the scalar walk faults
-# (math's ValueError or OverflowError, ZeroDivisionError, _Fault), and it
-# may also raise where the scalar walk has a special case (sqrt or a power
-# at a zero base).  Either way ratio.columns and ratio.values replay the
-# column point by point, which gives the scalar floats or raises the
-# scalar walk's DomainFault at the first faulting x: the fault rules live
-# in the scalar walk alone.
+# An ExprFn turns its AST into Python source once, at construction: a loop
+# over the points whose body does the scalar walk's float operations in the
+# scalar walk's order, and a values-only twin that skips the derivatives.
+# The (node type, op) pairs only select the fixed templates below, and the
+# constants enter through a tuple argument, so no text of the AST reaches
+# the source.
 #
-# A walk for values alone skips the derivatives, except at the nodes where
-# the scalar walk can fault on a derivative and not on the value: there it
-# takes the node's full rule, derivatives and all.
+# A body raises wherever the scalar walk faults (math's ValueError or
+# OverflowError, ZeroDivisionError, _Fault), and it may also raise where the
+# scalar walk has a special case (sqrt at zero).  Either way ratio.columns
+# and ratio.values replay the column point by point, which gives the scalar
+# floats or raises the scalar walk's DomainFault at the first faulting x:
+# the fault rules live in the scalar walk alone.
 
-COLUMN_BLOCK = 256  # points per column walk; bounds the transient lists
+COLUMN_BLOCK = 256  # points per block for the column readers that block
 
-_positive = partial(lt, 0.0)
-
-
-def _abs_slope(v: list, w: list, d: list) -> list:
-    return [(1.0 if a > 0.0 else (-1.0 if a < 0.0 else 0.0)) * b for a, b in zip(v, d)]
-
-
-# op -> (the value map, and the derivatives from the argument's values v,
-# the node's values w and the argument's derivatives d)
-_UNARY_COLUMN = {
-    "neg": (neg, lambda v, w, d: list(map(neg, d))),
-    "sin": (math.sin, lambda v, w, d: list(map(mul, map(math.cos, v), d))),
-    "cos": (math.cos, lambda v, w, d: [-s * b for s, b in zip(map(math.sin, v), d)]),
-    "exp": (math.exp, lambda v, w, d: list(map(mul, w, d))),
-    "log": (math.log, lambda v, w, d: list(map(truediv, d, v))),
-    "sqrt": (math.sqrt, lambda v, w, d: [b / (2.0 * r) for b, r in zip(d, w)]),
-    "abs": (abs, _abs_slope),
-    "atan": (math.atan, lambda v, w, d: [b / (1.0 + a * a) for a, b in zip(v, d)]),
-    "tanh": (math.tanh, lambda v, w, d: [(1.0 - u * u) * b for u, b in zip(w, d)]),
+# (node type, op) -> the statements of its value and of its derivative, over
+# the operands' values {a} {b}, their derivatives {da} {db} and the node's
+# own names {v} {d}
+_SOURCE = {
+    (Unary, "neg"): ("{v} = -{a}", "{d} = -{da}"),
+    (Unary, "sin"): ("{v} = sin({a})", "{d} = cos({a}) * {da}"),
+    (Unary, "cos"): ("{v} = cos({a})", "{d} = -sin({a}) * {da}"),
+    (Unary, "exp"): ("{v} = exp({a})", "{d} = {v} * {da}"),
+    (Unary, "log"): ("{v} = log({a})", "{d} = {da} / {a}"),
+    # the slope divides by zero at zero (0.0 / 0.0 too), so the values-only
+    # loop raises there as well
+    (Unary, "sqrt"): ("{v} = sqrt({a})\nif {v} == 0.0: raise ZeroDivisionError",
+                      "{d} = {da} / (2.0 * {v})"),
+    (Unary, "abs"): ("{v} = abs({a})",
+                     "{d} = (1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0)) * {da}"),
+    (Unary, "atan"): ("{v} = atan({a})", "{d} = {da} / (1.0 + {a} * {a})"),
+    (Unary, "tanh"): ("{v} = tanh({a})", "{d} = (1.0 - {v} * {v}) * {da}"),
+    (Binary, "+"): ("{v} = {a} + {b}", "{d} = {da} + {db}"),
+    (Binary, "-"): ("{v} = {a} - {b}", "{d} = {da} - {db}"),
+    (Binary, "*"): ("{v} = {a} * {b}", "{d} = {da} * {b} + {a} * {db}"),
+    (Binary, "/"): ("i{v} = 1.0 / {b}\n{v} = {a} * i{v}",
+                    "{d} = ({da} * {b} - {a} * {db}) * i{v} * i{v}"),
+    # ties take the left argument's derivative
+    (Call2, "min"): ("{v} = {a} if {a} <= {b} else {b}", "{d} = {da} if {a} <= {b} else {db}"),
+    (Call2, "max"): ("{v} = {a} if {a} >= {b} else {b}", "{d} = {da} if {a} >= {b} else {db}"),
+    # _d_pow reads the derivatives, so the operands of a ^ always carry them
+    (Binary, "^"): ("{v}, {d} = _d_pow({a}, {da}, {b}, {db})", ""),
 }
 
+# a ^ c for a constant c: _d_pow's formula where its constant-exponent case
+# computes a ** c and c * a ** (c - 1.0) * da, else _d_pow itself
+_POW_CONST = """if {a} {cmp} 0.0:
+    {v} = {a} ** {b}
+    {d} = {b} * {a} ** ({b} - 1.0) * {da}
+else:
+    {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
 
-def _column(node: Expr, xs: list[float], slopes: bool = True) -> tuple[list, list | None]:
-    """(values, derivatives) of node over xs; with slopes False the
-    derivatives are None."""
-    if isinstance(node, Const):
-        return [node.value] * len(xs), [0.0] * len(xs) if slopes else None
+# ... and without the slope, which only _d_pow computes (and may fault on)
+# unless |a ** c| < 1e300 |a|, below which the scalar walk's a ** (c - 1.0)
+# cannot overflow (a NaN fails the test)
+_POW_CONST_VALUE = """if {a} {cmp} 0.0:
+    {v} = {a} ** {b}
+    if not abs({v}) < 1e300 * abs({a}):
+        {v} = _d_pow({a}, {da}, {b}, 0.0)[0]
+else:
+    {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
+
+_LOOP_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+                 "sqrt": math.sqrt, "atan": math.atan, "tanh": math.tanh, "_d_pow": _d_pow}
+
+
+def _pow_fast_cmp(c) -> str:
+    """The bases a for which _d_pow's constant-exponent case takes the
+    formula: a > 0.0, or a != 0.0 when c is integral and not -0.0 (its
+    negative-base branch raises a to int(round(c)), which float ** int
+    computes as float ** float)."""
+    integral = math.isfinite(c) and c == round(c) and (c != 0.0 or math.copysign(1.0, c) > 0.0)
+    return "!=" if integral else ">"
+
+
+def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str, str]:
+    """Append the statements that compute node at the point x; return the
+    names (or literals) holding its value and, with slopes, its derivative
+    (else "")."""
     if isinstance(node, Var):
-        return xs, [1.0] * len(xs) if slopes else None
+        return "x", "1.0"
+    if isinstance(node, Const):
+        consts.append(node.value)
+        return f"c{len(consts) - 1}", "0.0"
+    key = (type(node), getattr(node, "op", None))
+    if key not in _SOURCE:
+        raise ValueError(f"unknown expression node {node!r}")
     if isinstance(node, Unary):
-        v, d = _column(node.arg, xs, slopes)
-        fn, slope = _UNARY_COLUMN[node.op]
-        if not slopes and fn is math.sqrt and 0.0 in v:
-            return _column(node, xs)[0], None  # the slope is singular at zero
-        w = list(map(fn, v))
-        return w, slope(v, w, d) if slopes else None
-    a, da = _column(node.lhs, xs, slopes)
-    b, db = _column(node.rhs, xs, slopes)
-    if isinstance(node, Call2):
-        take_lhs = list(map(le if node.op == "min" else ge, a, b))
-        return ([p if t else q for t, p, q in zip(take_lhs, a, b)],
-                [p if t else q for t, p, q in zip(take_lhs, da, db)] if slopes else None)
-    op = node.op
-    if op == "+":
-        return list(map(add, a, b)), list(map(add, da, db)) if slopes else None
-    if op == "-":
-        return list(map(sub, a, b)), list(map(sub, da, db)) if slopes else None
-    if op == "*":
-        return (list(map(mul, a, b)),
-                [p * y + x * q for x, p, y, q in zip(a, da, b, db)] if slopes else None)
-    if op == "/":
-        inv = [1.0 / y for y in b]
-        return (list(map(mul, a, inv)),
-                [(p * y - x * q) * i * i for x, p, y, q, i in zip(a, da, b, db, inv)]
-                if slopes else None)
-    if isinstance(node.rhs, Const):
-        # _d_pow's constant-exponent case off a zero base, when no base is
-        # negative or the exponent is integral (float ** int computes as
-        # float ** float, so both of its branches are this formula)
-        c = node.rhs.value
-        if all(map(_positive, a)) or (all(a) and c == round(c)):
-            v = [x ** c for x in a]
-            if slopes:
-                c1 = c - 1.0
-                return v, [c * x ** c1 * p for x, p in zip(a, da)]
-            # the slope's x ** (c - 1), about |x ** c / x|, cannot overflow
-            # below this (a NaN fails the test)
-            if max(map(abs, v)) < 1e300 * min(map(abs, a)):
-                return v, None
-    if not slopes:
-        return _column(node, xs)[0], None
-    pairs = list(map(_d_pow, a, da, b, db))
-    return [v for v, _ in pairs], [d for _, d in pairs]
+        a, da = _emit(node.arg, slopes, lines, consts)
+        b = db = ""
+    else:
+        power = key == (Binary, "^")
+        a, da = _emit(node.lhs, slopes or power, lines, consts)
+        b, db = _emit(node.rhs, slopes or power, lines, consts)
+    names = {"a": a, "da": da, "b": b, "db": db, "v": f"v{len(lines)}", "d": f"d{len(lines)}"}
+    if key == (Binary, "^") and isinstance(node.rhs, Const):
+        source = _POW_CONST if slopes else _POW_CONST_VALUE
+        names["cmp"] = _pow_fast_cmp(node.rhs.value)
+    else:
+        value, slope = _SOURCE[key]
+        source = f"{value}\n{slope}" if slopes and slope else value
+    lines += source.format(**names).split("\n")
+    return names["v"], names["d"] if slopes else ""
+
+
+def _loop_source(ast: Expr) -> tuple[str, tuple]:
+    """The source of the two loops over ast, column(xs, consts) and
+    values(xs, consts), and the constants tuple they read."""
+    lines: list[str] = []
+    for name, slopes in (("column", True), ("values", False)):
+        consts: list = []
+        body: list[str] = []
+        v, d = _emit(ast, slopes, body, consts)
+        lines += [f"def {name}(xs, consts):",
+                  f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
+                  "    values, derivs = [], []",
+                  "    value, deriv = values.append, derivs.append",
+                  "    for x in map(float, xs):",
+                  *(f"        {line}" for line in body),
+                  f"        value({v})",
+                  *([f"        deriv({d})"] if slopes else []),
+                  f"    return values{', derivs' if slopes else ''}"]
+    return "\n".join(lines) + "\n", tuple(consts)
+
+
+def _compile_loops(ast: Expr) -> tuple[tuple, Callable, Callable]:
+    """(constants, column loop, values loop) of ast, compiled together."""
+    source, consts = _loop_source(ast)
+    namespace = dict(_LOOP_GLOBALS)
+    exec(compile(source, "<monoratio.expr loops>", "exec"), namespace)
+    # popped, so that no cycle through the loops' globals outlives the ExprFn
+    return consts, namespace.pop("column"), namespace.pop("values")
+
+
+def _check_finite(xs: Sequence[float]) -> None:
+    # a finite sum clears every x in one C-level pass
+    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
+        raise ValueError("x must be finite")
 
 
 class ExprFn:
-    """Adapter turning a parsed AST into a differentiable-function callable."""
+    """Adapter turning a parsed AST into a differentiable-function callable.
+    Construction compiles the column loops, so an unknown op raises there."""
 
-    __slots__ = ("ast", "label")
+    __slots__ = ("ast", "label", "_consts", "_column", "_values")
 
     def __init__(self, ast: Expr, label: str | None = None):
+        self._consts, self._column, self._values = _compile_loops(ast)
         self.ast = ast
         self.label = label if label is not None else format_expr(ast)
+
+    def __reduce__(self):
+        # the compiled loops are rebuilt from the AST
+        return ExprFn, (self.ast, self.label)
 
     def __call__(self, x: float) -> tuple[float, float]:
         return _eval_checked(self.ast, x)
 
-    def _walk(self, xs: Sequence[float], slopes: bool) -> tuple[list, list]:
-        """_column over xs, COLUMN_BLOCK points at a time; ValueError up
-        front if an x is not finite.  With slopes False the derivatives
-        are empty."""
-        if not all(map(math.isfinite, xs)):
-            raise ValueError("x must be finite")
-        values: list[float] = []
-        derivs: list[float] = []
-        for k in range(0, len(xs), COLUMN_BLOCK):
-            v, d = _column(self.ast, list(map(float, xs[k:k + COLUMN_BLOCK])), slopes)
-            values += v
-            derivs += d if slopes else ()
-        return values, derivs
-
     def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
         """(values, derivatives) at every x, the floats of one call per x.
-        A fault raises whatever the column walk raises, for ratio.columns
-        to replay."""
-        return self._walk(xs, True)
+        ValueError up front if an x is not finite; a fault raises whatever
+        the compiled loop raises, for ratio.columns to replay."""
+        _check_finite(xs)
+        return self._column(xs, self._consts)
 
     def values(self, xs: Sequence[float]) -> list[float]:
         """column(xs)'s values, with the derivatives computed only where a
         fault can depend on them.  A fault raises as column does, for
         ratio.values to replay."""
-        return self._walk(xs, False)[0]
+        _check_finite(xs)
+        return self._values(xs, self._consts)
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

@@ -265,7 +265,7 @@ def rho_tilde_at(pair: FunctionPair, x: float) -> float:
 class SampleTable:
     """One shared evaluation pass over the analysis grid."""
 
-    xs: list[float]
+    xs: tuple[float, ...]  # a tuple, so the detectors check its ascent once
     f_values: list[float]
     g_values: list[float]
     r: list[float]
@@ -286,7 +286,7 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     if n < 2:
         raise ValueError("n must be >= 2")
     lo, step = pair.window.lo, pair.window.length / n
-    xs = [lo + (i + 0.5) * step for i in range(n)]
+    xs = tuple([lo + (i + 0.5) * step for i in range(n)])
     fv, fd = columns(pair.f, xs)
     gv, gd = columns(pair.g, xs)
     r = list(map(truediv, fv, gv))
@@ -307,36 +307,44 @@ def median_abs(values: Sequence[float]) -> float:
 
 
 def negated(fn: DifferentiableFn) -> DifferentiableFn:
-    """x -> -f(x), for vertical reflection."""
+    """x -> -f(x), for vertical reflection.  It has fn's column and values
+    fast paths, if any, and forwards to them, so that the dispatcher that
+    reads it replays a fault once."""
 
     def wrapped(x: float) -> tuple[float, float]:
         v, d = fn(x)
         return -v, -d
 
-    def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        values, derivs = columns(fn, xs)
-        return [-v for v in values], [-d for d in derivs]
-
     wrapped.label = f"-({getattr(fn, 'label', 'f')})"
-    wrapped.column = column
-    wrapped.values = lambda xs: [-v for v in values(fn, xs)]
+    if hasattr(fn, "column"):
+        def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+            values, derivs = fn.column(xs)
+            return [-v for v in values], [-d for d in derivs]
+
+        wrapped.column = column
+    if hasattr(fn, "values"):
+        wrapped.values = lambda xs: [-v for v in fn.values(xs)]
     return wrapped
 
 
 def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
-    """x -> f(-x), for horizontal reflection (chain rule flips the slope)."""
+    """x -> f(-x), for horizontal reflection (chain rule flips the slope).
+    Its fast paths forward to fn's as negated's do."""
 
     def wrapped(x: float) -> tuple[float, float]:
         v, d = fn(-x)
         return v, -d
 
-    def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        # fn sees the points in ascending order when xs ascend; a fault
-        # there names the last faulting x of xs, which columns() replays
-        values, derivs = columns(fn, [-x for x in reversed(xs)])
-        return values[::-1], [-d for d in reversed(derivs)]
-
+    # fn sees the points in ascending order when xs ascend; a fault there
+    # may name another x than the first faulting one, which the dispatcher's
+    # replay corrects
     wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
-    wrapped.column = column
-    wrapped.values = lambda xs: values(fn, [-x for x in reversed(xs)])[::-1]
+    if hasattr(fn, "column"):
+        def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+            values, derivs = fn.column([-x for x in reversed(xs)])
+            return values[::-1], [-d for d in reversed(derivs)]
+
+        wrapped.column = column
+    if hasattr(fn, "values"):
+        wrapped.values = lambda xs: fn.values([-x for x in reversed(xs)])[::-1]
     return wrapped

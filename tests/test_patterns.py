@@ -546,3 +546,24 @@ def test_level0_agrees_with_r_mics(staircase_pair):
     assert len(mics) == 1
     assert abs(mics[0].lo - l0.lo) <= 2e-3
     assert abs(mics[0].hi - l0.hi) <= 2e-3
+
+
+@pytest.mark.parametrize("as_tuple", [False, True], ids=["list", "tuple"])
+def test_detectors_reject_non_ascending_xs(as_tuple):
+    xs = _grid(0.0, 1.0, 32)
+    vs = [x - 0.5 for x in xs]
+    ascending = tuple(xs) if as_tuple else xs
+    detect_mics(ascending, vs, 1e-9, 0.0)  # checked, and cached if a tuple
+    for bad in (xs[:10] + [xs[11], xs[10]] + xs[12:], xs[:10] + [xs[10]] * 2 + xs[12:]):
+        bad = tuple(bad) if as_tuple else bad
+        for mode in ("values", "diffs"):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                detect_pattern(bad, vs, 1e-9, mode=mode)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_mics(bad, vs, 1e-9, 0.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            level0_set(bad, vs, 1e-9, lambda t: t - 0.5, Interval(0.0, 1.0))
+    # a list checked once may change after: it is checked again
+    xs[10], xs[11] = xs[11], xs[10]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        detect_mics(xs, vs, 1e-9, 0.0)
