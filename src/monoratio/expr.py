@@ -233,7 +233,7 @@ _SOURCE = {
     # ties take the left argument's derivative
     (Call2, "min"): ("{v} = {a} if {a} <= {b} else {b}", "{d} = {da} if {a} <= {b} else {db}"),
     (Call2, "max"): ("{v} = {a} if {a} >= {b} else {b}", "{d} = {da} if {a} >= {b} else {db}"),
-    # _d_pow reads the derivatives, so the operands of a ^ always carry them
+    # _d_pow reads the derivatives, so a ^ and its operands always carry them
     (Binary, "^"): ("{v}, {d} = _d_pow({a}, {da}, {b}, {db})", ""),
 }
 
@@ -242,16 +242,6 @@ _SOURCE = {
 _POW_CONST = """if {a} {cmp} 0.0:
     {v} = {a} ** {b}
     {d} = {b} * {a} ** ({b} - 1.0) * {da}
-else:
-    {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
-
-# ... and without the slope, which only _d_pow computes (and may fault on)
-# unless |a ** c| < 1e300 |a|, below which the scalar walk's a ** (c - 1.0)
-# cannot overflow (a NaN fails the test)
-_POW_CONST_VALUE = """if {a} {cmp} 0.0:
-    {v} = {a} ** {b}
-    if not abs({v}) < 1e300 * abs({a}):
-        {v} = _d_pow({a}, {da}, {b}, 0.0)[0]
 else:
     {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
 
@@ -280,16 +270,16 @@ def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str
     key = (type(node), getattr(node, "op", None))
     if key not in _SOURCE:
         raise ValueError(f"unknown expression node {node!r}")
+    slopes = slopes or key == (Binary, "^")
     if isinstance(node, Unary):
         a, da = _emit(node.arg, slopes, lines, consts)
         b = db = ""
     else:
-        power = key == (Binary, "^")
-        a, da = _emit(node.lhs, slopes or power, lines, consts)
-        b, db = _emit(node.rhs, slopes or power, lines, consts)
+        a, da = _emit(node.lhs, slopes, lines, consts)
+        b, db = _emit(node.rhs, slopes, lines, consts)
     names = {"a": a, "da": da, "b": b, "db": db, "v": f"v{len(lines)}", "d": f"d{len(lines)}"}
     if key == (Binary, "^") and isinstance(node.rhs, Const):
-        source = _POW_CONST if slopes else _POW_CONST_VALUE
+        source = _POW_CONST
         names["cmp"] = _pow_fast_cmp(node.rhs.value)
     else:
         value, slope = _SOURCE[key]
@@ -344,9 +334,15 @@ class ExprFn:
         self.ast = ast
         self.label = label if label is not None else format_expr(ast)
 
-    def __reduce__(self):
-        # the compiled loops are rebuilt from the AST
-        return ExprFn, (self.ast, self.label)
+    def __getstate__(self):
+        # a copy compiles its own loops from the AST
+        return getattr(self, "__dict__", None), {"ast": self.ast, "label": self.label}
+
+    def __setstate__(self, state):
+        attrs, slots = state
+        for name, value in {**(attrs or {}), **slots}.items():
+            setattr(self, name, value)
+        self._consts, self._column, self._values = _compile_loops(self.ast)
 
     def __call__(self, x: float) -> tuple[float, float]:
         return _eval_checked(self.ast, x)

@@ -22,7 +22,7 @@ from operator import eq, lt, sub
 from typing import Callable, Sequence
 
 from .intervals import Interval
-from .ratio import BadBracket, refine_sign_change  # noqa: F401
+from .ratio import BadBracket, Grid, check_ascending, refine_sign_change  # noqa: F401
 
 
 class Unclassifiable(Exception):
@@ -69,21 +69,11 @@ _VERTICAL_MIRROR = {
 }
 
 
-# The last tuple of x's found strictly increasing.  A tuple cannot change
-# once checked, so the detectors that read one grid in turn (check_pair's
-# seven) check it once; holding it keeps its id from being reused.
-_ascending_xs: tuple | None = None
-
-
 def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
-    global _ascending_xs
     if len(xs) != len(vs) or len(xs) < 16:
         raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
-    if xs is not _ascending_xs:
-        if not all(map(lt, xs, xs[1:])):
-            raise ValueError("sample x's must be strictly increasing")
-        if type(xs) is tuple:
-            _ascending_xs = xs
+    if not isinstance(xs, Grid):  # a Grid was checked when it was made
+        check_ascending(xs)
     # a NaN or an infinity makes the sum non-finite; so can finite samples
     # whose sum overflows, hence the scan
     if not math.isfinite(sum(vs)):

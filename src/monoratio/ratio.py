@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import ne, truediv
+from operator import lt, ne, truediv
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -261,11 +261,29 @@ def rho_tilde_at(pair: FunctionPair, x: float) -> float:
     return (fd * gv - fv * gd) / abs(gd)
 
 
+def check_ascending(xs: Sequence[float]) -> None:
+    if not all(map(lt, xs, xs[1:])):
+        raise ValueError("sample x's must be strictly increasing")
+
+
+class Grid(tuple):
+    """A tuple of strictly increasing x's.  Making one checks the ascent,
+    so the detectors that read one grid in turn (check_pair's seven) skip
+    their own check."""
+
+    __slots__ = ()
+
+    def __new__(cls, xs: Sequence[float]):
+        grid = super().__new__(cls, xs)
+        check_ascending(grid)
+        return grid
+
+
 @dataclass(frozen=True)
 class SampleTable:
     """One shared evaluation pass over the analysis grid."""
 
-    xs: tuple[float, ...]  # a tuple, so the detectors check its ascent once
+    xs: Grid
     f_values: list[float]
     g_values: list[float]
     r: list[float]
@@ -286,7 +304,7 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     if n < 2:
         raise ValueError("n must be >= 2")
     lo, step = pair.window.lo, pair.window.length / n
-    xs = tuple([lo + (i + 0.5) * step for i in range(n)])
+    xs = [lo + (i + 0.5) * step for i in range(n)]
     fv, fd = columns(pair.f, xs)
     gv, gd = columns(pair.g, xs)
     r = list(map(truediv, fv, gv))
@@ -299,7 +317,7 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     # f may cross zero, but a sign flip it does not cross continuously (a
     # pole between grid points) breaks the analysis
     _chase_sign_flips(xs, pair.window, ((fv, lambda t: pair.f(t)[0], "f", None),))
-    return SampleTable(xs, fv, gv, r, rho, rho_t)
+    return SampleTable(Grid(xs), fv, gv, r, rho, rho_t)
 
 
 def median_abs(values: Sequence[float]) -> float:

@@ -105,19 +105,6 @@ def test_hand_built_constants_match_per_point_calls_bit_for_bit(c):
                 pass
 
 
-@pytest.mark.parametrize("copier", [lambda fn: pickle.loads(pickle.dumps(fn)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
-def test_exprfn_copies_round_trip(copier):
-    fn = ExprFn(parse("exp(-x)*sin(3*x) + x^2.5/(1 + x^2)"), label="f")
-    twin = copier(fn)
-    assert type(twin) is ExprFn and twin is not fn
-    assert (twin.ast, twin.label) == (fn.ast, fn.label)
-    xs = [0.1 * k for k in range(1, 40)]
-    assert _bits(twin.column(xs)) == _bits(fn.column(xs))
-    assert twin.values(xs) == fn.values(xs)
-    assert twin(0.7) == fn(0.7)
-
-
 class _CountingExprFn(ExprFn):
     """An ExprFn that counts its scalar calls."""
 
@@ -128,6 +115,26 @@ class _CountingExprFn(ExprFn):
     def __call__(self, x):
         self.calls += 1
         return super().__call__(x)
+
+
+@pytest.mark.parametrize("copier", [lambda fn: pickle.loads(pickle.dumps(fn)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_exprfn_copies_round_trip(copier):
+    ast = parse("exp(-x)*sin(3*x) + x^2.5/(1 + x^2)")
+    counting = _CountingExprFn(ast)
+    counting.calls = 5
+    for fn in (ExprFn(ast, label="f"), counting):
+        twin = copier(fn)
+        # a subclass stays itself, with its attributes, and its own loops
+        assert type(twin) is type(fn) and twin is not fn
+        assert getattr(twin, "__dict__", None) == getattr(fn, "__dict__", None)
+        assert (twin.ast, twin.label) == (fn.ast, fn.label)
+        assert twin._column is not fn._column
+        xs = [0.1 * k for k in range(1, 40)]
+        assert _bits(twin.column(xs)) == _bits(fn.column(xs))
+        assert twin.values(xs) == fn.values(xs)
+        assert twin(0.7) == fn(0.7)
+    assert twin.calls == 6 and counting.calls == 6
 
 
 @pytest.mark.parametrize("read", [columns, values], ids=["columns", "values"])

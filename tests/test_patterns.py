@@ -12,7 +12,7 @@ from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
                                 _interpolant, _run_interval, detect_mics,
                                 detect_pattern, level0_set, refine_sign_change)
-from monoratio.ratio import median_abs
+from monoratio.ratio import Grid, median_abs
 
 
 def _grid(lo, hi, n):
@@ -552,9 +552,10 @@ def test_level0_agrees_with_r_mics(staircase_pair):
 def test_detectors_reject_non_ascending_xs(as_tuple):
     xs = _grid(0.0, 1.0, 32)
     vs = [x - 0.5 for x in xs]
-    ascending = tuple(xs) if as_tuple else xs
-    detect_mics(ascending, vs, 1e-9, 0.0)  # checked, and cached if a tuple
+    detect_mics(Grid(xs), vs, 1e-9, 0.0)  # a Grid is not checked again
     for bad in (xs[:10] + [xs[11], xs[10]] + xs[12:], xs[:10] + [xs[10]] * 2 + xs[12:]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(bad)
         bad = tuple(bad) if as_tuple else bad
         for mode in ("values", "diffs"):
             with pytest.raises(ValueError, match="strictly increasing"):

@@ -4,7 +4,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.ratio import _chebyshev_points, median_abs
+from monoratio.ratio import Grid, _chebyshev_points, median_abs
 
 
 def _pair(f_src, g_src, lo, hi, n=256):
@@ -113,6 +113,7 @@ def test_sample_line():
     pair = _pair("x^2", "x", 0.1, 10.0)
     table = mr.sample_table(pair, 5)
     assert len(table.xs) == len(table.r) == 5
+    assert isinstance(table.xs, Grid)  # ascent checked once, for every detector
     step = (10.0 - 0.1) / 5
     assert table.xs[0] == pytest.approx(0.1 + step / 2)
     for x, v in zip(table.xs, table.r):
