@@ -10,13 +10,12 @@ chosen one.  Since g is differentiable the Stieltjes integral reduces to
 an ordinary integral of rho*g'.  The build runs adaptive Simpson on a
 node grid split a priori at the staircase breakpoints and keeps every
 accepted panel as a leaf of a table: cumulative integral plus the
-integrated quartic through the leaf's five samples.  It works in blocks
-of node intervals: one column of rho's values and g's derivatives holds
-the five samples of every interval in the block, and the acceptance test,
-the coefficients and the running integral are column passes; only an
-interval whose first estimate fails is refined, one point at a time.  A
-query then looks up its leaf and evaluates a polynomial, with no
-integrand calls.
+integrated quartic through the leaf's five samples.  One column of rho's
+values and g's derivatives holds the five samples of every node interval,
+and the acceptance test, the coefficients and the running integral are
+column passes; only an interval whose first estimate fails is refined, one
+point at a time.  A query then looks up its leaf and evaluates a
+polynomial, with no integrand calls.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from itertools import accumulate, count
 from operator import mul, neg, sub
 from typing import Callable, Sequence
 
-from .expr import COLUMN_BLOCK
+from .errors import ByState
 from .intervals import Interval
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
                     check_g_assumptions, columns, make_pair, values)
 
 
-class QuadratureError(ArithmeticError):
+class QuadratureError(ByState, ArithmeticError):
     """A panel's error estimate never got below tolerance."""
 
     def __init__(self, a: float, b: float, estimate: float):
@@ -105,8 +104,8 @@ def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
     _simpson_leaves, which samples it again one point at a time and
     refines or skips it; the intervals go in ascending order, so the first
     QuadratureError is the one of the leaf-at-a-time build.  If the column
-    faults, every interval of the block goes that way, so the error raised
-    is the one the leaf-at-a-time build raises first.
+    faults, every interval goes that way, so the error raised is the one
+    the leaf-at-a-time build raises first.
     """
     mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     xs = [0.0] * (4 * len(mids) + 1)
@@ -139,10 +138,9 @@ def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
 
 
 def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[float],
-                  f3: list[float], f4: list[float], cum: float) -> tuple[list[float], float]:
+                  f3: list[float], f4: list[float]) -> list[float]:
     """The table rows (cumulative integral, 1/h, c1 ... c5) of the leaves
-    with widths hs and samples f0 ... f4, and the cumulative integral after
-    the last, from cum before the first."""
+    with widths hs and samples f0 ... f4, the integral starting at 0."""
     # h * (integral from 0 to t of the quartic through (k/4, f_k))
     # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
     # of the samples; at t = 1 it is Boole's rule, the accepted value
@@ -158,12 +156,11 @@ def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[fl
     c4 = [h * (8.0 / 3.0 * c - 4.0 * d) for h, c, d in zip(hs, d3, d4)]
     c5 = [h * (32.0 / 15.0 * d) for h, d in zip(hs, d4)]
     cums = list(accumulate(
-        [a + (b + (c + (d + e))) for a, b, c, d, e in zip(c1, c2, c3, c4, c5)], initial=cum))
-    cum = cums.pop()
+        [a + (b + (c + (d + e))) for a, b, c, d, e in zip(c1, c2, c3, c4, c5)], initial=0.0))
     rows = [0.0] * (7 * len(hs))
-    rows[0::7], rows[1::7] = cums, [1.0 / h for h in hs]
+    rows[0::7], rows[1::7] = cums[:-1], [1.0 / h for h in hs]
     rows[2::7], rows[3::7], rows[4::7], rows[5::7], rows[6::7] = c1, c2, c3, c4, c5
-    return rows, cum
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +314,6 @@ def make_staircase_rho(spec: StaircaseSpec) -> StaircaseFn:
 
 # panels of the uniform node grid the constructor starts from
 _PANELS = 1024
-# node intervals per build block: about COLUMN_BLOCK integrand samples
-_BLOCK_PANELS = COLUMN_BLOCK // 4
 
 
 class ConstructedFn:
@@ -328,15 +323,14 @@ class ConstructedFn:
     rho's breakpoints, so no panel straddles a known kink, and keeps every
     accepted sub-panel as a leaf: its start, its inverse width, the
     cumulative integral up to it and the five coefficients of the
-    integrated quartic through its five samples.  It takes the node
-    intervals _BLOCK_PANELS at a time: _block_leaves reads rho and g as
-    columns over a block's samples and refines only the intervals whose
-    first estimate fails, and _quartic_rows turns the leaves into table
-    rows by column passes.  The table is, float for float, the one a build
-    of one integrand call per sample and one leaf at a time makes, and so
-    is the error: a block whose column faults is sampled again one point
-    at a time, so a fault of rho or g, or a QuadratureError before it,
-    is raised as that build raises it.
+    integrated quartic through its five samples.  _block_leaves reads rho
+    and g as one column over every node interval's samples and refines
+    only the intervals whose first estimate fails, and _quartic_rows turns
+    the leaves into table rows by column passes.  The table is, float for
+    float, the one a build of one integrand call per sample and one leaf at
+    a time makes, and so is the error: if the column faults, the grid is
+    sampled again one point at a time, so a fault of rho or g, or a
+    QuadratureError before it, is raised as that build raises it.
 
     A query bisects for its leaf and evaluates one degree-5 polynomial; it
     calls neither rho nor g for the value.  A column of queries moves its
@@ -358,21 +352,12 @@ class ConstructedFn:
         self.quad_tol = quad_tol
 
         lo, hi, step = window.lo, window.hi, window.length / _PANELS
-        nodes = [lo + i * step for i in range(_PANELS)]
-        nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
-        nodes.sort()
-        nodes.append(hi)
-        starts = array("d")
-        table = array("d")  # per leaf: cumulative integral, 1/h, c1 ... c5
-        cum = 0.0
-        for k in range(0, len(nodes) - 1, _BLOCK_PANELS):
-            x0s, hs, *samples = _block_leaves(rho, g, nodes[k:k + _BLOCK_PANELS + 1],
-                                              quad_tol)
-            rows, cum = _quartic_rows(hs, *samples, cum)
-            starts.fromlist(x0s)
-            table.fromlist(rows)
-        self._starts = starts
-        self._table = table
+        nodes = sorted([lo + i * step for i in range(_PANELS)]
+                       + [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]) + [hi]
+        x0s, hs, *samples = _block_leaves(rho, g, nodes, quad_tol)
+        self._starts = array("d", x0s)
+        # per leaf: cumulative integral, 1/h, c1 ... c5
+        self._table = array("d", _quartic_rows(hs, *samples))
         self._base = K * g(z)[0]
         self._Fz = self._antideriv(z, self._leaf(z))
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"

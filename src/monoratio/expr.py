@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
+from .errors import ByState
 # the syntax names stay importable from here
 from .syntax import (Binary, Call2, Const, Expr, ParseError, Unary, Var,  # noqa: F401
                      format_expr, parse)
 
 
-class DomainFault(ArithmeticError):
+class DomainFault(ByState, ArithmeticError):
     """Evaluation left the function's domain at a specific point."""
 
     def __init__(self, x: float, reason: str):
@@ -205,8 +206,6 @@ def eval_dual(ast: Expr, x: float) -> Dual:
 # and ratio.values replay the column point by point, which gives the scalar
 # floats or raises the scalar walk's DomainFault at the first faulting x:
 # the fault rules live in the scalar walk alone.
-
-COLUMN_BLOCK = 256  # points per block for the column readers that block
 
 # (node type, op) -> the statements of its value and of its derivative, over
 # the operands' values {a} {b}, their derivatives {da} {db} and the node's

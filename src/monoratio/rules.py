@@ -26,7 +26,6 @@ from itertools import compress, repeat
 from operator import add, le, lt, not_, sub, truediv
 from typing import ClassVar
 
-from .expr import COLUMN_BLOCK
 from .intervals import Interval
 from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_mics, detect_pattern, level0_set)
@@ -258,27 +257,21 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
     """sign(r') = sign(rho-tilde) wherever rho-tilde is clear of zero; r' is
     probed by a central finite difference with a step well below the grid
     spacing, so curvature near a crossing cannot flip the compared sign.
-    r is evaluated from values alone on the shifted points, COLUMN_BLOCK
-    samples at a time."""
+    r is evaluated from values alone, one column per shifted side."""
 
     def r_column(xs: list[float]) -> list[float]:
         return list(map(truediv, values(pair.f, xs), values(pair.g, xs)))
 
-    violations = 0
-    for k in range(0, len(table.xs), COLUMN_BLOCK):
-        rts = table.rho_tilde[k:k + COLUMN_BLOCK]
-        kept = list(map(lt, repeat(tol_abs), map(abs, rts)))
-        xs = list(compress(table.xs[k:k + COLUMN_BLOCK], kept))
-        r_hi = r_column(list(map(add, xs, repeat(fd_step))))
-        r_lo = r_column(list(map(sub, xs, repeat(fd_step))))
-        fd = list(map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step)))
-        # a kept rho-tilde is nonzero; against rho-tilde > 0 a quotient
-        # that is not above 0 is a violation, against rho-tilde < 0 one
-        # that is 0 or above
-        rising = list(map(lt, repeat(0.0), compress(rts, kept)))
-        up = list(compress(fd, rising))
-        violations += (len(up) - sum(map(lt, repeat(0.0), up))
-                       + sum(map(le, repeat(0.0), compress(fd, map(not_, rising)))))
+    kept = list(map(lt, repeat(tol_abs), map(abs, table.rho_tilde)))
+    xs = list(compress(table.xs, kept))
+    r_hi, r_lo = (r_column(list(map(shift, xs, repeat(fd_step)))) for shift in (add, sub))
+    fd = list(map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step)))
+    # a kept rho-tilde is nonzero; against rho-tilde > 0 a quotient that is
+    # not above 0 is a violation, against rho-tilde < 0 one that is 0 or above
+    rising = list(map(lt, repeat(0.0), compress(table.rho_tilde, kept)))
+    up = list(compress(fd, rising))
+    violations = (len(up) - sum(map(lt, repeat(0.0), up))
+                  + sum(map(le, repeat(0.0), compress(fd, map(not_, rising)))))
     return violations == 0, violations
 
 

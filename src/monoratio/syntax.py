@@ -19,11 +19,13 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+from .errors import ByState
+
 UNARY_FUNCTIONS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 BINARY_FUNCTIONS = ("min", "max")
 
 
-class ParseError(ValueError):
+class ParseError(ByState, ValueError):
     """Syntax or name error, carrying the byte offset where it happened."""
 
     def __init__(self, offset: int, message: str, expected: str | None = None):
@@ -112,11 +114,23 @@ def _tokenize(text: str) -> list[_Token]:
 
 _ATOM_HINT = "a number, 'x', a function call, '-', or '('"
 
+# The deepest expression parse accepts: the height of its tree, each
+# parenthesised group counting as one more level.  The tree walks (the
+# scalar walk, the column compiler, format_expr) recurse once per level and
+# the parser five times per parenthesis, so every one stays well inside
+# Python's default limit of 1000 frames, inside the pipeline's probes too.
+MAX_DEPTH = 100
 
+
+# Recursive descent: every parse_* returns (node, height).  Each recursion
+# opens a level first and closes it when its node is made, so an expression
+# nested past MAX_DEPTH stops at the token where it passes, before the
+# recursion goes deeper.
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # levels that will sit above the node being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -132,59 +146,69 @@ class _Parser:
             raise ParseError(tok.pos, f"unexpected token {tok.text!r}", expected=repr(kind))
         return self.take()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def level(self, tok: _Token, *heights: int, opens: int = 0) -> int:
+        """The height of a node at tok over subtrees of these heights."""
+        self.open += opens  # 1 opens a level above the operands to come, -1 closes it
+        height = 1 + max(heights, default=0)
+        if self.open + height > MAX_DEPTH:
+            raise ParseError(tok.pos, f"expression nested deeper than {MAX_DEPTH} levels")
+        return height
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, height = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            node = Binary(op, node, self.parse_term())
-        return node
+            tok, (rhs, rhs_height) = self.take(), self.parse_term()
+            node, height = Binary(tok.kind, node, rhs), self.level(tok, height, rhs_height)
+        return node, height
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, height = self.parse_factor()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            node = Binary(op, node, self.parse_factor())
-        return node
+            tok, (rhs, rhs_height) = self.take(), self.parse_factor()
+            node, height = Binary(tok.kind, node, rhs), self.level(tok, height, rhs_height)
+        return node, height
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_unary()
+    def parse_factor(self) -> tuple[Expr, int]:
+        base, height = self.parse_unary()
         if self.peek().kind == "^":
-            self.take()
-            return Binary("^", base, self.parse_factor())  # right-assoc
-        return base
+            self.level(tok := self.take(), opens=1)
+            exponent, exponent_height = self.parse_factor()  # right-assoc
+            return Binary("^", base, exponent), self.level(tok, height, exponent_height, opens=-1)
+        return base, height
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[Expr, int]:
         if self.peek().kind == "-":
-            self.take()
-            return Unary("neg", self.parse_unary())
+            self.level(tok := self.take(), opens=1)
+            arg, height = self.parse_unary()
+            return Unary("neg", arg), self.level(tok, height, opens=-1)
         return self.parse_atom()
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "(":
-            self.take()
-            node = self.parse_expr()
+            self.level(self.take(), opens=1)
+            node, height = self.parse_expr()
             self.expect(")")
-            return node
+            return node, self.level(tok, height, opens=-1)
         if tok.kind == "ident":
             self.take()
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text in UNARY_FUNCTIONS:
-                self.expect("(")
-                arg = self.parse_expr()
+                self.level(self.expect("("), opens=1)
+                arg, height = self.parse_expr()
                 self.expect(")")
-                return Unary(tok.text, arg)
+                return Unary(tok.text, arg), self.level(tok, height, opens=-1)
             if tok.text in BINARY_FUNCTIONS:
-                self.expect("(")
-                lhs = self.parse_expr()
+                self.level(self.expect("("), opens=1)
+                lhs, lhs_height = self.parse_expr()
                 self.expect(",")
-                rhs = self.parse_expr()
+                rhs, rhs_height = self.parse_expr()
                 self.expect(")")
-                return Call2(tok.text, lhs, rhs)
+                return Call2(tok.text, lhs, rhs), self.level(tok, lhs_height, rhs_height, opens=-1)
             raise ParseError(tok.pos, f"unknown identifier {tok.text!r}")
         raise ParseError(tok.pos, f"unexpected token {tok.text!r}", expected=_ATOM_HINT)
 
@@ -194,7 +218,7 @@ def parse(text: str) -> Expr:
     if not text.strip():
         raise ParseError(0, "empty expression", expected=_ATOM_HINT)
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.pos, f"unexpected token {tail.text!r}", expected="end of input")

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import monoratio
 from monoratio import BadBracket
 from monoratio.cli import main
+from monoratio.syntax import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -413,6 +415,57 @@ def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers
     code, out, _ = run(capsys, "verify", "--cases", str(cases), "--grid-n", "256")
     assert seen == [workers]
     assert code == 0 and json.loads(out)["cases"] == cases
+
+
+@pytest.mark.parametrize("error", [
+    monoratio.QuadratureError(-0.5, 0.25, 3e-9), monoratio.DomainFault(0.5, "log of non-positive argument"),
+    monoratio.ValidationError(1.5, "rho is not monotone on the window"), monoratio.ZeroG(-0.0),
+    monoratio.ZeroGPrime(2.0), monoratio.SignChange(0.1, "f"), monoratio.ParseError(3, "unexpected token '*'", "'('"),
+    monoratio.ParseError(0, "empty expression")], ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    assert copy.__dict__ == error.__dict__ and copy.__dict__
+
+
+def test_verify_error_in_a_worker_is_the_serial_error(capsys, monkeypatch):
+    # every panel fails to converge at this tolerance, so both cases raise
+    argv = ("verify", "--cases", "2", "--quad-tol", "1e-300")
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1")
+    serial = run(capsys, *argv)
+    assert serial[0] == 2 and serial[1] == ""
+    assert_one_error_line(serial[2])
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
+    assert run(capsys, *argv) == serial
+
+
+def _analyze(capsys, f):
+    return run(capsys, "analyze", "--f", f, "--g", "exp(x)", "--window", "0", "1",
+               "--grid-n", "256")
+
+
+@pytest.mark.parametrize("f,offset", [
+    ("+".join(f"{k}*x" for k in range(1, 1501)), 485),  # a flat sum, a deep tree
+    ("(" * 300 + "x" + ")" * 300, 99),
+])
+def test_too_deep_expression_is_a_parse_error(capsys, f, offset):
+    code, out, err = _analyze(capsys, f)
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
+    assert f"nested deeper than {MAX_DEPTH} levels at offset {offset}" in err
+
+
+@pytest.mark.parametrize("f", [
+    "+".join(f"{k}*x" for k in range(1, 100)),  # 98 + levels over 2-level terms
+    "(" * 99 + "x" + ")" * 99,
+    "-" * 97 + "(x - 0.3)",  # f changes sign: the scalar walk runs in probes
+])
+def test_expression_at_the_depth_bound_gets_a_report(capsys, f):
+    code, out, _ = _analyze(capsys, f)
+    assert code in (0, 3)
+    assert json.loads(out)["checks"]
 
 
 # (rho, sign of gg', r family, rho-tilde direction), the paper's rule rows

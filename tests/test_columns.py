@@ -13,8 +13,7 @@ import pytest
 import monoratio as mr
 from monoratio import ratio
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn
-from monoratio.expr import (COLUMN_BLOCK, Binary, Const, DomainFault, ExprFn, Var,
-                            parse)
+from monoratio.expr import Binary, Const, DomainFault, ExprFn, Var, parse
 from monoratio.ratio import columns, median_abs, mirrored, negated, values
 from monoratio.rules import _check_sign_identity
 
@@ -64,9 +63,8 @@ def _bits(result):
     return struct.pack(f"<{len(a)}d", *a), struct.pack(f"<{len(b)}d", *b)
 
 
-# column lengths on both sides of the block edges
-_LENGTHS = (1, 7, COLUMN_BLOCK - 1, COLUMN_BLOCK, COLUMN_BLOCK + 1,
-            2 * COLUMN_BLOCK + 3, 3 * COLUMN_BLOCK)
+# short and long columns, some of them odd
+_LENGTHS = (1, 7, 255, 256, 257, 515, 768)
 
 
 def test_expr_column_matches_per_point_calls_bit_for_bit():
@@ -125,9 +123,9 @@ def test_expr_column_rejects_non_finite_x_like_a_call():
     with pytest.raises(ValueError, match="finite"):
         fn(math.inf)
     with pytest.raises(ValueError, match="finite, got inf"):
-        columns(fn, [0.0] * COLUMN_BLOCK + [1.0, math.inf])
+        columns(fn, [0.0] * 256 + [1.0, math.inf])
     with pytest.raises(ValueError, match="finite, got inf"):
-        values(fn, [0.0] * COLUMN_BLOCK + [1.0, math.inf])
+        values(fn, [0.0] * 256 + [1.0, math.inf])
 
 
 @pytest.mark.parametrize("seed", range(64))
@@ -266,15 +264,18 @@ def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
 
 
 class _ValuesOnly:
-    """Forwards calls and values; a column would compute derivatives."""
+    """Forwards calls and values, counting the values reads; a column would
+    compute derivatives."""
 
     def __init__(self, fn):
         self.fn = fn
+        self.reads = 0
 
     def __call__(self, x):
         return self.fn(x)
 
     def values(self, xs):
+        self.reads += 1
         return self.fn.values(xs)
 
     def column(self, xs):
@@ -311,7 +312,10 @@ def test_sign_identity_reads_values_alone(f, g, window):
         broken = dataclasses.replace(table, rho_tilde=rho_tilde)
         tol_abs = 1e-7 * (1.0 + median_abs(rho_tilde))
         expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
+        fakes.f.reads = fakes.g.reads = 0
         assert _check_sign_identity(fakes, broken, tol_abs, fd_step) == (expected == 0, expected)
+        # one column of each per shifted side
+        assert (fakes.f.reads, fakes.g.reads) == (2, 2)
 
 
 def test_columns_calls_a_plain_function_once_per_point():

@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 import monoratio as mr
-from monoratio import Interval
+from monoratio import Interval, construct
 from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
                                  GeneratorConfig, QuadratureError,
                                  StaircaseError, StaircaseFn, StaircaseSpec,
@@ -291,14 +291,21 @@ def test_blocked_build_raises_scalar_builds_error(fault_lo, fault_hi, error):
 
 
 def test_blocked_build_without_split_makes_no_scalar_rho_calls(monkeypatch):
-    calls = []
+    calls, reads = [], []
     monkeypatch.setattr(StaircaseFn, "__call__",
                         lambda self, x: calls.append(x) or (0.0, 0.0))
+    for name in ("values", "columns"):
+        monkeypatch.setattr(construct, name, lambda fn, xs, name=name, read=getattr(construct, name):
+                            reads.append((name, fn, len(xs))) or read(fn, xs))
     g, rho, window, _ = list(_build_specs())[3]
     assert rho.breakpoints
     f = construct_f(g, rho, window.midpoint, 0.0, window)
     assert len(f._starts) == _PANELS + len(rho.breakpoints)  # no panel split
     assert calls == []
+    # the monotone check's samples, then the build's one column of rho's
+    # values and one of g's over every leaf's five samples
+    samples = 4 * len(f._starts) + 1
+    assert reads == [("values", rho, 128), ("values", rho, samples), ("columns", g, samples)]
 
 
 # --- the generator -----------------------------------------------------------
