@@ -119,7 +119,8 @@ def cmd_construct(args) -> int:
         with open(args.staircase, encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except UnicodeDecodeError as err:
+            # bytes that are not UTF-8, or arrays nested past json's depth
+            except (UnicodeDecodeError, RecursionError) as err:
                 raise StaircaseError(f"malformed staircase spec: {err}") from None
         rho = make_staircase_rho(StaircaseSpec.from_json_dict(data))
     else:

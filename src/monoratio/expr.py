@@ -1,7 +1,8 @@
 """Forward-mode evaluation of parsed expressions (``syntax``) on
-(value, derivative) float pairs; nothing is rewritten symbolically.  A
-column of points runs through loops compiled from the AST (source
-transformation), with the same float operations as the scalar walk.
+(value, derivative) float pairs; nothing is rewritten symbolically.  Each
+ExprFn compiles its AST once into straight-line loops over a column of
+points (source transformation), and a scalar call is a column of one.  A
+point outside the domain raises DomainFault at the first such x.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class DomainFault(ByState, ArithmeticError):
 
 
 class _Fault(ArithmeticError):
-    """Internal domain error; eval_dual attaches the offending x."""
+    """Internal domain error; ExprFn attaches the offending x."""
 
     def __init__(self, reason: str):
         self.reason = reason
@@ -40,65 +41,6 @@ class Dual(NamedTuple):
 
     value: float
     deriv: float
-
-
-def _u_neg(v: float, d: float) -> tuple[float, float]:
-    return -v, -d
-
-
-def _u_sin(v: float, d: float) -> tuple[float, float]:
-    return math.sin(v), math.cos(v) * d
-
-
-def _u_cos(v: float, d: float) -> tuple[float, float]:
-    return math.cos(v), -math.sin(v) * d
-
-
-def _u_exp(v: float, d: float) -> tuple[float, float]:
-    try:
-        e = math.exp(v)
-    except OverflowError:
-        raise _Fault("exp overflow") from None
-    return e, e * d
-
-
-def _u_log(v: float, d: float) -> tuple[float, float]:
-    if v <= 0.0:
-        raise _Fault("log of non-positive argument")
-    return math.log(v), d / v
-
-
-def _u_sqrt(v: float, d: float) -> tuple[float, float]:
-    if v < 0.0:
-        raise _Fault("sqrt of negative argument")
-    if v == 0.0:
-        if d == 0.0:
-            return 0.0, 0.0
-        raise _Fault("sqrt derivative singular at zero")
-    s = math.sqrt(v)
-    return s, d / (2.0 * s)
-
-
-def _u_abs(v: float, d: float) -> tuple[float, float]:
-    # abs'(0) := 0 by convention
-    s = 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
-    return abs(v), s * d
-
-
-def _u_atan(v: float, d: float) -> tuple[float, float]:
-    return math.atan(v), d / (1.0 + v * v)
-
-
-def _u_tanh(v: float, d: float) -> tuple[float, float]:
-    t = math.tanh(v)
-    return t, (1.0 - t * t) * d
-
-
-_UNARY_IMPL = {
-    "neg": _u_neg, "sin": _u_sin, "cos": _u_cos, "exp": _u_exp,
-    "log": _u_log, "sqrt": _u_sqrt, "abs": _u_abs, "atan": _u_atan,
-    "tanh": _u_tanh,
-}
 
 
 def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
@@ -119,93 +61,32 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
         if a < 0.0:
             if b != round(b):
                 raise _Fault("negative base with non-integer exponent")
-            n = int(round(b))
-            try:
-                v = a ** n
-            except OverflowError:
-                raise _Fault("pow overflow") from None
-            return v, n * a ** (n - 1) * da
-        try:
-            return a ** b, b * a ** (b - 1.0) * da
-        except OverflowError:
-            raise _Fault("pow overflow") from None
-    if a <= 0.0:
+            b = int(round(b))  # at b = -0.0 a float would flip a zero slope's sign
+    elif a <= 0.0:
         raise _Fault("non-positive base with non-constant exponent")
     try:
         v = a ** b
+        d = b * a ** (b - 1) * da if db == 0.0 else v * (db * math.log(a) + b * da / a)
     except OverflowError:
         raise _Fault("pow overflow") from None
-    return v, v * (db * math.log(a) + b * da / a)
-
-
-def _eval(node: Expr, x: float) -> tuple[float, float]:
-    if isinstance(node, Const):
-        return node.value, 0.0
-    if isinstance(node, Var):
-        return x, 1.0
-    if isinstance(node, Unary):
-        return _UNARY_IMPL[node.op](*_eval(node.arg, x))
-    a, da = _eval(node.lhs, x)
-    b, db = _eval(node.rhs, x)
-    if isinstance(node, Call2):
-        # ties take the left argument's derivative
-        if node.op == "min":
-            return (a, da) if a <= b else (b, db)
-        return (a, da) if a >= b else (b, db)
-    op = node.op
-    if op == "+":
-        return a + b, da + db
-    if op == "-":
-        return a - b, da - db
-    if op == "*":
-        return a * b, da * b + a * db
-    if op == "/":
-        inv = 1.0 / b  # b == 0 raises ZeroDivisionError: a DomainFault
-        return a * inv, (da * b - a * db) * inv * inv
-    return _d_pow(a, da, b, db)
-
-
-def _eval_checked(ast: Expr, x: float) -> tuple[float, float]:
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    try:
-        return _eval(ast, float(x))
-    except _Fault as err:
-        raise DomainFault(x, err.reason) from None
-    except ZeroDivisionError:
-        raise DomainFault(x, "division by zero") from None
-    except (OverflowError, ValueError) as err:
-        raise DomainFault(x, str(err) or type(err).__name__) from None
-
-
-def eval_dual(ast: Expr, x: float) -> Dual:
-    """Evaluate (h(x), h'(x)) by forward-mode propagation of (value,
-    derivative) float pairs.
-
-    Raises DomainFault for points outside the expression's domain (log of
-    a non-positive value, division by zero, 0 to a negative power, ...).
-    Overflow that Python floats absorb silently surfaces as an infinite
-    value instead.
-    """
-    return Dual(*_eval_checked(ast, x))
+    return v, d
 
 
 # ---------------------------------------------------------------------------
-# Column evaluation: the scalar walk compiled to straight-line loops
+# The one evaluator: the AST compiled to straight-line loops
 #
 # An ExprFn turns its AST into Python source once, at construction: a loop
-# over the points whose body does the scalar walk's float operations in the
-# scalar walk's order, and a values-only twin that skips the derivatives.
-# The (node type, op) pairs only select the fixed templates below, and the
-# constants enter through a tuple argument, so no text of the AST reaches
-# the source.
+# over the points whose body computes each node's value and derivative from
+# its operands', children first and left to right, and a values-only twin
+# that skips the derivatives no fault depends on.  The (node type, op) pairs
+# only select the fixed templates below, and the constants enter through a
+# tuple argument, so no text of the AST reaches the source.
 #
-# A body raises wherever the scalar walk faults (math's ValueError or
-# OverflowError, ZeroDivisionError, _Fault), and it may also raise where the
-# scalar walk has a special case (sqrt at zero).  Either way ratio.columns
-# and ratio.values replay the column point by point, which gives the scalar
-# floats or raises the scalar walk's DomainFault at the first faulting x:
-# the fault rules live in the scalar walk alone.
+# The loops append each point's floats to lists the caller passes in, and a
+# body raises where the point leaves the domain: a _Fault with its reason
+# (log, sqrt, ^), ZeroDivisionError (/), a bare OverflowError (exp alone) or
+# math's ValueError (sin or cos of an infinity).  ExprFn maps that to one
+# DomainFault at the x after the last value appended: the first faulting x.
 
 # (node type, op) -> the statements of its value and of its derivative, over
 # the operands' values {a} {b}, their derivatives {da} {db} and the node's
@@ -215,11 +96,17 @@ _SOURCE = {
     (Unary, "sin"): ("{v} = sin({a})", "{d} = cos({a}) * {da}"),
     (Unary, "cos"): ("{v} = cos({a})", "{d} = -sin({a}) * {da}"),
     (Unary, "exp"): ("{v} = exp({a})", "{d} = {v} * {da}"),
-    (Unary, "log"): ("{v} = log({a})", "{d} = {da} / {a}"),
-    # the slope divides by zero at zero (0.0 / 0.0 too), so the values-only
-    # loop raises there as well
-    (Unary, "sqrt"): ("{v} = sqrt({a})\nif {v} == 0.0: raise ZeroDivisionError",
-                      "{d} = {da} / (2.0 * {v})"),
+    (Unary, "log"): ('if {a} <= 0.0: raise _Fault("log of non-positive argument")\n'
+                     "{v} = log({a})", "{d} = {da} / {a}"),
+    # at a zero argument the fault depends on the slope; sqrt(-0.0) is +0.0
+    (Unary, "sqrt"): ("""if {a} < 0.0: raise _Fault("sqrt of negative argument")
+if {a} == 0.0:
+    if {da} != 0.0: raise _Fault("sqrt derivative singular at zero")
+    {v} = {d} = 0.0
+else:
+    {v} = sqrt({a})
+    {d} = {da} / (2.0 * {v})""", ""),
+    # abs'(0) := 0 by convention
     (Unary, "abs"): ("{v} = abs({a})",
                      "{d} = (1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0)) * {da}"),
     (Unary, "atan"): ("{v} = atan({a})", "{d} = {da} / (1.0 + {a} * {a})"),
@@ -232,20 +119,28 @@ _SOURCE = {
     # ties take the left argument's derivative
     (Call2, "min"): ("{v} = {a} if {a} <= {b} else {b}", "{d} = {da} if {a} <= {b} else {db}"),
     (Call2, "max"): ("{v} = {a} if {a} >= {b} else {b}", "{d} = {da} if {a} >= {b} else {db}"),
-    # _d_pow reads the derivatives, so a ^ and its operands always carry them
     (Binary, "^"): ("{v}, {d} = _d_pow({a}, {da}, {b}, {db})", ""),
 }
 
-# a ^ c for a constant c: _d_pow's formula where its constant-exponent case
-# computes a ** c and c * a ** (c - 1.0) * da, else _d_pow itself
+# a ^ c for a constant c: _d_pow's formula and its overflow fault where its
+# constant-exponent case computes a ** c and c * a ** (c - 1.0) * da, else
+# _d_pow itself
 _POW_CONST = """if {a} {cmp} 0.0:
-    {v} = {a} ** {b}
-    {d} = {b} * {a} ** ({b} - 1.0) * {da}
+    try:
+        {v} = {a} ** {b}
+        {d} = {b} * {a} ** ({b} - 1.0) * {da}
+    except OverflowError:
+        raise _Fault("pow overflow")
 else:
     {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
 
+# the operations whose faults depend on the derivatives, so that they and
+# their operands carry them in the values-only loop too
+_SLOPED = ((Unary, "sqrt"), (Binary, "^"))
+
 _LOOP_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-                 "sqrt": math.sqrt, "atan": math.atan, "tanh": math.tanh, "_d_pow": _d_pow}
+                 "sqrt": math.sqrt, "atan": math.atan, "tanh": math.tanh, "_d_pow": _d_pow,
+                 "_Fault": _Fault}
 
 
 def _pow_fast_cmp(c) -> str:
@@ -269,7 +164,7 @@ def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str
     key = (type(node), getattr(node, "op", None))
     if key not in _SOURCE:
         raise ValueError(f"unknown expression node {node!r}")
-    slopes = slopes or key == (Binary, "^")
+    slopes = slopes or key in _SLOPED
     if isinstance(node, Unary):
         a, da = _emit(node.arg, slopes, lines, consts)
         b = db = ""
@@ -288,22 +183,22 @@ def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str
 
 
 def _loop_source(ast: Expr) -> tuple[str, tuple]:
-    """The source of the two loops over ast, column(xs, consts) and
-    values(xs, consts), and the constants tuple they read."""
+    """The source of the two loops over ast, column(xs, consts, values,
+    derivs) and values(xs, consts, values), which append to the lists they
+    are given, and the constants tuple they read."""
     lines: list[str] = []
     for name, slopes in (("column", True), ("values", False)):
         consts: list = []
         body: list[str] = []
         v, d = _emit(ast, slopes, body, consts)
-        lines += [f"def {name}(xs, consts):",
+        lines += [f"def {name}(xs, consts, values{', derivs' if slopes else ''}):",
                   f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
-                  "    values, derivs = [], []",
-                  "    value, deriv = values.append, derivs.append",
+                  "    value, deriv = values.append, derivs.append" if slopes
+                  else "    value = values.append",
                   "    for x in map(float, xs):",
                   *(f"        {line}" for line in body),
                   f"        value({v})",
-                  *([f"        deriv({d})"] if slopes else []),
-                  f"    return values{', derivs' if slopes else ''}"]
+                  *([f"        deriv({d})"] if slopes else [])]
     return "\n".join(lines) + "\n", tuple(consts)
 
 
@@ -343,25 +238,58 @@ class ExprFn:
             setattr(self, name, value)
         self._consts, self._column, self._values = _compile_loops(self.ast)
 
+    def _run(self, loop: Callable, xs: Sequence[float], *out: list) -> tuple[list, ...]:
+        """The lists out, filled by loop over xs; where a point faults, the
+        DomainFault of the first faulting x, the one after the last value."""
+        try:
+            loop(xs, self._consts, *out)
+        except _Fault as err:
+            reason = err.reason
+        except ZeroDivisionError:
+            reason = "division by zero"
+        except OverflowError:  # only exp raises a bare one
+            reason = "exp overflow"
+        except ValueError as err:  # math's domain error
+            reason = str(err)
+        else:
+            return out
+        raise DomainFault(xs[len(out[0])], reason)
+
     def __call__(self, x: float) -> tuple[float, float]:
-        return _eval_checked(self.ast, x)
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
+        (value,), (deriv,) = self._run(self._column, (x,), [], [])
+        return value, deriv
 
     def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
         """(values, derivatives) at every x, the floats of one call per x.
-        ValueError up front if an x is not finite; a fault raises whatever
-        the compiled loop raises, for ratio.columns to replay."""
+        ValueError up front if an x is not finite, else DomainFault at the
+        first faulting x."""
         _check_finite(xs)
-        return self._column(xs, self._consts)
+        return self._run(self._column, xs, [], [])
 
     def values(self, xs: Sequence[float]) -> list[float]:
         """column(xs)'s values, with the derivatives computed only where a
-        fault can depend on them.  A fault raises as column does, for
-        ratio.values to replay."""
+        fault can depend on them; faults as column."""
         _check_finite(xs)
-        return self._values(xs, self._consts)
+        return self._run(self._values, xs, [])[0]
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"
+
+
+def eval_dual(ast: Expr, x: float) -> Dual:
+    """Evaluate (h(x), h'(x)) by forward-mode propagation of (value,
+    derivative) float pairs.  It compiles ast on every call: to evaluate
+    one AST at many points, build its ExprFn once.
+
+    Raises DomainFault for points outside the expression's domain (log of
+    a non-positive value, division by zero, 0 to a negative power, ...).
+    Overflow that Python floats absorb silently surfaces as an infinite
+    value instead.
+    """
+    # labelled, since format_expr cannot print a NaN or infinite constant
+    return Dual(*ExprFn(ast, label="")(x))
 
 
 def expr_fn(text: str) -> ExprFn:

@@ -259,12 +259,17 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
     spacing, so curvature near a crossing cannot flip the compared sign.
     r is evaluated from values alone, one column per shifted side."""
 
-    def r_column(xs: list[float]) -> list[float]:
-        return list(map(truediv, values(pair.f, xs), values(pair.g, xs)))
+    def r_column(shift) -> list[float]:
+        # dropped before the quotient is built, to keep the check's
+        # allocation peak down
+        shifted = list(map(shift, xs, repeat(fd_step)))
+        fv, gv = values(pair.f, shifted), values(pair.g, shifted)
+        del shifted
+        return list(map(truediv, fv, gv))
 
     kept = list(map(lt, repeat(tol_abs), map(abs, table.rho_tilde)))
     xs = list(compress(table.xs, kept))
-    r_hi, r_lo = (r_column(list(map(shift, xs, repeat(fd_step)))) for shift in (add, sub))
+    r_hi, r_lo = r_column(add), r_column(sub)
     fd = list(map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step)))
     # a kept rho-tilde is nonzero; against rho-tilde > 0 a quotient that is
     # not above 0 is a violation, against rho-tilde < 0 one that is 0 or above

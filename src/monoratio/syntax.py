@@ -116,9 +116,9 @@ _ATOM_HINT = "a number, 'x', a function call, '-', or '('"
 
 # The deepest expression parse accepts: the height of its tree, each
 # parenthesised group counting as one more level.  The tree walks (the
-# scalar walk, the column compiler, format_expr) recurse once per level and
-# the parser five times per parenthesis, so every one stays well inside
-# Python's default limit of 1000 frames, inside the pipeline's probes too.
+# loop compiler, format_expr) recurse once per level and the parser five
+# times per parenthesis, so every one stays well inside Python's default
+# limit of 1000 frames, inside the pipeline's probes too.
 MAX_DEPTH = 100
 
 

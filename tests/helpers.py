@@ -4,8 +4,7 @@ finite-difference oracle for derivative checks."""
 import math
 import random
 
-from monoratio.expr import (Binary, Call2, Const, DomainFault, Unary, Var,
-                            eval_dual)
+from monoratio.expr import Binary, Call2, Const, DomainFault, Dual, Unary, Var
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 
@@ -28,22 +27,23 @@ def random_ast(rng: random.Random, depth: int):
                  random_ast(rng, depth - 1))
 
 
-def central_fd(ast, x: float, h: float) -> float:
-    lo = eval_dual(ast, x - h).value
-    hi = eval_dual(ast, x + h).value
+def central_fd(fn, x: float, h: float) -> float:
+    """The central difference of fn, an ExprFn built once per AST."""
+    lo = fn(x - h)[0]
+    hi = fn(x + h)[0]
     return (hi - lo) / (2.0 * h)
 
 
-def pick_usable_point(ast, rng: random.Random, tries: int = 12):
-    """Draw an x where the expression and its FD probes are in-domain,
-    finite and of moderate magnitude (the FD oracle itself breaks down
-    near domain edges and on huge values)."""
+def pick_usable_point(fn, rng: random.Random, tries: int = 12):
+    """Draw an x where the expression (fn, an ExprFn built once per AST)
+    and its FD probes are in-domain, finite and of moderate magnitude (the
+    FD oracle itself breaks down near domain edges and on huge values)."""
     for _ in range(tries):
         x = rng.uniform(-3.0, 3.0)
         h = 1e-6 * (1.0 + abs(x))
         margin = 1e-3 * (1.0 + abs(x))
         try:
-            duals = [eval_dual(ast, t)
+            duals = [Dual(*fn(t))
                      for t in (x, x - h, x + h, x - margin, x + margin)]
         except DomainFault:
             continue

@@ -227,6 +227,8 @@ _CONSTRUCT = ("construct", "--g", "exp(x)", "--window", "-2", "2", "--grid-n", "
     '{"slopes": ["a"]}',
     '{"flats": [[0, 1]], "slopes": [1, 1], "anchor_value": null}',
     b"\xff\xfe\x7b",  # not UTF-8
+    pytest.param('{"flats": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 id="nested past the json module's recursion limit"),
 ])
 def test_construct_malformed_staircase_is_parse_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "stair.json"
@@ -460,7 +462,7 @@ def test_too_deep_expression_is_a_parse_error(capsys, f, offset):
 @pytest.mark.parametrize("f", [
     "+".join(f"{k}*x" for k in range(1, 100)),  # 98 + levels over 2-level terms
     "(" * 99 + "x" + ")" * 99,
-    "-" * 97 + "(x - 0.3)",  # f changes sign: the scalar walk runs in probes
+    "-" * 97 + "(x - 0.3)",  # f changes sign: probes make scalar calls
 ])
 def test_expression_at_the_depth_bound_gets_a_report(capsys, f):
     code, out, _ = _analyze(capsys, f)

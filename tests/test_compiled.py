@@ -23,8 +23,8 @@ from test_columns import _by_column, _by_values, _per_point, _values_of
 def _pack(floats):
     # signed zeros count; a NaN does not keep its sign: CPython's float
     # multiply returns either operand's NaN when both are NaN, depending on
-    # whether the interpreter has specialised the instruction yet, so the
-    # scalar walk itself gives both signs of (-nan) * nan
+    # whether the interpreter has specialised the instruction yet, so one
+    # evaluator alone gives both signs of (-nan) * nan
     return struct.pack(f"<{len(floats)}d", *(math.nan if v != v else v for v in floats))
 
 

@@ -80,7 +80,7 @@ def test_eval_x_sin_x():
     d = eval_dual(parse("x*sin(x)"), 1.0)
     assert d.value == pytest.approx(0.841471, abs=1e-6)
     assert d.deriv == pytest.approx(1.381773, abs=1e-6)
-    fd = central_fd(parse("x*sin(x)"), 1.0, 1e-6)
+    fd = central_fd(ExprFn(parse("x*sin(x)")), 1.0, 1e-6)
     assert abs(d.deriv - fd) <= 1e-6
 
 
@@ -103,6 +103,16 @@ def test_domain_faults_carry_x():
         eval_dual(parse("0^(x - 2)"), 1.0)  # zero to a negative power
     with pytest.raises(DomainFault):
         eval_dual(parse("sqrt(x)"), -0.5)
+
+
+@pytest.mark.parametrize("exponent", [Const(0.0), Binary("-", Const(1.0), Const(1.0))],
+                         ids=["constant", "constant-valued"])
+def test_pow_overflow_in_the_slope_is_a_pow_fault(exponent):
+    # (-x)^0 at the smallest subnormal is 1, but its slope's (-x)^-1 overflows
+    fn = ExprFn(Binary("^", Unary("neg", Var()), exponent), label="p")
+    for read, arg in ((fn, 5e-324), (fn.column, [1.0, 5e-324]), (fn.values, [1.0, 5e-324])):
+        with pytest.raises(DomainFault, match=r"^pow overflow at x = 5e-324$"):
+            read(arg)
 
 
 def test_abs_derivative_zero_at_zero():
@@ -208,11 +218,12 @@ def test_dual_vs_finite_difference_sweep():
     checked = 0
     while checked < 150:
         ast = random_ast(rng, rng.randint(1, 5))
-        spot = pick_usable_point(ast, rng)
+        fn = ExprFn(ast)
+        spot = pick_usable_point(fn, rng)
         if spot is None:
             continue
         x, h = spot
-        dual = eval_dual(ast, x).deriv
-        fd = central_fd(ast, x, h)
+        dual = fn(x)[1]
+        fd = central_fd(fn, x, h)
         assert abs(dual - fd) <= 1e-5 * (1.0 + abs(dual)), format_expr(ast)
         checked += 1

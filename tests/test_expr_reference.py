@@ -1,13 +1,15 @@
-"""The float-pair evaluator against a test-local copy of the operator-
-overloading dual-number evaluator it replaced: values, derivatives and
-domain-fault reasons must agree bit for bit."""
+"""The compiled float-pair evaluator against a test-local copy of the
+operator-overloading dual-number evaluator it replaced: values,
+derivatives and domain-fault reasons must agree bit for bit, one call per
+point and through ExprFn.column and ExprFn.values, whose fault must name
+the first faulting x of the column."""
 
 import math
 import random
 import struct
 from dataclasses import dataclass
 
-from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var, eval_dual
+from monoratio.expr import Binary, Call2, Const, DomainFault, ExprFn, Unary, Var
 
 from helpers import random_ast
 
@@ -174,13 +176,13 @@ def _reference(ast, x):
     return d.value, d.deriv
 
 
-def _new(ast, x):
+def _new(fn, x):
     try:
-        d = eval_dual(ast, x)
+        value, deriv = fn(x)
     except DomainFault as err:
         assert err.x == x
         return err.reason
-    return d.value, d.deriv
+    return value, deriv
 
 
 def _bits(result):
@@ -189,17 +191,60 @@ def _bits(result):
     return struct.pack("<2d", *result)
 
 
+def _first_fault_or_columns(results):
+    """(values, derivs) from (x, result) pairs in column order, or the
+    first faulting x and its reason."""
+    for x, result in results:
+        if isinstance(result, str):
+            return x, result
+    return [r[0] for _, r in results], [r[1] for _, r in results]
+
+
+def _read(read, xs):
+    """read(xs) as a (values, derivs) pair, or the fault's x and reason."""
+    try:
+        result = read(xs)
+    except DomainFault as err:
+        return err.x, err.reason
+    return result if isinstance(result, tuple) else (result, [])
+
+
+def _column_bits(result):
+    a, b = result
+    if isinstance(b, str):
+        return struct.pack("<d", a), b
+    return struct.pack(f"<{len(a)}d", *a), struct.pack(f"<{len(b)}d", *b)
+
+
 def test_float_pairs_match_the_dual_evaluator_bit_for_bit():
     rng = random.Random(20240501)
-    points = faults = 0
+    # the columns' own draws, so that the per-point draws stay as they were
+    column_rng = random.Random(20261019)
+    points = faults = column_faults = 0
     while points < 20000:
         ast = random_ast(rng, rng.randint(1, 6))
+        fn = ExprFn(ast)
+        results = []
         # uniform points plus the small integers where poles and zero
         # bases sit
         for x in (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
                   float(rng.randint(-3, 3)), rng.choice((0.0, -0.0, 1e-300))):
-            old, new = _reference(ast, x), _new(ast, x)
+            old, new = _reference(ast, x), _new(fn, x)
             assert _bits(new) == _bits(old), (ast, x, old, new)
+            results.append((x, old))
             faults += isinstance(old, str)
             points += 1
+        # the same points and a few more as one column, in random order, so
+        # the first fault lands anywhere in it
+        results += ((x, _reference(ast, x)) for x in
+                    (column_rng.uniform(-3.0, 3.0) for _ in range(column_rng.randint(0, 4))))
+        column_rng.shuffle(results)
+        xs = [x for x, _ in results]
+        old = _first_fault_or_columns(results)
+        only_values = old if isinstance(old[1], str) else (old[0], [])
+        assert _column_bits(_read(fn.column, xs)) == _column_bits(old), (ast, xs)
+        assert _column_bits(_read(fn.values, xs)) == _column_bits(only_values), (ast, xs)
+        column_faults += isinstance(old[1], str)
     assert faults >= 1000  # the fault paths were exercised
+    assert column_faults >= 1000
+

@@ -1,13 +1,13 @@
 """sympy as an independent derivative oracle for the forward-mode
 evaluator: the symbolic derivative of the printed expression, evaluated at
-30 digits, must match eval_dual within 1e-9 relative on random expression
-trees."""
+30 digits, must match ExprFn's derivative within 1e-9 relative on random
+expression trees."""
 
 import random
 
 import pytest
 
-from monoratio.expr import (Binary, Call2, Const, Unary, Var, eval_dual, format_expr,
+from monoratio.expr import (Binary, Call2, Const, ExprFn, Unary, Var, format_expr,
                             parse)
 
 from helpers import pick_usable_point, random_ast
@@ -41,13 +41,14 @@ def test_sympy_derivatives_match_eval_dual():
     checked = 0
     while checked < 300:
         ast = random_ast(rng, rng.randint(1, 5))
-        spot = pick_usable_point(ast, rng)
+        fn = ExprFn(ast)
+        spot = pick_usable_point(fn, rng)
         if spot is None:
             continue
         x = spot[0]
         h = _to_sympy(parse(format_expr(ast)))
         ref = sympy.diff(h, X).evalf(30, subs={X: sympy.Rational(x)})
         assert ref.is_real and ref.is_finite, (format_expr(ast), x, ref)
-        dual = eval_dual(ast, x).deriv
+        dual = fn(x)[1]
         assert abs(dual - float(ref)) <= 1e-9 * (1.0 + abs(float(ref))), (format_expr(ast), x, dual, ref)
         checked += 1
