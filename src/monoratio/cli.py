@@ -64,17 +64,21 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors (subcommands' too) raise _UsageError
     inside main's boundary instead of printing usage and exiting 2, and
-    which reads every token float() accepts (-1e-3, -inf) as a value."""
+    which reads every unregistered token that float() or the expression
+    parser accepts (-1e-3, -inf, -exp(x)) as a value."""
 
     def error(self, message):
         raise _UsageError(message)
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        if arg_string not in self._option_string_actions:
+            for read in (float, parse):
+                try:
+                    read(arg_string)
+                except ValueError:  # a ParseError too
+                    continue
+                return None
+        return super()._parse_optional(arg_string)
 
 
 def _checked_tolerances(args, windows) -> Tolerances:

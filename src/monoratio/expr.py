@@ -1,12 +1,13 @@
 """Forward-mode evaluation of parsed expressions (``syntax``) on
 (value, derivative) float pairs; nothing is rewritten symbolically.  Each
-ExprFn compiles its AST once into straight-line loops over a column of
-points (source transformation), and a scalar call is a column of one.  A
-point outside the domain raises DomainFault at the first such x.
+ExprFn turns its AST into straight-line loops over a column of points
+(source transformation), compiled once per shape; a scalar call is a column
+of one.  A point outside the domain raises DomainFault at the first such x.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -80,7 +81,9 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
 # its operands', children first and left to right, and a values-only twin
 # that skips the derivatives no fault depends on.  The (node type, op) pairs
 # only select the fixed templates below, and the constants enter through a
-# tuple argument, so no text of the AST reaches the source.
+# tuple argument, so no text of the AST reaches the source: the source
+# depends on the tree's shape alone, and trees of one shape share the loops
+# compiled from it.
 #
 # The loops append each point's floats to lists the caller passes in, and a
 # body raises where the point leaves the domain: a _Fault with its reason
@@ -158,9 +161,12 @@ def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str
     (else "")."""
     if isinstance(node, Var):
         return "x", "1.0"
-    if isinstance(node, Const):
-        consts.append(node.value)
-        return f"c{len(consts) - 1}", "0.0"
+    # a literal and a negated one (the parser reads -0.03 as neg(0.03)) take
+    # a value and a derivative slot: the floats their templates compute
+    const = node.arg if isinstance(node, Unary) and node.op == "neg" else node
+    if isinstance(const, Const):
+        consts += (const.value, 0.0) if const is node else (-const.value, -0.0)
+        return f"c{len(consts) - 2}", f"c{len(consts) - 1}"
     key = (type(node), getattr(node, "op", None))
     if key not in _SOURCE:
         raise ValueError(f"unknown expression node {node!r}")
@@ -202,13 +208,23 @@ def _loop_source(ast: Expr) -> tuple[str, tuple]:
     return "\n".join(lines) + "\n", tuple(consts)
 
 
-def _compile_loops(ast: Expr) -> tuple[tuple, Callable, Callable]:
-    """(constants, column loop, values loop) of ast, compiled together."""
-    source, consts = _loop_source(ast)
+# the shapes whose loops stay compiled, about 5 KB each with their source
+_SHAPES = 128
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _shape_loops(source: str) -> tuple[Callable, Callable]:
+    """The (column, values) loops of source: pure, so every tree of its shape shares them."""
     namespace = dict(_LOOP_GLOBALS)
     exec(compile(source, "<monoratio.expr loops>", "exec"), namespace)
-    # popped, so that no cycle through the loops' globals outlives the ExprFn
-    return consts, namespace.pop("column"), namespace.pop("values")
+    # popped, so that no cycle through the loops' globals outlives them
+    return namespace.pop("column"), namespace.pop("values")
+
+
+def _compile_loops(ast: Expr) -> tuple[tuple, Callable, Callable]:
+    """(constants, column loop, values loop) of ast, its shape compiled once."""
+    source, consts = _loop_source(ast)
+    return (consts, *_shape_loops(source))
 
 
 def _check_finite(xs: Sequence[float]) -> None:
@@ -229,7 +245,7 @@ class ExprFn:
         self.label = label if label is not None else format_expr(ast)
 
     def __getstate__(self):
-        # a copy compiles its own loops from the AST
+        # a copy takes its loops from the AST, by way of the shape cache
         return getattr(self, "__dict__", None), {"ast": self.ast, "label": self.label}
 
     def __setstate__(self, state):
@@ -280,8 +296,9 @@ class ExprFn:
 
 def eval_dual(ast: Expr, x: float) -> Dual:
     """Evaluate (h(x), h'(x)) by forward-mode propagation of (value,
-    derivative) float pairs.  It compiles ast on every call: to evaluate
-    one AST at many points, build its ExprFn once.
+    derivative) float pairs.  It builds ast's ExprFn on every call, which
+    compiles only a shape missing from the cache: to evaluate one AST at
+    many points, build its ExprFn once.
 
     Raises DomainFault for points outside the expression's domain (log of
     a non-positive value, division by zero, 0 to a negative power, ...).

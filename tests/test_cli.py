@@ -36,6 +36,15 @@ def test_analyze_happy_path(capsys):
     assert all(report["checks"].values())
 
 
+def test_analyze_reads_a_leading_minus_expression_as_a_value(capsys):
+    # as the four g templates whose labels start with "-" are written
+    window = ("--window", "0", "1", "--grid-n", "256")
+    code, spaced, _ = run(capsys, "analyze", "--f", "-x^2 - 1", "--g", "-exp(x)", *window)
+    assert code == 0
+    assert json.loads(spaced)["pair"] == {"f": "-x^2 - 1", "g": "-exp(x)"}
+    assert run(capsys, "analyze", "--f=-x^2 - 1", "--g=-exp(x)", *window) == (0, spaced, "")
+
+
 def test_analyze_validation_error(capsys):
     code, _, err = run(capsys, "analyze", "--f", "x", "--g", "sin(x)",
                        "--window", "0.5", "3", "--grid-n", "256")

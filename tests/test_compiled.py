@@ -1,18 +1,22 @@
 """The loops ExprFn compiles from its AST: op validation before any source
-is compiled, constants kept out of the source, bit-identical columns on
-hand-built constants, pickling, and the reflections' single replay."""
+is compiled, constants kept out of the source, loops shared by trees of one
+shape, bit-identical columns on hand-built constants, pickling, and the
+reflections' single replay."""
 
 import copy
+import itertools
 import math
 import pickle
 import struct
+import sys
+import threading
 
 import pytest
 
 from monoratio import expr
 from monoratio.construct import G_TEMPLATES, StaircaseFn
 from monoratio.expr import (Binary, Call2, Const, DomainFault, ExprFn, Unary, Var,
-                            _loop_source, parse)
+                            _loop_source, eval_dual, parse)
 from monoratio.ratio import columns, mirrored, negated, values
 from monoratio.syntax import BINARY_FUNCTIONS, UNARY_FUNCTIONS
 import monoratio as mr
@@ -56,7 +60,7 @@ def test_unknown_op_raises_at_construction_before_compiling(monkeypatch, ast):
 
 def test_source_holds_no_constant_text_and_only_table_names():
     source, consts = _loop_source(parse("123.456*x^2.75 + min(x, 7e-5)/sqrt(x + 31)"))
-    assert consts == (123.456, 2.75, 7e-05, 31.0)
+    assert consts == (123.456, 0.0, 2.75, 0.0, 7e-05, 0.0, 31.0, 0.0)
     for text in ("123", "456", "2.75", "7e", "31"):
         assert text not in source
     # every function of the language has a template
@@ -69,8 +73,9 @@ def test_source_holds_no_constant_text_and_only_table_names():
 _SPECIALS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324, -2.0, 3.0)
 
 
-def _special_asts(c):
-    k = Const(c)
+def _special_asts(k):
+    """Trees that read the leaf k (a literal or a negated one) in every
+    template that takes an operand."""
     return [
         k, Binary("^", Var(), k), Binary("^", Binary("-", Var(), Const(1.0)), k),
         Binary("^", k, Var()), Binary("*", Var(), k), Binary("/", k, Var()),
@@ -86,12 +91,27 @@ def _special_asts(c):
 _SPECIAL_XS = [-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 700.0]
 
 
+def _negated(c):
+    return Unary("neg", Const(c))
+
+
+def _negated_per_point(c):
+    # c + -0.0 is c bit for bit, so this negates c at each point, where
+    # _negated(c) reads -c and -0.0 from its constant slots
+    return Unary("neg", Binary("+", Const(c), Const(-0.0)))
+
+
 @pytest.mark.parametrize("c", _SPECIALS, ids=repr)
 def test_hand_built_constants_match_per_point_calls_bit_for_bit(c):
-    for ast in _special_asts(c):
+    cases = [(ast, None) for ast in _special_asts(Const(c))]
+    cases += zip(_special_asts(_negated(c)), _special_asts(_negated_per_point(c)))
+    for ast, unfolded in cases:
         fn = ExprFn(ast, label="c")  # format_expr cannot print nan or inf
         for xs in (_SPECIAL_XS, [x for x in _SPECIAL_XS if x > 0.0], [0.5, 1.0, 2.0]):
             expected = _per_point(fn, xs)
+            if unfolded is not None:
+                reference = _per_point(ExprFn(unfolded, label="c"), xs)
+                assert _bits(expected) == _bits(reference), (ast, xs)
             assert _bits(_by_column(fn, xs)) == _bits(expected), (ast, xs)
             assert _bits(_by_values(fn, xs)) == _bits(_values_of(expected)), (ast, xs)
             # the compiled loops, where they return, return those floats
@@ -103,6 +123,77 @@ def test_hand_built_constants_match_per_point_calls_bit_for_bit(c):
                 assert _bits((fn.values(xs), [])) == _bits(_values_of(expected)), (ast, xs)
             except (ArithmeticError, ValueError):
                 pass
+
+
+def test_trees_of_one_shape_share_their_loops():
+    leaves = [leaf(c) for leaf in (Const, _negated) for c in _SPECIALS]
+    for template in zip(*(_special_asts(k) for k in leaves)):
+        fns = [ExprFn(ast, label="c") for ast in template]
+        shapes = {}
+        for fn in fns:
+            first = shapes.setdefault(_loop_source(fn.ast)[0], fn)
+            assert (fn._column, fn._values) == (first._column, first._values)
+        # a constant exponent selects its template by c alone: integral c,
+        # other c, and a negated literal, which is no Const
+        assert len({id(fn._column) for fn in fns}) == len(shapes) <= 3
+    assert ExprFn(parse("(-1.5)*exp(x)"))._column is ExprFn(parse("1.5*exp(x)"))._column
+    assert ExprFn(parse("x^(-2)"))._column is ExprFn(parse("x^(-0.5)"))._column
+    assert ExprFn(parse("x^2"))._column is not ExprFn(parse("x^(-2)"))._column
+
+
+def _nested(op, depth):
+    ast = Var()
+    for _ in range(depth):
+        ast = Unary(op, ast)
+    return ast
+
+
+def test_a_shape_evicted_from_the_cache_still_evaluates():
+    ast = parse("exp(-x)*sin(3*x) + x^2.5/(1 + x^2)")
+    fn = ExprFn(ast)
+    xs = [0.1 * k for k in range(1, 40)]
+    expected = _bits(fn.column(xs))
+    for a, b in itertools.product(range(12), repeat=2):  # 144 other shapes
+        ExprFn(Binary("*", _nested("sin", a), _nested("cos", b)))
+    info = expr._shape_loops.cache_info()
+    assert info.currsize == expr._SHAPES < 144
+    twin = ExprFn(ast)
+    assert expr._shape_loops.cache_info().misses == info.misses + 1
+    assert twin._column is not fn._column
+    assert _bits(fn.column(xs)) == _bits(twin.column(xs)) == expected
+
+
+def test_repeated_eval_dual_compiles_its_shape_once():
+    expr._shape_loops.cache_clear()
+    ast = parse("sqrt(x)*log(x + 2)")
+    assert eval_dual(ast, 0.5) == eval_dual(ast, 0.5)
+    info = expr._shape_loops.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_threads_that_share_shapes_read_the_same_floats():
+    texts = [f"({c})*sin(x) + exp({c}*x)^{k}" for c in ("0.5", "-1.5", "2") for k in ("2", "2.5")]
+    xs = [0.1 * k for k in range(1, 40)]
+    expected = [_bits(ExprFn(parse(t)).column(xs)) for t in texts]
+    results = []
+
+    def work():
+        results.append([_bits(ExprFn(parse(t)).column(xs)) for t in texts])
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    expr._shape_loops.cache_clear()  # so that the threads race on the misses
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
+    assert expr._shape_loops.cache_info().currsize == 2  # integral and other k
 
 
 class _CountingExprFn(ExprFn):
@@ -125,11 +216,12 @@ def test_exprfn_copies_round_trip(copier):
     counting.calls = 5
     for fn in (ExprFn(ast, label="f"), counting):
         twin = copier(fn)
-        # a subclass stays itself, with its attributes, and its own loops
+        # a subclass stays itself, with its attributes, and shares the loops
+        # of its shape
         assert type(twin) is type(fn) and twin is not fn
         assert getattr(twin, "__dict__", None) == getattr(fn, "__dict__", None)
         assert (twin.ast, twin.label) == (fn.ast, fn.label)
-        assert twin._column is not fn._column
+        assert twin._column is fn._column
         xs = [0.1 * k for k in range(1, 40)]
         assert _bits(twin.column(xs)) == _bits(fn.column(xs))
         assert twin.values(xs) == fn.values(xs)
