@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import mul, neg, sub
@@ -138,9 +137,10 @@ def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
 
 
 def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[float],
-                  f3: list[float], f4: list[float]) -> list[float]:
-    """The table rows (cumulative integral, 1/h, c1 ... c5) of the leaves
-    with widths hs and samples f0 ... f4, the integral starting at 0."""
+                  f3: list[float], f4: list[float]) -> list[tuple[float, ...]]:
+    """The table rows (cumulative integral, 1/h, c1 ... c5), one tuple per
+    leaf, of the leaves with widths hs and samples f0 ... f4, the integral
+    starting at 0."""
     # h * (integral from 0 to t of the quartic through (k/4, f_k))
     # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
     # of the samples; at t = 1 it is Boole's rule, the accepted value
@@ -157,10 +157,7 @@ def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[fl
     c5 = [h * (32.0 / 15.0 * d) for h, d in zip(hs, d4)]
     cums = list(accumulate(
         [a + (b + (c + (d + e))) for a, b, c, d, e in zip(c1, c2, c3, c4, c5)], initial=0.0))
-    rows = [0.0] * (7 * len(hs))
-    rows[0::7], rows[1::7] = cums[:-1], [1.0 / h for h in hs]
-    rows[2::7], rows[3::7], rows[4::7], rows[5::7], rows[6::7] = c1, c2, c3, c4, c5
-    return rows
+    return list(zip(cums, [1.0 / h for h in hs], c1, c2, c3, c4, c5))  # zip drops the total
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +318,9 @@ class ConstructedFn:
 
     The build runs adaptive Simpson over a uniform node grid joined with
     rho's breakpoints, so no panel straddles a known kink, and keeps every
-    accepted sub-panel as a leaf: its start, its inverse width, the
-    cumulative integral up to it and the five coefficients of the
+    accepted sub-panel as a leaf: its start, in the list _starts, and one
+    row of the list _table, the tuple (cumulative integral up to it,
+    inverse width, c1 ... c5), whose c's are the five coefficients of the
     integrated quartic through its five samples.  _block_leaves reads rho
     and g as one column over every node interval's samples and refines
     only the intervals whose first estimate fails, and _quartic_rows turns
@@ -332,9 +330,10 @@ class ConstructedFn:
     sampled again one point at a time, so a fault of rho or g, or a
     QuadratureError before it, is raised as that build raises it.
 
-    A query bisects for its leaf and evaluates one degree-5 polynomial; it
-    calls neither rho nor g for the value.  A column of queries moves its
-    leaf index along ascending xs and bisects again only where xs step
+    A query bisects for its leaf, unpacks its row and evaluates one
+    degree-5 polynomial; it calls neither rho nor g for the value.  A
+    column of queries moves its leaf index along ascending xs, unpacks a
+    row only on entering a new leaf and bisects again only where xs step
     back.  At each leaf end the polynomial equals the accepted Simpson
     value, so f is continuous across leaves.  Outside the window the first
     and last leaves' polynomials are extended, so f is only meaningful on
@@ -355,9 +354,9 @@ class ConstructedFn:
         nodes = sorted([lo + i * step for i in range(_PANELS)]
                        + [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]) + [hi]
         x0s, hs, *samples = _block_leaves(rho, g, nodes, quad_tol)
-        self._starts = array("d", x0s)
-        # per leaf: cumulative integral, 1/h, c1 ... c5
-        self._table = array("d", _quartic_rows(hs, *samples))
+        self._starts = x0s
+        # one row per leaf: (cumulative integral, 1/h, c1 ... c5)
+        self._table = _quartic_rows(hs, *samples)
         self._base = K * g(z)[0]
         self._Fz = self._antideriv(z, self._leaf(z))
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"
@@ -368,11 +367,9 @@ class ConstructedFn:
 
     def _antideriv(self, x: float, i: int) -> float:
         """The cumulative integral at x by leaf i's polynomial."""
-        c = self._table
-        k = 7 * i
-        t = (x - self._starts[i]) * c[k + 1]
-        return c[k] + t * (c[k + 2] + t * (c[k + 3] + t * (c[k + 4] + t * (
-            c[k + 5] + t * c[k + 6]))))
+        c0, inv_h, c1, c2, c3, c4, c5 = self._table[i]
+        t = (x - self._starts[i]) * inv_h
+        return c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))))
 
     def __call__(self, x: float) -> tuple[float, float]:
         rv, _ = self.rho(x)
@@ -393,7 +390,7 @@ class ConstructedFn:
                 else:  # stepped back (or NaN): bisect again
                     i = self._leaf(x)
                 lo, nxt = starts[i], starts[i + 1] if i < last else math.inf
-                c0, inv_h, c1, c2, c3, c4, c5 = table[7 * i:7 * i + 7]
+                c0, inv_h, c1, c2, c3, c4, c5 = table[i]
             t = (x - lo) * inv_h
             out.append(base + (c0 + t * (c1 + t * (c2 + t * (c3 + t * (
                 c4 + t * c5))))) - fz)

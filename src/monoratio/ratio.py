@@ -213,15 +213,21 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     return sign_g, sign_gp
 
 
+# the largest analysis grid: a case's allocations peak near 370 bytes per
+# point, about 100 MB at this size
+GRID_N_MAX = 1 << 18
+
+
 def check_grid(lo: float, hi: float, grid_n: int) -> None:
-    """Reject an analysis grid the pipeline cannot resolve: the window
-    must be finite with lo < hi, grid_n at least 64, and the grid step
-    above 64 ulps of max(|lo|, |hi|), so the sign check's finite-difference
-    probes at a sixteenth of a step stay distinct from the sample x."""
+    """Reject an analysis grid the pipeline cannot resolve or afford: the
+    window must be finite with lo < hi, grid_n between 64 and GRID_N_MAX,
+    and the grid step above 64 ulps of max(|lo|, |hi|), so the sign check's
+    finite-difference probes at a sixteenth of a step stay distinct from
+    the sample x."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"window must be finite with lo < hi, got ({lo}, {hi})")
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
+    if not 64 <= grid_n <= GRID_N_MAX:
+        raise ValueError(f"grid_n must be between 64 and {GRID_N_MAX}, got {grid_n}")
     if (hi - lo) / grid_n <= 64.0 * math.ulp(max(abs(lo), abs(hi))):
         raise ValueError(f"window ({lo}, {hi}) is too narrow for a {grid_n}-point "
                          "grid: the step must exceed 64 ulps of max(|lo|, |hi|)")

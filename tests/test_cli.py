@@ -115,6 +115,17 @@ _TOL_ZERO_ARGV = {
 
 
 @pytest.mark.parametrize("command", sorted(_TOL_ZERO_ARGV))
+@pytest.mark.parametrize("grid_n", ["262145", "100000000000"])
+def test_grid_above_ceiling_is_usage_error(capsys, command, grid_n):
+    # rejected before any column is allocated
+    code, out, err = run(capsys, *_TOL_ZERO_ARGV[command], "--grid-n", grid_n)
+    assert code == 64
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"grid_n must be between 64 and 262144, got {grid_n}" in err
+
+
+@pytest.mark.parametrize("command", sorted(_TOL_ZERO_ARGV))
 @pytest.mark.parametrize("tol_zero", ["nan", "-1", "1", "10"])
 def test_bad_tol_zero_is_usage_error(capsys, command, tol_zero):
     code, out, err = run(capsys, *_TOL_ZERO_ARGV[command], "--grid-n", "256",

@@ -12,7 +12,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import ratio
-from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn
+from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn, random_pair
 from monoratio.expr import Binary, Const, DomainFault, ExprFn, Var, parse
 from monoratio.ratio import columns, median_abs, mirrored, negated, values
 from monoratio.rules import _check_sign_identity
@@ -427,3 +427,20 @@ def test_expr_case_allocation_peak_stays_small():
         tracemalloc.stop()
     assert report.all_ok
     assert peak < 768 << 10, f"allocation peak {peak} bytes"
+
+
+def test_generated_pair_memory_stays_small():
+    # random_pair(1) builds 1,028 leaves, one tuple of seven floats each:
+    # the pair retains 219,966 bytes and the build peaks at 765,393 when
+    # this test runs alone (218,534 and 764,097 in its file); the bounds
+    # leave 19% and 11% headroom
+    random_pair(0)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        pair, _, _ = random_pair(1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pair.f._table) == 1028
+    assert retained < 256 << 10, f"retained {retained} bytes"
+    assert peak < 832 << 10, f"build peak {peak} bytes"

@@ -1,6 +1,5 @@
 import math
 import random
-from array import array
 
 import pytest
 
@@ -174,7 +173,7 @@ def test_polynomial_case_near_machine_precision():
 # --- the blocked table build -------------------------------------------------
 
 def _scalar_table(g, rho, window, quad_tol=1e-10):
-    """(starts, table) by one integrand call per sample and one leaf at a
+    """(starts, rows) by one integrand call per sample and one leaf at a
     time: the reference the blocked build must match float for float."""
 
     def integrand(u):
@@ -185,7 +184,7 @@ def _scalar_table(g, rho, window, quad_tol=1e-10):
     nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
     nodes.sort()
     nodes.append(hi)
-    starts, table, cum = array("d"), array("d"), 0.0
+    starts, rows, cum = [], [], 0.0
     for x0, h, f0, f1, f2, f3, f4, _ in _simpson_leaves(integrand, nodes, quad_tol, 40):
         p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
         q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
@@ -197,9 +196,9 @@ def _scalar_table(g, rho, window, quad_tol=1e-10):
         c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
         c5 = h * (32.0 / 15.0 * d4)
         starts.append(x0)
-        table.extend((cum, 1.0 / h, c1, c2, c3, c4, c5))
+        rows.append((cum, 1.0 / h, c1, c2, c3, c4, c5))
         cum += c1 + (c2 + (c3 + (c4 + c5)))
-    return starts, table
+    return starts, rows
 
 
 def _build_specs():
@@ -238,9 +237,12 @@ _BUILDS = dict(_builds())
 def test_blocked_build_matches_scalar_build(name):
     g, rho, window, quad_tol = _BUILDS[name]
     f = ConstructedFn(g, rho, window.midpoint, 0.0, window, quad_tol)
-    starts, table = _scalar_table(g, rho, window, quad_tol)
-    assert f._starts == starts
-    assert f._table == table
+    starts, rows = _scalar_table(g, rho, window, quad_tol)
+    # float.hex, not ==: equality cannot tell -0.0 from 0.0
+    assert type(f._starts) is list and {type(row) for row in f._table} == {tuple}
+    assert list(map(float.hex, f._starts)) == list(map(float.hex, starts))
+    assert [tuple(map(float.hex, row)) for row in f._table] == \
+        [tuple(map(float.hex, row)) for row in rows]
     if quad_tol < 1e-10:
         assert len(starts) > 1500
 

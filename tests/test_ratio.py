@@ -4,7 +4,7 @@ import pytest
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.ratio import Grid, _chebyshev_points, median_abs
+from monoratio.ratio import GRID_N_MAX, Grid, _chebyshev_points, check_grid, median_abs
 
 
 def _pair(f_src, g_src, lo, hi, n=256):
@@ -72,6 +72,13 @@ def test_make_pair_window_checks():
         # steps of 1e-13/2048 cannot hold the sign check's probes apart
         _pair("x", "x + 1", 1.0, 1.0 + 1e-13, 2048)
     _pair("x", "x + 1", 1.0, 1.0 + 1e-9, 2048)  # step ~2000 ulps: accepted
+
+
+def test_check_grid_ceiling():
+    check_grid(0.0, 1.0, GRID_N_MAX)  # the largest accepted grid; nothing is sampled
+    for grid_n in (GRID_N_MAX + 1, 10 ** 11):
+        with pytest.raises(ValueError, match=f"between 64 and {GRID_N_MAX}"):
+            mr.make_pair(mr.expr_fn("x"), mr.expr_fn("x + 1"), Interval(0.0, 1.0), grid_n)
 
 
 def test_ratio_rho_values():
