@@ -397,8 +397,15 @@ class ConstructedFn:
         return out
 
     def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x."""
-        return self.values(xs), list(map(mul, values(self.rho, xs), columns(self.g, xs)[1]))
+        """(values, derivatives) at every x, the floats of one call per x.
+        rho's column is read before g's, so where either faults, the
+        derivatives are taken one call of rho, then g, per x, which raises
+        the first faulting x's error as one call there does."""
+        try:
+            derivs = list(map(mul, values(self.rho, xs), columns(self.g, xs)[1]))
+        except (ArithmeticError, ValueError):
+            derivs = [self.rho(x)[0] * self.g(x)[1] for x in xs]
+        return self.values(xs), derivs
 
     def __repr__(self) -> str:
         return f"ConstructedFn({self.label})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import ByState
 # the syntax names stay importable from here
@@ -35,13 +35,6 @@ class _Fault(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Forward-mode evaluation on (value, derivative) float pairs
-
-
-class Dual(NamedTuple):
-    """First-order dual number (value, derivative), as eval_dual returns it."""
-
-    value: float
-    deriv: float
 
 
 def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
@@ -227,12 +220,6 @@ def _compile_loops(ast: Expr) -> tuple[tuple, Callable, Callable]:
     return (consts, *_shape_loops(source))
 
 
-def _check_finite(xs: Sequence[float]) -> None:
-    # a finite sum clears every x in one C-level pass
-    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
-        raise ValueError("x must be finite")
-
-
 class ExprFn:
     """Adapter turning a parsed AST into a differentiable-function callable.
     Construction compiles the column loops, so an unknown op raises there."""
@@ -256,9 +243,14 @@ class ExprFn:
 
     def _run(self, loop: Callable, xs: Sequence[float], *out: list) -> tuple[list, ...]:
         """The lists out, filled by loop over xs; where a point faults, the
-        DomainFault of the first faulting x, the one after the last value."""
+        error of the first faulting x: a DomainFault after the last value,
+        or a ValueError at an x that is not finite."""
+        stop = len(xs)
+        # a finite sum clears every x in one C-level pass
+        if not math.isfinite(sum(xs)):
+            stop = next((i for i, x in enumerate(xs) if not math.isfinite(x)), stop)
         try:
-            loop(xs, self._consts, *out)
+            loop(xs if stop == len(xs) else xs[:stop], self._consts, *out)
         except _Fault as err:
             reason = err.reason
         except ZeroDivisionError:
@@ -268,45 +260,27 @@ class ExprFn:
         except ValueError as err:  # math's domain error
             reason = str(err)
         else:
+            if stop < len(xs):
+                raise ValueError(f"x must be finite, got {xs[stop]!r}")
             return out
         raise DomainFault(xs[len(out[0])], reason)
 
     def __call__(self, x: float) -> tuple[float, float]:
-        if not math.isfinite(x):
-            raise ValueError(f"x must be finite, got {x!r}")
         (value,), (deriv,) = self._run(self._column, (x,), [], [])
         return value, deriv
 
     def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x.
-        ValueError up front if an x is not finite, else DomainFault at the
-        first faulting x."""
-        _check_finite(xs)
+        """(values, derivatives) at every x, the floats of one call per x,
+        or the error of the first faulting x, as one call there raises it."""
         return self._run(self._column, xs, [], [])
 
     def values(self, xs: Sequence[float]) -> list[float]:
         """column(xs)'s values, with the derivatives computed only where a
         fault can depend on them; faults as column."""
-        _check_finite(xs)
         return self._run(self._values, xs, [])[0]
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"
-
-
-def eval_dual(ast: Expr, x: float) -> Dual:
-    """Evaluate (h(x), h'(x)) by forward-mode propagation of (value,
-    derivative) float pairs.  It builds ast's ExprFn on every call, which
-    compiles only a shape missing from the cache: to evaluate one AST at
-    many points, build its ExprFn once.
-
-    Raises DomainFault for points outside the expression's domain (log of
-    a non-positive value, division by zero, 0 to a negative power, ...).
-    Overflow that Python floats absorb silently surfaces as an infinite
-    value instead.
-    """
-    # labelled, since format_expr cannot print a NaN or infinite constant
-    return Dual(*ExprFn(ast, label="")(x))
 
 
 def expr_fn(text: str) -> ExprFn:

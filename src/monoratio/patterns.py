@@ -56,18 +56,6 @@ class Pattern:
     kind: PatternKind
     switch: Interval
 
-    def mirror_vertical(self) -> "PatternKind":
-        return _VERTICAL_MIRROR[self.kind]
-
-
-_VERTICAL_MIRROR = {
-    PatternKind.INCREASING: PatternKind.DECREASING,
-    PatternKind.DECREASING: PatternKind.INCREASING,
-    PatternKind.DOWN_UP: PatternKind.UP_DOWN,
-    PatternKind.UP_DOWN: PatternKind.DOWN_UP,
-    PatternKind.CONSTANT: PatternKind.CONSTANT,
-}
-
 
 def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
     if len(xs) != len(vs) or len(xs) < 16:

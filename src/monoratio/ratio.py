@@ -23,12 +23,9 @@ from .intervals import Interval
 # Anything callable as x -> (value, derivative).  One may also have a
 # column(xs) -> (values, derivatives) method, which columns() prefers, and
 # a values(xs) -> values method, which values() prefers.  Either method is
-# a fast path: when it returns, it returns the floats of one call per x,
-# and wherever a call faults it raises an ArithmeticError or ValueError,
-# not necessarily that call's (it may raise one elsewhere too).  columns()
-# and values() then replay xs one call per x, in xs order, which gives the
-# per-point floats or the first faulting x's own error.  Any other
-# exception propagates.
+# a fast path, held to one contract: it returns the floats of one call per
+# x, or raises the error that the first faulting x, in xs order, raises
+# itself.  columns() and values() pass its result or its error on.
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -127,14 +124,9 @@ def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, fl
 def columns(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], list[float]]:
     """(values, derivatives) of fn at every x, the floats one call per x
     gives, or the first faulting x's error: fn.column(xs) when fn has that
-    method and it returns, else one call per x."""
+    method, else one call per x."""
     column = getattr(fn, "column", None)
-    if column is not None:
-        try:
-            return column(xs)
-        except (ArithmeticError, ValueError):
-            pass
-    return _pointwise(fn, xs)
+    return _pointwise(fn, xs) if column is None else column(xs)
 
 
 def _pointwise(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -145,15 +137,9 @@ def _pointwise(fn: DifferentiableFn, xs: Sequence[float]) -> tuple[list[float], 
 
 def values(fn: DifferentiableFn, xs: Sequence[float]) -> list[float]:
     """The values of columns(fn, xs), faults included: fn.values(xs) when
-    fn has that method and it returns, which computes no derivative it
-    need not."""
+    fn has that method, which computes no derivative it need not."""
     only_values = getattr(fn, "values", None)
-    if only_values is None:
-        return columns(fn, xs)[0]
-    try:
-        return only_values(xs)
-    except (ArithmeticError, ValueError):
-        return _pointwise(fn, xs)[0]
+    return columns(fn, xs)[0] if only_values is None else only_values(xs)
 
 
 def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
@@ -329,47 +315,3 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
 
 def median_abs(values: Sequence[float]) -> float:
     return statistics.median(map(abs, values))
-
-
-def negated(fn: DifferentiableFn) -> DifferentiableFn:
-    """x -> -f(x), for vertical reflection.  It has fn's column and values
-    fast paths, if any, and forwards to them, so that the dispatcher that
-    reads it replays a fault once."""
-
-    def wrapped(x: float) -> tuple[float, float]:
-        v, d = fn(x)
-        return -v, -d
-
-    wrapped.label = f"-({getattr(fn, 'label', 'f')})"
-    if hasattr(fn, "column"):
-        def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-            values, derivs = fn.column(xs)
-            return [-v for v in values], [-d for d in derivs]
-
-        wrapped.column = column
-    if hasattr(fn, "values"):
-        wrapped.values = lambda xs: [-v for v in fn.values(xs)]
-    return wrapped
-
-
-def mirrored(fn: DifferentiableFn) -> DifferentiableFn:
-    """x -> f(-x), for horizontal reflection (chain rule flips the slope).
-    Its fast paths forward to fn's as negated's do."""
-
-    def wrapped(x: float) -> tuple[float, float]:
-        v, d = fn(-x)
-        return v, -d
-
-    # fn sees the points in ascending order when xs ascend; a fault there
-    # may name another x than the first faulting one, which the dispatcher's
-    # replay corrects
-    wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
-    if hasattr(fn, "column"):
-        def column(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-            values, derivs = fn.column([-x for x in reversed(xs)])
-            return values[::-1], [-d for d in reversed(derivs)]
-
-        wrapped.column = column
-    if hasattr(fn, "values"):
-        wrapped.values = lambda xs: fn.values([-x for x in reversed(xs)])[::-1]
-    return wrapped

@@ -20,7 +20,7 @@ import functools
 import math
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import add, le, lt, not_, sub, truediv
@@ -29,8 +29,8 @@ from typing import ClassVar
 from .intervals import Interval
 from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_mics, detect_pattern, level0_set)
-from .ratio import (FunctionPair, SampleTable, median_abs, mirrored, negated,
-                    ratio_at, rho_at, rho_tilde_at, sample_table, values)
+from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
+                    rho_tilde_at, sample_table, values)
 
 
 class Direction(str, Enum):
@@ -136,18 +136,15 @@ class AnalysisReport:
     mics_rho: tuple[Interval, ...]
     mics_rho_tilde: tuple[Interval, ...]
     mic_fits: tuple[MicFit, ...]
-    prop1_ok: bool
-    prop2_ok: bool
-    uniqueness_ok: bool
-    sign_identity_ok: bool
+    # (name, ok) per check, in report order: a tuple, so the report hashes
+    checks: tuple[tuple[str, bool], ...]
     sign_violations: int
     failure: str | None
     tolerances: Tolerances
 
     @property
     def all_ok(self) -> bool:
-        return (self.failure is None and self.prop1_ok and self.prop2_ok
-                and self.uniqueness_ok and self.sign_identity_ok)
+        return self.failure is None and all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
         def iv(interval: Interval | None):
@@ -175,12 +172,7 @@ class AnalysisReport:
                 "rho": mics(self.mics_rho),
                 "rho_tilde": mics(self.mics_rho_tilde),
             },
-            "checks": {
-                "prop1": self.prop1_ok,
-                "prop2": self.prop2_ok,
-                "uniqueness": self.uniqueness_ok,
-                "sign_identity": self.sign_identity_ok,
-            },
+            "checks": dict(self.checks),
             "sign_violations": self.sign_violations,
             "failure": self.failure,
             "tolerances": self.tolerances.as_dict(),
@@ -285,8 +277,9 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     Requires rho monotone on the window and the window longer than
     switch_tol (prop1 could not fail on a shorter one); if not, the report
-    carries the failure and every check flag stays False.  A failed check
-    is never silently passed; the report records exactly what was measured.
+    carries the failure, prop1 and prop2 are False and so is all_ok.  A
+    failed check is never silently passed; the report records exactly
+    what was measured.
     """
     tol = tol or Tolerances()
     table = sample_table(pair, pair.grid_n)
@@ -378,24 +371,9 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
         mics_rho=mics_rho,
         mics_rho_tilde=mics_rt,
         mic_fits=fits,
-        prop1_ok=prop1,
-        prop2_ok=prop2,
-        uniqueness_ok=uniqueness,
-        sign_identity_ok=sign_ok,
+        checks=(("prop1", prop1), ("prop2", prop2), ("uniqueness", uniqueness),
+                ("sign_identity", sign_ok)),
         sign_violations=violations,
         failure=failure,
         tolerances=tol,
     )
-
-
-def reflect(pair: FunctionPair, axis: str) -> FunctionPair:
-    """Reflect a pair vertically (f -> -f) or horizontally (x -> -x, window
-    mirrored, flipping the signs of g' and g*g').  Both keep g valid, so g
-    is not validated again."""
-    if axis == "vertical":
-        return replace(pair, f=negated(pair.f))
-    if axis == "horizontal":
-        return replace(pair, f=mirrored(pair.f), g=mirrored(pair.g),
-                       window=pair.window.mirrored(), sign_gprime=-pair.sign_gprime,
-                       sign_gg=-pair.sign_gg)
-    raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")

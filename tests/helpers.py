@@ -1,10 +1,13 @@
-"""Shared test machinery: random expression trees and the central
-finite-difference oracle for derivative checks."""
+"""Shared test machinery: random expression trees, the central
+finite-difference oracle for derivative checks, and the vertical and
+horizontal reflections of functions, pairs and patterns."""
 
+import dataclasses
 import math
 import random
 
-from monoratio.expr import Binary, Call2, Const, DomainFault, Dual, Unary, Var
+from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
+from monoratio.patterns import PatternKind
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 
@@ -43,13 +46,80 @@ def pick_usable_point(fn, rng: random.Random, tries: int = 12):
         h = 1e-6 * (1.0 + abs(x))
         margin = 1e-3 * (1.0 + abs(x))
         try:
-            duals = [Dual(*fn(t))
-                     for t in (x, x - h, x + h, x - margin, x + margin)]
+            duals = [fn(t) for t in (x, x - h, x + h, x - margin, x + margin)]
         except DomainFault:
             continue
-        if any(not (math.isfinite(d.value) and math.isfinite(d.deriv)) for d in duals):
+        if not all(map(math.isfinite, (v for dual in duals for v in dual))):
             continue
-        if any(abs(d.value) > 1e4 for d in duals) or abs(duals[0].deriv) > 1e4:
+        if any(abs(v) > 1e4 for v, _ in duals) or abs(duals[0][1]) > 1e4:
             continue
         return x, h
     return None
+
+
+def negated(fn):
+    """x -> -f(x), for vertical reflection.  It has fn's column and values
+    fast paths, if any, and forwards to them."""
+
+    def wrapped(x):
+        v, d = fn(x)
+        return -v, -d
+
+    wrapped.label = f"-({getattr(fn, 'label', 'f')})"
+    if hasattr(fn, "column"):
+        def column(xs):
+            values, derivs = fn.column(xs)
+            return [-v for v in values], [-d for d in derivs]
+
+        wrapped.column = column
+    if hasattr(fn, "values"):
+        wrapped.values = lambda xs: [-v for v in fn.values(xs)]
+    return wrapped
+
+
+def mirrored(fn):
+    """x -> f(-x), for horizontal reflection (chain rule flips the slope).
+    Its fast paths forward to fn's on the negated xs, in xs order, so a
+    fault names the first faulting x as a call there does."""
+
+    def wrapped(x):
+        v, d = fn(-x)
+        return v, -d
+
+    wrapped.label = f"({getattr(fn, 'label', 'f')})|x->-x"
+    if hasattr(fn, "column"):
+        def column(xs):
+            values, derivs = fn.column([-x for x in xs])
+            return values, [-d for d in derivs]
+
+        wrapped.column = column
+    if hasattr(fn, "values"):
+        wrapped.values = lambda xs: fn.values([-x for x in xs])
+    return wrapped
+
+
+def reflect(pair, axis: str):
+    """Reflect a pair vertically (f -> -f) or horizontally (x -> -x, window
+    mirrored, flipping the signs of g' and g*g').  Both keep g valid, so g
+    is not validated again."""
+    if axis == "vertical":
+        return dataclasses.replace(pair, f=negated(pair.f))
+    if axis == "horizontal":
+        return dataclasses.replace(pair, f=mirrored(pair.f), g=mirrored(pair.g),
+                                   window=pair.window.mirrored(),
+                                   sign_gprime=-pair.sign_gprime, sign_gg=-pair.sign_gg)
+    raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
+
+
+_VERTICAL_MIRROR = {
+    PatternKind.INCREASING: PatternKind.DECREASING,
+    PatternKind.DECREASING: PatternKind.INCREASING,
+    PatternKind.DOWN_UP: PatternKind.UP_DOWN,
+    PatternKind.UP_DOWN: PatternKind.DOWN_UP,
+    PatternKind.CONSTANT: PatternKind.CONSTANT,
+}
+
+
+def mirror_vertical(pattern) -> PatternKind:
+    """The kind of pattern's vertical reflection."""
+    return _VERTICAL_MIRROR[pattern.kind]

@@ -1,8 +1,11 @@
 """Column evaluation against one call per point: values, derivatives and
-domain faults must agree bit for bit.  Faults are read through
-ratio.columns and ratio.values, the one owner of the fault contract."""
+domain faults must agree bit for bit.  Every fast path keeps one contract:
+it returns the floats of one call per x, or raises the error the first
+faulting x, in xs order, raises itself; ratio.columns and ratio.values
+pass that on."""
 
 import dataclasses
+import itertools
 import math
 import random
 import struct
@@ -14,10 +17,10 @@ import monoratio as mr
 from monoratio import ratio
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn, random_pair
 from monoratio.expr import Binary, Const, DomainFault, ExprFn, Var, parse
-from monoratio.ratio import columns, median_abs, mirrored, negated, values
+from monoratio.ratio import columns, median_abs, values
 from monoratio.rules import _check_sign_identity
 
-from helpers import random_ast
+from helpers import mirrored, negated, random_ast, reflect
 
 
 def _per_point(fn, xs):
@@ -128,6 +131,54 @@ def test_expr_column_rejects_non_finite_x_like_a_call():
         values(fn, [0.0] * 256 + [1.0, math.inf])
 
 
+def _fault(read, xs):
+    """read(xs) must raise; the error's type and message."""
+    with pytest.raises(Exception) as exc:
+        read(xs)
+    return type(exc.value), str(exc.value)
+
+
+def _scalar_fault(fn, xs):
+    """The type and message of the first error one call per x raises."""
+    return _fault(lambda xs: [fn(x) for x in xs], xs)
+
+
+@pytest.mark.parametrize("method", ["column", "values"])
+def test_expr_fast_paths_raise_at_the_first_faulting_x(method):
+    # a fault before an infinity is the fault; an infinity after clear
+    # points is the scalar call's ValueError, naming the x
+    fn = mr.expr_fn("log(x)")
+    read = getattr(fn, method)
+    with pytest.raises(DomainFault, match=r"^log of non-positive argument at x = -1.0$"):
+        read([-1.0, math.inf])
+    for xs in ([1.0, math.inf], [1.0, -math.inf, -1.0], [2.0, math.nan]):
+        assert _fault(read, xs) == _scalar_fault(fn, xs)
+    assert _fault(read, [1.0, math.inf]) == (ValueError, "x must be finite, got inf")
+
+
+@pytest.mark.parametrize("g", G_TEMPLATES[1] + G_TEMPLATES[-1], ids=lambda g: g.label)
+def test_template_columns_raise_the_scalar_calls_error(g):
+    # exp overflows at 800 or -800, 1/(x + 4) divides by zero at -4
+    for xs in itertools.permutations([800.0, -800.0, -4.0]):
+        xs = [0.5, *xs]
+        try:
+            expected = tuple(map(list, zip(*map(g, xs))))
+        except ArithmeticError:
+            assert _fault(g.column, xs) == _scalar_fault(g, xs)
+        else:
+            assert _bits(g.column(xs)) == _bits(expected)
+
+
+def test_constructed_column_faults_where_a_call_faults_first():
+    # rho = sqrt(x + 3) faults below -3, g = log(x + 2) below -2; a call
+    # reads rho, then g
+    f = mr.construct_f(mr.expr_fn("log(x + 2)"), mr.expr_fn("sqrt(x + 3)"), 0.5, 1.0,
+                       mr.Interval(0.0, 1.0))
+    for xs, reason in (([0.5, -2.5, -3.5], "log of non-positive argument at x = -2.5"),
+                       ([0.5, -3.5, -2.5], "sqrt of negative argument at x = -3.5")):
+        assert _fault(f.column, xs) == _scalar_fault(f, xs) == (DomainFault, reason)
+
+
 @pytest.mark.parametrize("seed", range(64))
 def test_constructed_column_matches_per_point_calls(seed):
     pair, _, _ = mr.random_pair(seed)
@@ -215,7 +266,8 @@ def test_reflection_wrappers_column_matches_per_point_calls(wrap):
 @pytest.mark.parametrize("read", [_per_point, _by_column, _by_values],
                          ids=["call", "column", "values"])
 def test_mirrored_faults_at_the_first_x_like_a_call(read):
-    # both points fault; fn itself sees the reversed, negated xs
+    # both points fault; fn itself sees the negated xs, in xs order, so
+    # the fault names its own x, -1.0, of the first x, 1.0
     assert read(mirrored(mr.expr_fn("log(x)")), [1.0, 2.0]) == (
         -1.0, "log of non-positive argument")
 
@@ -342,20 +394,18 @@ def test_columns_prefers_the_column_method():
 
 
 class _FastPathRaises:
-    """x -> (x*x, 2x) one call per x, a DomainFault at each x in faults.
-    Its column and values raise error, or else the fault of the last
-    faulting x in xs, as a walk over the reversed xs would."""
+    """x -> (x*x, 2x) one call per x, counted in calls; its column and
+    values raise error."""
 
-    def __init__(self, faults=(), error=None):
-        self.faults, self.error = faults, error
+    def __init__(self, error):
+        self.error, self.calls = error, 0
 
     def __call__(self, x):
-        if x in self.faults:
-            raise DomainFault(x, "planted fault")
+        self.calls += 1
         return x * x, 2.0 * x
 
     def column(self, xs):
-        raise self.error or DomainFault([x for x in xs if x in self.faults][-1], "planted fault")
+        raise self.error
 
     values = column
 
@@ -364,30 +414,27 @@ _DISPATCH_XS = [0.1 * k - 1.3 for k in range(40)]
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"),
-                                   ValueError("math domain error")], ids=repr)
-@pytest.mark.parametrize("read", [_by_column, _by_values], ids=["columns", "values"])
-def test_dispatchers_replay_a_raising_fast_path_one_call_per_x(read, error):
-    fake = _FastPathRaises(error=error)
-    expected = _per_point(fake, _DISPATCH_XS)
-    if read is _by_values:
-        expected = _values_of(expected)
-    assert _bits(read(fake, _DISPATCH_XS)) == _bits(expected)
-
-
-@pytest.mark.parametrize("read", [_by_column, _by_values], ids=["columns", "values"])
-def test_dispatchers_raise_at_the_first_faulting_x_in_xs_order(read):
-    fake = _FastPathRaises(faults={_DISPATCH_XS[5], _DISPATCH_XS[30]})
-    assert read(fake, _DISPATCH_XS) == (_DISPATCH_XS[5], "planted fault")
+                                   ValueError("math domain error"),
+                                   DomainFault(-1.2, "planted fault")],
+                         ids=lambda error: type(error).__name__)
+@pytest.mark.parametrize("read", [columns, values], ids=["columns", "values"])
+def test_dispatchers_propagate_fast_path_faults(read, error):
+    # the fast path's error is the first faulting x's, so it goes out as
+    # it is, with no call per x
+    fake = _FastPathRaises(error)
+    with pytest.raises(type(error)) as exc:
+        read(fake, _DISPATCH_XS)
+    assert exc.value is error and fake.calls == 0
 
 
 @pytest.mark.parametrize("read", [columns, values], ids=["columns", "values"])
 def test_dispatchers_propagate_other_errors(read):
     with pytest.raises(TypeError, match="not a float"):
-        read(_FastPathRaises(error=TypeError("not a float")), _DISPATCH_XS)
+        read(_FastPathRaises(TypeError("not a float")), _DISPATCH_XS)
 
 
-def _no_replay(fn, xs):
-    raise AssertionError(f"{fn!r} replayed one call per x")
+def _no_pointwise(fn, xs):
+    raise AssertionError(f"{fn!r} was read one call per x")
 
 
 @pytest.mark.parametrize("case", [
@@ -396,13 +443,13 @@ def _no_replay(fn, xs):
     *range(8), (7, "vertical"), (7, "horizontal"),
 ], ids=str)
 def test_pipeline_reads_every_grid_by_its_fast_path(monkeypatch, case):
-    # a fast path that always raised would pass every test above, replayed
-    # one call per x at about ten times the cost
-    monkeypatch.setattr(ratio, "_pointwise", _no_replay)
+    # every grid goes to a fast path; one call per x would give the same
+    # floats at about ten times the cost
+    monkeypatch.setattr(ratio, "_pointwise", _no_pointwise)
     if isinstance(case, int):
         pair = mr.random_pair(case)[0]
     elif isinstance(case[0], int):
-        pair = mr.reflect(mr.random_pair(case[0])[0], case[1])
+        pair = reflect(mr.random_pair(case[0])[0], case[1])
     else:
         f, g, window = case
         pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn(g), mr.Interval(*window))

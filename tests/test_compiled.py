@@ -1,7 +1,7 @@
 """The loops ExprFn compiles from its AST: op validation before any source
 is compiled, constants kept out of the source, loops shared by trees of one
-shape, bit-identical columns on hand-built constants, pickling, and the
-reflections' single replay."""
+shape, bit-identical columns on hand-built constants, pickling, and faults read
+through the reflections with no call per x."""
 
 import copy
 import itertools
@@ -16,11 +16,12 @@ import pytest
 from monoratio import expr
 from monoratio.construct import G_TEMPLATES, StaircaseFn
 from monoratio.expr import (Binary, Call2, Const, DomainFault, ExprFn, Unary, Var,
-                            _loop_source, eval_dual, parse)
-from monoratio.ratio import columns, mirrored, negated, values
+                            _loop_source, parse)
+from monoratio.ratio import columns, values
 from monoratio.syntax import BINARY_FUNCTIONS, UNARY_FUNCTIONS
 import monoratio as mr
 
+from helpers import mirrored, negated
 from test_columns import _by_column, _by_values, _per_point, _values_of
 
 
@@ -163,14 +164,6 @@ def test_a_shape_evicted_from_the_cache_still_evaluates():
     assert _bits(fn.column(xs)) == _bits(twin.column(xs)) == expected
 
 
-def test_repeated_eval_dual_compiles_its_shape_once():
-    expr._shape_loops.cache_clear()
-    ast = parse("sqrt(x)*log(x + 2)")
-    assert eval_dual(ast, 0.5) == eval_dual(ast, 0.5)
-    info = expr._shape_loops.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 def test_threads_that_share_shapes_read_the_same_floats():
     texts = [f"({c})*sin(x) + exp({c}*x)^{k}" for c in ("0.5", "-1.5", "2") for k in ("2", "2.5")]
     xs = [0.1 * k for k in range(1, 40)]
@@ -230,20 +223,14 @@ def test_exprfn_copies_round_trip(copier):
 
 
 @pytest.mark.parametrize("read", [columns, values], ids=["columns", "values"])
-def test_reflections_replay_a_fault_once(read):
+def test_reflections_raise_a_fault_with_no_scalar_call(read):
     xs = [1.0 + 0.01 * k for k in range(200)] + [-1.0]  # log faults at the last
     fn = _CountingExprFn(parse("log(x)"))
-    with pytest.raises(DomainFault):
-        read(fn, xs)
-    assert fn.calls == 201
-    fn.calls = 0
-    with pytest.raises(DomainFault):
-        read(negated(fn), xs)
-    assert fn.calls == 201
-    fn.calls = 0
-    with pytest.raises(DomainFault, match="at x = -1.0"):
-        read(negated(mirrored(fn)), [-x for x in xs])
-    assert fn.calls == 201
+    for wrapped, points in ((fn, xs), (negated(fn), xs),
+                            (negated(mirrored(fn)), [-x for x in xs])):
+        with pytest.raises(DomainFault, match=r"^log of non-positive argument at x = -1.0$"):
+            read(wrapped, points)
+    assert fn.calls == 0
 
 
 def test_reflections_have_the_fast_paths_of_what_they_wrap():

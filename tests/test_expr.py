@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoratio.expr import (Binary, Call2, Const, DomainFault, Dual, ExprFn,
-                            ParseError, Unary, Var, eval_dual, format_expr,
-                            parse)
+from monoratio.expr import (Binary, Call2, Const, DomainFault, ExprFn, ParseError,
+                            Unary, Var, expr_fn, format_expr, parse)
 
 from helpers import central_fd, pick_usable_point, random_ast
 
@@ -65,44 +64,42 @@ def test_min_max_parse():
 
 
 def test_eval_square():
-    d = eval_dual(parse("x^2"), 3.0)
-    assert d.value == 9.0 and d.deriv == 6.0
+    assert expr_fn("x^2")(3.0) == (9.0, 6.0)
 
 
 def test_eval_exp_at_zero():
-    d = eval_dual(parse("exp(x)"), 0.0)
-    assert d.value == 1.0 and d.deriv == 1.0
+    assert expr_fn("exp(x)")(0.0) == (1.0, 1.0)
 
 
 def test_eval_x_sin_x():
     # product rule: sin(1) + cos(1) = 1.3817732906760363, checked against
     # a central finite difference
-    d = eval_dual(parse("x*sin(x)"), 1.0)
-    assert d.value == pytest.approx(0.841471, abs=1e-6)
-    assert d.deriv == pytest.approx(1.381773, abs=1e-6)
+    v, d = expr_fn("x*sin(x)")(1.0)
+    assert v == pytest.approx(0.841471, abs=1e-6)
+    assert d == pytest.approx(1.381773, abs=1e-6)
     fd = central_fd(ExprFn(parse("x*sin(x)")), 1.0, 1e-6)
-    assert abs(d.deriv - fd) <= 1e-6
+    assert abs(d - fd) <= 1e-6
 
 
 def test_eval_constant_derivative_exact_zero():
-    assert eval_dual(parse("3.5"), 1.7).deriv == 0.0
-    assert eval_dual(parse("sin(2) + exp(1)"), -4.0).deriv == 0.0
+    assert expr_fn("3.5")(1.7)[1] == 0.0
+    assert expr_fn("sin(2) + exp(1)")(-4.0)[1] == 0.0
 
 
 def test_eval_variable_derivative_exact_one():
-    assert eval_dual(parse("x"), 123.456).deriv == 1.0
+    assert expr_fn("x")(123.456)[1] == 1.0
 
 
 def test_domain_faults_carry_x():
     with pytest.raises(DomainFault) as exc:
-        eval_dual(parse("log(x)"), -1.0)
+        expr_fn("log(x)")(-1.0)
     assert exc.value.x == -1.0
     with pytest.raises(DomainFault):
-        eval_dual(parse("1/x"), 0.0)
+        expr_fn("1/x")(0.0)
     with pytest.raises(DomainFault):
-        eval_dual(parse("0^(x - 2)"), 1.0)  # zero to a negative power
+        expr_fn("0^(x - 2)")(1.0)  # zero to a negative power
     with pytest.raises(DomainFault):
-        eval_dual(parse("sqrt(x)"), -0.5)
+        expr_fn("sqrt(x)")(-0.5)
 
 
 @pytest.mark.parametrize("exponent", [Const(0.0), Binary("-", Const(1.0), Const(1.0))],
@@ -116,20 +113,19 @@ def test_pow_overflow_in_the_slope_is_a_pow_fault(exponent):
 
 
 def test_abs_derivative_zero_at_zero():
-    assert eval_dual(parse("abs(x)"), 0.0).deriv == 0.0
-    assert eval_dual(parse("abs(x)"), -2.0).deriv == -1.0
+    assert expr_fn("abs(x)")(0.0)[1] == 0.0
+    assert expr_fn("abs(x)")(-2.0)[1] == -1.0
 
 
 def test_min_max_tie_takes_left():
-    assert eval_dual(parse("min(x, x)"), 1.0).deriv == 1.0
-    assert eval_dual(parse("max(2*x, x)"), 2.0).deriv == 2.0
-    assert eval_dual(parse("max(2*x, x)"), -2.0).deriv == 1.0
+    assert expr_fn("min(x, x)")(1.0)[1] == 1.0
+    assert expr_fn("max(2*x, x)")(2.0)[1] == 2.0
+    assert expr_fn("max(2*x, x)")(-2.0)[1] == 1.0
 
 
 def test_expr_fn_protocol():
     fn = ExprFn(parse("x^3"))
-    v, d = fn(2.0)
-    assert v == 8.0 and d == 12.0
+    assert type(fn(2.0)) is tuple and fn(2.0) == (8.0, 12.0)
     assert fn.label == "x^3"
 
 
@@ -142,22 +138,26 @@ def _pair(a, da):
     return Binary("+", Const(a), Binary("*", Const(da), Var()))
 
 
+def _at_zero(ast):
+    """(value, derivative) of ast at x = 0, by an ExprFn with an empty
+    label, which skips format_expr."""
+    return ExprFn(ast, label="")(0.0)
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 @given(finite, finite, finite, finite)
 def test_dual_product_rule(a, da, b, db):
-    p = eval_dual(Binary("*", _pair(a, da), _pair(b, db)), 0.0)
-    assert p.value == a * b
-    assert p.deriv == da * b + a * db
+    v, d = _at_zero(Binary("*", _pair(a, da), _pair(b, db)))
+    assert v == a * b
+    assert d == da * b + a * db
 
 
 @given(finite, finite, finite, finite)
 def test_dual_sum_linearity(a, da, b, db):
-    s = eval_dual(Binary("+", _pair(a, da), _pair(b, db)), 0.0)
-    assert s.value == a + b and s.deriv == da + db
-    d = eval_dual(Binary("-", _pair(a, da), _pair(b, db)), 0.0)
-    assert d.value == a - b and d.deriv == da - db
+    assert _at_zero(Binary("+", _pair(a, da), _pair(b, db))) == (a + b, da + db)
+    assert _at_zero(Binary("-", _pair(a, da), _pair(b, db))) == (a - b, da - db)
 
 
 moderate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -165,16 +165,9 @@ moderate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @given(moderate, moderate, st.floats(min_value=0.1, max_value=1e3), moderate)
 def test_dual_division_inverts_product(a, da, b, db):
-    back = eval_dual(Binary("*", Binary("/", _pair(a, da), _pair(b, db)),
-                            _pair(b, db)), 0.0)
-    assert back.value == pytest.approx(a, rel=1e-12, abs=1e-12)
-    assert back.deriv == pytest.approx(da, rel=1e-9, abs=1e-6)
-
-
-def test_eval_dual_returns_named_pair():
-    d = eval_dual(parse("x^2"), 3.0)
-    assert isinstance(d, Dual) and tuple(d) == (9.0, 6.0)
-    assert type(ExprFn(parse("x^2"))(3.0)) is tuple
+    v, d = _at_zero(Binary("*", Binary("/", _pair(a, da), _pair(b, db)), _pair(b, db)))
+    assert v == pytest.approx(a, rel=1e-12, abs=1e-12)
+    assert d == pytest.approx(da, rel=1e-9, abs=1e-6)
 
 
 # --- print/parse round trip ----------------------------------------------

@@ -6,6 +6,8 @@ import monoratio as mr
 from monoratio import Interval
 from monoratio.ratio import GRID_N_MAX, Grid, _chebyshev_points, check_grid, median_abs
 
+from helpers import mirrored, negated
+
 
 def _pair(f_src, g_src, lo, hi, n=256):
     return mr.make_pair(mr.expr_fn(f_src), mr.expr_fn(g_src), Interval(lo, hi), n)
@@ -185,7 +187,7 @@ def test_sign_agreement_with_ratio_difference(staircase_pair):
 def test_reflection_acceptance_is_symmetric():
     # a pair validates iff its x -> -x mirror does, with signs transformed
     pair = _pair("x^2", "exp(x)", -2.0, 2.0)
-    flipped = mr.make_pair(mr.mirrored(pair.f), mr.mirrored(pair.g),
+    flipped = mr.make_pair(mirrored(pair.f), mirrored(pair.g),
                            pair.window.mirrored(), pair.grid_n)
     assert flipped.sign_gprime == -pair.sign_gprime
     assert flipped.sign_gg == -pair.sign_gg
@@ -195,18 +197,18 @@ def test_reflection_acceptance_is_symmetric():
     with pytest.raises(mr.ZeroGPrime):
         mr.make_pair(mr.expr_fn("x"), g, Interval(0.5, 3.0), 256)
     with pytest.raises(mr.ZeroGPrime):
-        mr.make_pair(mr.mirrored(mr.expr_fn("x")), mr.mirrored(g),
+        mr.make_pair(mirrored(mr.expr_fn("x")), mirrored(g),
                      Interval(-3.0, -0.5), 256)
 
 
 def test_negated_wrapper():
-    fn = mr.negated(mr.expr_fn("x^2"))
+    fn = negated(mr.expr_fn("x^2"))
     v, d = fn(3.0)
     assert v == -9.0 and d == -6.0
 
 
 def test_mirrored_wrapper():
-    fn = mr.mirrored(mr.expr_fn("exp(x)"))
+    fn = mirrored(mr.expr_fn("exp(x)"))
     v, d = fn(1.0)
     assert v == pytest.approx(math.exp(-1.0))
     assert d == pytest.approx(-math.exp(-1.0))

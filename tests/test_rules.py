@@ -8,6 +8,8 @@ from monoratio import rules
 from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, _inside,
                             predict_r_family, predict_rho_tilde_dir)
 
+from helpers import mirror_vertical, reflect
+
 UP, DOWN = Direction.UP, Direction.DOWN
 
 
@@ -202,17 +204,17 @@ def test_mics_of_rho_tilde_match_mics_of_rho():
 
 def test_reflect_vertical_flips_direction():
     pair = _pair("x^2", "x", 0.1, 10.0)
-    flipped = mr.reflect(pair, "vertical")
+    flipped = reflect(pair, "vertical")
     rep, frep = mr.check_pair(pair), mr.check_pair(flipped)
     assert rep.rho_dir is UP and frep.rho_dir is DOWN
     assert frep.sign_gg == rep.sign_gg
     assert frep.predicted_family is rep.predicted_family.mirrored()
-    assert frep.observed_pattern.kind is rep.observed_pattern.mirror_vertical()
+    assert frep.observed_pattern.kind is mirror_vertical(rep.observed_pattern)
 
 
 def test_reflect_horizontal_mirrors_window():
     pair = _pair("x^2", "x", 0.1, 10.0)
-    flipped = mr.reflect(pair, "horizontal")
+    flipped = reflect(pair, "horizontal")
     assert flipped.window.as_pair() == (-10.0, -0.1)
     assert flipped.sign_gprime == -pair.sign_gprime
     assert flipped.sign_gg == -pair.sign_gg
@@ -222,7 +224,7 @@ def test_reflect_twice_restores_report(staircase_pair):
     pair, _, _ = staircase_pair
     base = mr.check_pair(pair)
     for axis in ("vertical", "horizontal"):
-        twice = mr.reflect(mr.reflect(pair, axis), axis)
+        twice = reflect(reflect(pair, axis), axis)
         rep = mr.check_pair(twice)
         assert rep.observed_pattern.kind is base.observed_pattern.kind
         assert rep.predicted_family is base.predicted_family
@@ -241,14 +243,14 @@ def test_reflect_does_not_validate_g_again():
 
     counted = dataclasses.replace(pair, g=g)
     for axis in ("vertical", "horizontal"):
-        mr.reflect(counted, axis)
+        reflect(counted, axis)
     assert calls == []
 
 
 def test_reflect_rejects_unknown_axis():
     pair = _pair("x", "x", 1.0, 2.0)
     with pytest.raises(ValueError):
-        mr.reflect(pair, "diagonal")
+        reflect(pair, "diagonal")
 
 
 def test_report_dict_schema():
@@ -262,6 +264,17 @@ def test_report_dict_schema():
     assert set(payload["checks"]) == {"prop1", "prop2", "uniqueness",
                                       "sign_identity"}
     assert payload["pair"] == {"f": "x^2", "g": "x"}
+
+
+def test_report_checks_are_one_ordered_mapping():
+    report = mr.check_pair(_pair("x^2", "x", 0.1, 10.0))
+    assert [name for name, _ in report.checks] == ["prop1", "prop2", "uniqueness",
+                                                   "sign_identity"]
+    assert all(type(ok) is bool for _, ok in report.checks)
+    assert list(report.to_dict()["checks"].items()) == list(report.checks)
+    hash(report)  # a frozen report stays hashable
+    failed = dataclasses.replace(report, checks=(*report.checks[:-1], ("sign_identity", False)))
+    assert report.all_ok and not failed.all_ok
 
 
 def test_prop2_rejects_wrong_anchor_value():
