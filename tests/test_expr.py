@@ -129,6 +129,13 @@ def test_expr_fn_protocol():
     assert fn.label == "x^3"
 
 
+def test_eval_dual_returns_named_pair():
+    # The (value, derivative) pair is a plain tuple; there is no named
+    # Dual type any more.
+    d = ExprFn(parse("x^2"))(3.0)
+    assert type(d) is tuple and d == (9.0, 6.0)
+
+
 # --- dual number laws ---------------------------------------------------
 #
 # A pair (a, da) enters the evaluator as the AST a + da*x at x = 0, which
