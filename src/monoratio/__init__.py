@@ -14,27 +14,26 @@ from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
 from .expr import DomainFault, ExprFn, ParseError, expr_fn, format_expr, parse
 from .intervals import Interval
 from .patterns import (BadBracket, NonInterval, Pattern, PatternKind,
-                       Unclassifiable, detect_mics, detect_pattern, level0_set,
-                       refine_sign_change)
+                       Unclassifiable, detect_direction, detect_mics, detect_pattern,
+                       level0_set, refine_sign_change)
 from .ratio import (DifferentiableFn, FunctionPair, SampleTable, SignChange,
                     ValidationError, ZeroG, ZeroGPrime, make_pair, ratio_at,
                     rho_at, rho_tilde_at, sample_table)
-from .rules import (AnalysisReport, Direction, Family, MicFit, RULE_ROWS,
-                    RuleRow, Tolerances, check_pair, predict_r_family,
-                    predict_rho_tilde_dir)
+from .rules import (AnalysisReport, Direction, MicFit, RULE_ROWS, RuleRow,
+                    Tolerances, check_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "BadBracket", "ConstructedFn", "Direction",
-    "DifferentiableFn", "DomainFault", "ExprFn", "Family",
+    "DifferentiableFn", "DomainFault", "ExprFn",
     "FunctionPair", "GeneratorConfig", "Interval", "MicFit",
     "NonInterval", "ParseError", "Pattern", "PatternKind", "QuadratureError",
     "RULE_ROWS", "RuleRow", "SampleTable", "SignChange", "StaircaseError",
     "StaircaseFn", "StaircaseSpec", "Tolerances", "Unclassifiable",
     "ValidationError", "ZeroG", "ZeroGPrime", "check_pair",
-    "construct_f", "detect_mics", "detect_pattern", "expr_fn",
-    "format_expr", "level0_set", "make_pair", "make_staircase_rho",
-    "parse", "predict_r_family", "predict_rho_tilde_dir", "random_pair",
-    "ratio_at", "refine_sign_change", "rho_at", "rho_tilde_at", "sample_table",
+    "construct_f", "detect_direction", "detect_mics", "detect_pattern",
+    "expr_fn", "format_expr", "level0_set", "make_pair", "make_staircase_rho",
+    "parse", "random_pair", "ratio_at", "refine_sign_change", "rho_at",
+    "rho_tilde_at", "sample_table",
 ]

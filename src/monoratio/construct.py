@@ -169,9 +169,9 @@ class StaircaseSpec:
     separated by flats (the prescribed constancy intervals).
 
     slopes has one entry more than flats (before, between, after); all
-    slope magnitudes must be positive.  direction "down" mirrors the whole
-    profile.  The first flat carries anchor_value; with no flats the
-    profile passes through (0, anchor_value).
+    slope magnitudes must be positive, and every number finite.
+    direction "down" mirrors the whole profile.  The first flat carries
+    anchor_value; with no flats the profile passes through (0, anchor_value).
     """
 
     flats: tuple[tuple[float, float], ...] = ()
@@ -186,6 +186,9 @@ class StaircaseSpec:
             raise StaircaseError(
                 f"need {len(self.flats) + 1} slopes for {len(self.flats)} flats, "
                 f"got {len(self.slopes)}")
+        # json reads NaN and Infinity, which pass every comparison below
+        if not all(map(math.isfinite, (*self.slopes, *self.breakpoints, self.anchor_value))):
+            raise StaircaseError("flat ends, slopes and anchor_value must be finite")
         if any(s <= 0.0 for s in self.slopes):
             raise StaircaseError("slopes must be positive")
         prev_hi = -math.inf
@@ -199,14 +202,6 @@ class StaircaseSpec:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(x for flat in self.flats for x in flat)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "flats": [list(f) for f in self.flats],
-            "slopes": list(self.slopes),
-            "direction": self.direction,
-            "anchor_value": self.anchor_value,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StaircaseSpec":

@@ -47,13 +47,6 @@ class Interval:
             return False
         return True
 
-    def mirrored(self) -> "Interval":
-        """The image of this interval under x -> -x."""
-        return Interval(-self.hi, -self.lo, self.hi_closed, self.lo_closed)
-
-    def as_pair(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"

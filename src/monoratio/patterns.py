@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, groupby, repeat
 from operator import eq, lt, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .intervals import Interval
 from .ratio import BadBracket, Grid, check_ascending, refine_sign_change  # noqa: F401
@@ -70,7 +70,7 @@ def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
             raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
 
 
-def _signs(values: Sequence[float], band: float) -> list[int]:
+def _signs(values: Iterable[float], band: float) -> list[int]:
     return [0 if abs(v) <= band else (1 if v > 0.0 else -1) for v in values]
 
 
@@ -120,21 +120,27 @@ def _run_interval(px: Sequence[float], i0: int, i1: int,
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
+def _one_switch_kind(shape: Sequence[int]) -> PatternKind:
+    """The pattern kind of a sign-run shape (signs of consecutive runs,
+    zero within the band): one run is monotone or constant, and a
+    composite must have the one-switch form, e.g. (-)(0)(+) for DownUp."""
+    if len(shape) == 1:
+        return {1: PatternKind.INCREASING, -1: PatternKind.DECREASING,
+                0: PatternKind.CONSTANT}[shape[0]]
+    first = shape[0] or -shape[-1]  # the sign before the switch
+    if shape not in ([first, -first], [first, 0, -first], [0, -first], [first, 0]):
+        raise Unclassifiable(
+            f"sign sequence {shape} does not fit a one-switch pattern")
+    return PatternKind.DOWN_UP if first < 0 else PatternKind.UP_DOWN
+
+
 def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
-                   mode: str = "values", window: Interval | None = None,
+                   window: Interval | None = None,
                    probe: Callable[[float], float] | None = None) -> Pattern:
-    """Classify the monotonicity pattern behind the values vs sampled at
-    the strictly increasing xs.
-
-    mode="values": the sample values themselves are a derivative proxy
-    (use this on rho-tilde samples to get the pattern of r; the sign
-    sequence, zero within the absolute band, must then be of the
-    one-switch form, e.g. (-)*(0)*(+)* for DownUp).
-
-    mode="diffs": classify the sampled function's own direction from the
-    signs of its first differences.  Zeros interior to a monotone run are
-    allowed there (a non-decreasing function may sit on flats), while the
-    composite shapes still require the strict one-switch form.
+    """Classify the monotonicity pattern of a function whose derivative
+    proxy takes the values vs at the strictly increasing xs (use this on
+    rho-tilde samples to get the pattern of r).  The sign sequence of the
+    values, zero within the absolute band, must be of the one-switch form.
 
     Switch endpoints are refined by bisection between the bracketing
     samples.  The bisection probes the caller's ``probe`` (the underlying
@@ -145,48 +151,46 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
     is given) and is flagged open: truncated, true extent unknown.
     """
     _check_columns(xs, vs)
-    if mode == "values":
-        px, pv = xs, vs
-    elif mode == "diffs":
-        px = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
-        pv = list(map(sub, vs[1:], vs))
-        probe = None  # no point function behind first differences
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if probe is None:
-        probe = _interpolant(px, pv)
+        probe = _interpolant(xs, vs)
 
     lo_edge = window.lo if window is not None else xs[0]
     hi_edge = window.hi if window is not None else xs[-1]
     xtol = 1e-12 * (hi_edge - lo_edge)
 
-    runs = _runs(_signs(pv, band))
+    runs = _runs(_signs(vs, band))
     shape = [s for s, _, _ in runs]
-
-    if shape == [0]:
-        return Pattern(PatternKind.CONSTANT, Interval(lo_edge, hi_edge, False, False))
-
-    if (1 in shape) != (-1 in shape) and (mode == "diffs" or len(shape) == 1):
-        # monotone; first differences may sit on flats anywhere
-        if 1 in shape:
-            return Pattern(PatternKind.INCREASING, Interval(lo_edge, lo_edge))
-        return Pattern(PatternKind.DECREASING, Interval(hi_edge, hi_edge))
-
-    first = shape[0] or -shape[-1]  # the sign before the switch
-    if shape not in ([first, -first], [first, 0, -first], [0, -first], [first, 0]):
-        raise Unclassifiable(
-            f"sign sequence {shape} does not fit a one-switch pattern")
-    kind = PatternKind.DOWN_UP if first < 0 else PatternKind.UP_DOWN
+    kind = _one_switch_kind(shape)
+    if kind is PatternKind.CONSTANT:
+        return Pattern(kind, Interval(lo_edge, hi_edge, False, False))
+    if kind is PatternKind.INCREASING:
+        return Pattern(kind, Interval(lo_edge, lo_edge))
+    if kind is PatternKind.DECREASING:
+        return Pattern(kind, Interval(hi_edge, hi_edge))
 
     if 0 not in shape:  # a bare crossing: the switch is a point
         i = runs[0][2]
-        c = refine_sign_change(probe, (px[i], px[i + 1]), xtol)
+        c = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
         return Pattern(kind, Interval(c, c))
-    # the values enter the band across first*band, leave across -first*band
+    # the values enter the band across the edge on the side of the sign
+    # before the switch, and leave it across the other edge
     _, z0, z1 = runs[shape.index(0)]
-    enter = first * band
-    return Pattern(kind, _run_interval(px, z0, z1, lambda t: probe(t) - enter,
+    enter = -band if kind is PatternKind.DOWN_UP else band
+    return Pattern(kind, _run_interval(xs, z0, z1, lambda t: probe(t) - enter,
                                        lambda t: probe(t) + enter, lo_edge, hi_edge, xtol))
+
+
+def detect_direction(xs: Sequence[float], vs: Sequence[float], band: float) -> PatternKind:
+    """Classify the direction of the function sampled as vs at the
+    strictly increasing xs from the signs of its first differences, zero
+    within the absolute band.  Zeros inside a monotone run are allowed (a
+    non-decreasing function may sit on flats), while the composite kinds
+    still require the strict one-switch form."""
+    _check_columns(xs, vs)
+    shape = [s for s, _ in groupby(_signs(map(sub, vs[1:], vs), band))]
+    if (1 in shape) != (-1 in shape):  # monotone, flats anywhere
+        shape = [1 if 1 in shape else -1]
+    return _one_switch_kind(shape)
 
 
 def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,

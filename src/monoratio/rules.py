@@ -10,8 +10,10 @@ forces the ratio r = f/g into a one-switch family --
 
 -- with the switch sitting on the flat [c, d] where rho-tilde vanishes.
 rho-tilde's own direction matches rho's when g*g' > 0 and mirrors it when
-g*g' < 0.  check_pair measures all of this on a concrete pair and compares
-observation against prediction.
+g*g' < 0.  RULE_ROWS holds these four rows, the one table that
+``monoratio tables`` prints.  check_pair measures all of this on a
+concrete pair and compares observation against the prediction of the
+RULE_ROWS row that rho's observed direction and sign(g*g') select.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import ClassVar
 
 from .intervals import Interval
 from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
-                       detect_mics, detect_pattern, level0_set)
+                       detect_direction, detect_mics, detect_pattern, level0_set)
 from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
                     rho_tilde_at, sample_table, values)
 
@@ -38,40 +40,20 @@ class Direction(str, Enum):
     DOWN = "Down"
 
 
-class Family(str, Enum):
-    DOWN_UP = "DownUp"
-    UP_DOWN = "UpDown"
-
-    def mirrored(self) -> "Family":
-        return Family.UP_DOWN if self is Family.DOWN_UP else Family.DOWN_UP
-
-
-def predict_r_family(rho_dir: Direction, sign_gg: int) -> Family:
-    """Predicted one-switch family of r from rho's direction and sign(gg')."""
-    if (rho_dir is Direction.UP) == (sign_gg > 0):
-        return Family.DOWN_UP
-    return Family.UP_DOWN
-
-
-def predict_rho_tilde_dir(rho_dir: Direction, sign_gg: int) -> Direction:
-    """rho-tilde runs with rho when g*g' > 0, against it when g*g' < 0."""
-    if sign_gg > 0:
-        return rho_dir
-    return Direction.DOWN if rho_dir is Direction.UP else Direction.UP
-
-
 @dataclass(frozen=True)
 class RuleRow:
     rho_dir: Direction
     sign_gg: int
-    r_family: Family
+    r_family: PatternKind
     rho_tilde_dir: Direction
 
 
-RULE_ROWS: tuple[RuleRow, ...] = tuple(
-    RuleRow(d, s, predict_r_family(d, s), predict_rho_tilde_dir(d, s))
-    for d, s in ((Direction.UP, 1), (Direction.DOWN, 1),
-                 (Direction.UP, -1), (Direction.DOWN, -1)))
+RULE_ROWS: tuple[RuleRow, ...] = (
+    RuleRow(Direction.UP, 1, PatternKind.DOWN_UP, Direction.UP),
+    RuleRow(Direction.DOWN, 1, PatternKind.UP_DOWN, Direction.DOWN),
+    RuleRow(Direction.UP, -1, PatternKind.UP_DOWN, Direction.DOWN),
+    RuleRow(Direction.DOWN, -1, PatternKind.DOWN_UP, Direction.UP),
+)
 
 
 @dataclass(frozen=True)
@@ -124,13 +106,13 @@ class AnalysisReport:
     window: Interval
     grid_n: int
     sign_gg: int
-    rho_pattern: Pattern | None
+    rho_pattern: PatternKind | None
     rho_dir: Direction | None
     constant_rho: bool
-    predicted_family: Family | None
+    predicted_family: PatternKind | None
     predicted_rho_tilde_dir: Direction | None
     observed_pattern: Pattern | None
-    rho_tilde_pattern: Pattern | None
+    rho_tilde_pattern: PatternKind | None
     level0: Interval | None
     mics_r: tuple[Interval, ...]
     mics_rho: tuple[Interval, ...]
@@ -158,13 +140,13 @@ class AnalysisReport:
             "window": [self.window.lo, self.window.hi],
             "grid_n": self.grid_n,
             "sign_gg": self.sign_gg,
-            "rho_pattern": self.rho_pattern.kind.value if self.rho_pattern else None,
+            "rho_pattern": self.rho_pattern.value if self.rho_pattern else None,
             "constant_rho": self.constant_rho,
             "predicted_family": self.predicted_family.value if self.predicted_family else None,
             "predicted_rho_tilde": (self.predicted_rho_tilde_dir.value
                                     if self.predicted_rho_tilde_dir else None),
             "observed_pattern": self.observed_pattern.kind.value if self.observed_pattern else None,
-            "rho_tilde_pattern": self.rho_tilde_pattern.kind.value if self.rho_tilde_pattern else None,
+            "rho_tilde_pattern": self.rho_tilde_pattern.value if self.rho_tilde_pattern else None,
             "switch": iv(self.observed_pattern.switch) if self.observed_pattern else None,
             "level0": iv(self.level0),
             "mics": {
@@ -179,17 +161,17 @@ class AnalysisReport:
         }
 
 
-def _check_prop1(observed: Pattern | None, family: Family | None,
+def _check_prop1(observed: Pattern | None, family: PatternKind | None,
                  constant_rho: bool, level0: Interval | None,
                  switch_tol: float) -> bool:
     if observed is None or family is None:
         return False
     kind = observed.kind
-    if kind.value == family.mirrored().value:
-        # the other family's composite; the degenerate kinds fit either
-        return False
-    if constant_rho and kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
-        # constant rho makes r = K1 + C/g, which is monotone or constant
+    composite = kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN)
+    if composite and (kind is not family or constant_rho):
+        # the other family's composite (the degenerate kinds fit either),
+        # or any composite when rho is constant: r = K1 + C/g is then
+        # monotone or constant
         return False
     if level0 is None:
         return kind in (PatternKind.INCREASING, PatternKind.DECREASING)
@@ -300,16 +282,14 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     rho_pattern = None
     try:
-        rho_pattern = detect_pattern(xs, table.rho, tol.tol_zero * scale_rho, mode="diffs",
-                                     window=window)
+        rho_pattern = detect_direction(xs, table.rho, tol.tol_zero * scale_rho)
     except Unclassifiable as err:
         failure = failure or f"rho unclassifiable: {err}"
 
-    constant_rho = rho_pattern is not None and rho_pattern.kind is PatternKind.CONSTANT
-    if rho_pattern is not None and rho_pattern.kind in (
-            PatternKind.INCREASING, PatternKind.CONSTANT):
+    constant_rho = rho_pattern is PatternKind.CONSTANT
+    if rho_pattern in (PatternKind.INCREASING, PatternKind.CONSTANT):
         rho_dir = Direction.UP  # a constant rho counts as both; Up + flag
-    elif rho_pattern is not None and rho_pattern.kind is PatternKind.DECREASING:
+    elif rho_pattern is PatternKind.DECREASING:
         rho_dir = Direction.DOWN
     else:
         rho_dir = None
@@ -317,18 +297,17 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     predicted_family = predicted_rt_dir = None
     if rho_dir is not None:
-        predicted_family = predict_r_family(rho_dir, pair.sign_gg)
-        predicted_rt_dir = predict_rho_tilde_dir(rho_dir, pair.sign_gg)
+        row = next(row for row in RULE_ROWS
+                   if row.rho_dir is rho_dir and row.sign_gg == pair.sign_gg)
+        predicted_family, predicted_rt_dir = row.r_family, row.rho_tilde_dir
 
     observed = rt_pattern = None
     try:
-        observed = detect_pattern(xs, table.rho_tilde, tol_rt, mode="values",
-                                  window=window, probe=rho_tilde)
+        observed = detect_pattern(xs, table.rho_tilde, tol_rt, window=window, probe=rho_tilde)
     except Unclassifiable as err:
         failure = failure or f"r pattern unclassifiable from rho-tilde signs: {err}"
     try:
-        rt_pattern = detect_pattern(xs, table.rho_tilde, tol_rt, mode="diffs",
-                                    window=window)
+        rt_pattern = detect_direction(xs, table.rho_tilde, tol_rt)
     except Unclassifiable as err:
         failure = failure or f"rho-tilde unclassifiable: {err}"
 

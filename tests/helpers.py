@@ -1,12 +1,13 @@
 """Shared test machinery: random expression trees, the central
 finite-difference oracle for derivative checks, and the vertical and
-horizontal reflections of functions, pairs and patterns."""
+horizontal reflections of functions, pairs, intervals and patterns."""
 
 import dataclasses
 import math
 import random
 
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
+from monoratio.intervals import Interval
 from monoratio.patterns import PatternKind
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
@@ -98,6 +99,11 @@ def mirrored(fn):
     return wrapped
 
 
+def mirrored_interval(interval: Interval) -> Interval:
+    """The image of interval under x -> -x."""
+    return Interval(-interval.hi, -interval.lo, interval.hi_closed, interval.lo_closed)
+
+
 def reflect(pair, axis: str):
     """Reflect a pair vertically (f -> -f) or horizontally (x -> -x, window
     mirrored, flipping the signs of g' and g*g').  Both keep g valid, so g
@@ -106,7 +112,7 @@ def reflect(pair, axis: str):
         return dataclasses.replace(pair, f=negated(pair.f))
     if axis == "horizontal":
         return dataclasses.replace(pair, f=mirrored(pair.f), g=mirrored(pair.g),
-                                   window=pair.window.mirrored(),
+                                   window=mirrored_interval(pair.window),
                                    sign_gprime=-pair.sign_gprime, sign_gg=-pair.sign_gg)
     raise ValueError(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
 
@@ -120,6 +126,7 @@ _VERTICAL_MIRROR = {
 }
 
 
-def mirror_vertical(pattern) -> PatternKind:
-    """The kind of pattern's vertical reflection."""
-    return _VERTICAL_MIRROR[pattern.kind]
+def mirror_vertical(kind: PatternKind) -> PatternKind:
+    """The kind of a pattern's vertical reflection; it also maps a
+    predicted r family to the other family."""
+    return _VERTICAL_MIRROR[kind]

@@ -179,10 +179,10 @@ def test_criterion_7_metamorphic_reflections(campaign):
     bad = []
     for seed, pair, spec, chosen, report in results[:100]:
         vrep = mr.check_pair(reflect(pair, "vertical"))
-        if vrep.predicted_family is not report.predicted_family.mirrored():
+        if vrep.predicted_family is not mirror_vertical(report.predicted_family):
             bad.append((seed, "vertical predicted family"))
             continue
-        if vrep.observed_pattern.kind is not mirror_vertical(report.observed_pattern):
+        if vrep.observed_pattern.kind is not mirror_vertical(report.observed_pattern.kind):
             bad.append((seed, "vertical observed kind"))
             continue
         hrep = mr.check_pair(reflect(pair, "horizontal"))

@@ -260,6 +260,24 @@ def test_construct_malformed_staircase_is_parse_error(tmp_path, capsys, spec):
     assert "malformed staircase spec" in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"slopes": [NaN]}',
+    '{"flats": [[0.1, NaN]], "slopes": [1, 1]}',
+    '{"slopes": [1], "anchor_value": Infinity}',
+    '{"slopes": [Infinity]}',
+])
+def test_construct_non_finite_staircase_is_rejected(tmp_path, capsys, spec):
+    # json reads NaN and Infinity; the spec, not the quadrature, rejects them
+    spec_path = tmp_path / "stair.json"
+    spec_path.write_text(spec)
+    code, out, err = run(capsys, "construct", "--g", "exp(x)", "--z", "0",
+                         "--window", "-1", "1", "--staircase", str(spec_path))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "must be finite" in err
+
+
 @pytest.mark.parametrize("z", ["inf", "nan", "5", "-2.5"])
 def test_construct_z_outside_window_is_usage_error(capsys, z):
     code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x", "--z", z)

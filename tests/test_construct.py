@@ -89,7 +89,9 @@ def test_staircase_spec_json_round_trip():
     spec = StaircaseSpec(flats=((-1.5, -1.0), (1.0, 1.5)),
                          slopes=(1.0, 2.0, 0.5), direction="down",
                          anchor_value=-0.25)
-    assert StaircaseSpec.from_json_dict(spec.to_json_dict()) == spec
+    data = {"flats": [[-1.5, -1.0], [1.0, 1.5]], "slopes": [1.0, 2.0, 0.5],
+            "direction": "down", "anchor_value": -0.25}
+    assert StaircaseSpec.from_json_dict(data) == spec
 
 
 # --- the constructor ---------------------------------------------------------

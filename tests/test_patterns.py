@@ -10,9 +10,12 @@ import pytest
 import monoratio as mr
 from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
-                                _interpolant, _run_interval, detect_mics,
-                                detect_pattern, level0_set, refine_sign_change)
+                                _interpolant, _run_interval, detect_direction,
+                                detect_mics, detect_pattern, level0_set,
+                                refine_sign_change)
 from monoratio.ratio import Grid, median_abs
+
+from helpers import mirror_vertical
 
 
 def _grid(lo, hi, n):
@@ -55,23 +58,23 @@ def test_refine_zero_at_endpoint():
 def test_all_positive_values_increasing():
     # derivative proxy positive everywhere: x^2 on (0.1, 10)
     samples = _samples(lambda x: x * x, 0.1, 10.0)
-    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.1, 10.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.1, 10.0))
     assert pat.kind is PatternKind.INCREASING
     assert pat.switch.lo == 0.1 and pat.switch.hi == 0.1
 
 
 def test_all_negative_values_decreasing():
     samples = _samples(lambda x: -1.0 - x * x, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.DECREASING
-    assert pat.switch.as_pair() == (1.0, 1.0)
+    assert (pat.switch.lo, pat.switch.hi) == (1.0, 1.0)
 
 
 def test_zero_values_constant():
     samples = _samples(lambda x: 0.0, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-6, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.CONSTANT
-    assert pat.switch.as_pair() == (0.0, 1.0)
+    assert (pat.switch.lo, pat.switch.hi) == (0.0, 1.0)
     assert not pat.switch.lo_closed and not pat.switch.hi_closed
 
 
@@ -84,7 +87,7 @@ def test_down_up_with_flat():
         return 0.0
 
     samples = _samples(proxy, -2.0, 2.0, 512)
-    pat = detect_pattern(*samples, 1e-7, mode="values", window=Interval(-2.0, 2.0))
+    pat = detect_pattern(*samples, 1e-7, window=Interval(-2.0, 2.0))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-2)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-2)
@@ -99,8 +102,7 @@ def test_down_up_with_true_probe_is_sharp():
         return 0.0
 
     samples = _samples(proxy, -2.0, 2.0, 512)
-    pat = detect_pattern(*samples, 1e-7, mode="values",
-                         window=Interval(-2.0, 2.0), probe=proxy)
+    pat = detect_pattern(*samples, 1e-7, window=Interval(-2.0, 2.0), probe=proxy)
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-6)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-6)
 
@@ -108,7 +110,7 @@ def test_down_up_with_true_probe_is_sharp():
 def test_staircase_rho_tilde_pattern(staircase_pair):
     pair, _, _ = staircase_pair
     table = mr.sample_table(pair, 2048)
-    pat = detect_pattern(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde), mode="values",
+    pat = detect_pattern(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
                          window=pair.window, probe=lambda t: mr.rho_tilde_at(pair, t))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-3)
@@ -117,7 +119,7 @@ def test_staircase_rho_tilde_pattern(staircase_pair):
 
 def test_single_crossing_gives_degenerate_switch():
     samples = _samples(lambda x: x - 0.3, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.degenerate
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
@@ -126,7 +128,7 @@ def test_single_crossing_gives_degenerate_switch():
 def test_up_down_values():
     # derivative proxy positive then negative: r rises then falls
     samples = _samples(lambda x: 0.3 - x, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-9, mode="values", window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0))
     assert pat.kind is PatternKind.UP_DOWN
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
 
@@ -134,7 +136,7 @@ def test_up_down_values():
 def test_values_mode_rejects_wiggles():
     samples = _samples(math.sin, 0.0, 12.0, 512)
     with pytest.raises(Unclassifiable):
-        detect_pattern(*samples, 1e-9, mode="values")
+        detect_pattern(*samples, 1e-9)
 
 
 def test_diffs_mode_monotone_with_flats():
@@ -146,70 +148,48 @@ def test_diffs_mode_monotone_with_flats():
             return x - 1.0
         return 0.0
 
-    pat = detect_pattern(*_samples(stair, -2.0, 2.0), 1e-9, mode="diffs")
-    assert pat.kind is PatternKind.INCREASING
+    assert detect_direction(*_samples(stair, -2.0, 2.0), 1e-9) is PatternKind.INCREASING
 
 
 def test_diffs_mode_directions():
-    assert detect_pattern(*_samples(lambda x: 2 * x, 0, 1), 1e-9,
-                          mode="diffs").kind is PatternKind.INCREASING
-    assert detect_pattern(*_samples(lambda x: -x, 0, 1), 1e-9,
-                          mode="diffs").kind is PatternKind.DECREASING
-    assert detect_pattern(*_samples(lambda x: 5.0, 0, 1), 1e-9,
-                          mode="diffs").kind is PatternKind.CONSTANT
-    assert detect_pattern(*_samples(lambda x: x * x, -1, 1), 1e-9,
-                          mode="diffs").kind is PatternKind.DOWN_UP
-    assert detect_pattern(*_samples(lambda x: -x * x, -1, 1), 1e-9,
-                          mode="diffs").kind is PatternKind.UP_DOWN
+    assert detect_direction(*_samples(lambda x: 2 * x, 0, 1), 1e-9) is PatternKind.INCREASING
+    assert detect_direction(*_samples(lambda x: -x, 0, 1), 1e-9) is PatternKind.DECREASING
+    assert detect_direction(*_samples(lambda x: 5.0, 0, 1), 1e-9) is PatternKind.CONSTANT
+    assert detect_direction(*_samples(lambda x: x * x, -1, 1), 1e-9) is PatternKind.DOWN_UP
+    assert detect_direction(*_samples(lambda x: -x * x, -1, 1), 1e-9) is PatternKind.UP_DOWN
 
 
 def test_diffs_mode_rejects_double_switch():
     with pytest.raises(Unclassifiable):
-        detect_pattern(*_samples(math.sin, 0.0, 12.0, 512), 1e-9, mode="diffs")
+        detect_direction(*_samples(math.sin, 0.0, 12.0, 512), 1e-9)
 
 
 def test_vertical_mirror_property():
-    cases = {
-        "values": [
+    for xs, vs in (
             _samples(lambda x: x - 0.5, 0.0, 1.0),     # DownUp crossing
             _samples(lambda x: 3.0, 0.0, 1.0),         # Increasing
             _samples(lambda x: -1.0 - x, 0.0, 1.0),    # Decreasing
-            _samples(lambda x: 0.0, 0.0, 1.0),         # Constant
-        ],
-        "diffs": [
+            _samples(lambda x: 0.0, 0.0, 1.0)):        # Constant
+        pat = detect_pattern(xs, vs, 1e-9)
+        neg = detect_pattern(xs, [-v for v in vs], 1e-9)
+        assert neg.kind is mirror_vertical(pat.kind)
+        if pat.kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
+            assert neg.switch.lo == pytest.approx(pat.switch.lo, abs=1e-9)
+            assert neg.switch.hi == pytest.approx(pat.switch.hi, abs=1e-9)
+    for xs, vs in (
             _samples(lambda x: x * x - 0.2, -1.0, 1.0),  # DownUp
             _samples(lambda x: 2 * x, 0.0, 1.0),         # Increasing
-            _samples(lambda x: 5.0, 0.0, 1.0),           # Constant
-        ],
-    }
-    mirror = {
-        PatternKind.INCREASING: PatternKind.DECREASING,
-        PatternKind.DECREASING: PatternKind.INCREASING,
-        PatternKind.DOWN_UP: PatternKind.UP_DOWN,
-        PatternKind.UP_DOWN: PatternKind.DOWN_UP,
-        PatternKind.CONSTANT: PatternKind.CONSTANT,
-    }
-    for mode, mode_cases in cases.items():
-        for samples in mode_cases:
-            pat = detect_pattern(*samples, 1e-9, mode=mode)
-            xs, vs = samples
-            neg = detect_pattern(xs, [-v for v in vs], 1e-9, mode=mode)
-            assert neg.kind is mirror[pat.kind]
-            if pat.kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
-                assert neg.switch.lo == pytest.approx(pat.switch.lo, abs=1e-9)
-                assert neg.switch.hi == pytest.approx(pat.switch.hi, abs=1e-9)
+            _samples(lambda x: 5.0, 0.0, 1.0)):          # Constant
+        kind = detect_direction(xs, vs, 1e-9)
+        assert detect_direction(xs, [-v for v in vs], 1e-9) is mirror_vertical(kind)
 
 
 def test_horizontal_mirror_property_diffs():
     # sampling the same values on the reversed axis mirrors the pattern
     samples = _samples(lambda x: (x - 0.6) ** 2, 0.0, 2.0)
     reversed_axis = ([-x for x in reversed(samples[0])], samples[1][::-1])
-    pat = detect_pattern(*samples, 1e-9, mode="diffs")
-    mirrored_pat = detect_pattern(*reversed_axis, 1e-9, mode="diffs")
-    assert pat.kind is PatternKind.DOWN_UP
-    assert mirrored_pat.kind is PatternKind.DOWN_UP
-    assert mirrored_pat.switch.lo == pytest.approx(-pat.switch.hi, abs=1e-6)
-    assert mirrored_pat.switch.hi == pytest.approx(-pat.switch.lo, abs=1e-6)
+    assert detect_direction(*samples, 1e-9) is PatternKind.DOWN_UP
+    assert detect_direction(*reversed_axis, 1e-9) is PatternKind.DOWN_UP
 
 
 def test_too_few_samples():
@@ -286,8 +266,8 @@ def test_mics_zero_tol_run_on_the_last_sample():
     a = 0.2501106518892491
     xs = _grid(0.0, 1.0, 17)
     mics = detect_mics(xs, [3.0] * 7 + [a] * 7 + [-3.0] * 2 + [a], 0.0, 0.0)
-    assert [m.as_pair() for m in mics] == [(xs[0], xs[6]), (xs[7], xs[13]),
-                                           (xs[14], xs[15])]
+    assert [(m.lo, m.hi) for m in mics] == [(xs[0], xs[6]), (xs[7], xs[13]),
+                                            (xs[14], xs[15])]
 
 
 def _reference_detect_mics(samples, tol, min_ic_len, probe=None):
@@ -465,9 +445,9 @@ def test_detectors_reject_non_finite_samples(vs):
     xs = _grid(0.0, 1.0, len(vs))
     bad_x = xs[next(i for i, v in enumerate(vs) if not math.isfinite(v))]
     match = re.escape(f"x = {bad_x!r} is not finite")
-    for mode in ("values", "diffs"):
+    for detect in (detect_pattern, detect_direction):
         with pytest.raises(ValueError, match=match):
-            detect_pattern(xs, vs, 1e-9, mode=mode)
+            detect(xs, vs, 1e-9)
     with pytest.raises(ValueError, match=match):
         detect_mics(xs, vs, 1e-9, 0.0)
     with pytest.raises(ValueError, match=match):
@@ -477,8 +457,8 @@ def test_detectors_reject_non_finite_samples(vs):
 def test_detectors_accept_finite_samples_whose_sum_overflows():
     xs = _grid(0.0, 1.0, 16)
     vs = [1.5e308] * 16
-    assert [m.as_pair() for m in detect_mics(xs, vs, 0.0, 0.0)] == [(xs[0], xs[-1])]
-    assert detect_pattern(xs, vs, 0.0, mode="diffs").kind is PatternKind.CONSTANT
+    assert [(m.lo, m.hi) for m in detect_mics(xs, vs, 0.0, 0.0)] == [(xs[0], xs[-1])]
+    assert detect_direction(xs, vs, 0.0) is PatternKind.CONSTANT
     assert level0_set(xs, vs, 0.0, lambda t: 1.5e308, Interval(0.0, 1.0)) is None
 
 
@@ -557,9 +537,9 @@ def test_detectors_reject_non_ascending_xs(as_tuple):
         with pytest.raises(ValueError, match="strictly increasing"):
             Grid(bad)
         bad = tuple(bad) if as_tuple else bad
-        for mode in ("values", "diffs"):
+        for detect in (detect_pattern, detect_direction):
             with pytest.raises(ValueError, match="strictly increasing"):
-                detect_pattern(bad, vs, 1e-9, mode=mode)
+                detect(bad, vs, 1e-9)
         with pytest.raises(ValueError, match="strictly increasing"):
             detect_mics(bad, vs, 1e-9, 0.0)
         with pytest.raises(ValueError, match="strictly increasing"):

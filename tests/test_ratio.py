@@ -6,7 +6,7 @@ import monoratio as mr
 from monoratio import Interval
 from monoratio.ratio import GRID_N_MAX, Grid, _chebyshev_points, check_grid, median_abs
 
-from helpers import mirrored, negated
+from helpers import mirrored, mirrored_interval, negated
 
 
 def _pair(f_src, g_src, lo, hi, n=256):
@@ -188,7 +188,7 @@ def test_reflection_acceptance_is_symmetric():
     # a pair validates iff its x -> -x mirror does, with signs transformed
     pair = _pair("x^2", "exp(x)", -2.0, 2.0)
     flipped = mr.make_pair(mirrored(pair.f), mirrored(pair.g),
-                           pair.window.mirrored(), pair.grid_n)
+                           mirrored_interval(pair.window), pair.grid_n)
     assert flipped.sign_gprime == -pair.sign_gprime
     assert flipped.sign_gg == -pair.sign_gg
 

@@ -3,54 +3,62 @@ import dataclasses
 import pytest
 
 import monoratio as mr
-from monoratio import Direction, Family, Interval, PatternKind
+from monoratio import Direction, Interval, PatternKind
 from monoratio import rules
-from monoratio.rules import (RULE_ROWS, Tolerances, _check_prop1, _inside,
-                            predict_r_family, predict_rho_tilde_dir)
+from monoratio.rules import RULE_ROWS, Tolerances, _check_prop1, _inside
 
 from helpers import mirror_vertical, reflect
 
 UP, DOWN = Direction.UP, Direction.DOWN
+DOWN_UP, UP_DOWN = PatternKind.DOWN_UP, PatternKind.UP_DOWN
+
+
+def _row(rho_dir, sign_gg):
+    (row,) = [r for r in RULE_ROWS if (r.rho_dir, r.sign_gg) == (rho_dir, sign_gg)]
+    return row
 
 
 def test_r_family_rows():
-    assert predict_r_family(UP, 1) is Family.DOWN_UP
-    assert predict_r_family(DOWN, 1) is Family.UP_DOWN
-    assert predict_r_family(UP, -1) is Family.UP_DOWN
-    assert predict_r_family(DOWN, -1) is Family.DOWN_UP
+    assert _row(UP, 1).r_family is DOWN_UP
+    assert _row(DOWN, 1).r_family is UP_DOWN
+    assert _row(UP, -1).r_family is UP_DOWN
+    assert _row(DOWN, -1).r_family is DOWN_UP
 
 
 def test_rho_tilde_rows():
-    assert predict_rho_tilde_dir(UP, 1) is UP
-    assert predict_rho_tilde_dir(DOWN, 1) is DOWN
-    assert predict_rho_tilde_dir(UP, -1) is DOWN
-    assert predict_rho_tilde_dir(DOWN, -1) is UP
+    assert _row(UP, 1).rho_tilde_dir is UP
+    assert _row(DOWN, 1).rho_tilde_dir is DOWN
+    assert _row(UP, -1).rho_tilde_dir is DOWN
+    assert _row(DOWN, -1).rho_tilde_dir is UP
 
 
 def test_rule_rows_complete():
     assert len(RULE_ROWS) == 4
     expected = [
-        (UP, 1, Family.DOWN_UP, UP),
-        (DOWN, 1, Family.UP_DOWN, DOWN),
-        (UP, -1, Family.UP_DOWN, DOWN),
-        (DOWN, -1, Family.DOWN_UP, UP),
+        (UP, 1, DOWN_UP, UP),
+        (DOWN, 1, UP_DOWN, DOWN),
+        (UP, -1, UP_DOWN, DOWN),
+        (DOWN, -1, DOWN_UP, UP),
     ]
     got = [(r.rho_dir, r.sign_gg, r.r_family, r.rho_tilde_dir) for r in RULE_ROWS]
     assert got == expected
+    # the enum members themselves, not equal strings
+    for row, (_, _, family, rt_dir) in zip(RULE_ROWS, expected):
+        assert row.r_family is family and row.rho_tilde_dir is rt_dir
 
 
 def test_table_consistency():
     # a non-decreasing rho-tilde forces the sign sequence (-)*(0)*(+)*,
     # i.e. the DownUp family; non-increasing forces UpDown
     for row in RULE_ROWS:
-        implied = Family.DOWN_UP if row.rho_tilde_dir is UP else Family.UP_DOWN
+        implied = DOWN_UP if row.rho_tilde_dir is UP else UP_DOWN
         assert row.r_family is implied
 
 
 def test_family_xor_rule():
     for row in RULE_ROWS:
         is_down_up = (row.rho_dir is UP) != (row.sign_gg == -1)
-        assert (row.r_family is Family.DOWN_UP) == is_down_up
+        assert (row.r_family is DOWN_UP) == is_down_up
 
 
 def _pair(f_src, g_src, lo, hi, n=512):
@@ -62,11 +70,10 @@ def test_prop1_family_membership():
     # a family holds its composite and every degenerate kind, never the
     # other family's composite
     switch = Interval(0.0, 1.0)
-    for family in Family:
+    for family in (DOWN_UP, UP_DOWN):
         for kind in PatternKind:
             ok = _check_prop1(mr.Pattern(kind, switch), family, False, switch, 1e-3)
-            assert ok == ((family, kind) not in {(Family.DOWN_UP, PatternKind.UP_DOWN),
-                                                 (Family.UP_DOWN, PatternKind.DOWN_UP)})
+            assert ok == ((family, kind) not in {(DOWN_UP, UP_DOWN), (UP_DOWN, DOWN_UP)})
 
 
 @pytest.mark.parametrize("tol_zero", [float("nan"), float("inf"), -1e-9, 1.0, 10.0])
@@ -117,7 +124,7 @@ def test_check_pair_square_over_x():
     report = mr.check_pair(_pair("x^2", "x", 0.1, 10.0))
     assert report.all_ok
     assert report.rho_dir is UP and report.sign_gg == 1
-    assert report.predicted_family is Family.DOWN_UP
+    assert report.predicted_family is DOWN_UP
     assert report.observed_pattern.kind is PatternKind.INCREASING
     assert report.level0 is None
     assert len(report.mics_r) == 0
@@ -127,7 +134,7 @@ def test_check_pair_negated_square():
     report = mr.check_pair(_pair("-(x^2)", "x", 0.1, 10.0))
     assert report.all_ok
     assert report.rho_dir is DOWN
-    assert report.predicted_family is Family.UP_DOWN
+    assert report.predicted_family is UP_DOWN
     assert report.observed_pattern.kind is PatternKind.DECREASING
 
 
@@ -168,11 +175,29 @@ def test_check_pair_identity_ratio():
     assert len(report.mics_r) == 1
 
 
+def test_check_pair_reads_rule_rows(staircase_pair, monkeypatch):
+    # a swapped row must reach the report, and fail prop1 on a composite r
+    pair, _, _ = staircase_pair
+    base = mr.check_pair(pair)
+    assert base.all_ok and base.observed_pattern.kind is DOWN_UP
+    flip = {UP: DOWN, DOWN: UP}
+    swapped = tuple(
+        dataclasses.replace(row, r_family=mirror_vertical(row.r_family),
+                            rho_tilde_dir=flip[row.rho_tilde_dir])
+        if (row.rho_dir, row.sign_gg) == (base.rho_dir, base.sign_gg) else row
+        for row in RULE_ROWS)
+    monkeypatch.setattr(rules, "RULE_ROWS", swapped)
+    report = mr.check_pair(pair)
+    assert report.predicted_family is UP_DOWN
+    assert report.predicted_rho_tilde_dir is flip[base.predicted_rho_tilde_dir]
+    assert not dict(report.checks)["prop1"]
+
+
 def test_check_pair_non_monotone_rho_reports_failure():
     report = mr.check_pair(_pair("sin(x)", "x", 0.1, 5.0))
     assert report.failure is not None
     assert not report.all_ok
-    assert report.rho_pattern.kind is PatternKind.DOWN_UP  # cos falls then rises
+    assert report.rho_pattern is DOWN_UP  # cos falls then rises
 
 
 def test_check_pair_table3_direction():
@@ -180,7 +205,7 @@ def test_check_pair_table3_direction():
         pair, _, _ = mr.random_pair(seed, mr.GeneratorConfig(grid_n=512))
         report = mr.check_pair(pair)
         assert report.all_ok
-        rt_kind = report.rho_tilde_pattern.kind
+        rt_kind = report.rho_tilde_pattern
         if rt_kind is PatternKind.INCREASING:
             assert report.predicted_rho_tilde_dir is UP
         elif rt_kind is PatternKind.DECREASING:
@@ -208,14 +233,14 @@ def test_reflect_vertical_flips_direction():
     rep, frep = mr.check_pair(pair), mr.check_pair(flipped)
     assert rep.rho_dir is UP and frep.rho_dir is DOWN
     assert frep.sign_gg == rep.sign_gg
-    assert frep.predicted_family is rep.predicted_family.mirrored()
-    assert frep.observed_pattern.kind is mirror_vertical(rep.observed_pattern)
+    assert frep.predicted_family is mirror_vertical(rep.predicted_family)
+    assert frep.observed_pattern.kind is mirror_vertical(rep.observed_pattern.kind)
 
 
 def test_reflect_horizontal_mirrors_window():
     pair = _pair("x^2", "x", 0.1, 10.0)
     flipped = reflect(pair, "horizontal")
-    assert flipped.window.as_pair() == (-10.0, -0.1)
+    assert (flipped.window.lo, flipped.window.hi) == (-10.0, -0.1)
     assert flipped.sign_gprime == -pair.sign_gprime
     assert flipped.sign_gg == -pair.sign_gg
 
