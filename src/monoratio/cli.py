@@ -7,10 +7,11 @@ Subcommands:
     tables     print the encoded rule table
 
 Exit codes: 0 all checks passed, 1 expression or staircase parse error,
-2 a standing assumption failed, 3 at least one check failed, 64 usage
-error or a file that cannot be read or written.  Handlers raise and main
-maps each failure family to its code.  MONOTONE_RATIO_THREADS caps verify
-parallelism (also capped at the CPU count and the number of cases).
+2 a standing assumption failed, 3 at least one check failed (a verify
+case that raises fails every check), 64 usage error or a file that
+cannot be read or written.  Handlers raise and main maps each failure
+family to its code.  MONOTONE_RATIO_THREADS caps verify parallelism
+(also capped at the CPU count and the number of cases).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .construct import (GeneratorConfig, QuadratureError, StaircaseError,
 from .expr import DomainFault, ExprFn, ParseError, parse
 from .intervals import Interval
 from .ratio import ValidationError, check_grid, make_pair, sample_table
-from .rules import RULE_ROWS, Tolerances, check_pair
+from .rules import CHECK_NAMES, RULE_ROWS, Tolerances, check_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -135,12 +136,18 @@ def cmd_construct(args) -> int:
     return _analyze_pair(make_pair(f, g, window, args.grid_n), args, tol)
 
 
-def _verify_case(case_seed: int, grid_n: int, tol_zero: float,
-                 quad_tol: float) -> tuple[tuple[str, bool], ...]:
-    """The report's (name, ok) checks for one generated pair."""
+def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
+                 ) -> tuple[tuple[tuple[str, bool], ...], str | None]:
+    """The report's (name, ok) checks for one generated pair and None; or,
+    when making or checking the pair raises an ArithmeticError (such as a
+    QuadratureError) or a ValueError, every check failed and the error as
+    one line."""
     config = GeneratorConfig(grid_n=grid_n, quad_tol=quad_tol)
-    pair, _, _ = random_pair(case_seed, config)
-    return check_pair(pair, Tolerances(tol_zero=tol_zero)).checks
+    try:
+        pair, _, _ = random_pair(case_seed, config)
+        return check_pair(pair, Tolerances(tol_zero=tol_zero)).checks, None
+    except (ArithmeticError, ValueError) as err:
+        return tuple((name, False) for name in CHECK_NAMES), f"{type(err).__name__}: {err}"
 
 
 def cmd_verify(args) -> int:
@@ -168,7 +175,10 @@ def cmd_verify(args) -> int:
         results = [_verify_case(s, args.grid_n, args.tol_zero, args.quad_tol)
                    for s in seeds]
     # results arrive in seed order either way, so output is deterministic
-    passed = Counter(name for checks in results for name, ok in checks if ok)
+    for seed, (_, error) in zip(seeds, results):
+        if error is not None:
+            print(f"error: seed {seed}: {error}", file=sys.stderr)
+    passed = Counter(name for checks, _ in results for name, ok in checks if ok)
     summary = {
         "seed": args.seed,
         "cases": args.cases,
@@ -176,8 +186,8 @@ def cmd_verify(args) -> int:
         "tol_zero": args.tol_zero,
         "quad_tol": args.quad_tol,
         "checks": {name: {"pass": passed[name], "fail": len(results) - passed[name]}
-                   for name, _ in results[0]},
-        "failing_seeds": [seed for seed, checks in zip(seeds, results)
+                   for name in CHECK_NAMES},
+        "failing_seeds": [seed for seed, (checks, _) in zip(seeds, results)
                           if not all(ok for _, ok in checks)],
     }
     _emit_json(summary, args.out)

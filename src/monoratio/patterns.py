@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, groupby, repeat
-from operator import eq, lt, sub
+from operator import ge, ne, sub
 from typing import Callable, Iterable, Sequence
 
 from .intervals import Interval
@@ -57,7 +57,7 @@ class Pattern:
     switch: Interval
 
 
-def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
+def _check_columns(xs: Sequence[float], vs: Sequence[float], band: float) -> None:
     if len(xs) != len(vs) or len(xs) < 16:
         raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
     if not isinstance(xs, Grid):  # a Grid was checked when it was made
@@ -68,6 +68,8 @@ def _check_columns(xs: Sequence[float], vs: Sequence[float]) -> None:
         i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
         if i is not None:
             raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
+    if not band >= 0.0:  # a NaN band would give no zero band at all
+        raise ValueError(f"band must be at least 0, got {band!r}")
 
 
 def _signs(values: Iterable[float], band: float) -> list[int]:
@@ -150,7 +152,7 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
     switch endpoint snaps to the window edge (or sample span if no window
     is given) and is flagged open: truncated, true extent unknown.
     """
-    _check_columns(xs, vs)
+    _check_columns(xs, vs, band)
     if probe is None:
         probe = _interpolant(xs, vs)
 
@@ -186,11 +188,15 @@ def detect_direction(xs: Sequence[float], vs: Sequence[float], band: float) -> P
     within the absolute band.  Zeros inside a monotone run are allowed (a
     non-decreasing function may sit on flats), while the composite kinds
     still require the strict one-switch form."""
-    _check_columns(xs, vs)
-    shape = [s for s, _ in groupby(_signs(map(sub, vs[1:], vs), band))]
-    if (1 in shape) != (-1 in shape):  # monotone, flats anywhere
-        shape = [1 if 1 in shape else -1]
-    return _one_switch_kind(shape)
+    _check_columns(xs, vs, band)
+    steps = list(map(sub, vs[1:], vs))
+    # the largest and smallest step tell whether any step rises or falls
+    # clear of the band; only a column that does both has a sign shape
+    rises, falls = max(steps) > band, min(steps) < -band
+    if rises and falls:
+        return _one_switch_kind([s for s, _ in groupby(_signs(steps, band))])
+    return (PatternKind.INCREASING if rises else
+            PatternKind.DECREASING if falls else PatternKind.CONSTANT)
 
 
 def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
@@ -207,29 +213,29 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     can only place an endpoint to within one grid cell.  Endpoints at the
     sampled edge are flagged open (window-truncated).
     """
-    _check_columns(xs, vs)
-    if not band >= 0.0:
-        raise ValueError(f"band must be at least 0, got {band!r}")
+    _check_columns(xs, vs, band)
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
     value = probe if probe is not None else _interpolant(xs, vs)
 
-    # A step |vs[j] - vs[j-1]| above the band fits in no window, so the
-    # sweep below would always close a run at j - 1 there and restart at
-    # j: cut the column at such steps (C-level passes) and sweep only the
-    # pieces longer than one sample
-    cuts = list(compress(range(1, n), map(lt, repeat(band), map(abs, map(sub, vs[1:], vs)))))
-    starts, ends = [0, *cuts], [*cuts, n]
-    sizes = list(map(sub, ends, starts))
-    # the cells right and left of each sample (none past the ends); a
-    # one-sample piece is a run of its own, which the length test of the
-    # loop further down drops whenever two cells fit in min_ic_len
-    cell = list(map(sub, xs[1:], xs))
-    right, left = [*cell, xs[-1] - xs[-1]], [xs[0] - xs[0], *cell]
+    # Samples j - 1 and j share a run only across a join, a step
+    # |vs[j] - vs[j-1]| within the band, so every longer run lies in a
+    # piece [a, b) of consecutive joins; on a sampled curve joins are few,
+    # and C-level passes find them and the breaks between their pieces
+    joins = list(compress(range(1, n), map(ge, repeat(band), map(abs, map(sub, vs[1:], vs)))))
+    breaks = list(compress(range(1, len(joins)), map(ne, map(sub, joins[1:], joins), repeat(1))))
+    pieces = [(joins[k] - 1, joins[m - 1] + 1)
+              for k, m in zip([0, *breaks], [*breaks, len(joins)])] if joins else []
     raw_runs = []
-    if not 2.0 * max(cell) <= min_ic_len:
-        raw_runs += ((i, i) for i in compress(starts, map(eq, sizes, repeat(1))))
-    for a, b in compress(zip(starts, ends), map(lt, repeat(1), sizes)):
+    # a sample in no piece is a run of its own, which the length test of
+    # the loop further down drops whenever two grid cells fit in min_ic_len
+    if not 2.0 * max(map(sub, xs[1:], xs)) <= min_ic_len:
+        raw_runs += ((i, i) for e, s in zip([0, *(b for _, b in pieces)],
+                                            [*(a for a, _ in pieces), n]) for i in range(e, s))
+    for a, b in pieces:
+        if max(vs[a:b]) - min(vs[a:b]) <= band:  # the piece fits the band whole
+            raw_runs.append((a, b - 1))
+            continue
         # streaming min/max filter (Lemire 2006): the deques hold the
         # indices of the window [lo..j]'s running max and min; when j
         # breaks the band, [lo..j-1] is maximal and lo moves past the older
@@ -257,7 +263,9 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     for i0, i1 in raw_runs:
         # refinement extends less than one cell per side, so a short run
         # can be discarded without refining it
-        if xs[i1] - xs[i0] + right[i1] + left[i0] <= min_ic_len:
+        right = xs[i1 + 1] - xs[i1] if i1 < n - 1 else 0.0
+        left = xs[i0] - xs[i0 - 1] if i0 else 0.0
+        if xs[i1] - xs[i0] + right + left <= min_ic_len:
             continue
         run_max = max(vs[i0:i1 + 1])
         run_min = min(vs[i0:i1 + 1])
@@ -285,7 +293,7 @@ def level0_set(xs: Sequence[float], rho_tilde: Sequence[float], band: float,
     separated by more than 2 grid steps raise NonInterval, which signals
     a non-monotone rho (broken precondition).
     """
-    _check_columns(xs, rho_tilde)
+    _check_columns(xs, rho_tilde, band)
     xtol = 1e-9 * (1.0 + window.length)
 
     runs = _runs(_signs(rho_tilde, band))

@@ -142,25 +142,29 @@ def values(fn: DifferentiableFn, xs: Sequence[float]) -> list[float]:
     return columns(fn, xs)[0] if only_values is None else only_values(xs)
 
 
+def _extremes(column: Sequence[float]) -> tuple[float, float] | None:
+    """(min, max) of the column; None if its sum is NaN, as any NaN sample makes it."""
+    return None if math.isnan(sum(column)) else (min(column), max(column))
+
+
 def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
     """Bisect each sign flip between adjacent samples, scanning the tracks
-    together in x order.  A track is (values, probe, name, zero_error).
-    A crossing where |probe| <= 1e-6 * max(1, max |values|) is a root,
-    raised as zero_error(root) unless zero_error is None (roots allowed);
-    any other flip, or an arithmetic fault of the probe inside the
-    bracket, is a SignChange: typically a pole."""
+    together in x order.  A track is (values, _extremes(values), probe,
+    name, zero_error).  A crossing where |probe| <= 1e-6 * max(1, max
+    |values|) is a root, raised as zero_error(root) unless zero_error is
+    None (roots allowed); any other flip, or an arithmetic fault of the
+    probe inside the bracket, is a SignChange: typically a pole."""
     xtol = 1e-9 * (1.0 + window.length)
     flips = []
-    for k, (values, *_) in enumerate(tracks):
-        # one sign throughout, the common case, costs three C-level passes;
-        # a NaN makes min/max order-dependent, so it takes the scan below
-        if not math.isnan(sum(values)) and (min(values) > 0.0 or max(values) <= 0.0):
+    for k, (values, extremes, *_) in enumerate(tracks):
+        # one sign throughout, the common case, needs no scan
+        if extremes is not None and (extremes[0] > 0.0 or extremes[1] <= 0.0):
             continue
         positive = [v > 0.0 for v in values]
         flips += ((i, k) for i in compress(range(len(xs) - 1),
                                            map(ne, positive, positive[1:])))
     for i, k in sorted(flips):
-        values, probe, name, zero_error = tracks[k]
+        values, _, probe, name, zero_error = tracks[k]
         try:
             root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
             small = abs(probe(root)) <= 1e-6 * max(1.0, max(map(abs, values)))
@@ -181,18 +185,22 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
     """
     xs = _chebyshev_points(window, n)
     values, derivs = columns(g, xs)
+    tracks = ((values, _extremes(values), lambda t: g(t)[0], "g", ZeroG),
+              (derivs, _extremes(derivs), lambda t: g(t)[1], "g'", ZeroGPrime))
 
-    for column, zero_error in ((values, ZeroG), (derivs, ZeroGPrime)):
-        tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
-        # one C-level pass; a NaN first sample makes min NaN, so that too
-        # takes the walk to the first sample at or below tol
-        if not min(map(abs, column)) > tol:
+    for column, extremes, *_, zero_error in tracks:
+        # max |v| is max(hi, -lo); min |v| is max(lo, -hi) for one sign and
+        # at most 0 for both signs.  A NaN column keeps max |v| taken in
+        # order (a NaN first sample gives 1) and, like any column that may
+        # hold a sample at or below tol, walks to the first such sample
+        lo, hi = extremes or (math.nan, math.nan)
+        tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)) if extremes is None else max(hi, -lo))
+        if not max(lo, -hi) > tol:
             for x, v in zip(xs, column):
                 if abs(v) <= tol:
                     raise zero_error(x)
 
-    _chase_sign_flips(xs, window, ((values, lambda t: g(t)[0], "g", ZeroG),
-                                   (derivs, lambda t: g(t)[1], "g'", ZeroGPrime)))
+    _chase_sign_flips(xs, window, tracks)
 
     sign_g = 1 if values[0] > 0.0 else -1
     sign_gp = 1 if derivs[0] > 0.0 else -1
@@ -304,12 +312,15 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     rho = list(map(truediv, fd, gd))
     rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
     for name, column in (("r", r), ("rho", rho), ("rho-tilde", rho_t)):
-        if not all(map(math.isfinite, column)):
-            i = next(i for i, v in enumerate(column) if not math.isfinite(v))
-            raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
+        # a non-finite sum, the rare case, holds a non-finite sample or
+        # finite ones whose sum overflows, hence the scan
+        if not math.isfinite(sum(column)):
+            i = next((i for i, v in enumerate(column) if not math.isfinite(v)), None)
+            if i is not None:
+                raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
     # f may cross zero, but a sign flip it does not cross continuously (a
     # pole between grid points) breaks the analysis
-    _chase_sign_flips(xs, pair.window, ((fv, lambda t: pair.f(t)[0], "f", None),))
+    _chase_sign_flips(xs, pair.window, ((fv, _extremes(fv), lambda t: pair.f(t)[0], "f", None),))
     return SampleTable(Grid(xs), fv, gv, r, rho, rho_t)
 
 

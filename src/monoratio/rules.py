@@ -55,6 +55,9 @@ RULE_ROWS: tuple[RuleRow, ...] = (
     RuleRow(Direction.DOWN, -1, PatternKind.DOWN_UP, Direction.UP),
 )
 
+# the names of a report's checks, in report order
+CHECK_NAMES = ("prop1", "prop2", "uniqueness", "sign_identity")
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -350,8 +353,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
         mics_rho=mics_rho,
         mics_rho_tilde=mics_rt,
         mic_fits=fits,
-        checks=(("prop1", prop1), ("prop2", prop2), ("uniqueness", uniqueness),
-                ("sign_identity", sign_ok)),
+        checks=tuple(zip(CHECK_NAMES, (prop1, prop2, uniqueness, sign_ok))),
         sign_violations=violations,
         failure=failure,
         tolerances=tol,

@@ -470,15 +470,50 @@ def test_errors_survive_pickling(error):
 
 
 def test_verify_error_in_a_worker_is_the_serial_error(capsys, monkeypatch):
-    # every panel fails to converge at this tolerance, so both cases raise
+    # every panel fails to converge at this tolerance, so both cases raise:
+    # each is a failing seed with one stderr line, on either path
     argv = ("verify", "--cases", "2", "--quad-tol", "1e-300")
     monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1")
     serial = run(capsys, *argv)
-    assert serial[0] == 2 and serial[1] == ""
-    assert_one_error_line(serial[2])
+    assert serial[0] == 3 and json.loads(serial[1])["failing_seeds"] == [0, 1]
+    assert [line.split(": ")[:3] for line in serial[2].splitlines()] == \
+        [["error", f"seed {seed}", "QuadratureError"] for seed in (0, 1)]
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
     assert run(capsys, *argv) == serial
+
+
+def test_verify_survives_a_faulting_case(capsys):
+    # random_pair raises QuadratureError for seeds 0-3 at this tolerance;
+    # the campaign once ended at seed 0 with exit 2 and no summary
+    code, out, err = run(capsys, "verify", "--seed", "0", "--cases", "4",
+                         "--quad-tol", "1e-30")
+    assert code == 3
+    summary = json.loads(out)
+    assert summary["failing_seeds"] == [0, 1, 2, 3]
+    assert summary["checks"] == {name: {"pass": 0, "fail": 4} for name in
+                                 ("prop1", "prop2", "uniqueness", "sign_identity")}
+    lines = err.splitlines()
+    assert len(lines) == 4 and "Traceback" not in err
+    for seed, line in zip(range(4), lines):
+        assert line.startswith(f"error: seed {seed}: QuadratureError: quadrature did not converge")
+
+
+def test_verify_counts_a_faulting_case_among_passing_ones(capsys, monkeypatch):
+    import monoratio.cli as cli
+
+    def random_pair(seed, config):
+        if seed == 43:
+            raise monoratio.DomainFault(0.25, "log of non-positive argument")
+        return monoratio.random_pair(seed, config)
+
+    monkeypatch.setattr(cli, "random_pair", random_pair)
+    code, out, err = run(capsys, "verify", "--seed", "42", "--cases", "3", "--grid-n", "256")
+    assert code == 3
+    summary = json.loads(out)
+    assert summary["failing_seeds"] == [43]
+    assert all(counts == {"pass": 2, "fail": 1} for counts in summary["checks"].values())
+    assert err == f"error: seed 43: DomainFault: {monoratio.DomainFault(0.25, 'log of non-positive argument')}\n"
 
 
 def _analyze(capsys, f):

@@ -1,16 +1,19 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monoratio as mr
 from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
-                                _interpolant, _run_interval, detect_direction,
+                                _interpolant, _one_switch_kind, _run_interval, detect_direction,
                                 detect_mics, detect_pattern, level0_set,
                                 refine_sign_change)
 from monoratio.ratio import Grid, median_abs
@@ -192,6 +195,64 @@ def test_horizontal_mirror_property_diffs():
     assert detect_direction(*reversed_axis, 1e-9) is PatternKind.DOWN_UP
 
 
+def _reference_signs(values, band):
+    return [0 if abs(v) <= band else (1 if v > 0.0 else -1) for v in values]
+
+
+def _reference_direction(vs, band):
+    """detect_direction as it was before its extremes test: the full sign
+    shape of the first differences, monotone when one sign is missing."""
+    shape = [s for s, _ in itertools.groupby(_reference_signs(map(operator.sub, vs[1:], vs),
+                                                              band))]
+    if (1 in shape) != (-1 in shape):
+        shape = [1 if 1 in shape else -1]
+    return _one_switch_kind(shape)
+
+
+@st.composite
+def _direction_columns(draw):
+    """Columns of pool values, repeated (flats, all-zero steps) or distinct
+    (always, for the one-switch shapes), sorted into monotone or one-switch
+    shapes or left raw, with in-band nudges and one large step; or two
+    levels at -+1.5e308, whose one step overflows to +-inf."""
+    n = draw(st.integers(16, 40))
+    k = draw(st.integers(1, n - 1))
+    shape = draw(st.sampled_from(["raw", "up", "down", "up_down", "down_up", "flat", "overflow"]))
+    pool = st.one_of(st.sampled_from([0.0, 1.0, -2.0, 1e-10, 1.5e308, -1.5e308]),
+                     st.floats(-4.0, 4.0))
+    vs = draw(st.lists(pool, min_size=n, max_size=n, unique="_" in shape or draw(st.booleans())))
+    if shape == "flat":
+        vs = [vs[0]] * n
+    elif shape == "overflow":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        vs = [-sign * 1.5e308] * k + [sign * 1.5e308] * (n - k)
+    elif shape != "raw":
+        first, second = shape.split("_") if "_" in shape else (shape, shape)
+        vs = (sorted(vs[:k], reverse=first == "down")
+              + sorted(vs[k:], reverse=second == "down"))
+    if draw(st.booleans()):  # one large step
+        vs[k:] = [v + 1e3 if abs(v) < 1e300 else v for v in vs[k:]]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):  # in-band nudges
+        vs[i] += draw(st.sampled_from([1e-10, -1e-10, 4e-10]))
+    return vs, draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-9, 0.5, 1e3, math.inf]))
+
+
+def _direction_outcome(detect, vs, band):
+    try:
+        return detect(vs, band)
+    except Unclassifiable as err:
+        return str(err)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_direction_columns())
+def test_direction_extremes_match_the_sign_shape(column):
+    vs, band = column
+    xs = _grid(0.0, 1.0, len(vs))
+    assert _direction_outcome(lambda vs, band: detect_direction(xs, vs, band), vs, band) == \
+        _direction_outcome(_reference_direction, vs, band)
+
+
 def test_too_few_samples():
     with pytest.raises(ValueError):
         detect_pattern([float(i) for i in range(8)], [0.0] * 8, 1e-9)
@@ -258,6 +319,26 @@ def test_mics_whole_span_flagged_open():
 def test_mics_rejects_negative_tol(band):
     with pytest.raises(ValueError, match="band"):
         detect_mics(*_samples(lambda x: 1.0, 0.0, 1.0), band, 0.0)
+
+
+@pytest.mark.parametrize("band", [-1e-9, math.nan])
+def test_direction_rejects_negative_or_nan_band(band):
+    # a NaN band once made every step a sign, no step a zero
+    with pytest.raises(ValueError, match="band"):
+        detect_direction(*_samples(lambda x: x, 0.0, 1.0), band)
+
+
+@pytest.mark.parametrize("band", [-1e-9, math.nan])
+def test_pattern_rejects_negative_or_nan_band(band):
+    with pytest.raises(ValueError, match="band"):
+        detect_pattern(*_samples(lambda x: x - 0.5, 0.0, 1.0), band)
+
+
+@pytest.mark.parametrize("band", [-1e-9, math.nan])
+def test_level0_rejects_negative_or_nan_band(band):
+    with pytest.raises(ValueError, match="band"):
+        level0_set(*_samples(lambda x: x - 0.5, 0.0, 1.0), band, lambda t: t - 0.5,
+                   Interval(0.0, 1.0))
 
 
 def test_mics_zero_tol_run_on_the_last_sample():
@@ -434,6 +515,47 @@ def test_mics_split_sweep_edge_columns(vs, tol, min_ic_len):
     xs = _grid(0.0, 1.0, len(vs))
     assert detect_mics(xs, vs, _band(tol, vs), min_ic_len) == \
         _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+
+
+@st.composite
+def _clamp_columns(draw):
+    """A clamp-like column: a slope into a plateau [a, b] that wanders
+    inside (or just past) the band, a slope out, sometimes a second
+    plateau; uniform xs, or non-uniform ones where, with min_ic_len under
+    two cells, one-sample runs count."""
+    n = draw(st.integers(16, 160))
+    if draw(st.booleans()):
+        xs = _grid(0.0, 1.0, n)
+    else:
+        xs = list(itertools.accumulate(draw(st.lists(st.floats(0.01, 1.0),
+                                                     min_size=n, max_size=n))))
+    a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    level = draw(st.floats(-3.0, 3.0))
+    slopes = st.sampled_from([1.0, -1.0, 5.0, 1e-6, -1e-9, 1e-12, 0.0])
+    into, out = draw(slopes), draw(slopes)
+    wiggle = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 3e-9]))
+    vs = [level + into * (x - xs[a]) for x in xs[:a]]
+    vs += [level + wiggle * draw(st.floats(0.0, 1.0)) for _ in range(a, b + 1)]
+    vs += [level + out * (x - xs[b]) for x in xs[b + 1:]]
+    if draw(st.booleans()):  # a second plateau on the tail
+        c = draw(st.integers(b, n - 1))
+        vs[c:] = [vs[c]] * (n - c)
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    cells = [hi - lo for lo, hi in zip(xs, xs[1:])]
+    cell = max(cells) if draw(st.booleans()) else sum(cells) / len(cells)
+    min_ic_len = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])) * cell
+    return xs, vs, tol, min_ic_len
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_clamp_columns())
+def test_mics_one_run_pieces_match_reference_on_clamps(column):
+    xs, vs, tol, min_ic_len = column
+    got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
+    want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+    assert got == want
+    assert [(m.lo_closed, m.hi_closed) for m in got] == \
+        [(m.lo_closed, m.hi_closed) for m in want]
 
 
 @pytest.mark.parametrize("vs", [

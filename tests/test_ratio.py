@@ -1,10 +1,18 @@
+import bisect
+import itertools
 import math
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.ratio import GRID_N_MAX, Grid, _chebyshev_points, check_grid, median_abs
+from monoratio.patterns import _interpolant
+from monoratio.ratio import (GRID_N_MAX, ZERO_REL_TOL, Grid, _chebyshev_points,
+                             check_g_assumptions, check_grid, columns, median_abs,
+                             refine_sign_change)
 
 from helpers import mirrored, mirrored_interval, negated
 
@@ -231,3 +239,100 @@ def test_sample_table_rejects_a_pole_of_f(f, pole):
     with pytest.raises(mr.SignChange, match="^sign of f changes") as err:
         mr.sample_table(pair)
     assert err.value.x == pytest.approx(pole, abs=1e-8)
+
+
+# --- check_g_assumptions' extremes against the abs-based scans -------------
+
+def _reference_chase(xs, window, tracks):
+    """_chase_sign_flips as it was before it read shared extremes: each
+    track is (values, probe, name, zero_error) and takes its own min/max."""
+    xtol = 1e-9 * (1.0 + window.length)
+    flips = []
+    for k, (values, *_) in enumerate(tracks):
+        if not math.isnan(sum(values)) and (min(values) > 0.0 or max(values) <= 0.0):
+            continue
+        positive = [v > 0.0 for v in values]
+        flips += ((i, k) for i in itertools.compress(range(len(xs) - 1),
+                                                     map(operator.ne, positive, positive[1:])))
+    for i, k in sorted(flips):
+        values, probe, name, zero_error = tracks[k]
+        try:
+            root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
+            small = abs(probe(root)) <= 1e-6 * max(1.0, max(map(abs, values)))
+        except ArithmeticError as err:
+            raise mr.SignChange(getattr(err, "x", xs[i]), name) from None
+        if not small:
+            raise mr.SignChange(root, name)
+        if zero_error is not None:
+            raise zero_error(root)
+
+
+def _reference_check_g(g, window, n):
+    """check_g_assumptions as it was with one abs map per zero scan."""
+    xs = _chebyshev_points(window, n)
+    values, derivs = columns(g, xs)
+    for column, zero_error in ((values, mr.ZeroG), (derivs, mr.ZeroGPrime)):
+        tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
+        if not min(map(abs, column)) > tol:
+            for x, v in zip(xs, column):
+                if abs(v) <= tol:
+                    raise zero_error(x)
+    _reference_chase(xs, window, ((values, lambda t: g(t)[0], "g", mr.ZeroG),
+                                  (derivs, lambda t: g(t)[1], "g'", mr.ZeroGPrime)))
+    return (1 if values[0] > 0.0 else -1), (1 if derivs[0] > 0.0 else -1)
+
+
+class _TableG:
+    """A g given by its two sample columns on the Chebyshev points, probed
+    between them on their linear interpolants (roots), or as steps that
+    hold each sample's value up to the next (poles)."""
+
+    def __init__(self, xs, values, derivs, steps):
+        self.values, self.derivs = values, derivs
+        if steps:
+            self._value, self._deriv = (
+                lambda t, column=column: column[max(bisect.bisect_right(xs, t) - 1, 0)]
+                for column in (values, derivs))
+        else:
+            self._value, self._deriv = _interpolant(xs, values), _interpolant(xs, derivs)
+
+    def column(self, xs):
+        return list(self.values), list(self.derivs)
+
+    def __call__(self, t):
+        return self._value(t), self._deriv(t)
+
+
+_G_N = 24
+_SPECIALS = st.sampled_from([0.0, -0.0, 1e-15, 1e-12, 2e-12, 1e300, math.inf, math.nan])
+
+
+@st.composite
+def _g_columns(draw):
+    """A column of one sign, one that flips sign, one with a NaN first, or
+    any of these with a few special samples: a zero, magnitudes at or near
+    the zero tolerance, huge ones, an infinity or a NaN."""
+    kind = draw(st.sampled_from(["positive", "negative", "flip", "nan_first"]))
+    column = draw(st.lists(st.floats(0.5, 1e3), min_size=_G_N, max_size=_G_N))
+    if kind != "positive":
+        column = [-v for v in column] if kind != "flip" else \
+            [v if draw(st.booleans()) else -v for v in column]
+    for i, special in draw(st.lists(st.tuples(st.integers(0, _G_N - 1), _SPECIALS),
+                                    max_size=2)):
+        column[i] = math.copysign(special, column[i])
+    if kind == "nan_first":
+        column[0] = math.nan
+    return column
+def _outcome(check, g, window):
+    try:
+        return check(g, window, _G_N)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), getattr(err, "x", None), str(err)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_g_columns(), _g_columns(), st.booleans())
+def test_g_check_extremes_match_the_abs_scans(values, derivs, steps):
+    window = Interval(-1.0, 2.0)
+    g = _TableG(_chebyshev_points(window, _G_N), values, derivs, steps)
+    assert _outcome(check_g_assumptions, g, window) == _outcome(_reference_check_g, g, window)
