@@ -237,9 +237,9 @@ def _direction_columns(draw):
     return vs, draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-9, 0.5, 1e3, math.inf]))
 
 
-def _direction_outcome(detect, vs, band):
+def _direction_outcome(detect, *args):
     try:
-        return detect(vs, band)
+        return detect(*args)
     except Unclassifiable as err:
         return str(err)
 
@@ -249,7 +249,7 @@ def _direction_outcome(detect, vs, band):
 def test_direction_extremes_match_the_sign_shape(column):
     vs, band = column
     xs = _grid(0.0, 1.0, len(vs))
-    assert _direction_outcome(lambda vs, band: detect_direction(xs, vs, band), vs, band) == \
+    assert _direction_outcome(detect_direction, xs, vs, band) == \
         _direction_outcome(_reference_direction, vs, band)
 
 
