@@ -189,14 +189,10 @@ def detect_direction(xs: Sequence[float], vs: Sequence[float], band: float) -> P
     non-decreasing function may sit on flats), while the composite kinds
     still require the strict one-switch form."""
     _check_columns(xs, vs, band)
-    steps = list(map(sub, vs[1:], vs))
-    # the largest and smallest step tell whether any step rises or falls
-    # clear of the band; only a column that does both has a sign shape
-    rises, falls = max(steps) > band, min(steps) < -band
-    if rises and falls:
-        return _one_switch_kind([s for s, _ in groupby(_signs(steps, band))])
-    return (PatternKind.INCREASING if rises else
-            PatternKind.DECREASING if falls else PatternKind.CONSTANT)
+    shape = [s for s, _ in groupby(_signs(map(sub, vs[1:], vs), band))]
+    if (1 in shape) != (-1 in shape):  # monotone, flats anywhere
+        shape = [1 if 1 in shape else -1]
+    return _one_switch_kind(shape)
 
 
 def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,

@@ -189,16 +189,18 @@ def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[
               (derivs, _extremes(derivs), lambda t: g(t)[1], "g'", ZeroGPrime))
 
     for column, extremes, *_, zero_error in tracks:
-        # max |v| is max(hi, -lo); min |v| is max(lo, -hi) for one sign and
-        # at most 0 for both signs.  A NaN column keeps max |v| taken in
-        # order (a NaN first sample gives 1) and, like any column that may
-        # hold a sample at or below tol, walks to the first such sample
-        lo, hi = extremes or (math.nan, math.nan)
-        tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)) if extremes is None else max(hi, -lo))
-        if not max(lo, -hi) > tol:
-            for x, v in zip(xs, column):
-                if abs(v) <= tol:
-                    raise zero_error(x)
+        if extremes is None:  # a NaN column: max |v| taken in order, then the walk
+            tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
+        else:
+            # max |v| is max(hi, -lo); min |v| is max(lo, -hi) for one
+            # sign and at most 0 for both: above tol, no sample is a zero
+            lo, hi = extremes
+            tol = ZERO_REL_TOL * max(1.0, hi, -lo)
+            if max(lo, -hi) > tol:
+                continue
+        for x, v in zip(xs, column):
+            if abs(v) <= tol:
+                raise zero_error(x)
 
     _chase_sign_flips(xs, window, tracks)
 

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import operator
 import random
 import re
 from collections import deque
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 import monoratio as mr
 from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
-                                _interpolant, _one_switch_kind, _run_interval, detect_direction,
+                                _interpolant, _run_interval, detect_direction,
                                 detect_mics, detect_pattern, level0_set,
                                 refine_sign_change)
 from monoratio.ratio import Grid, median_abs
@@ -193,64 +192,6 @@ def test_horizontal_mirror_property_diffs():
     reversed_axis = ([-x for x in reversed(samples[0])], samples[1][::-1])
     assert detect_direction(*samples, 1e-9) is PatternKind.DOWN_UP
     assert detect_direction(*reversed_axis, 1e-9) is PatternKind.DOWN_UP
-
-
-def _reference_signs(values, band):
-    return [0 if abs(v) <= band else (1 if v > 0.0 else -1) for v in values]
-
-
-def _reference_direction(vs, band):
-    """detect_direction as it was before its extremes test: the full sign
-    shape of the first differences, monotone when one sign is missing."""
-    shape = [s for s, _ in itertools.groupby(_reference_signs(map(operator.sub, vs[1:], vs),
-                                                              band))]
-    if (1 in shape) != (-1 in shape):
-        shape = [1 if 1 in shape else -1]
-    return _one_switch_kind(shape)
-
-
-@st.composite
-def _direction_columns(draw):
-    """Columns of pool values, repeated (flats, all-zero steps) or distinct
-    (always, for the one-switch shapes), sorted into monotone or one-switch
-    shapes or left raw, with in-band nudges and one large step; or two
-    levels at -+1.5e308, whose one step overflows to +-inf."""
-    n = draw(st.integers(16, 40))
-    k = draw(st.integers(1, n - 1))
-    shape = draw(st.sampled_from(["raw", "up", "down", "up_down", "down_up", "flat", "overflow"]))
-    pool = st.one_of(st.sampled_from([0.0, 1.0, -2.0, 1e-10, 1.5e308, -1.5e308]),
-                     st.floats(-4.0, 4.0))
-    vs = draw(st.lists(pool, min_size=n, max_size=n, unique="_" in shape or draw(st.booleans())))
-    if shape == "flat":
-        vs = [vs[0]] * n
-    elif shape == "overflow":
-        sign = draw(st.sampled_from([1.0, -1.0]))
-        vs = [-sign * 1.5e308] * k + [sign * 1.5e308] * (n - k)
-    elif shape != "raw":
-        first, second = shape.split("_") if "_" in shape else (shape, shape)
-        vs = (sorted(vs[:k], reverse=first == "down")
-              + sorted(vs[k:], reverse=second == "down"))
-    if draw(st.booleans()):  # one large step
-        vs[k:] = [v + 1e3 if abs(v) < 1e300 else v for v in vs[k:]]
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):  # in-band nudges
-        vs[i] += draw(st.sampled_from([1e-10, -1e-10, 4e-10]))
-    return vs, draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-9, 0.5, 1e3, math.inf]))
-
-
-def _direction_outcome(detect, *args):
-    try:
-        return detect(*args)
-    except Unclassifiable as err:
-        return str(err)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_direction_columns())
-def test_direction_extremes_match_the_sign_shape(column):
-    vs, band = column
-    xs = _grid(0.0, 1.0, len(vs))
-    assert _direction_outcome(detect_direction, xs, vs, band) == \
-        _direction_outcome(_reference_direction, vs, band)
 
 
 def test_too_few_samples():

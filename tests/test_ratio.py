@@ -323,6 +323,8 @@ def _g_columns(draw):
     if kind == "nan_first":
         column[0] = math.nan
     return column
+
+
 def _outcome(check, g, window):
     try:
         return check(g, window, _G_N)
