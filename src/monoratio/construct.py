@@ -12,10 +12,10 @@ node grid split a priori at the staircase breakpoints and keeps every
 accepted panel as a leaf of a table: cumulative integral plus the
 integrated quartic through the leaf's five samples.  One column of rho's
 values and g's derivatives holds the five samples of every node interval,
-and the acceptance test, the coefficients and the running integral are
-column passes; only an interval whose first estimate fails is refined, one
-point at a time.  A query then looks up its leaf and evaluates a
-polynomial, with no integrand calls.
+and one loop over the node intervals appends each leaf's row: an interval
+whose first estimate passes is one leaf, and one that fails is refined, one
+point at a time, its leaves appended in place.  A query then looks up its
+leaf and evaluates a polynomial, with no integrand calls.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, count
-from operator import mul, neg, sub
+from operator import mul, neg
 from typing import Callable, Sequence
 
 from .errors import ByState
@@ -90,21 +89,22 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
             stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
 
 
-def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
-                  ends: list[float], tol: float) -> list[list[float]]:
-    """The leaves _simpson_leaves(integrand, ends, tol, 40) yields, as the
-    columns [x0, h, f0, f1, f2, f3, f4], where integrand(u) is
-    rho(u)[0] * g(u)[1].
+def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
+                tol: float) -> tuple[list[float], list[tuple[float, ...]]]:
+    """(starts, rows) of the leaves _simpson_leaves(integrand, ends, tol, 40)
+    yields, where integrand(u) is rho(u)[0] * g(u)[1]: each leaf's start
+    and its row (cumulative integral, 1/h, c1 ... c5), the integral
+    starting at 0.
 
     One column of rho's values and g's derivatives holds the five samples
-    of every interval [ends[j], ends[j + 1]], in ascending x, and the first
-    acceptance test runs on all intervals at once, with _simpson_leaves's
-    floats.  An interval that fails it, or is empty, goes alone to
-    _simpson_leaves, which samples it again one point at a time and
-    refines or skips it; the intervals go in ascending order, so the first
-    QuadratureError is the one of the leaf-at-a-time build.  If the column
-    faults, every interval goes that way, so the error raised is the one
-    the leaf-at-a-time build raises first.
+    of every interval [ends[j], ends[j + 1]], in ascending x.  One loop
+    takes the intervals in order: an interval whose first estimate passes,
+    by _simpson_leaves's floats, is one leaf; one that fails it, or is
+    empty, goes alone to _simpson_leaves, which samples it again one point
+    at a time and refines or skips it, and its leaves are appended in
+    place.  So the first QuadratureError is the one of the leaf-at-a-time
+    build.  If the column faults, every interval goes that way, so the
+    error raised is the one the leaf-at-a-time build raises first.
     """
     mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     xs = [0.0] * (4 * len(mids) + 1)
@@ -115,49 +115,36 @@ def _block_leaves(rho: DifferentiableFn, g: DifferentiableFn,
         fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
     except (ArithmeticError, ValueError):
         fs = [math.nan] * len(xs)  # every estimate NaN: every interval fails
-    hs = list(map(sub, ends[1:], ends))
-    f0, f1, f2, f3, f4 = fs[0:-1:4], fs[1::4], fs[2::4], fs[3::4], fs[4::4]
-    ests = [(h / 12.0 * (a + 4.0 * b + c) + h / 12.0 * (c + 4.0 * d + e)
-             - h / 6.0 * (a + 4.0 * c + e)) / 15.0
-            for h, a, b, c, d, e in zip(hs, f0, f1, f2, f3, f4)]
 
     def integrand(u: float) -> float:
         return rho(u)[0] * g(u)[1]
 
-    redone = []  # (j, interval j's leaves as columns), j ascending
-    for j, h, est in zip(count(), hs, ests):
-        if not (h and abs(est) <= tol):
-            refined = (leaf[:7] for leaf in _simpson_leaves(integrand, ends[j:j + 2], tol, 40))
-            redone.append((j, list(zip(*refined)) or [()] * 7))
-    leaves = [ends[:-1], hs, f0, f1, f2, f3, f4]
-    for j, parts in reversed(redone):
-        for column, part in zip(leaves, parts):
-            column[j:j + 1] = part
-    return leaves
-
-
-def _quartic_rows(hs: list[float], f0: list[float], f1: list[float], f2: list[float],
-                  f3: list[float], f4: list[float]) -> list[tuple[float, ...]]:
-    """The table rows (cumulative integral, 1/h, c1 ... c5), one tuple per
-    leaf, of the leaves with widths hs and samples f0 ... f4, the integral
-    starting at 0."""
-    # h * (integral from 0 to t of the quartic through (k/4, f_k))
-    # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
-    # of the samples; at t = 1 it is Boole's rule, the accepted value
-    p1, p2, p3, p4 = (list(map(sub, f1, f0)), list(map(sub, f2, f1)),
-                      list(map(sub, f3, f2)), list(map(sub, f4, f3)))
-    q1, q2, q3 = list(map(sub, p2, p1)), list(map(sub, p3, p2)), list(map(sub, p4, p3))
-    r1 = list(map(sub, q2, q1))
-    d1, d2, d3, d4 = p1, q1, r1, list(map(sub, map(sub, q3, q2), r1))
-    c1 = list(map(mul, hs, f0))
-    c2 = [h * (2.0 * a - b + 2.0 / 3.0 * c - 0.5 * d)
-          for h, a, b, c, d in zip(hs, d1, d2, d3, d4)]
-    c3 = [h * (8.0 / 3.0 * (b - c) + 22.0 / 9.0 * d) for h, b, c, d in zip(hs, d2, d3, d4)]
-    c4 = [h * (8.0 / 3.0 * c - 4.0 * d) for h, c, d in zip(hs, d3, d4)]
-    c5 = [h * (32.0 / 15.0 * d) for h, d in zip(hs, d4)]
-    cums = list(accumulate(
-        [a + (b + (c + (d + e))) for a, b, c, d, e in zip(c1, c2, c3, c4, c5)], initial=0.0))
-    return list(zip(cums, [1.0 / h for h in hs], c1, c2, c3, c4, c5))  # zip drops the total
+    starts, rows, cum = [], [], 0.0
+    for a, b, f0, f1, f2, f3, f4 in zip(ends, ends[1:], fs[0:-1:4], fs[1::4], fs[2::4],
+                                        fs[3::4], fs[4::4]):
+        h = b - a
+        if h and abs((h / 12.0 * (f0 + 4.0 * f1 + f2) + h / 12.0 * (f2 + 4.0 * f3 + f4)
+                      - h / 6.0 * (f0 + 4.0 * f2 + f4)) / 15.0) <= tol:
+            leaves = ((a, h, f0, f1, f2, f3, f4, None),)  # as _simpson_leaves yields it
+        else:
+            leaves = _simpson_leaves(integrand, (a, b), tol, 40)
+        for x0, h, f0, f1, f2, f3, f4, _ in leaves:
+            # h * (integral from 0 to t of the quartic through (k/4, f_k))
+            # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
+            # of the samples; at t = 1 it is Boole's rule, the accepted value
+            p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
+            q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
+            d1, d2, d3 = p1, q1, q2 - q1
+            d4 = (q3 - q2) - d3
+            c1 = h * f0
+            c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
+            c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
+            c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
+            c5 = h * (32.0 / 15.0 * d4)
+            starts.append(x0)
+            rows.append((cum, 1.0 / h, c1, c2, c3, c4, c5))
+            cum += c1 + (c2 + (c3 + (c4 + c5)))
+    return starts, rows
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +303,11 @@ class ConstructedFn:
     accepted sub-panel as a leaf: its start, in the list _starts, and one
     row of the list _table, the tuple (cumulative integral up to it,
     inverse width, c1 ... c5), whose c's are the five coefficients of the
-    integrated quartic through its five samples.  _block_leaves reads rho
-    and g as one column over every node interval's samples and refines
-    only the intervals whose first estimate fails, and _quartic_rows turns
-    the leaves into table rows by column passes.  The table is, float for
+    integrated quartic through its five samples.  _leaf_table reads rho
+    and g as one column over every node interval's samples, then takes the
+    intervals in one loop, appending each leaf's start and row with the
+    running integral; an interval whose first estimate fails is refined
+    and its leaves appended in place.  The table is, float for
     float, the one a build of one integrand call per sample and one leaf at
     a time makes, and so is the error: if the column faults, the grid is
     sampled again one point at a time, so a fault of rho or g, or a
@@ -338,6 +326,9 @@ class ConstructedFn:
 
     def __init__(self, g: DifferentiableFn, rho: DifferentiableFn, z: float,
                  K: float, window: Interval, quad_tol: float = 1e-10):
+        # NaN or a negative tol fails every panel, and inf accepts them all
+        if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+            raise ValueError(f"quad_tol must be finite and above 0, got {quad_tol!r}")
         self.g = g
         self.rho = rho
         self.z = z
@@ -348,10 +339,8 @@ class ConstructedFn:
         lo, hi, step = window.lo, window.hi, window.length / _PANELS
         nodes = sorted([lo + i * step for i in range(_PANELS)]
                        + [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]) + [hi]
-        x0s, hs, *samples = _block_leaves(rho, g, nodes, quad_tol)
-        self._starts = x0s
         # one row per leaf: (cumulative integral, 1/h, c1 ... c5)
-        self._table = _quartic_rows(hs, *samples)
+        self._starts, self._table = _leaf_table(rho, g, nodes, quad_tol)
         self._base = K * g(z)[0]
         self._Fz = self._antideriv(z, self._leaf(z))
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"

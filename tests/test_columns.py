@@ -478,9 +478,9 @@ def test_expr_case_allocation_peak_stays_small():
 
 def test_generated_pair_memory_stays_small():
     # random_pair(1) builds 1,028 leaves, one tuple of seven floats each:
-    # the pair retains 219,966 bytes and the build peaks at 765,393 when
-    # this test runs alone (218,534 and 764,097 in its file); the bounds
-    # leave 19% and 11% headroom
+    # the pair retains 219,822 bytes and the build peaks at 526,361 when
+    # this test runs alone (218,566 and 525,129 in its file); the bounds
+    # leave 19% and 12% headroom
     random_pair(0)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
@@ -490,4 +490,4 @@ def test_generated_pair_memory_stays_small():
         tracemalloc.stop()
     assert len(pair.f._table) == 1028
     assert retained < 256 << 10, f"retained {retained} bytes"
-    assert peak < 832 << 10, f"build peak {peak} bytes"
+    assert peak < 576 << 10, f"build peak {peak} bytes"

@@ -151,6 +151,18 @@ def test_construct_rejects_non_monotone_rho():
                     window=Interval(-2.0, 2.0))
 
 
+@pytest.mark.parametrize("quad_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_construct_rejects_bad_quad_tol(quad_tol):
+    # built with NaN or -1, every panel fails and the error blames the
+    # quadrature; built with inf, the kinks at 0.3 and 0.8 go unrefined
+    g, rho, window = mr.expr_fn("exp(x)"), mr.expr_fn("max(min(x, 0.3), x - 0.5)"), Interval(-2.0, 2.0)
+    for build in (construct_f, ConstructedFn):
+        with pytest.raises(ValueError) as err:
+            build(g, rho, 0.5, 0.3, window, quad_tol)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"quad_tol must be finite and above 0, got {quad_tol!r}"
+
+
 def test_construct_smooth_atan_rho():
     # smooth monotone rho without breakpoints; single degenerate choice
     rho = mr.expr_fn("atan(2*x)")
