@@ -11,7 +11,7 @@ constancy.
 from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
                         StaircaseError, StaircaseFn, StaircaseSpec, construct_f,
                         make_staircase_rho, random_pair)
-from .expr import DomainFault, ExprFn, ParseError, expr_fn, format_expr, parse
+from .expr import DomainFault, ExprFn, ParseError, expr_fn, parse
 from .intervals import Interval
 from .patterns import (BadBracket, NonInterval, Pattern, PatternKind,
                        Unclassifiable, detect_direction, detect_mics, detect_pattern,
@@ -33,7 +33,7 @@ __all__ = [
     "StaircaseFn", "StaircaseSpec", "Tolerances", "Unclassifiable",
     "ValidationError", "ZeroG", "ZeroGPrime", "check_pair",
     "construct_f", "detect_direction", "detect_mics", "detect_pattern",
-    "expr_fn", "format_expr", "level0_set", "make_pair", "make_staircase_rho",
+    "expr_fn", "level0_set", "make_pair", "make_staircase_rho",
     "parse", "random_pair", "ratio_at", "refine_sign_change", "rho_at",
     "rho_tilde_at", "sample_table",
 ]

@@ -116,7 +116,7 @@ def cmd_construct(args) -> int:
     if (args.staircase is None) == (args.rho is None):
         raise _UsageError("give exactly one of --staircase or --rho")
     window = Interval(*args.window)
-    if not (math.isfinite(args.z) and window.contains(args.z)):
+    if not window.contains(args.z):  # the window is finite, so an inf z is outside it
         raise _UsageError(f"--z must be finite and in the window {window}, got {args.z!r}")
     if args.K is not None and not math.isfinite(args.K):
         raise _UsageError(f"--K must be finite, got {args.K!r}")

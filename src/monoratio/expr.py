@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 from .errors import ByState
 # the syntax names stay importable from here
 from .syntax import (Binary, Call2, Const, Expr, ParseError, Unary, Var,  # noqa: F401
-                     format_expr, parse)
+                     parse)
 
 
 class DomainFault(ByState, ArithmeticError):
@@ -226,10 +226,10 @@ class ExprFn:
 
     __slots__ = ("ast", "label", "_consts", "_column", "_values")
 
-    def __init__(self, ast: Expr, label: str | None = None):
+    def __init__(self, ast: Expr, label: str = "expr"):
         self._consts, self._column, self._values = _compile_loops(ast)
         self.ast = ast
-        self.label = label if label is not None else format_expr(ast)
+        self.label = label
 
     def __getstate__(self):
         # a copy takes its loops from the AST, by way of the shape cache

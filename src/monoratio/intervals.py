@@ -39,7 +39,7 @@ class Interval:
         return self.length == 0.0
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN compares false: never inside
             return False
         if x == self.lo and not self.lo_closed:
             return False

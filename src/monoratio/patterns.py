@@ -13,7 +13,6 @@ distinguished; sampled floating-point data cannot certify strictness.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -87,20 +86,6 @@ def _runs(signs: Sequence[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _interpolant(px: Sequence[float], pv: Sequence[float]) -> Callable[[float], float]:
-    """The piecewise-linear interpolant of (px, pv), extended linearly
-    past the end samples.  A boundary found on it is only good to within
-    one grid cell."""
-    last = len(px) - 2
-
-    def value(t: float) -> float:
-        i = min(max(bisect_right(px, t) - 1, 0), last)
-        j = i + 1 if t >= px[i + 1] else i  # the anchor: exact at every sample
-        return pv[j] + (pv[i + 1] - pv[i]) * (t - px[j]) / (px[i + 1] - px[i])
-
-    return value
-
-
 def _run_interval(px: Sequence[float], i0: int, i1: int,
                   lo_probe: Callable[[float], float], hi_probe: Callable[[float], float],
                   lo_edge: float, hi_edge: float, xtol: float) -> Interval:
@@ -137,27 +122,20 @@ def _one_switch_kind(shape: Sequence[int]) -> PatternKind:
 
 
 def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
-                   window: Interval | None = None,
-                   probe: Callable[[float], float] | None = None) -> Pattern:
+                   window: Interval, probe: Callable[[float], float]) -> Pattern:
     """Classify the monotonicity pattern of a function whose derivative
-    proxy takes the values vs at the strictly increasing xs (use this on
-    rho-tilde samples to get the pattern of r).  The sign sequence of the
-    values, zero within the absolute band, must be of the one-switch form.
+    proxy takes the values vs at the strictly increasing xs inside the
+    window (use this on rho-tilde samples to get the pattern of r).  The
+    sign sequence of the values, zero within the absolute band, must be of
+    the one-switch form.
 
     Switch endpoints are refined by bisection between the bracketing
-    samples.  The bisection probes the caller's ``probe`` (the underlying
-    function behind the values, when available) or else the linear
-    interpolant of the samples, which can only place a boundary to within
-    one grid cell.  When a flat run touches the first or last sample, the
-    switch endpoint snaps to the window edge (or sample span if no window
-    is given) and is flagged open: truncated, true extent unknown.
+    samples on ``probe``, the function behind the values.  When a flat run
+    touches the first or last sample, the switch endpoint snaps to the
+    window edge and is flagged open: truncated, true extent unknown.
     """
     _check_columns(xs, vs, band)
-    if probe is None:
-        probe = _interpolant(xs, vs)
-
-    lo_edge = window.lo if window is not None else xs[0]
-    hi_edge = window.hi if window is not None else xs[-1]
+    lo_edge, hi_edge = window.lo, window.hi
     xtol = 1e-12 * (hi_edge - lo_edge)
 
     runs = _runs(_signs(vs, band))
@@ -196,23 +174,19 @@ def detect_direction(xs: Sequence[float], vs: Sequence[float], band: float) -> P
 
 
 def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
-                min_ic_len: float,
-                probe: Callable[[float], float] | None = None) -> tuple[Interval, ...]:
+                min_ic_len: float, probe: Callable[[float], float]) -> tuple[Interval, ...]:
     """Find the maximal intervals of constancy of the values vs sampled at
     the strictly increasing xs: maximal runs where max - min of the values
     stays within the absolute band, keeping only runs longer than
     min_ic_len.  Returns them ordered and disjoint.
 
     Run endpoints are refined by bisection on the constancy predicate,
-    evaluated on ``probe`` (the underlying function, when the caller has
-    one) or else on the linear interpolant of the samples; the interpolant
-    can only place an endpoint to within one grid cell.  Endpoints at the
-    sampled edge are flagged open (window-truncated).
+    evaluated on ``probe``, the function behind the values.  Endpoints at
+    the sampled edge are flagged open (window-truncated).
     """
     _check_columns(xs, vs, band)
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
-    value = probe if probe is not None else _interpolant(xs, vs)
 
     # Samples j - 1 and j share a run only across a join, a step
     # |vs[j] - vs[j-1]| within the band, so every longer run lies in a
@@ -267,7 +241,7 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
         run_min = min(vs[i0:i1 + 1])
 
         def flat_probe(t: float) -> float:
-            v = value(t)
+            v = probe(t)
             return band - (max(run_max, v) - min(run_min, v))
 
         run = _run_interval(xs, i0, i1, flat_probe, flat_probe, xs[0], xs[-1], xtol)

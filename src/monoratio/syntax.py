@@ -1,5 +1,5 @@
-"""The expression language's syntax: AST nodes, a recursive-descent
-parser and a pretty printer.
+"""The expression language's syntax: AST nodes and a recursive-descent
+parser.
 
 Grammar (single variable ``x``, ``^`` right-associative):
 
@@ -115,10 +115,10 @@ def _tokenize(text: str) -> list[_Token]:
 _ATOM_HINT = "a number, 'x', a function call, '-', or '('"
 
 # The deepest expression parse accepts: the height of its tree, each
-# parenthesised group counting as one more level.  The tree walks (the
-# loop compiler, format_expr) recurse once per level and the parser five
-# times per parenthesis, so every one stays well inside Python's default
-# limit of 1000 frames, inside the pipeline's probes too.
+# parenthesised group counting as one more level.  The loop compiler
+# recurses once per level and the parser five times per parenthesis, so
+# both stay well inside Python's default limit of 1000 frames, inside the
+# pipeline's probes too.
 MAX_DEPTH = 100
 
 
@@ -223,47 +223,3 @@ def parse(text: str) -> Expr:
     if tail.kind != "end":
         raise ParseError(tail.pos, f"unexpected token {tail.text!r}", expected="end of input")
     return node
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-#
-# Binding strength mirrors the grammar so parse(format_expr(t)) == t for
-# any parser-produced tree.  (The parser never emits negative Const nodes,
-# so constants print unsigned.)
-
-_ADD, _MUL, _POW, _UNARY, _ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt(node: Expr, need: int) -> str:
-    if isinstance(node, Const):
-        return _fmt_num(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Call2):
-        return f"{node.op}({_fmt(node.lhs, _ADD)}, {_fmt(node.rhs, _ADD)})"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            s, lvl = "-" + _fmt(node.arg, _UNARY), _UNARY
-        else:
-            return f"{node.op}({_fmt(node.arg, _ADD)})"
-    else:  # Binary
-        op = node.op
-        if op in "+-":
-            s, lvl = f"{_fmt(node.lhs, _ADD)} {op} {_fmt(node.rhs, _MUL)}", _ADD
-        elif op in "*/":
-            s, lvl = f"{_fmt(node.lhs, _MUL)}{op}{_fmt(node.rhs, _POW)}", _MUL
-        else:  # ^  (left side must be a unary, right side a factor)
-            s, lvl = f"{_fmt(node.lhs, _UNARY)}^{_fmt(node.rhs, _POW)}", _POW
-    return f"({s})" if lvl < need else s
-
-
-def format_expr(node: Expr) -> str:
-    """Render an AST back to source text."""
-    return _fmt(node, _ADD)

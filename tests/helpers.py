@@ -1,10 +1,12 @@
-"""Shared test machinery: random expression trees, the central
-finite-difference oracle for derivative checks, and the vertical and
+"""Shared test machinery: random expression trees and a pretty printer
+for them, the central finite-difference oracle for derivative checks, the
+samples' linear interpolant as a detector probe, and the vertical and
 horizontal reflections of functions, pairs, intervals and patterns."""
 
 import dataclasses
 import math
 import random
+from bisect import bisect_right
 
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
 from monoratio.intervals import Interval
@@ -29,6 +31,60 @@ def random_ast(rng: random.Random, depth: int):
         return Unary(rng.choice(UNARY_OPS), random_ast(rng, depth - 1))
     return Call2(rng.choice(("min", "max")), random_ast(rng, depth - 1),
                  random_ast(rng, depth - 1))
+
+
+# Binding strength mirrors the grammar so parse(format_expr(t)) == t for
+# any parser-produced tree.  (The parser never emits negative Const nodes,
+# so constants print unsigned.)
+_ADD, _MUL, _POW, _UNARY = 1, 2, 3, 4
+
+
+def _fmt_num(v: float) -> str:
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def _fmt(node, need: int) -> str:
+    if isinstance(node, Const):
+        return _fmt_num(node.value)
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Call2):
+        return f"{node.op}({_fmt(node.lhs, _ADD)}, {_fmt(node.rhs, _ADD)})"
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            s, lvl = "-" + _fmt(node.arg, _UNARY), _UNARY
+        else:
+            return f"{node.op}({_fmt(node.arg, _ADD)})"
+    else:  # Binary
+        op = node.op
+        if op in "+-":
+            s, lvl = f"{_fmt(node.lhs, _ADD)} {op} {_fmt(node.rhs, _MUL)}", _ADD
+        elif op in "*/":
+            s, lvl = f"{_fmt(node.lhs, _MUL)}{op}{_fmt(node.rhs, _POW)}", _MUL
+        else:  # ^  (left side must be a unary, right side a factor)
+            s, lvl = f"{_fmt(node.lhs, _UNARY)}^{_fmt(node.rhs, _POW)}", _POW
+    return f"({s})" if lvl < need else s
+
+
+def format_expr(node) -> str:
+    """Render an AST back to source text."""
+    return _fmt(node, _ADD)
+
+
+def interpolant(px, pv):
+    """The piecewise-linear interpolant of (px, pv), extended linearly
+    past the end samples: a detector probe for bare sample columns.  A
+    boundary found on it is only good to within one grid cell."""
+    last = len(px) - 2
+
+    def value(t: float) -> float:
+        i = min(max(bisect_right(px, t) - 1, 0), last)
+        j = i + 1 if t >= px[i + 1] else i  # the anchor: exact at every sample
+        return pv[j] + (pv[i + 1] - pv[i]) * (t - px[j]) / (px[i + 1] - px[i])
+
+    return value
 
 
 def central_fd(fn, x: float, h: float) -> float:

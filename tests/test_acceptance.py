@@ -16,7 +16,8 @@ from monoratio import PatternKind
 from monoratio.ratio import median_abs
 
 from conftest import record_criterion
-from helpers import central_fd, mirror_vertical, pick_usable_point, random_ast, reflect
+from helpers import (central_fd, format_expr, mirror_vertical, pick_usable_point, random_ast,
+                     reflect)
 
 SWITCH_TOL = 1e-3          # switch vs level-0 endpoints, in x
 MIC_ENDPOINT_TOL = 1e-3    # constructed mic vs prescribed flat, in x
@@ -216,7 +217,7 @@ def test_criterion_8_dual_derivatives_vs_finite_differences():
         fd = central_fd(fn, x, h)
         rel = abs(dual - fd) / (1.0 + abs(dual))
         worst = max(worst, rel)
-        assert rel <= AD_TOL, f"{mr.format_expr(ast)} at x = {x}"
+        assert rel <= AD_TOL, f"{format_expr(ast)} at x = {x}"
         checked += 1
     record_criterion(8, "dual derivatives match finite differences", True,
                      f"1000/1000, worst relative error {worst:.2e}")

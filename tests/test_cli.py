@@ -564,3 +564,9 @@ def test_tables_json(capsys):
     assert code == 0
     assert json.loads(out) == {"rules": [
         {"rho": rho, "sign_gg": s, "r": r, "rho_tilde": rt} for rho, s, r, rt in _RULES]}
+
+
+def test_every_exported_name_resolves():
+    # an export left behind by a move would fail only at `from monoratio import *`
+    assert len(set(monoratio.__all__)) == len(monoratio.__all__)
+    assert [name for name in monoratio.__all__ if not hasattr(monoratio, name)] == []

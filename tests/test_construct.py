@@ -13,6 +13,8 @@ from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
 from monoratio.expr import DomainFault
 from monoratio.ratio import median_abs
 
+from helpers import interpolant
+
 
 def _unit_flat_spec():
     return StaircaseSpec(flats=((-1.0, 1.0),), slopes=(1.0, 1.0))
@@ -69,7 +71,8 @@ def test_staircase_no_flats_is_a_line():
     assert rho(2.0)[0] == pytest.approx(3.5)
     xs = [-2 + (i + 0.5) * (4 / 256) for i in range(256)]
     vs = [rho(x)[0] for x in xs]
-    assert len(mr.detect_mics(xs, vs, 1e-9 * (1.0 + median_abs(vs)), 3 * 4 / 256)) == 0
+    assert len(mr.detect_mics(xs, vs, 1e-9 * (1.0 + median_abs(vs)), 3 * 4 / 256,
+                              probe=interpolant(xs, vs))) == 0
 
 
 def test_staircase_spec_validation():
@@ -136,6 +139,15 @@ def test_construct_validates_z():
     with pytest.raises(ValueError):
         construct_f(mr.expr_fn("exp(x)"), rho, z=5.0, K=0.0,
                     window=Interval(-2.0, 2.0))
+
+
+def test_construct_rejects_nan_z():
+    # every comparison with NaN is false, so a NaN z once passed the window
+    # check and built an f of NaNs, which failed only in sample_table
+    assert not Interval(-1.0, 1.0).contains(math.nan)
+    rho = make_staircase_rho(StaircaseSpec())
+    with pytest.raises(ValueError, match="outside the window"):
+        construct_f(G_TEMPLATES[1][0], rho, math.nan, 0.0, Interval(-1.0, 1.0))
 
 
 def test_construct_validates_g():

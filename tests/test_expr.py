@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoratio.expr import (Binary, Call2, Const, DomainFault, ExprFn, ParseError,
-                            Unary, Var, expr_fn, format_expr, parse)
+                            Unary, Var, expr_fn, parse)
 
-from helpers import central_fd, pick_usable_point, random_ast
+from helpers import central_fd, format_expr, pick_usable_point, random_ast
 
 
 def test_parse_add_pow_sin():
@@ -126,7 +126,8 @@ def test_min_max_tie_takes_left():
 def test_expr_fn_protocol():
     fn = ExprFn(parse("x^3"))
     assert type(fn(2.0)) is tuple and fn(2.0) == (8.0, 12.0)
-    assert fn.label == "x^3"
+    assert fn.label == "expr"  # a fixed default: the AST is not printed
+    assert expr_fn(" x^3 ").label == "x^3"
 
 
 def test_eval_dual_returns_named_pair():
@@ -146,9 +147,8 @@ def _pair(a, da):
 
 
 def _at_zero(ast):
-    """(value, derivative) of ast at x = 0, by an ExprFn with an empty
-    label, which skips format_expr."""
-    return ExprFn(ast, label="")(0.0)
+    """(value, derivative) of ast at x = 0, by a fresh ExprFn."""
+    return ExprFn(ast)(0.0)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

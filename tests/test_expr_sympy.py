@@ -7,10 +7,9 @@ import random
 
 import pytest
 
-from monoratio.expr import (Binary, Call2, Const, ExprFn, Unary, Var, format_expr,
-                            parse)
+from monoratio.expr import Binary, Call2, Const, ExprFn, Unary, Var, parse
 
-from helpers import pick_usable_point, random_ast
+from helpers import format_expr, pick_usable_point, random_ast
 
 sympy = pytest.importorskip("sympy")
 

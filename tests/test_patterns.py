@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 import monoratio as mr
 from monoratio import Interval, PatternKind
 from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
-                                _interpolant, _run_interval, detect_direction,
-                                detect_mics, detect_pattern, level0_set,
-                                refine_sign_change)
+                                _run_interval, detect_direction, detect_mics,
+                                detect_pattern, level0_set, refine_sign_change)
 from monoratio.ratio import Grid, median_abs
 
-from helpers import mirror_vertical
+from helpers import interpolant, mirror_vertical
 
 
 def _grid(lo, hi, n):
@@ -60,21 +59,24 @@ def test_refine_zero_at_endpoint():
 def test_all_positive_values_increasing():
     # derivative proxy positive everywhere: x^2 on (0.1, 10)
     samples = _samples(lambda x: x * x, 0.1, 10.0)
-    pat = detect_pattern(*samples, 1e-6, window=Interval(0.1, 10.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.1, 10.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.INCREASING
     assert pat.switch.lo == 0.1 and pat.switch.hi == 0.1
 
 
 def test_all_negative_values_decreasing():
     samples = _samples(lambda x: -1.0 - x * x, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.DECREASING
     assert (pat.switch.lo, pat.switch.hi) == (1.0, 1.0)
 
 
 def test_zero_values_constant():
     samples = _samples(lambda x: 0.0, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-6, window=Interval(0.0, 1.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.CONSTANT
     assert (pat.switch.lo, pat.switch.hi) == (0.0, 1.0)
     assert not pat.switch.lo_closed and not pat.switch.hi_closed
@@ -89,7 +91,8 @@ def test_down_up_with_flat():
         return 0.0
 
     samples = _samples(proxy, -2.0, 2.0, 512)
-    pat = detect_pattern(*samples, 1e-7, window=Interval(-2.0, 2.0))
+    pat = detect_pattern(*samples, 1e-7, window=Interval(-2.0, 2.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.lo == pytest.approx(-1.0, abs=1e-2)
     assert pat.switch.hi == pytest.approx(1.0, abs=1e-2)
@@ -121,7 +124,8 @@ def test_staircase_rho_tilde_pattern(staircase_pair):
 
 def test_single_crossing_gives_degenerate_switch():
     samples = _samples(lambda x: x - 0.3, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.DOWN_UP
     assert pat.switch.degenerate
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
@@ -130,15 +134,16 @@ def test_single_crossing_gives_degenerate_switch():
 def test_up_down_values():
     # derivative proxy positive then negative: r rises then falls
     samples = _samples(lambda x: 0.3 - x, 0.0, 1.0)
-    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0))
+    pat = detect_pattern(*samples, 1e-9, window=Interval(0.0, 1.0),
+                         probe=interpolant(*samples))
     assert pat.kind is PatternKind.UP_DOWN
     assert pat.switch.lo == pytest.approx(0.3, abs=1e-3)
 
 
 def test_values_mode_rejects_wiggles():
-    samples = _samples(math.sin, 0.0, 12.0, 512)
+    xs, vs = _samples(math.sin, 0.0, 12.0, 512)
     with pytest.raises(Unclassifiable):
-        detect_pattern(*samples, 1e-9)
+        detect_pattern(xs, vs, 1e-9, window=Interval(xs[0], xs[-1]), probe=interpolant(xs, vs))
 
 
 def test_diffs_mode_monotone_with_flats():
@@ -172,8 +177,10 @@ def test_vertical_mirror_property():
             _samples(lambda x: 3.0, 0.0, 1.0),         # Increasing
             _samples(lambda x: -1.0 - x, 0.0, 1.0),    # Decreasing
             _samples(lambda x: 0.0, 0.0, 1.0)):        # Constant
-        pat = detect_pattern(xs, vs, 1e-9)
-        neg = detect_pattern(xs, [-v for v in vs], 1e-9)
+        window = Interval(xs[0], xs[-1])
+        pat = detect_pattern(xs, vs, 1e-9, window=window, probe=interpolant(xs, vs))
+        neg_vs = [-v for v in vs]
+        neg = detect_pattern(xs, neg_vs, 1e-9, window=window, probe=interpolant(xs, neg_vs))
         assert neg.kind is mirror_vertical(pat.kind)
         if pat.kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN):
             assert neg.switch.lo == pytest.approx(pat.switch.lo, abs=1e-9)
@@ -195,8 +202,9 @@ def test_horizontal_mirror_property_diffs():
 
 
 def test_too_few_samples():
+    xs, vs = [float(i) for i in range(8)], [0.0] * 8
     with pytest.raises(ValueError):
-        detect_pattern([float(i) for i in range(8)], [0.0] * 8, 1e-9)
+        detect_pattern(xs, vs, 1e-9, window=Interval(xs[0], xs[-1]), probe=interpolant(xs, vs))
 
 
 # --- detect_mics -------------------------------------------------------------
@@ -228,7 +236,8 @@ def test_mics_two_flat_staircase():
 
 def test_mics_strictly_increasing_is_empty():
     xs, vs = _samples(lambda x: x, 0.0, 1.0)
-    assert len(detect_mics(xs, vs, _band(1e-7, vs), 3 * (1.0 / 256))) == 0
+    assert len(detect_mics(xs, vs, _band(1e-7, vs), 3 * (1.0 / 256),
+                           probe=interpolant(xs, vs))) == 0
 
 
 def test_mics_maximality():
@@ -237,7 +246,7 @@ def test_mics_maximality():
     n = 512
     xs, vs = _samples(lambda x: rho(x)[0], -2.0, 2.0, n)
     tol_abs = _band(1e-9, vs)
-    mics = detect_mics(xs, vs, tol_abs, 3 * (4.0 / n))
+    mics = detect_mics(xs, vs, tol_abs, 3 * (4.0 / n), probe=interpolant(xs, vs))
     assert len(mics) == 1
     inside = [i for i, x in enumerate(xs) if mics[0].lo <= x <= mics[0].hi]
     i0, i1 = inside[0], inside[-1]
@@ -251,15 +260,16 @@ def test_mics_maximality():
 
 def test_mics_whole_span_flagged_open():
     xs, vs = _samples(lambda x: 2.0, 0.0, 1.0)
-    mics = detect_mics(xs, vs, _band(1e-9, vs), 0.1)
+    mics = detect_mics(xs, vs, _band(1e-9, vs), 0.1, probe=interpolant(xs, vs))
     assert len(mics) == 1
     assert not mics[0].lo_closed and not mics[0].hi_closed
 
 
 @pytest.mark.parametrize("band", [-1e-9, math.nan])
 def test_mics_rejects_negative_tol(band):
+    samples = _samples(lambda x: 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="band"):
-        detect_mics(*_samples(lambda x: 1.0, 0.0, 1.0), band, 0.0)
+        detect_mics(*samples, band, 0.0, probe=interpolant(*samples))
 
 
 @pytest.mark.parametrize("band", [-1e-9, math.nan])
@@ -271,8 +281,9 @@ def test_direction_rejects_negative_or_nan_band(band):
 
 @pytest.mark.parametrize("band", [-1e-9, math.nan])
 def test_pattern_rejects_negative_or_nan_band(band):
+    samples = _samples(lambda x: x - 0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="band"):
-        detect_pattern(*_samples(lambda x: x - 0.5, 0.0, 1.0), band)
+        detect_pattern(*samples, band, window=Interval(0.0, 1.0), probe=interpolant(*samples))
 
 
 @pytest.mark.parametrize("band", [-1e-9, math.nan])
@@ -287,12 +298,13 @@ def test_mics_zero_tol_run_on_the_last_sample():
     # or the one-sample run there has no sign change to refine
     a = 0.2501106518892491
     xs = _grid(0.0, 1.0, 17)
-    mics = detect_mics(xs, [3.0] * 7 + [a] * 7 + [-3.0] * 2 + [a], 0.0, 0.0)
+    vs = [3.0] * 7 + [a] * 7 + [-3.0] * 2 + [a]
+    mics = detect_mics(xs, vs, 0.0, 0.0, probe=interpolant(xs, vs))
     assert [(m.lo, m.hi) for m in mics] == [(xs[0], xs[6]), (xs[7], xs[13]),
                                             (xs[14], xs[15])]
 
 
-def _reference_detect_mics(samples, tol, min_ic_len, probe=None):
+def _reference_detect_mics(samples, tol, min_ic_len, probe):
     """detect_mics as it was before the streaming min/max sweep: for each
     left end i, a two-pointer scan finds the furthest right end j(i); runs
     whose j(i) grows are the maximal ones.  Kept as the sweep's oracle."""
@@ -301,7 +313,6 @@ def _reference_detect_mics(samples, tol, min_ic_len, probe=None):
     tol_abs = tol * (1.0 + median_abs(vs))
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
-    value = probe if probe is not None else _interpolant(xs, vs)
 
     max_dq: deque[int] = deque()
     min_dq: deque[int] = deque()
@@ -345,7 +356,7 @@ def _reference_detect_mics(samples, tol, min_ic_len, probe=None):
         run_min = min(vs[i0:i1 + 1])
 
         def flat_probe(t):
-            v = value(t)
+            v = probe(t)
             return tol_abs - (max(run_max, v) - min(run_min, v))
 
         run = _run_interval(xs, i0, i1, flat_probe, flat_probe, xs[0], xs[-1], xtol)
@@ -397,8 +408,9 @@ def test_mics_sweep_matches_reference_on_plateaus_and_ties():
         step = (xs[-1] - xs[0]) / (n - 1)
         tol = 0.0 if case % 3 else rng.choice((1e-9, 0.3))
         min_ic_len = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, 6.0)) * step
-        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
-        assert got == _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len), case
+        probe = interpolant(xs, vs)
+        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len, probe)
+        assert got == _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len, probe), case
 
 
 def _jump_column(rng, n):
@@ -438,8 +450,9 @@ def test_mics_split_sweep_matches_reference_on_jumps_and_infinities():
         step = 3.0 / n
         tol = rng.choice((0.0, 0.0, 1e-9, 1e-3, 0.3))
         min_ic_len = rng.choice((0.0, 0.0, 0.5, 2.0, 3.0)) * step
-        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
-        want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+        probe = interpolant(xs, vs)
+        got = detect_mics(xs, vs, _band(tol, vs), min_ic_len, probe)
+        want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len, probe)
         assert got == want, (case, vs, tol, min_ic_len)
         # the closed/open flags too, which Interval equality also covers
         assert [(m.lo_closed, m.hi_closed) for m in got] == \
@@ -454,8 +467,9 @@ def test_mics_split_sweep_matches_reference_on_jumps_and_infinities():
 ])
 def test_mics_split_sweep_edge_columns(vs, tol, min_ic_len):
     xs = _grid(0.0, 1.0, len(vs))
-    assert detect_mics(xs, vs, _band(tol, vs), min_ic_len) == \
-        _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+    probe = interpolant(xs, vs)
+    assert detect_mics(xs, vs, _band(tol, vs), min_ic_len, probe) == \
+        _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len, probe)
 
 
 @st.composite
@@ -492,8 +506,9 @@ def _clamp_columns(draw):
 @given(_clamp_columns())
 def test_mics_one_run_pieces_match_reference_on_clamps(column):
     xs, vs, tol, min_ic_len = column
-    got = detect_mics(xs, vs, _band(tol, vs), min_ic_len)
-    want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len)
+    probe = interpolant(xs, vs)
+    got = detect_mics(xs, vs, _band(tol, vs), min_ic_len, probe)
+    want = _reference_detect_mics(list(zip(xs, vs)), tol, min_ic_len, probe)
     assert got == want
     assert [(m.lo_closed, m.hi_closed) for m in got] == \
         [(m.lo_closed, m.hi_closed) for m in want]
@@ -508,11 +523,12 @@ def test_detectors_reject_non_finite_samples(vs):
     xs = _grid(0.0, 1.0, len(vs))
     bad_x = xs[next(i for i, v in enumerate(vs) if not math.isfinite(v))]
     match = re.escape(f"x = {bad_x!r} is not finite")
-    for detect in (detect_pattern, detect_direction):
-        with pytest.raises(ValueError, match=match):
-            detect(xs, vs, 1e-9)
     with pytest.raises(ValueError, match=match):
-        detect_mics(xs, vs, 1e-9, 0.0)
+        detect_pattern(xs, vs, 1e-9, window=Interval(0.0, 1.0), probe=interpolant(xs, vs))
+    with pytest.raises(ValueError, match=match):
+        detect_direction(xs, vs, 1e-9)
+    with pytest.raises(ValueError, match=match):
+        detect_mics(xs, vs, 1e-9, 0.0, probe=interpolant(xs, vs))
     with pytest.raises(ValueError, match=match):
         level0_set(xs, vs, 1e-9, lambda t: 1.0, Interval(0.0, 1.0))
 
@@ -520,7 +536,8 @@ def test_detectors_reject_non_finite_samples(vs):
 def test_detectors_accept_finite_samples_whose_sum_overflows():
     xs = _grid(0.0, 1.0, 16)
     vs = [1.5e308] * 16
-    assert [(m.lo, m.hi) for m in detect_mics(xs, vs, 0.0, 0.0)] == [(xs[0], xs[-1])]
+    mics = detect_mics(xs, vs, 0.0, 0.0, probe=interpolant(xs, vs))
+    assert [(m.lo, m.hi) for m in mics] == [(xs[0], xs[-1])]
     assert detect_direction(xs, vs, 0.0) is PatternKind.CONSTANT
     assert level0_set(xs, vs, 0.0, lambda t: 1.5e308, Interval(0.0, 1.0)) is None
 
@@ -595,19 +612,21 @@ def test_level0_agrees_with_r_mics(staircase_pair):
 def test_detectors_reject_non_ascending_xs(as_tuple):
     xs = _grid(0.0, 1.0, 32)
     vs = [x - 0.5 for x in xs]
-    detect_mics(Grid(xs), vs, 1e-9, 0.0)  # a Grid is not checked again
+    probe = interpolant(xs, vs)
+    detect_mics(Grid(xs), vs, 1e-9, 0.0, probe)  # a Grid is not checked again
     for bad in (xs[:10] + [xs[11], xs[10]] + xs[12:], xs[:10] + [xs[10]] * 2 + xs[12:]):
         with pytest.raises(ValueError, match="strictly increasing"):
             Grid(bad)
         bad = tuple(bad) if as_tuple else bad
-        for detect in (detect_pattern, detect_direction):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                detect(bad, vs, 1e-9)
         with pytest.raises(ValueError, match="strictly increasing"):
-            detect_mics(bad, vs, 1e-9, 0.0)
+            detect_pattern(bad, vs, 1e-9, window=Interval(0.0, 1.0), probe=probe)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_direction(bad, vs, 1e-9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_mics(bad, vs, 1e-9, 0.0, probe)
         with pytest.raises(ValueError, match="strictly increasing"):
             level0_set(bad, vs, 1e-9, lambda t: t - 0.5, Interval(0.0, 1.0))
     # a list checked once may change after: it is checked again
     xs[10], xs[11] = xs[11], xs[10]
     with pytest.raises(ValueError, match="strictly increasing"):
-        detect_mics(xs, vs, 1e-9, 0.0)
+        detect_mics(xs, vs, 1e-9, 0.0, probe)

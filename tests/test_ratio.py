@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import monoratio as mr
 from monoratio import Interval
-from monoratio.patterns import _interpolant
 from monoratio.ratio import (GRID_N_MAX, ZERO_REL_TOL, Grid, _chebyshev_points,
                              check_g_assumptions, check_grid, columns, median_abs,
                              refine_sign_change)
 
-from helpers import mirrored, mirrored_interval, negated
+from helpers import interpolant, mirrored, mirrored_interval, negated
 
 
 def _pair(f_src, g_src, lo, hi, n=256):
@@ -294,7 +293,7 @@ class _TableG:
                 lambda t, column=column: column[max(bisect.bisect_right(xs, t) - 1, 0)]
                 for column in (values, derivs))
         else:
-            self._value, self._deriv = _interpolant(xs, values), _interpolant(xs, derivs)
+            self._value, self._deriv = interpolant(xs, values), interpolant(xs, derivs)
 
     def column(self, xs):
         return list(self.values), list(self.derivs)
