@@ -11,7 +11,8 @@ Exit codes: 0 all checks passed, 1 expression or staircase parse error,
 case that raises fails every check), 64 usage error or a file that
 cannot be read or written.  Handlers raise and main maps each failure
 family to its code.  MONOTONE_RATIO_THREADS caps verify parallelism
-(also capped at the CPU count and the number of cases).
+(also capped at the CPU count and the number of cases); a worker returns
+a case's error as the text of its stderr line, never as an exception.
 """
 
 from __future__ import annotations
@@ -141,7 +142,12 @@ def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
     """The report's (name, ok) checks for one generated pair and None; or,
     when making or checking the pair raises an ArithmeticError (such as a
     QuadratureError) or a ValueError, every check failed and the error as
-    one line."""
+    one "Type: message" line.
+
+    This is the one place that decides how a failing case crosses the
+    verify process pool: a case returns plain values (check names, bools,
+    the error's text) and never raises a package exception, so no
+    exception object is ever pickled."""
     config = GeneratorConfig(grid_n=grid_n, quad_tol=quad_tol)
     try:
         pair, _, _ = random_pair(case_seed, config)
@@ -153,7 +159,7 @@ def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise _UsageError("--cases must be at least 1")
-    _checked_tolerances(args, GeneratorConfig().windows)
+    _checked_tolerances(args, GeneratorConfig.windows)
     raw_threads = os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1"
     try:
         threads = int(raw_threads)

@@ -25,15 +25,14 @@ import math
 import random
 from dataclasses import dataclass
 from operator import mul, neg
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
-from .errors import ByState
 from .intervals import Interval
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,
                     check_g_assumptions, columns, make_pair, values)
 
 
-class QuadratureError(ByState, ArithmeticError):
+class QuadratureError(ArithmeticError):
     """A panel's error estimate never got below tolerance."""
 
     def __init__(self, a: float, b: float, estimate: float):
@@ -216,66 +215,54 @@ class StaircaseFn:
     calls it once per x, which gives the same floats.
     """
 
-    __slots__ = ("spec", "breakpoints", "_values", "_slopes", "label")
+    __slots__ = ("spec", "breakpoints", "_rows", "label")
 
     def __init__(self, spec: StaircaseSpec):
         self.spec = spec
         sign = 1.0 if spec.direction == "up" else -1.0
         nodes = list(spec.breakpoints)
-        # segment i spans [nodes[i-1], nodes[i]); slope per segment, value at nodes
+        # segment i spans [nodes[i-1], nodes[i]); slope per segment
         slopes: list[float] = []
         for i, s in enumerate(spec.slopes):
             slopes.append(sign * s)
             if i < len(spec.flats):
                 slopes.append(0.0)
-        # values at nodes, anchored on the first flat
-        values = [0.0] * len(nodes)
-        if nodes:
-            values[0] = spec.anchor_value  # left edge of first flat
-            for i in range(1, len(nodes)):
-                seg_slope = slopes[i]  # segment between nodes[i-1] and nodes[i]
-                values[i] = values[i - 1] + seg_slope * (nodes[i] - nodes[i - 1])
+        # one (base, x0, slope) row per segment, valued base + slope * (x - x0),
+        # exactly base on a flat: segment i > 0 starts at nodes[i-1] with the
+        # value there, anchored on the first flat; segment 0 ends at the
+        # first flat, and with no flats it passes through (0, anchor_value)
+        value = spec.anchor_value
+        rows = [(value, nodes[0] if nodes else 0.0, slopes[0])]
+        for i, x0 in enumerate(nodes):
+            if i:
+                value += slopes[i] * (x0 - nodes[i - 1])
+            rows.append((value, x0, slopes[i + 1]))
         self.breakpoints = tuple(nodes)
-        self._values = values
-        self._slopes = slopes
+        self._rows = rows
         self.label = f"staircase({len(spec.flats)} flats, {spec.direction})"
 
     def __call__(self, x: float) -> tuple[float, float]:
-        nodes = self.breakpoints
-        if not nodes:
-            s = self._slopes[0]
-            return self.spec.anchor_value + s * x, s
-        i = bisect.bisect_right(nodes, x)  # segment index; right-hand rule at nodes
-        s = self._slopes[i]
-        if i == 0:
-            return self._values[0] + s * (x - nodes[0]), s
-        if s == 0.0:  # inside a flat: exactly the stored constant
-            return self._values[i - 1], 0.0
-        return self._values[i - 1] + s * (x - nodes[i - 1]), s
+        # segment index; right-hand rule at nodes
+        base, x0, s = self._rows[bisect.bisect_right(self.breakpoints, x)]
+        return base if s == 0.0 else base + s * (x - x0), s
 
     def values(self, xs: Sequence[float]) -> list[float]:
         """The value at every x, the float of one call per x.  The segment
         index moves along ascending xs; it is bisected again only where xs
         step back or are NaN."""
-        nodes, slopes, last = self.breakpoints, self._slopes, len(self.breakpoints)
-        if not nodes:
-            s, a = slopes[0], self.spec.anchor_value
-            return [a + s * x for x in xs]
+        nodes, rows, last = self.breakpoints, self._rows, len(self.breakpoints)
         out = []
-        i, prev, nxt = 0, math.nan, -math.inf
+        i, lo, nxt = 0, math.nan, -math.inf
         for x in xs:
-            if not prev <= x < nxt:
-                if prev <= x:
+            if not lo <= x < nxt:  # left segment i: reload its row and ends
+                if lo <= x:
                     while i < last and nodes[i] <= x:
                         i += 1
-                else:
+                else:  # stepped back (or NaN): bisect again
                     i = bisect.bisect_right(nodes, x)
-                # the scalar call's three branches, fixed for segment i
-                s = slopes[i]
-                k = max(i - 1, 0)
-                base, x0 = self._values[k], nodes[k]
+                base, x0, s = rows[i]
+                lo = nodes[i - 1] if i else -math.inf
                 nxt = nodes[i] if i < last else math.inf
-            prev = x
             out.append(base if s == 0.0 else base + s * (x - x0))
         return out
 
@@ -519,14 +506,18 @@ _ROWS = ((True, 1), (False, 1), (True, -1), (False, -1))  # (rho rises?, sign gg
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    windows: tuple[tuple[float, float], ...] = (
+    """random_pair's settings: the flat-count range, the analysis grid
+    and the quadrature tolerance are settable; the draw ranges are fixed
+    class constants."""
+
+    windows: ClassVar[tuple[tuple[float, float], ...]] = (
         (-2.0, 2.0), (-1.8, 2.2), (-2.4, 1.6), (-1.5, 2.5))
+    flat_len: ClassVar[tuple[float, float]] = (0.3, 0.7)
+    min_gap: ClassVar[float] = 0.25
+    edge_margin_frac: ClassVar[float] = 0.12
+    slope_range: ClassVar[tuple[float, float]] = (0.8, 2.5)
+    anchor_range: ClassVar[tuple[float, float]] = (-1.5, 1.5)
     n_flats: tuple[int, int] = (0, 3)
-    flat_len: tuple[float, float] = (0.3, 0.7)
-    min_gap: float = 0.25
-    edge_margin_frac: float = 0.12
-    slope_range: tuple[float, float] = (0.8, 2.5)
-    anchor_range: tuple[float, float] = (-1.5, 1.5)
     grid_n: int = 2048
     quad_tol: float = 1e-10
 

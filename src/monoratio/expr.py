@@ -11,13 +11,12 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from .errors import ByState
 # the syntax names stay importable from here
 from .syntax import (Binary, Call2, Const, Expr, ParseError, Unary, Var,  # noqa: F401
                      parse)
 
 
-class DomainFault(ByState, ArithmeticError):
+class DomainFault(ArithmeticError):
     """Evaluation left the function's domain at a specific point."""
 
     def __init__(self, x: float, reason: str):
@@ -230,16 +229,6 @@ class ExprFn:
         self._consts, self._column, self._values = _compile_loops(ast)
         self.ast = ast
         self.label = label
-
-    def __getstate__(self):
-        # a copy takes its loops from the AST, by way of the shape cache
-        return getattr(self, "__dict__", None), {"ast": self.ast, "label": self.label}
-
-    def __setstate__(self, state):
-        attrs, slots = state
-        for name, value in {**(attrs or {}), **slots}.items():
-            setattr(self, name, value)
-        self._consts, self._column, self._values = _compile_loops(self.ast)
 
     def _run(self, loop: Callable, xs: Sequence[float], *out: list) -> tuple[list, ...]:
         """The lists out, filled by loop over xs; where a point faults, the

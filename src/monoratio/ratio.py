@@ -17,7 +17,6 @@ from itertools import compress
 from operator import lt, ne, truediv
 from typing import Callable, Sequence
 
-from .errors import ByState
 from .intervals import Interval
 
 # Anything callable as x -> (value, derivative).  One may also have a
@@ -32,7 +31,7 @@ DifferentiableFn = Callable[[float], tuple[float, float]]
 ZERO_REL_TOL = 1e-12
 
 
-class ValidationError(ByState, ValueError):
+class ValidationError(ValueError):
     """A standing assumption failed at a concrete point."""
 
     def __init__(self, x: float, message: str):

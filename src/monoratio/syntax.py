@@ -19,13 +19,11 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .errors import ByState
-
 UNARY_FUNCTIONS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 BINARY_FUNCTIONS = ("min", "max")
 
 
-class ParseError(ByState, ValueError):
+class ParseError(ValueError):
     """Syntax or name error, carrying the byte offset where it happened."""
 
     def __init__(self, offset: int, message: str, expected: str | None = None):

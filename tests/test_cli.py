@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -461,12 +460,30 @@ def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers
     monoratio.QuadratureError(-0.5, 0.25, 3e-9), monoratio.DomainFault(0.5, "log of non-positive argument"),
     monoratio.ValidationError(1.5, "rho is not monotone on the window"), monoratio.ZeroG(-0.0),
     monoratio.ZeroGPrime(2.0), monoratio.SignChange(0.1, "f"), monoratio.ParseError(3, "unexpected token '*'", "'('"),
-    monoratio.ParseError(0, "empty expression")], ids=lambda error: type(error).__name__)
-def test_errors_survive_pickling(error):
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is type(error)
-    assert str(copy) == str(error) and copy.args == error.args
-    assert copy.__dict__ == error.__dict__ and copy.__dict__
+    monoratio.ParseError(0, "empty expression"), monoratio.StaircaseError("slopes must be positive"),
+    BadBracket("no sign change in [0, 1]")], ids=lambda error: type(error).__name__)
+def test_a_case_error_reaches_the_parent_as_its_line(capsys, monkeypatch, error):
+    # all but the last two fail to unpickle (their __init__ takes other
+    # arguments than their message), so a worker returns the error as text
+    import monoratio.cli as cli
+
+    def random_pair(seed, config):
+        if seed == 1:
+            raise error
+        return monoratio.random_pair(seed, config)
+
+    monkeypatch.setattr(cli, "random_pair", random_pair)
+    line = f"{type(error).__name__}: {error}"
+    assert cli._verify_case(1, 256, 1e-7, 1e-10) == \
+        (tuple((name, False) for name in cli.CHECK_NAMES), line)
+    argv = ("verify", "--seed", "0", "--cases", "2", "--grid-n", "256")
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1")
+    serial = run(capsys, *argv)
+    assert serial[0] == 3 and json.loads(serial[1])["failing_seeds"] == [1]
+    assert serial[2] == f"error: seed 1: {line}\n"
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
+    assert run(capsys, *argv) == serial
 
 
 def test_verify_error_in_a_worker_is_the_serial_error(capsys, monkeypatch):

@@ -1,12 +1,11 @@
 """The loops ExprFn compiles from its AST: op validation before any source
 is compiled, constants kept out of the source, loops shared by trees of one
-shape, bit-identical columns on hand-built constants, pickling, and faults read
-through the reflections with no call per x."""
+shape, bit-identical columns on hand-built constants, deep copies, and
+faults read through the reflections with no call per x."""
 
 import copy
 import itertools
 import math
-import pickle
 import struct
 import sys
 import threading
@@ -201,8 +200,7 @@ class _CountingExprFn(ExprFn):
         return super().__call__(x)
 
 
-@pytest.mark.parametrize("copier", [lambda fn: pickle.loads(pickle.dumps(fn)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("copier", [copy.deepcopy], ids=["deepcopy"])
 def test_exprfn_copies_round_trip(copier):
     ast = parse("exp(-x)*sin(3*x) + x^2.5/(1 + x^2)")
     counting = _CountingExprFn(ast)
