@@ -12,7 +12,8 @@ case that raises fails every check), 64 usage error or a file that
 cannot be read or written.  Handlers raise and main maps each failure
 family to its code.  MONOTONE_RATIO_THREADS caps verify parallelism
 (also capped at the CPU count and the number of cases); a worker returns
-a case's error as the text of its stderr line, never as an exception.
+a case's error as the text of its stderr line, and lets only BadBracket, a
+bug, propagate, as analyze does.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .construct import (GeneratorConfig, QuadratureError, StaircaseError,
                         random_pair)
 from .expr import DomainFault, ExprFn, ParseError, parse
 from .intervals import Interval
-from .ratio import ValidationError, check_grid, make_pair, sample_table
+from .ratio import BadBracket, ValidationError, check_grid, make_pair, sample_table
 from .rules import CHECK_NAMES, RULE_ROWS, Tolerances, check_pair
 
 EXIT_OK = 0
@@ -142,16 +143,19 @@ def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
     """The report's (name, ok) checks for one generated pair and None; or,
     when making or checking the pair raises an ArithmeticError (such as a
     QuadratureError) or a ValueError, every check failed and the error as
-    one "Type: message" line.
+    one "Type: message" line.  A BadBracket is a bug, not a failing case:
+    it propagates, as main lets it under analyze.
 
     This is the one place that decides how a failing case crosses the
     verify process pool: a case returns plain values (check names, bools,
-    the error's text) and never raises a package exception, so no
-    exception object is ever pickled."""
+    the error's text); the one exception it raises, BadBracket, pickles by
+    its message."""
     config = GeneratorConfig(grid_n=grid_n, quad_tol=quad_tol)
     try:
         pair, _, _ = random_pair(case_seed, config)
         return check_pair(pair, Tolerances(tol_zero=tol_zero)).checks, None
+    except BadBracket:
+        raise
     except (ArithmeticError, ValueError) as err:
         return tuple((name, False) for name in CHECK_NAMES), f"{type(err).__name__}: {err}"
 

@@ -55,10 +55,7 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
 
     Every node interval starts at tolerance tol, which halves with each
     split; a panel's error estimate is |S_fine - S_coarse|/15.  Adjacent
-    intervals share their end sample, and empty ones yield nothing.  The
-    subdivision runs on an explicit stack: a self-referencing closure
-    would be a reference cycle that keeps every caller's table alive
-    until a full garbage collection.
+    intervals share their end sample, and empty ones yield nothing.
 
     Raises QuadratureError if a panel's estimate is still above tolerance
     at max_depth.
@@ -66,26 +63,58 @@ def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
     fb = fn(nodes[0])
     for a, b in zip(nodes, nodes[1:]):
         fa, fb = fb, fn(b)
-        if a == b:
+        if a != b:
+            m = 0.5 * (a + b)
+            fm = fn(m)
+            yield from _refined(fn, a, b, fa, fn(0.5 * (a + m)), fm, fn(0.5 * (m + b)), fb,
+                                tol, max_depth)
+
+
+def _refined(fn: Callable[[float], float], a: float, b: float, f0: float, f1: float,
+             f2: float, f3: float, f4: float, tol: float, max_depth: int):
+    """Yield _simpson_leaves's panels on [a, b] (a < b), given fn's samples
+    f0 ... f4 at a + k*(b - a)/4; fn is called, in _simpson_leaves's order,
+    only at the points the subdivision adds.  The subdivision runs on an
+    explicit stack: a self-referencing closure would be a reference cycle
+    that keeps every caller's table alive until a full garbage collection."""
+    stack = [(a, b, f0, f2, f4, (b - a) / 6.0 * (f0 + 4.0 * f2 + f4), tol, 0)]
+    quarters = f1, f3
+    while stack:
+        x0, x2, f0, f1, f2, whole, panel_tol, depth = stack.pop()
+        x1 = 0.5 * (x0 + x2)
+        flm, frm = quarters or (fn(0.5 * (x0 + x1)), fn(0.5 * (x1 + x2)))
+        quarters = None
+        h12 = (x2 - x0) / 12.0
+        left = h12 * (f0 + 4.0 * flm + f1)
+        right = h12 * (f1 + 4.0 * frm + f2)
+        est = (left + right - whole) / 15.0
+        if abs(est) <= panel_tol:
+            yield x0, x2 - x0, f0, flm, f1, frm, f2, left + right + est
             continue
-        fm = fn(0.5 * (a + b))
-        stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)]
-        while stack:
-            x0, x2, f0, f1, f2, whole, panel_tol, depth = stack.pop()
-            x1 = 0.5 * (x0 + x2)
-            flm, frm = fn(0.5 * (x0 + x1)), fn(0.5 * (x1 + x2))
-            h12 = (x2 - x0) / 12.0
-            left = h12 * (f0 + 4.0 * flm + f1)
-            right = h12 * (f1 + 4.0 * frm + f2)
-            est = (left + right - whole) / 15.0
-            if abs(est) <= panel_tol:
-                yield x0, x2 - x0, f0, flm, f1, frm, f2, left + right + est
-                continue
-            if depth >= max_depth:
-                raise QuadratureError(x0, x2, abs(est))
-            half = 0.5 * panel_tol
-            stack.append((x1, x2, f1, frm, f2, right, half, depth + 1))
-            stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
+        if depth >= max_depth:
+            raise QuadratureError(x0, x2, abs(est))
+        half = 0.5 * panel_tol
+        stack.append((x1, x2, f1, frm, f2, right, half, depth + 1))
+        stack.append((x0, x1, f0, flm, f1, left, half, depth + 1))
+
+
+def _column_leaves(fn: Callable[[float], float], ends: list[float], fs: list[float],
+                   tol: float):
+    """Yield the leaves _simpson_leaves(fn, ends, tol, 40) yields, given
+    fs, fn's samples at each interval's ends, quarter points and midpoint
+    in ascending x: an interval whose first estimate passes, by
+    _simpson_leaves's floats, is one leaf; one that fails it is refined
+    from its five samples, and an empty one is skipped."""
+    for a, b, f0, f1, f2, f3, f4 in zip(ends, ends[1:], fs[0:-1:4], fs[1::4], fs[2::4],
+                                        fs[3::4], fs[4::4]):
+        h = b - a
+        if not h:
+            continue
+        if abs((h / 12.0 * (f0 + 4.0 * f1 + f2) + h / 12.0 * (f2 + 4.0 * f3 + f4)
+                - h / 6.0 * (f0 + 4.0 * f2 + f4)) / 15.0) <= tol:
+            yield a, h, f0, f1, f2, f3, f4, None  # as _simpson_leaves yields it
+        else:
+            yield from _refined(fn, a, b, f0, f1, f2, f3, f4, tol, 40)
 
 
 def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
@@ -96,15 +125,16 @@ def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
     starting at 0.
 
     One column of rho's values and g's derivatives holds the five samples
-    of every interval [ends[j], ends[j + 1]], in ascending x.  One loop
-    takes the intervals in order: an interval whose first estimate passes,
-    by _simpson_leaves's floats, is one leaf; one that fails it, or is
-    empty, goes alone to _simpson_leaves, which samples it again one point
-    at a time and refines or skips it, and its leaves are appended in
-    place.  So the first QuadratureError is the one of the leaf-at-a-time
-    build.  If the column faults, every interval goes that way, so the
-    error raised is the one the leaf-at-a-time build raises first.
+    of every interval [ends[j], ends[j + 1]], in ascending x, and
+    _column_leaves takes the intervals from it in order, so an interval
+    is sampled again only where its refinement needs new points.  If the
+    column faults, the build runs _simpson_leaves itself, one point at a
+    time, so the error raised is the one the leaf-at-a-time build raises
+    first: a fault of rho or g, or a QuadratureError before it.
     """
+    def integrand(u: float) -> float:
+        return rho(u)[0] * g(u)[1]
+
     mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     xs = [0.0] * (4 * len(mids) + 1)
     xs[0::4], xs[2::4] = ends, mids
@@ -113,36 +143,26 @@ def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
     try:
         fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
     except (ArithmeticError, ValueError):
-        fs = [math.nan] * len(xs)  # every estimate NaN: every interval fails
-
-    def integrand(u: float) -> float:
-        return rho(u)[0] * g(u)[1]
-
+        leaves = _simpson_leaves(integrand, ends, tol, 40)
+    else:
+        leaves = _column_leaves(integrand, ends, fs, tol)
     starts, rows, cum = [], [], 0.0
-    for a, b, f0, f1, f2, f3, f4 in zip(ends, ends[1:], fs[0:-1:4], fs[1::4], fs[2::4],
-                                        fs[3::4], fs[4::4]):
-        h = b - a
-        if h and abs((h / 12.0 * (f0 + 4.0 * f1 + f2) + h / 12.0 * (f2 + 4.0 * f3 + f4)
-                      - h / 6.0 * (f0 + 4.0 * f2 + f4)) / 15.0) <= tol:
-            leaves = ((a, h, f0, f1, f2, f3, f4, None),)  # as _simpson_leaves yields it
-        else:
-            leaves = _simpson_leaves(integrand, (a, b), tol, 40)
-        for x0, h, f0, f1, f2, f3, f4, _ in leaves:
-            # h * (integral from 0 to t of the quartic through (k/4, f_k))
-            # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
-            # of the samples; at t = 1 it is Boole's rule, the accepted value
-            p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
-            q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
-            d1, d2, d3 = p1, q1, q2 - q1
-            d4 = (q3 - q2) - d3
-            c1 = h * f0
-            c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
-            c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
-            c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
-            c5 = h * (32.0 / 15.0 * d4)
-            starts.append(x0)
-            rows.append((cum, 1.0 / h, c1, c2, c3, c4, c5))
-            cum += c1 + (c2 + (c3 + (c4 + c5)))
+    for x0, h, f0, f1, f2, f3, f4, _ in leaves:
+        # h * (integral from 0 to t of the quartic through (k/4, f_k))
+        # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
+        # of the samples; at t = 1 it is Boole's rule, the accepted value
+        p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
+        q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
+        d1, d2, d3 = p1, q1, q2 - q1
+        d4 = (q3 - q2) - d3
+        c1 = h * f0
+        c2 = h * (2.0 * d1 - d2 + 2.0 / 3.0 * d3 - 0.5 * d4)
+        c3 = h * (8.0 / 3.0 * (d2 - d3) + 22.0 / 9.0 * d4)
+        c4 = h * (8.0 / 3.0 * d3 - 4.0 * d4)
+        c5 = h * (32.0 / 15.0 * d4)
+        starts.append(x0)
+        rows.append((cum, 1.0 / h, c1, c2, c3, c4, c5))
+        cum += c1 + (c2 + (c3 + (c4 + c5)))
     return starts, rows
 
 
@@ -294,7 +314,8 @@ class ConstructedFn:
     and g as one column over every node interval's samples, then takes the
     intervals in one loop, appending each leaf's start and row with the
     running integral; an interval whose first estimate fails is refined
-    and its leaves appended in place.  The table is, float for
+    from its five column samples and its leaves appended in place.  The
+    table is, float for
     float, the one a build of one integrand call per sample and one leaf at
     a time makes, and so is the error: if the column faults, the grid is
     sampled again one point at a time, so a fault of rho or g, or a

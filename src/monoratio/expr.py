@@ -1,14 +1,16 @@
 """Forward-mode evaluation of parsed expressions (``syntax``) on
 (value, derivative) float pairs; nothing is rewritten symbolically.  Each
 ExprFn turns its AST into straight-line loops over a column of points
-(source transformation), compiled once per shape; a scalar call is a column
-of one.  A point outside the domain raises DomainFault at the first such x.
+(source transformation), compiled once per shape and pattern of repeated
+subtrees; a scalar call is a column of one.  A point outside the domain
+raises DomainFault at the first such x.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from typing import Callable, Sequence
 
 # the syntax names stay importable from here
@@ -52,6 +54,8 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
                 raise _Fault("power derivative singular at zero base")
             return 0.0, 0.0
         if a < 0.0:
+            if math.isinf(b):  # round(b) raises a bare OverflowError, which reads as exp's
+                raise _Fault("cannot convert float infinity to integer")
             if b != round(b):
                 raise _Fault("negative base with non-integer exponent")
             b = int(round(b))  # at b = -0.0 a float would flip a zero slope's sign
@@ -71,17 +75,23 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
 # An ExprFn turns its AST into Python source once, at construction: a loop
 # over the points whose body computes each node's value and derivative from
 # its operands', children first and left to right, and a values-only twin
-# that skips the derivatives no fault depends on.  The (node type, op) pairs
+# that computes derivatives only at and under sqrt, a non-constant ^, and a
+# ^ whose constant is below 1 or not finite: no other fault depends on one.
+# Each non-constant subtree has a value number, its (node type, op) and its
+# operands' numbers, a literal's its bits; a subtree already computed in
+# the loop is read by name, not computed again.  The (node type, op) pairs
 # only select the fixed templates below, and the constants enter through a
 # tuple argument, so no text of the AST reaches the source: the source
-# depends on the tree's shape alone, and trees of one shape share the loops
-# compiled from it.
+# depends on the tree's shape and on which of its subtrees repeat, and trees
+# alike in both share the loops compiled from it.
 #
 # The loops append each point's floats to lists the caller passes in, and a
 # body raises where the point leaves the domain: a _Fault with its reason
 # (log, sqrt, ^), ZeroDivisionError (/), a bare OverflowError (exp alone) or
 # math's ValueError (sin or cos of an infinity).  ExprFn maps that to one
 # DomainFault at the x after the last value appended: the first faulting x.
+# A skipped repeat is a subtree that already ran clear at that x, so the
+# first fault and its reason stay those of the full tree.
 
 # (node type, op) -> the statements of its value and of its derivative, over
 # the operands' values {a} {b}, their derivatives {da} {db} and the node's
@@ -129,9 +139,15 @@ _POW_CONST = """if {a} {cmp} 0.0:
 else:
     {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
 
-# the operations whose faults depend on the derivatives, so that they and
-# their operands carry them in the values-only loop too
-_SLOPED = ((Unary, "sqrt"), (Binary, "^"))
+# its value alone, for a finite c >= 1: then a ** (c - 1.0) cannot overflow
+# where a ** c did not, and at a zero base _d_pow raises nothing
+_POW_CONST_VALUE = """if {a} {cmp} 0.0:
+    try:
+        {v} = {a} ** {b}
+    except OverflowError:
+        raise _Fault("pow overflow")
+else:
+    {v} = _d_pow({a}, 0.0, {b}, 0.0)[0]"""
 
 _LOOP_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
                  "sqrt": math.sqrt, "atan": math.atan, "tanh": math.tanh, "_d_pow": _d_pow,
@@ -147,56 +163,76 @@ def _pow_fast_cmp(c) -> str:
     return "!=" if integral else ">"
 
 
-def _emit(node: Expr, slopes: bool, lines: list[str], consts: list) -> tuple[str, str]:
-    """Append the statements that compute node at the point x; return the
-    names (or literals) holding its value and, with slopes, its derivative
-    (else "")."""
+def _number(node: Expr, slopes: bool, numbers: dict, dag: list, consts: list,
+            sloped: set) -> tuple:
+    """Value-number node and return its key (a literal's: its bits) and the
+    names of its value and derivative.  A subtree met first is appended to
+    dag, children first, with its operands' names; a repeat gives back the
+    constant slots its leaves took.  sloped collects the numbers whose
+    derivatives the values-only loop computes."""
     if isinstance(node, Var):
-        return "x", "1.0"
+        return "x", ("x", "1.0")
     # a literal and a negated one (the parser reads -0.03 as neg(0.03)) take
     # a value and a derivative slot: the floats their templates compute
     const = node.arg if isinstance(node, Unary) and node.op == "neg" else node
     if isinstance(const, Const):
         consts += (const.value, 0.0) if const is node else (-const.value, -0.0)
-        return f"c{len(consts) - 2}", f"c{len(consts) - 1}"
-    key = (type(node), getattr(node, "op", None))
-    if key not in _SOURCE:
+        key = (const is node, type(const.value), struct.pack("<d", const.value))
+        return key, (f"c{len(consts) - 2}", f"c{len(consts) - 1}")
+    op = (type(node), getattr(node, "op", None))
+    if op not in _SOURCE:
         raise ValueError(f"unknown expression node {node!r}")
-    slopes = slopes or key in _SLOPED
-    if isinstance(node, Unary):
-        a, da = _emit(node.arg, slopes, lines, consts)
-        b = db = ""
+    # the faults of sqrt and ^ depend on the derivatives, except those of a
+    # ^ c with a finite c >= 1 (see _POW_CONST_VALUE)
+    slopes = slopes or op == (Unary, "sqrt") or op == (Binary, "^") and not (
+        isinstance(node.rhs, Const) and 1.0 <= node.rhs.value < math.inf)
+    start = len(consts)
+    keys, operands = zip(*(_number(arg, slopes, numbers, dag, consts, sloped) for arg in
+                           ((node.arg,) if isinstance(node, Unary) else (node.lhs, node.rhs))))
+    n = numbers.setdefault((op, *keys), len(numbers))
+    if n == len(dag):
+        dag.append((node, operands))
     else:
-        a, da = _emit(node.lhs, slopes, lines, consts)
-        b, db = _emit(node.rhs, slopes, lines, consts)
-    names = {"a": a, "da": da, "b": b, "db": db, "v": f"v{len(lines)}", "d": f"d{len(lines)}"}
-    if key == (Binary, "^") and isinstance(node.rhs, Const):
-        source = _POW_CONST
+        del consts[start:]
+    if slopes:
+        sloped.add(n)
+    return n, (f"v{n}", f"d{n}")
+
+
+def _statements(node: Expr, operands: tuple, n: int, slopes: bool) -> list[str]:
+    """The statements that compute node, number n, from its operands'
+    names: its value and, with slopes, its derivative."""
+    (a, da), (b, db) = (*operands, ("", ""))[:2]
+    names = {"a": a, "da": da, "b": b, "db": db, "v": f"v{n}", "d": f"d{n}"}
+    if isinstance(node, Binary) and node.op == "^" and isinstance(node.rhs, Const):
+        source = _POW_CONST if slopes else _POW_CONST_VALUE
         names["cmp"] = _pow_fast_cmp(node.rhs.value)
     else:
-        value, slope = _SOURCE[key]
+        value, slope = _SOURCE[type(node), node.op]
         source = f"{value}\n{slope}" if slopes and slope else value
-    lines += source.format(**names).split("\n")
-    return names["v"], names["d"] if slopes else ""
+    return source.format(**names).split("\n")
 
 
 def _loop_source(ast: Expr) -> tuple[str, tuple]:
     """The source of the two loops over ast, column(xs, consts, values,
     derivs) and values(xs, consts, values), which append to the lists they
     are given, and the constants tuple they read."""
+    dag: list = []
+    consts: list = []
+    sloped: set = set()
+    _, (v, d) = _number(ast, False, {}, dag, consts, sloped)
     lines: list[str] = []
-    for name, slopes in (("column", True), ("values", False)):
-        consts: list = []
-        body: list[str] = []
-        v, d = _emit(ast, slopes, body, consts)
-        lines += [f"def {name}(xs, consts, values{', derivs' if slopes else ''}):",
+    for name, column in (("column", True), ("values", False)):
+        body = [line for n, (node, operands) in enumerate(dag)
+                for line in _statements(node, operands, n, column or n in sloped)]
+        lines += [f"def {name}(xs, consts, values{', derivs' if column else ''}):",
                   f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
-                  "    value, deriv = values.append, derivs.append" if slopes
+                  "    value, deriv = values.append, derivs.append" if column
                   else "    value = values.append",
                   "    for x in map(float, xs):",
                   *(f"        {line}" for line in body),
                   f"        value({v})",
-                  *([f"        deriv({d})"] if slopes else [])]
+                  *([f"        deriv({d})"] if column else [])]
     return "\n".join(lines) + "\n", tuple(consts)
 
 

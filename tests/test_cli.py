@@ -460,10 +460,10 @@ def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers
     monoratio.QuadratureError(-0.5, 0.25, 3e-9), monoratio.DomainFault(0.5, "log of non-positive argument"),
     monoratio.ValidationError(1.5, "rho is not monotone on the window"), monoratio.ZeroG(-0.0),
     monoratio.ZeroGPrime(2.0), monoratio.SignChange(0.1, "f"), monoratio.ParseError(3, "unexpected token '*'", "'('"),
-    monoratio.ParseError(0, "empty expression"), monoratio.StaircaseError("slopes must be positive"),
-    BadBracket("no sign change in [0, 1]")], ids=lambda error: type(error).__name__)
+    monoratio.ParseError(0, "empty expression"), monoratio.StaircaseError("slopes must be positive")],
+    ids=lambda error: type(error).__name__)
 def test_a_case_error_reaches_the_parent_as_its_line(capsys, monkeypatch, error):
-    # all but the last two fail to unpickle (their __init__ takes other
+    # all but the last fail to unpickle (their __init__ takes other
     # arguments than their message), so a worker returns the error as text
     import monoratio.cli as cli
 
@@ -484,6 +484,24 @@ def test_a_case_error_reaches_the_parent_as_its_line(capsys, monkeypatch, error)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
     assert run(capsys, *argv) == serial
+
+
+def test_verify_lets_a_bad_bracket_propagate(monkeypatch):
+    # a bug, as under analyze: not a failing seed, on either path
+    import monoratio.cli as cli
+
+    def random_pair(seed, config):
+        if seed == 1:
+            raise BadBracket("no sign change in [0, 1]")
+        return monoratio.random_pair(seed, config)
+
+    monkeypatch.setattr(cli, "random_pair", random_pair)
+    argv = ["verify", "--seed", "0", "--cases", "2", "--grid-n", "256"]
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MONOTONE_RATIO_THREADS", threads)
+        with pytest.raises(BadBracket, match=r"^no sign change in \[0, 1\]$"):
+            main(argv)
 
 
 def test_verify_error_in_a_worker_is_the_serial_error(capsys, monkeypatch):

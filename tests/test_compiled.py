@@ -1,7 +1,8 @@
 """The loops ExprFn compiles from its AST: op validation before any source
 is compiled, constants kept out of the source, loops shared by trees of one
-shape, bit-identical columns on hand-built constants, deep copies, and
-faults read through the reflections with no call per x."""
+shape, a repeated subtree computed once, bit-identical columns on hand-built
+constants, deep copies, and faults read through the reflections with no
+call per x."""
 
 import copy
 import itertools
@@ -133,12 +134,25 @@ def test_trees_of_one_shape_share_their_loops():
         for fn in fns:
             first = shapes.setdefault(_loop_source(fn.ast)[0], fn)
             assert (fn._column, fn._values) == (first._column, first._values)
-        # a constant exponent selects its template by c alone: integral c,
-        # other c, and a negated literal, which is no Const
-        assert len({id(fn._column) for fn in fns}) == len(shapes) <= 3
+        # a constant exponent selects its template by c alone: integral
+        # c >= 1, other integral c, non-integral c, and a negated literal,
+        # which is no Const (no special is a finite non-integral c >= 1)
+        assert len({id(fn._column) for fn in fns}) == len(shapes) <= 4
     assert ExprFn(parse("(-1.5)*exp(x)"))._column is ExprFn(parse("1.5*exp(x)"))._column
     assert ExprFn(parse("x^(-2)"))._column is ExprFn(parse("x^(-0.5)"))._column
     assert ExprFn(parse("x^2"))._column is not ExprFn(parse("x^(-2)"))._column
+
+
+def test_a_repeated_subtree_is_computed_once_per_loop():
+    column, values = _loop_source(parse("exp(x)*exp(x) + exp(x)"))[0].split("def values")
+    assert column.count("exp(") == values.count("exp(") == 1
+    # the values loop of a constant power c >= 1 carries no derivative
+    column, values = _loop_source(parse("(exp(x))^2"))[0].split("def values")
+    assert " d0 = " in column
+    assert not any(line.lstrip().startswith("d") for line in values.split("\n"))
+    # twins of one shape whose constants differ share no subtree
+    assert ExprFn(parse("exp(2*x) + exp(3*x)"))._column is not \
+        ExprFn(parse("exp(2*x) + exp(2*x)"))._column
 
 
 def _nested(op, depth):

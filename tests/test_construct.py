@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -334,6 +335,26 @@ def test_blocked_build_without_split_makes_no_scalar_rho_calls(monkeypatch):
     # values and one of g's over every leaf's five samples
     samples = 4 * len(f._starts) + 1
     assert reads == [("values", rho, 128), ("values", rho, samples), ("columns", g, samples)]
+
+
+def test_refinement_samples_only_points_the_column_lacks(monkeypatch):
+    # the kinks at 0.3 and 0.8 fail two intervals' first estimates; their
+    # refinement starts from the column's five samples of each, so every
+    # scalar rho call is at a new point (78 calls, 10 of them repeats,
+    # when it sampled the five again)
+    calls, column = [], []
+    rho, g = mr.expr_fn("max(min(x, 0.3), x - 0.5)"), mr.expr_fn("exp(x)")
+    recording = type("Recording", (), {
+        "__call__": lambda self, x: calls.append(x) or rho(x),
+        "values": lambda self, xs: column.extend(xs) or rho.values(xs)})()
+    f = ConstructedFn(g, recording, 0.5, 0.3, Interval(-2.0, 2.0), 1e-10)
+    assert len(calls) == len(set(calls)) == 68
+    assert set(calls).isdisjoint(column)
+    # the table is the one the resampling build made, float for float
+    table = repr([[x.hex() for x in f._starts], [[v.hex() for v in row] for row in f._table]])
+    assert len(f._starts) == 1041
+    assert hashlib.sha256(table.encode()).hexdigest() == \
+        "f4d808dc37a5ef0690bc78121bda25e4f853ba5a628efd94963edc26558278e7"
 
 
 # --- the generator -----------------------------------------------------------

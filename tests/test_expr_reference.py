@@ -2,16 +2,20 @@
 operator-overloading dual-number evaluator it replaced: values,
 derivatives and domain-fault reasons must agree bit for bit, one call per
 point and through ExprFn.column and ExprFn.values, whose fault must name
-the first faulting x of the column."""
+the first faulting x of the column; on random trees, and on trees that read
+one subtree several times, which the compiled loops compute once."""
 
 import math
 import random
 import struct
 from dataclasses import dataclass
 
-from monoratio.expr import Binary, Call2, Const, DomainFault, ExprFn, Unary, Var
+import pytest
 
-from helpers import random_ast
+from monoratio.expr import Binary, Call2, Const, DomainFault, ExprFn, Unary, Var, _loop_source
+
+from helpers import UNARY_OPS, random_ast
+from test_compiled import _SPECIALS, _pack
 
 
 class _Fault(Exception):
@@ -185,12 +189,6 @@ def _new(fn, x):
     return value, deriv
 
 
-def _bits(result):
-    if isinstance(result, str):
-        return result
-    return struct.pack("<2d", *result)
-
-
 def _first_fault_or_columns(results):
     """(values, derivs) from (x, result) pairs in column order, or the
     first faulting x and its reason."""
@@ -216,6 +214,23 @@ def _column_bits(result):
     return struct.pack(f"<{len(a)}d", *a), struct.pack(f"<{len(b)}d", *b)
 
 
+def _assert_agrees(ast, fn, xs, pack=_column_bits):
+    """fn against the dual evaluator at each x of xs, one call per x, and
+    on xs as one column through column and values, bit for bit as pack
+    packs them; return the column's reference: its (values, derivs) or its
+    first fault's x and reason."""
+    results = [(x, _reference(ast, x)) for x in xs]
+    for point in results:
+        new = _new(fn, point[0])
+        assert pack(_first_fault_or_columns([(point[0], new)])) == \
+            pack(_first_fault_or_columns([point])), (ast, point, new)
+    old = _first_fault_or_columns(results)
+    only_values = old if isinstance(old[1], str) else (old[0], [])
+    assert pack(_read(fn.column, xs)) == pack(old), (ast, xs)
+    assert pack(_read(fn.values, xs)) == pack(only_values), (ast, xs)
+    return old
+
+
 def test_float_pairs_match_the_dual_evaluator_bit_for_bit():
     rng = random.Random(20240501)
     # the columns' own draws, so that the per-point draws stay as they were
@@ -223,28 +238,84 @@ def test_float_pairs_match_the_dual_evaluator_bit_for_bit():
     points = faults = column_faults = 0
     while points < 20000:
         ast = random_ast(rng, rng.randint(1, 6))
-        fn = ExprFn(ast)
-        results = []
         # uniform points plus the small integers where poles and zero
         # bases sit
-        for x in (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
-                  float(rng.randint(-3, 3)), rng.choice((0.0, -0.0, 1e-300))):
-            old, new = _reference(ast, x), _new(fn, x)
-            assert _bits(new) == _bits(old), (ast, x, old, new)
-            results.append((x, old))
-            faults += isinstance(old, str)
-            points += 1
+        xs = [rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+              float(rng.randint(-3, 3)), rng.choice((0.0, -0.0, 1e-300))]
+        faults += sum(isinstance(_reference(ast, x), str) for x in xs)
+        points += len(xs)
         # the same points and a few more as one column, in random order, so
         # the first fault lands anywhere in it
-        results += ((x, _reference(ast, x)) for x in
-                    (column_rng.uniform(-3.0, 3.0) for _ in range(column_rng.randint(0, 4))))
-        column_rng.shuffle(results)
-        xs = [x for x, _ in results]
-        old = _first_fault_or_columns(results)
-        only_values = old if isinstance(old[1], str) else (old[0], [])
-        assert _column_bits(_read(fn.column, xs)) == _column_bits(old), (ast, xs)
-        assert _column_bits(_read(fn.values, xs)) == _column_bits(only_values), (ast, xs)
-        column_faults += isinstance(old[1], str)
+        xs += (column_rng.uniform(-3.0, 3.0) for _ in range(column_rng.randint(0, 4)))
+        column_rng.shuffle(xs)
+        column_faults += isinstance(_assert_agrees(ast, ExprFn(ast), xs)[1], str)
     assert faults >= 1000  # the fault paths were exercised
     assert column_faults >= 1000
 
+
+def _nan_blind_bits(result):
+    # a NaN's sign is not kept (see test_compiled._pack): the exponents
+    # below make NaNs of both signs meet in one multiply
+    a, b = result
+    return (_pack([a]), b) if isinstance(b, str) else (_pack(a), _pack(b))
+
+
+def _reusing(rng, t):
+    """Trees that read the subtree t several times, before and after a
+    derivative-carrying reader (sqrt, or a power whose exponent is below 1
+    or not finite) where the random choices give one."""
+    c = Const(round(rng.uniform(-3.0, 3.0), 4))
+    h = Unary(rng.choice(UNARY_OPS), t)
+    trees = [Binary(op, t, t) for op in "+-*/^"] + [Call2(op, t, t) for op in ("min", "max")]
+    trees += [Binary("+", h, Binary("*", c, t)), Binary("+", Binary("*", c, t), h)]
+    for k in _SPECIALS + (0.0, 1.0, 2.0, 3.0):
+        power = Binary("^", t, Const(k))
+        trees += [Binary("+", power, Binary("*", c, t)), Binary("*", t, power)]
+    return trees
+
+
+def test_repeated_subtrees_match_the_dual_evaluator_bit_for_bit():
+    rng = random.Random(20261020)
+    points = faults = 0
+    while points < 12000:
+        t = random_ast(rng, rng.randint(1, 4))
+        for ast in _reusing(rng, t):
+            xs = [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(0, 4))]
+            xs += [float(rng.randint(-3, 3)), rng.choice((0.0, -0.0, 1e-300))]
+            rng.shuffle(xs)
+            old = _assert_agrees(ast, ExprFn(ast), xs, _nan_blind_bits)
+            if isinstance(old[1], str):
+                faults += 1
+            else:
+                points += len(xs)
+    assert faults >= 1000
+
+
+# NaN twins: equal bits, so shared, though NaN != NaN and the NaNs are
+# two objects
+_NAN_TWINS = Binary("*", Unary("exp", Binary("+", Var(), Const(float("nan")))),
+                    Unary("exp", Binary("+", Var(), Const(float("nan")))))
+
+
+@pytest.mark.parametrize("ast", [
+    # twins that differ only in a zero's sign, which Const(0.0) == Const(-0.0)
+    # does not see: sharing them would flip the sign of the result
+    Binary("-", Binary("*", Var(), Const(-0.0)), Binary("*", Var(), Const(0.0))),
+    Binary("-", Binary("*", Var(), Const(0.0)), Binary("*", Var(), Const(-0.0))),
+    Binary("*", Binary("+", Var(), Const(0.0)), Binary("+", Var(), Const(-0.0))),
+    Binary("*", Unary("exp", Binary("*", Const(-0.0), Var())),
+           Binary("-", Binary("*", Const(-0.0), Var()), Binary("*", Const(0.0), Var()))),
+    # -0.0 read as neg(0.0) has the slope -0.0, Const(-0.0) the slope 0.0
+    Binary("-", Binary("*", Unary("neg", Const(0.0)), Var()), Binary("*", Const(-0.0), Var())),
+    _NAN_TWINS,
+    Binary("+", Binary("^", Var(), Const(math.nan)), Unary("sqrt", Binary("^", Var(), Const(math.nan)))),
+], ids=repr)
+def test_twin_subtrees_are_shared_by_their_bits(ast):
+    fn = ExprFn(ast)
+    for xs in ([-2.0, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 3.0], [1.0, 2.0], [-0.0]):
+        _assert_agrees(ast, fn, xs)
+
+
+def test_nan_twins_are_computed_once():
+    column, values = _loop_source(_NAN_TWINS)[0].split("def values")
+    assert column.count("exp(") == values.count("exp(") == 1
