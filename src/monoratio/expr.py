@@ -54,9 +54,8 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
                 raise _Fault("power derivative singular at zero base")
             return 0.0, 0.0
         if a < 0.0:
-            if math.isinf(b):  # round(b) raises a bare OverflowError, which reads as exp's
-                raise _Fault("cannot convert float infinity to integer")
-            if b != round(b):
+            # round raises for an infinite or NaN b, which is no integer either
+            if not math.isfinite(b) or b != round(b):
                 raise _Fault("negative base with non-integer exponent")
             b = int(round(b))  # at b = -0.0 a float would flip a zero slope's sign
     elif a <= 0.0:

@@ -6,8 +6,9 @@ flat [c, d], then rises), UpDown (the mirror), or Constant.  Everything
 here works on a sign sequence in which values within the zero band
 count as zero.  Every detector reads one column of finite samples
 at strictly increasing x's and takes its band in the column's own units;
-the caller scales it.  Strict and non-strict monotonicity are not
-distinguished; sampled floating-point data cannot certify strictness.
+the caller scales it; the column may be a Column made over the same xs,
+which several detectors then share.  Strict and non-strict monotonicity
+are not distinguished; sampled floating-point data cannot certify strictness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import ge, ne, sub
 from typing import Callable, Iterable, Sequence
 
 from .intervals import Interval
-from .ratio import BadBracket, Grid, check_ascending, refine_sign_change  # noqa: F401
+from .ratio import BadBracket, Grid, refine_sign_change  # noqa: F401
 
 
 class Unclassifiable(Exception):
@@ -56,23 +57,45 @@ class Pattern:
     switch: Interval
 
 
-def _check_columns(xs: Sequence[float], vs: Sequence[float], band: float) -> None:
-    if len(xs) != len(vs) or len(xs) < 16:
-        raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
-    if not isinstance(xs, Grid):  # a Grid was checked when it was made
-        check_ascending(xs)
-    # a NaN or an infinity makes the sum non-finite; so can finite samples
-    # whose sum overflows, hence the scan
-    if not math.isfinite(sum(vs)):
-        i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
-        if i is not None:
-            raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
-    if not band >= 0.0:  # a NaN band would give no zero band at all
-        raise ValueError(f"band must be at least 0, got {band!r}")
-
-
 def _signs(values: Iterable[float], band: float) -> list[int]:
     return [0 if abs(v) <= band else (1 if v > 0.0 else -1) for v in values]
+
+
+class Column:
+    """One sampled quantity as the detectors share it: values vs at the x's
+    of a Grid, their first differences, and their signs once per band.
+    Making one is the detectors' check: 16+ values, as many as xs, ascending
+    xs and finite values, unless finite says the caller tested them."""
+
+    def __init__(self, xs: Sequence[float], vs: Sequence[float], finite: bool = False):
+        if len(xs) != len(vs) or len(xs) < 16:
+            raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
+        self.xs = xs if isinstance(xs, Grid) else Grid(xs)
+        # a NaN or an infinity makes the sum non-finite; so can finite
+        # samples whose sum overflows, hence the scan
+        if not (finite or math.isfinite(sum(vs))):
+            i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
+            if i is not None:
+                raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
+        self.vs = vs
+        self.steps = list(map(sub, vs[1:], vs))
+        self._by_band: dict[float, list[int]] = {}
+
+    def signs(self, band: float) -> list[int]:
+        if band not in self._by_band:
+            self._by_band[band] = _signs(self.vs, band)
+        return self._by_band[band]
+
+
+def _column(xs: Sequence[float], vs: Sequence[float] | Column, band: float) -> Column:
+    """vs as a Column made, and so checked, over xs; then the band is checked."""
+    if not isinstance(vs, Column):
+        vs = Column(xs, vs)
+    elif vs.xs is not xs:
+        raise ValueError("a Column is read with the grid it was made over")
+    if not band >= 0.0:  # a NaN band would give no zero band at all
+        raise ValueError(f"band must be at least 0, got {band!r}")
+    return vs
 
 
 def _runs(signs: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -134,11 +157,11 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
     touches the first or last sample, the switch endpoint snaps to the
     window edge and is flagged open: truncated, true extent unknown.
     """
-    _check_columns(xs, vs, band)
+    column = _column(xs, vs, band)
     lo_edge, hi_edge = window.lo, window.hi
     xtol = 1e-12 * (hi_edge - lo_edge)
 
-    runs = _runs(_signs(vs, band))
+    runs = _runs(column.signs(band))
     shape = [s for s, _, _ in runs]
     kind = _one_switch_kind(shape)
     if kind is PatternKind.CONSTANT:
@@ -166,11 +189,11 @@ def detect_direction(xs: Sequence[float], vs: Sequence[float], band: float) -> P
     within the absolute band.  Zeros inside a monotone run are allowed (a
     non-decreasing function may sit on flats), while the composite kinds
     still require the strict one-switch form."""
-    _check_columns(xs, vs, band)
-    shape = [s for s, _ in groupby(_signs(map(sub, vs[1:], vs), band))]
-    if (1 in shape) != (-1 in shape):  # monotone, flats anywhere
-        shape = [1 if 1 in shape else -1]
-    return _one_switch_kind(shape)
+    steps = _column(xs, vs, band).steps
+    rise, fall = max(steps) > band, min(steps) < -band
+    if not (rise and fall):  # monotone or constant, flats anywhere
+        return _one_switch_kind([rise - fall])
+    return _one_switch_kind([s for s, _ in groupby(_signs(steps, band))])
 
 
 def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
@@ -184,7 +207,8 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     evaluated on ``probe``, the function behind the values.  Endpoints at
     the sampled edge are flagged open (window-truncated).
     """
-    _check_columns(xs, vs, band)
+    column = _column(xs, vs, band)
+    vs = column.vs
     n = len(xs)
     xtol = 1e-12 * (xs[-1] - xs[0])
 
@@ -192,14 +216,14 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     # |vs[j] - vs[j-1]| within the band, so every longer run lies in a
     # piece [a, b) of consecutive joins; on a sampled curve joins are few,
     # and C-level passes find them and the breaks between their pieces
-    joins = list(compress(range(1, n), map(ge, repeat(band), map(abs, map(sub, vs[1:], vs)))))
+    joins = list(compress(range(1, n), map(ge, repeat(band), map(abs, column.steps))))
     breaks = list(compress(range(1, len(joins)), map(ne, map(sub, joins[1:], joins), repeat(1))))
     pieces = [(joins[k] - 1, joins[m - 1] + 1)
               for k, m in zip([0, *breaks], [*breaks, len(joins)])] if joins else []
     raw_runs = []
     # a sample in no piece is a run of its own, which the length test of
     # the loop further down drops whenever two grid cells fit in min_ic_len
-    if not 2.0 * max(map(sub, xs[1:], xs)) <= min_ic_len:
+    if not 2.0 * column.xs.max_cell <= min_ic_len:
         raw_runs += ((i, i) for e, s in zip([0, *(b for _, b in pieces)],
                                             [*(a for a, _ in pieces), n]) for i in range(e, s))
     for a, b in pieces:
@@ -263,10 +287,11 @@ def level0_set(xs: Sequence[float], rho_tilde: Sequence[float], band: float,
     separated by more than 2 grid steps raise NonInterval, which signals
     a non-monotone rho (broken precondition).
     """
-    _check_columns(xs, rho_tilde, band)
+    column = _column(xs, rho_tilde, band)
+    rho_tilde = column.vs
     xtol = 1e-9 * (1.0 + window.length)
 
-    runs = _runs(_signs(rho_tilde, band))
+    runs = _runs(column.signs(band))
     band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
     # index ranges of the in-band runs and of the direct sign
     # crossings between out-of-band neighbours, in order

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
-from operator import lt, ne, truediv
+from operator import lt, ne, sub, truediv
 from typing import Callable, Sequence
 
 from .intervals import Interval
@@ -263,22 +263,20 @@ def rho_tilde_at(pair: FunctionPair, x: float) -> float:
     return (fd * gv - fv * gd) / abs(gd)
 
 
-def check_ascending(xs: Sequence[float]) -> None:
-    if not all(map(lt, xs, xs[1:])):
-        raise ValueError("sample x's must be strictly increasing")
-
-
 class Grid(tuple):
     """A tuple of strictly increasing x's.  Making one checks the ascent,
-    so the detectors that read one grid in turn (check_pair's seven) skip
-    their own check."""
-
-    __slots__ = ()
+    so the Columns made over one grid (check_pair's three) skip their own
+    check, and its largest cell is computed once, when first read."""
 
     def __new__(cls, xs: Sequence[float]):
         grid = super().__new__(cls, xs)
-        check_ascending(grid)
+        if not all(map(lt, grid, grid[1:])):
+            raise ValueError("sample x's must be strictly increasing")
         return grid
+
+    @cached_property
+    def max_cell(self) -> float:
+        return max(map(sub, self[1:], self))
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import add, le, lt, not_, sub, truediv
-from typing import ClassVar
+from operator import add, lt, mul, sub, truediv
+from typing import ClassVar, Sequence
 
 from .intervals import Interval
-from .patterns import (NonInterval, Pattern, PatternKind, Unclassifiable,
+from .patterns import (Column, NonInterval, Pattern, PatternKind, Unclassifiable,
                        detect_direction, detect_mics, detect_pattern, level0_set)
 from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
                     rho_tilde_at, sample_table, values)
@@ -229,12 +229,12 @@ def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
     return ok, tuple(fits)
 
 
-def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
+def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], signs: Sequence[int],
                          fd_step: float) -> tuple[bool, int]:
-    """sign(r') = sign(rho-tilde) wherever rho-tilde is clear of zero; r' is
-    probed by a central finite difference with a step well below the grid
-    spacing, so curvature near a crossing cannot flip the compared sign.
-    r is evaluated from values alone, one column per shifted side."""
+    """sign(r') = sign(rho-tilde), given as signs at the grid's x's, wherever
+    rho-tilde is clear of zero; r' is probed by a central finite difference
+    with a step well below the grid spacing, so curvature near a crossing
+    cannot flip the compared sign.  r is read from values, one column a side."""
 
     def r_column(shift) -> list[float]:
         # dropped before the quotient is built, to keep the check's
@@ -244,16 +244,13 @@ def _check_sign_identity(pair: FunctionPair, table: SampleTable, tol_abs: float,
         del shifted
         return list(map(truediv, fv, gv))
 
-    kept = list(map(lt, repeat(tol_abs), map(abs, table.rho_tilde)))
-    xs = list(compress(table.xs, kept))
+    xs = list(compress(grid, signs))
     r_hi, r_lo = r_column(add), r_column(sub)
-    fd = list(map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step)))
-    # a kept rho-tilde is nonzero; against rho-tilde > 0 a quotient that is
-    # not above 0 is a violation, against rho-tilde < 0 one that is 0 or above
-    rising = list(map(lt, repeat(0.0), compress(table.rho_tilde, kept)))
-    up = list(compress(fd, rising))
-    violations = (len(up) - sum(map(lt, repeat(0.0), up))
-                  + sum(map(le, repeat(0.0), compress(fd, map(not_, rising)))))
+    fd = map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step))
+    # a quotient agrees with rho-tilde's sign s when quotient * s is above
+    # 0; a zero or NaN quotient is a violation against either sign
+    kept = list(compress(signs, signs))
+    violations = len(kept) - sum(map(lt, repeat(0.0), map(mul, fd, kept)))
     return violations == 0, violations
 
 
@@ -282,10 +279,14 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     tol_rt = tol.tol_zero * scale_rt
     min_ic_len = tol.min_ic_steps * step
     rho_tilde = functools.partial(rho_tilde_at, pair)
+    # one summary per column, read by every detector: the differences and
+    # rho-tilde's signs are taken once, and sample_table tested the values
+    r_col, rho_col, rt_col = (Column(xs, column, finite=True)
+                              for column in (table.r, table.rho, table.rho_tilde))
 
     rho_pattern = None
     try:
-        rho_pattern = detect_direction(xs, table.rho, tol.tol_zero * scale_rho)
+        rho_pattern = detect_direction(xs, rho_col, tol.tol_zero * scale_rho)
     except Unclassifiable as err:
         failure = failure or f"rho unclassifiable: {err}"
 
@@ -306,34 +307,36 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
 
     observed = rt_pattern = None
     try:
-        observed = detect_pattern(xs, table.rho_tilde, tol_rt, window=window, probe=rho_tilde)
+        observed = detect_pattern(xs, rt_col, tol_rt, window=window, probe=rho_tilde)
     except Unclassifiable as err:
         failure = failure or f"r pattern unclassifiable from rho-tilde signs: {err}"
     try:
-        rt_pattern = detect_direction(xs, table.rho_tilde, tol_rt)
+        rt_pattern = detect_direction(xs, rt_col, tol_rt)
     except Unclassifiable as err:
         failure = failure or f"rho-tilde unclassifiable: {err}"
 
     level0 = None
     try:
-        level0 = level0_set(xs, table.rho_tilde, tol_rt, rho_tilde, window)
+        level0 = level0_set(xs, rt_col, tol_rt, rho_tilde, window)
     except NonInterval as err:
         failure = failure or str(err)
 
-    mics_r = detect_mics(xs, table.r, tol.tol_flat * scale_r, min_ic_len,
+    mics_r = detect_mics(xs, r_col, tol.tol_flat * scale_r, min_ic_len,
                          probe=functools.partial(ratio_at, pair))
-    mics_rho = detect_mics(xs, table.rho, tol.tol_flat * scale_rho, min_ic_len,
+    mics_rho = detect_mics(xs, rho_col, tol.tol_flat * scale_rho, min_ic_len,
                            probe=functools.partial(rho_at, pair))
-    mics_rt = detect_mics(xs, table.rho_tilde, tol.tol_flat * scale_rt, min_ic_len,
+    mics_rt = detect_mics(xs, rt_col, tol.tol_flat * scale_rt, min_ic_len,
                           probe=rho_tilde)
+    signs = rt_col.signs(tol_rt)
+    # the differences go before the sign check, which sets the allocation peak
+    del r_col, rho_col, rt_col
 
     prop1 = failure is None and _check_prop1(observed, predicted_family,
                                              constant_rho, level0, tol.switch_tol)
     prop2, fits = _check_prop2(table, mics_r, mics_rho, tol)
     prop2 = prop2 and failure is None
     uniqueness = len(mics_r) <= 1
-    sign_ok, violations = _check_sign_identity(pair, table, tol_rt,
-                                               step / tol.fd_shrink)
+    sign_ok, violations = _check_sign_identity(pair, xs, signs, step / tol.fd_shrink)
 
     return AnalysisReport(
         f_label=getattr(pair.f, "label", "f"),

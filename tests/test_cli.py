@@ -66,6 +66,16 @@ def test_analyze_f_domain_fault(capsys):
     assert "log" in err
 
 
+@pytest.mark.parametrize("exponent", ["1e999", "(-1e999)", "(1e999 - 1e999)"])
+def test_analyze_negative_base_to_a_non_finite_power_names_the_fault(capsys, exponent):
+    # an infinite or NaN exponent is no integer: the grid's first x is negative
+    code, _, err = run(capsys, "analyze", "--f", f"x^{exponent} + 1", "--g", "exp(x)",
+                       "--window", "-1", "1", "--grid-n", "256")
+    assert code == 2
+    assert_one_error_line(err)
+    assert "negative base with non-integer exponent at x = -0.99609375" in err
+
+
 def test_analyze_identity_constant(capsys):
     code, out, _ = run(capsys, "analyze", "--f", "x", "--g", "x",
                        "--window", "1", "2", "--grid-n", "256")

@@ -17,6 +17,7 @@ import monoratio as mr
 from monoratio import ratio
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn, random_pair
 from monoratio.expr import Binary, Const, DomainFault, ExprFn, Var, parse
+from monoratio.patterns import Column
 from monoratio.ratio import columns, median_abs, values
 from monoratio.rules import _check_sign_identity
 
@@ -310,7 +311,8 @@ def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
             patch.setattr(ConstructedFn, "__call__", counting("f", ConstructedFn.__call__))
             table = mr.sample_table(pair)
             tol_abs = 1e-7 * (1.0 + median_abs(table.rho_tilde))
-            assert _check_sign_identity(pair, table, tol_abs, table.step / 16.0)[0]
+            signs = Column(table.xs, table.rho_tilde).signs(tol_abs)
+            assert _check_sign_identity(pair, table.xs, signs, table.step / 16.0)[0]
         assert calls["rho"] == g.calls == calls["f"] < 100, (seed, calls, g.calls)
     assert labels == {g.label for g in G_TEMPLATES[1] + G_TEMPLATES[-1]}
 
@@ -365,9 +367,28 @@ def test_sign_identity_reads_values_alone(f, g, window):
         tol_abs = 1e-7 * (1.0 + median_abs(rho_tilde))
         expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
         fakes.f.reads = fakes.g.reads = 0
-        assert _check_sign_identity(fakes, broken, tol_abs, fd_step) == (expected == 0, expected)
+        signs = Column(broken.xs, rho_tilde).signs(tol_abs)
+        assert _check_sign_identity(fakes, broken.xs, signs, fd_step) == (expected == 0, expected)
         # one column of each per shifted side
         assert (fakes.f.reads, fakes.g.reads) == (2, 2)
+
+
+class _NaNValues:
+    """Values that are all NaN, so every difference quotient is NaN."""
+
+    def values(self, xs):
+        return [math.nan] * len(xs)
+
+
+def test_sign_identity_counts_a_nan_quotient_against_either_sign():
+    # rho-tilde of (x^3 - x)/(x + 3) takes both signs on the window
+    pair = mr.make_pair(ExprFn(parse("x^3 - x")), ExprFn(parse("x + 3")), mr.Interval(-1.5, 2.0))
+    table = mr.sample_table(pair)
+    signs = Column(table.xs, table.rho_tilde).signs(1e-7 * (1.0 + median_abs(table.rho_tilde)))
+    assert 1 in signs and -1 in signs
+    nan_f = dataclasses.replace(pair, f=_NaNValues())
+    kept = len(signs) - signs.count(0)
+    assert _check_sign_identity(nan_f, table.xs, signs, table.step / 16.0) == (False, kept)
 
 
 def test_columns_calls_a_plain_function_once_per_point():

@@ -118,7 +118,7 @@ def _d_pow(a, b):
                 raise _Fault("power derivative singular at zero base")
             return _Dual(0.0, 0.0)
         if a.value < 0.0:
-            if c != round(c):
+            if not math.isfinite(c) or c != round(c):
                 raise _Fault("negative base with non-integer exponent")
             n = int(round(c))
             try:

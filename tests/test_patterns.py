@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import monoratio as mr
 from monoratio import Interval, PatternKind
-from monoratio.patterns import (BadBracket, NonInterval, Unclassifiable,
+from monoratio.patterns import (BadBracket, Column, NonInterval, Unclassifiable,
                                 _run_interval, detect_direction, detect_mics,
                                 detect_pattern, level0_set, refine_sign_change)
 from monoratio.ratio import Grid, median_abs
+from monoratio.rules import _check_sign_identity
 
 from helpers import interpolant, mirror_vertical
 
@@ -630,3 +631,68 @@ def test_detectors_reject_non_ascending_xs(as_tuple):
     xs[10], xs[11] = xs[11], xs[10]
     with pytest.raises(ValueError, match="strictly increasing"):
         detect_mics(xs, vs, 1e-9, 0.0, probe)
+
+
+# --- one summary per column --------------------------------------------------
+
+# expr_analyze-style negative controls, f = h(g) + c*g + d with h' not
+# monotone on g's range: a wave, and a cubic whose h' falls then rises, so
+# the first differences of rho take both signs
+_NEGATIVE_CONTROLS = (
+    ("0.8*sin(1.1*(exp(x)) + 0.5) + 0.3*(exp(x)) + 0.2", "exp(x)", (-2.0, 2.0)),
+    ("-1.3*sin(2.4*(x + 3) + 4.1) - 0.6*(x + 3) + 0.1", "x + 3", (-2.0, 2.0)),
+    ("1.2*((exp(x)) - 3.5)^3 + 0.4*(exp(x)) - 0.1", "exp(x)", (-2.0, 2.0)),
+    ("-0.7*((x^2) - 4.2)^3 + 0.9*(x^2) + 0.3", "x^2", (0.5, 3.0)),
+)
+
+
+def _outcome(detector, *args, **kwargs):
+    """The detector's result, or the type and message of its error."""
+    try:
+        return detector(*args, **kwargs)
+    except (Unclassifiable, NonInterval, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("case", [*range(64), *_NEGATIVE_CONTROLS], ids=str)
+def test_detectors_read_a_summary_as_the_plain_column(case):
+    # every detector on r, rho and rho-tilde, at check_pair's bands, from a
+    # Column over the table's grid and from plain lists
+    if isinstance(case, int):
+        pair = mr.random_pair(case)[0]
+    else:
+        f, g, window = case
+        pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn(g), Interval(*window))
+    table = mr.sample_table(pair)
+    grid, xs = table.xs, list(table.xs)
+    min_ic_len = 3.0 * table.step
+    directions = []
+    for vs, probe in ((table.r, functools.partial(mr.ratio_at, pair)),
+                      (table.rho, functools.partial(mr.rho_at, pair)),
+                      (table.rho_tilde, functools.partial(mr.rho_tilde_at, pair))):
+        zero, flat = _band(1e-7, vs), _band(1e-9, vs)
+        column = Column(grid, vs)
+        for detect in (lambda c: detect_pattern(*c, zero, window=pair.window, probe=probe),
+                       lambda c: detect_direction(*c, zero),
+                       lambda c: detect_mics(*c, flat, min_ic_len, probe),
+                       lambda c: level0_set(*c, zero, probe, pair.window)):
+            assert _outcome(detect, (grid, column)) == _outcome(detect, (xs, list(vs)))
+        directions.append(_outcome(detect_direction, grid, column, zero))
+        # the sign check from the summary's signs and from the plain values
+        fd_step = table.step / 16.0
+        own = [(v > zero) - (v < -zero) for v in vs]
+        assert column.signs(zero) == own
+        assert (_check_sign_identity(pair, grid, column.signs(zero), fd_step)
+                == _check_sign_identity(pair, xs, own, fd_step))
+    if not isinstance(case, int):
+        # rho's differences take both signs beyond the band: the sign-run path
+        assert directions[1] not in (PatternKind.INCREASING, PatternKind.DECREASING,
+                                     PatternKind.CONSTANT), directions
+
+
+def test_a_summary_is_read_with_its_own_grid():
+    xs = Grid(_grid(0.0, 1.0, 32))
+    column = Column(xs, [x - 0.5 for x in xs])
+    assert detect_direction(xs, column, 1e-9) is PatternKind.INCREASING
+    with pytest.raises(ValueError, match="the grid it was made over"):
+        detect_direction(list(xs), column, 1e-9)

@@ -4,7 +4,8 @@ import pytest
 
 import monoratio as mr
 from monoratio import Direction, Interval, PatternKind
-from monoratio import rules
+from monoratio import patterns, rules
+from monoratio.patterns import Column
 from monoratio.rules import RULE_ROWS, Tolerances, _check_prop1, _inside
 
 from helpers import mirror_vertical, reflect
@@ -107,6 +108,51 @@ def test_check_pair_takes_one_median_per_column_and_fitted_flat(seed, monkeypatc
     report = mr.check_pair(mr.random_pair(seed)[0])
     assert len(calls) == 3 + len(report.mic_fits)
     assert calls[:3] == [report.grid_n] * 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(seed,
+                                                                               monkeypatch):
+    # a Column takes its first differences when it is made, so one Column
+    # per sampled column is one difference pass each; signs come from one
+    # rho-tilde pass, read by detect_pattern, level0_set and the sign check
+    tables, summaries, signed = [], [], []
+    sample_table, init, signs = rules.sample_table, Column.__init__, patterns._signs
+    monkeypatch.setattr(rules, "sample_table",
+                        lambda *args: tables.append(sample_table(*args)) or tables[-1])
+    monkeypatch.setattr(Column, "__init__",
+                        lambda self, xs, vs, **kw: summaries.append(vs) or init(self, xs, vs, **kw))
+    monkeypatch.setattr(patterns, "_signs", lambda vs, band: signed.append(vs) or signs(vs, band))
+    mr.check_pair(mr.random_pair(seed)[0])
+    (table,) = tables
+    assert list(map(id, summaries)) == list(map(id, (table.r, table.rho, table.rho_tilde)))
+    columns = set(map(id, summaries))
+    assert [id(vs) for vs in signed if id(vs) in columns] == [id(table.rho_tilde)]
+
+
+def _grid(n):
+    return [(i + 0.5) / n for i in range(n)]
+
+
+@pytest.mark.parametrize("xs,vs,message", [
+    (_grid(16), [1.0] * 8 + [float("nan")] + [1.0] * 7,
+     f"sample at x = {_grid(16)[8]!r} is not finite: nan"),
+    (_grid(16), [1.0] * 15 + [float("-inf")], f"sample at x = {_grid(16)[15]!r} is not finite: -inf"),
+    (_grid(15), [1.0] * 15, "need equal x and value columns of 16+ samples, got 15, 15"),
+    (_grid(16), [1.0] * 17, "need equal x and value columns of 16+ samples, got 16, 17"),
+    (_grid(16)[::-1], [1.0] * 16, "sample x's must be strictly increasing"),
+], ids=["nan", "inf", "short", "unequal", "descending"])
+def test_a_summary_rejects_what_the_detectors_reject(xs, vs, message):
+    with pytest.raises(ValueError) as made:
+        Column(xs, vs)
+    assert str(made.value) == message
+    for detect in (lambda: mr.detect_direction(xs, vs, 0.0),
+                   lambda: mr.detect_mics(xs, vs, 0.0, 0.0, probe=abs),
+                   lambda: mr.detect_pattern(xs, vs, 0.0, window=Interval(0.0, 1.0), probe=abs),
+                   lambda: mr.level0_set(xs, vs, 0.0, abs, Interval(0.0, 1.0))):
+        with pytest.raises(ValueError) as detected:
+            detect()
+        assert str(detected.value) == message
 
 
 def test_flat_index_range_is_the_samples_inside():
