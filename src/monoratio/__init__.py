@@ -13,7 +13,7 @@ from .construct import (ConstructedFn, GeneratorConfig, QuadratureError,
                         make_staircase_rho, random_pair)
 from .expr import DomainFault, ExprFn, ParseError, expr_fn, parse
 from .intervals import Interval
-from .patterns import (BadBracket, NonInterval, Pattern, PatternKind,
+from .patterns import (BadBracket, Pattern, PatternKind,
                        Unclassifiable, detect_direction, detect_mics, detect_pattern,
                        level0_set, refine_sign_change)
 from .ratio import (DifferentiableFn, FunctionPair, SampleTable, SignChange,
@@ -28,7 +28,7 @@ __all__ = [
     "AnalysisReport", "BadBracket", "ConstructedFn", "Direction",
     "DifferentiableFn", "DomainFault", "ExprFn",
     "FunctionPair", "GeneratorConfig", "Interval", "MicFit",
-    "NonInterval", "ParseError", "Pattern", "PatternKind", "QuadratureError",
+    "ParseError", "Pattern", "PatternKind", "QuadratureError",
     "RULE_ROWS", "RuleRow", "SampleTable", "SignChange", "StaircaseError",
     "StaircaseFn", "StaircaseSpec", "Tolerances", "Unclassifiable",
     "ValidationError", "ZeroG", "ZeroGPrime", "check_pair",

@@ -31,7 +31,7 @@ from .construct import (GeneratorConfig, QuadratureError, StaircaseError,
                         random_pair)
 from .expr import DomainFault, ExprFn, ParseError, parse
 from .intervals import Interval
-from .ratio import BadBracket, ValidationError, check_grid, make_pair, sample_table
+from .ratio import BadBracket, ValidationError, check_grid, make_pair
 from .rules import CHECK_NAMES, RULE_ROWS, Tolerances, check_pair
 
 EXIT_OK = 0
@@ -50,8 +50,7 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(pair, path: str) -> None:
-    table = sample_table(pair, pair.grid_n)
+def _emit_csv(table, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "f", "g", "r", "rho", "rho_tilde"])
@@ -101,7 +100,7 @@ def _checked_tolerances(args, windows) -> Tolerances:
 def _analyze_pair(pair, args, tol: Tolerances) -> int:
     report = check_pair(pair, tol)
     if args.csv:
-        _emit_csv(pair, args.csv)
+        _emit_csv(report.table, args.csv)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.all_ok else EXIT_CHECKS_FAILED
 

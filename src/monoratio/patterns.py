@@ -30,11 +30,6 @@ class Unclassifiable(Exception):
     tolerance is off or the input's derivative ratio is not monotone."""
 
 
-class NonInterval(Exception):
-    """The sub-tolerance set of rho-tilde has several separated
-    components, which a monotone rho cannot produce."""
-
-
 class PatternKind(str, Enum):
     INCREASING = "Increasing"
     DECREASING = "Decreasing"
@@ -276,60 +271,11 @@ def detect_mics(xs: Sequence[float], vs: Sequence[float], band: float,
     return tuple(intervals)
 
 
-def level0_set(xs: Sequence[float], rho_tilde: Sequence[float], band: float,
-               probe: Callable[[float], float], window: Interval) -> Interval | None:
-    """The set where |rho-tilde| <= band over its column sampled at the
-    strictly increasing xs inside the window, reported as one interval
-    whose endpoints are bisected on probe (rho-tilde as a function).
-    Returns None when rho-tilde keeps one sign clear of the band.  A plain
-    sign crossing with no in-band sample yields a length-0 interval: a
-    switch point, not an interval of constancy.  Several components
-    separated by more than 2 grid steps raise NonInterval, which signals
-    a non-monotone rho (broken precondition).
-    """
-    column = _column(xs, rho_tilde, band)
-    rho_tilde = column.vs
-    xtol = 1e-9 * (1.0 + window.length)
-
-    runs = _runs(column.signs(band))
-    band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
-    # index ranges of the in-band runs and of the direct sign
-    # crossings between out-of-band neighbours, in order
-    features = []
-    prev = 0
-    for s, i0, i1 in runs:
-        if s == 0:
-            features.append((i0, i1))
-        elif prev:
-            features.append((i0 - 1, i0))
-        prev = s
-
-    merged: list[list[int]] = []
-    for i0, i1 in features:
-        if merged and i0 - merged[-1][1] <= 2:
-            merged[-1][1] = i1
-        else:
-            merged.append([i0, i1])
-    if not merged:
+def level0_set(pattern: Pattern | None) -> Interval | None:
+    """The level-0 set of rho-tilde (where it lies within the zero band),
+    read off the pattern detect_pattern found in rho-tilde's sign runs: the
+    switch (a point for a bare crossing, the window for Constant).  None
+    when there is no pattern or rho-tilde keeps one sign clear of the band."""
+    if pattern is None or pattern.kind in (PatternKind.INCREASING, PatternKind.DECREASING):
         return None
-    if len(merged) > 1:
-        spots = ", ".join(f"{xs[a]:.6g}..{xs[b]:.6g}" for a, b in merged)
-        raise NonInterval(
-            f"level-0 set of rho-tilde splits into {len(merged)} components "
-            f"({spots}); rho is not monotone here")
-
-    if not band_runs:
-        # bare crossing: refine on rho-tilde itself
-        i0, i1 = merged[0]
-        if (rho_tilde[i0] > 0.0) == (rho_tilde[i1] > 0.0):
-            raise NonInterval(
-                f"rho-tilde changes sign an even number of times within "
-                f"{xs[i0]:.6g}..{xs[i1]:.6g}; rho is not monotone here")
-        root = refine_sign_change(probe, (xs[i0], xs[i1]), xtol)
-        return Interval(root, root)
-
-    def band_probe(t: float) -> float:
-        return abs(probe(t)) - band
-
-    return _run_interval(xs, band_runs[0][0], band_runs[-1][1], band_probe, band_probe,
-                         window.lo, window.hi, xtol)
+    return pattern.switch

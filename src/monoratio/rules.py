@@ -22,14 +22,14 @@ import functools
 import math
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
 from operator import add, lt, mul, sub, truediv
 from typing import ClassVar, Sequence
 
 from .intervals import Interval
-from .patterns import (Column, NonInterval, Pattern, PatternKind, Unclassifiable,
+from .patterns import (Column, Pattern, PatternKind, Unclassifiable,
                        detect_direction, detect_mics, detect_pattern, level0_set)
 from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
                     rho_tilde_at, sample_table, values)
@@ -75,7 +75,7 @@ class Tolerances:
     tol_zero: float = 1e-7                   # zero band of rho and rho-tilde
     tol_flat: ClassVar[float] = 1e-9         # constancy band for m.i.c. detection
     min_ic_steps: ClassVar[float] = 3.0      # shortest constancy run, in grid steps
-    switch_tol: ClassVar[float] = 1e-3       # switch vs level-0 endpoint agreement, in x
+    switch_tol: ClassVar[float] = 1e-3       # switch agreement, in x; the window must be longer
     mic_match_steps: ClassVar[float] = 2.0   # r-mic vs rho-mic agreement, in grid steps
     residual_tol: ClassVar[float] = 1e-6     # r - (K1 + C/g) residual on rho's flats
     c_tol: ClassVar[float] = 1e-6            # |C| below this counts as zero
@@ -126,6 +126,9 @@ class AnalysisReport:
     sign_violations: int
     failure: str | None
     tolerances: Tolerances
+    # the samples every check read, for a caller that dumps them; not part
+    # of the report's value, so to_dict, == and hash leave it out
+    table: SampleTable = field(repr=False, compare=False)
 
     @property
     def all_ok(self) -> bool:
@@ -165,22 +168,18 @@ class AnalysisReport:
 
 
 def _check_prop1(observed: Pattern | None, family: PatternKind | None,
-                 constant_rho: bool, level0: Interval | None,
-                 switch_tol: float) -> bool:
+                 constant_rho: bool) -> bool:
+    """r's observed kind lies in the predicted family.  The switch is
+    rho-tilde's level-0 set by construction (level0_set reads it off the
+    pattern), so only the kind is compared."""
     if observed is None or family is None:
         return False
     kind = observed.kind
-    composite = kind in (PatternKind.DOWN_UP, PatternKind.UP_DOWN)
-    if composite and (kind is not family or constant_rho):
-        # the other family's composite (the degenerate kinds fit either),
-        # or any composite when rho is constant: r = K1 + C/g is then
-        # monotone or constant
-        return False
-    if level0 is None:
-        return kind in (PatternKind.INCREASING, PatternKind.DECREASING)
-    switch = observed.switch
-    return (abs(switch.lo - level0.lo) <= switch_tol
-            and abs(switch.hi - level0.hi) <= switch_tol)
+    # the other family's composite fails (the degenerate kinds fit either),
+    # and so does any composite when rho is constant: r = K1 + C/g is then
+    # monotone or constant
+    return (kind not in (PatternKind.DOWN_UP, PatternKind.UP_DOWN)
+            or (kind is family and not constant_rho))
 
 
 def _inside(table: SampleTable, interval: Interval) -> range:
@@ -315,11 +314,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     except Unclassifiable as err:
         failure = failure or f"rho-tilde unclassifiable: {err}"
 
-    level0 = None
-    try:
-        level0 = level0_set(xs, rt_col, tol_rt, rho_tilde, window)
-    except NonInterval as err:
-        failure = failure or str(err)
+    level0 = level0_set(observed)
 
     mics_r = detect_mics(xs, r_col, tol.tol_flat * scale_r, min_ic_len,
                          probe=functools.partial(ratio_at, pair))
@@ -331,8 +326,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     # the differences go before the sign check, which sets the allocation peak
     del r_col, rho_col, rt_col
 
-    prop1 = failure is None and _check_prop1(observed, predicted_family,
-                                             constant_rho, level0, tol.switch_tol)
+    prop1 = failure is None and _check_prop1(observed, predicted_family, constant_rho)
     prop2, fits = _check_prop2(table, mics_r, mics_rho, tol)
     prop2 = prop2 and failure is None
     uniqueness = len(mics_r) <= 1
@@ -360,4 +354,5 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
         sign_violations=violations,
         failure=failure,
         tolerances=tol,
+        table=table,
     )

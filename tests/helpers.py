@@ -1,7 +1,9 @@
 """Shared test machinery: random expression trees and a pretty printer
 for them, the central finite-difference oracle for derivative checks, the
-samples' linear interpolant as a detector probe, and the vertical and
-horizontal reflections of functions, pairs, intervals and patterns."""
+samples' linear interpolant as a detector probe, the vertical and
+horizontal reflections of functions, pairs, intervals and patterns, and
+the second reading of rho-tilde's sign runs that the level-0 set once
+made, kept as a reference for the one that detect_pattern makes."""
 
 import dataclasses
 import math
@@ -10,7 +12,8 @@ from bisect import bisect_right
 
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
 from monoratio.intervals import Interval
-from monoratio.patterns import PatternKind
+from monoratio.patterns import PatternKind, _column, _run_interval, _runs
+from monoratio.ratio import refine_sign_change
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 
@@ -186,3 +189,67 @@ def mirror_vertical(kind: PatternKind) -> PatternKind:
     """The kind of a pattern's vertical reflection; it also maps a
     predicted r family to the other family."""
     return _VERTICAL_MIRROR[kind]
+
+
+class NonInterval(Exception):
+    """The sub-band set of rho-tilde has several separated components,
+    which a monotone rho cannot produce."""
+
+
+def reference_level0_set(xs, rho_tilde, band, probe, window):
+    """The level-0 set as it was read before detect_pattern's switch took
+    its place: a second pass over rho-tilde's sign runs at the band.
+
+    The set where |rho-tilde| <= band, as one interval whose ends are
+    bisected on probe (rho-tilde as a function) with the looser xtol
+    1e-9 * (1 + window length); None when rho-tilde keeps one sign clear of
+    the band.  A plain sign crossing with no in-band sample yields a
+    length-0 interval.  Components more than 2 grid steps apart, or an
+    even number of crossings merged into one, raise NonInterval.
+    """
+    column = _column(xs, rho_tilde, band)
+    rho_tilde = column.vs
+    xtol = 1e-9 * (1.0 + window.length)
+
+    runs = _runs(column.signs(band))
+    band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
+    # index ranges of the in-band runs and of the direct sign
+    # crossings between out-of-band neighbours, in order
+    features = []
+    prev = 0
+    for s, i0, i1 in runs:
+        if s == 0:
+            features.append((i0, i1))
+        elif prev:
+            features.append((i0 - 1, i0))
+        prev = s
+
+    merged = []
+    for i0, i1 in features:
+        if merged and i0 - merged[-1][1] <= 2:
+            merged[-1][1] = i1
+        else:
+            merged.append([i0, i1])
+    if not merged:
+        return None
+    if len(merged) > 1:
+        spots = ", ".join(f"{xs[a]:.6g}..{xs[b]:.6g}" for a, b in merged)
+        raise NonInterval(
+            f"level-0 set of rho-tilde splits into {len(merged)} components "
+            f"({spots}); rho is not monotone here")
+
+    if not band_runs:
+        # bare crossing: refine on rho-tilde itself
+        i0, i1 = merged[0]
+        if (rho_tilde[i0] > 0.0) == (rho_tilde[i1] > 0.0):
+            raise NonInterval(
+                f"rho-tilde changes sign an even number of times within "
+                f"{xs[i0]:.6g}..{xs[i1]:.6g}; rho is not monotone here")
+        root = refine_sign_change(probe, (xs[i0], xs[i1]), xtol)
+        return Interval(root, root)
+
+    def band_probe(t):
+        return abs(probe(t)) - band
+
+    return _run_interval(xs, band_runs[0][0], band_runs[-1][1], band_probe, band_probe,
+                         window.lo, window.hi, xtol)

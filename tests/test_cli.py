@@ -206,6 +206,26 @@ def test_analyze_csv_rows_match_grid(tmp_path, capsys):
     assert r == pytest.approx(x)
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--f", "x^2", "--g", "x", "--window", "0.1", "10"),
+    ("construct", "--g", "exp(x)", "--rho", "atan(x)", "--z", "0", "--window", "-2", "2"),
+], ids=["analyze", "construct"])
+def test_csv_rows_come_from_the_checked_table(argv, tmp_path, capsys, monkeypatch):
+    # the rows are the table check_pair sampled, not a second sampling
+    tables = []
+    sample_table = monoratio.ratio.sample_table
+    for module in (monoratio.ratio, monoratio.rules, monoratio.cli):
+        if hasattr(module, "sample_table"):
+            monkeypatch.setattr(module, "sample_table",
+                                lambda *args: tables.append(sample_table(*args)) or tables[-1])
+    out_csv = tmp_path / "dump.csv"
+    code, out, _ = run(capsys, *argv, "--grid-n", "128", "--csv", str(out_csv))
+    assert code == 0 and len(tables) == 1
+    rows = list(csv.reader(out_csv.open()))
+    assert len(rows) == 129
+    assert [float(row[0]) for row in rows[1:]] == list(tables[0].xs)
+
+
 def test_analyze_out_file(tmp_path, capsys):
     out_json = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze", "--f", "x^2", "--g", "x",

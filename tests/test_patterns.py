@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -6,18 +7,19 @@ import re
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monoratio as mr
 from monoratio import Interval, PatternKind
-from monoratio.patterns import (BadBracket, Column, NonInterval, Unclassifiable,
-                                _run_interval, detect_direction, detect_mics,
-                                detect_pattern, level0_set, refine_sign_change)
+from monoratio.patterns import (BadBracket, Column, Unclassifiable, _one_switch_kind,
+                                _run_interval, _runs, _signs, detect_direction,
+                                detect_mics, detect_pattern, level0_set,
+                                refine_sign_change)
 from monoratio.ratio import Grid, median_abs
 from monoratio.rules import _check_sign_identity
 
-from helpers import interpolant, mirror_vertical
+from helpers import NonInterval, interpolant, mirror_vertical, reference_level0_set
 
 
 def _grid(lo, hi, n):
@@ -289,9 +291,10 @@ def test_pattern_rejects_negative_or_nan_band(band):
 
 @pytest.mark.parametrize("band", [-1e-9, math.nan])
 def test_level0_rejects_negative_or_nan_band(band):
+    # the level-0 set is read off the pattern, whose detector checks the band
     with pytest.raises(ValueError, match="band"):
-        level0_set(*_samples(lambda x: x - 0.5, 0.0, 1.0), band, lambda t: t - 0.5,
-                   Interval(0.0, 1.0))
+        level0_set(detect_pattern(*_samples(lambda x: x - 0.5, 0.0, 1.0), band,
+                                  window=Interval(0.0, 1.0), probe=lambda t: t - 0.5))
 
 
 def test_mics_zero_tol_run_on_the_last_sample():
@@ -530,8 +533,6 @@ def test_detectors_reject_non_finite_samples(vs):
         detect_direction(xs, vs, 1e-9)
     with pytest.raises(ValueError, match=match):
         detect_mics(xs, vs, 1e-9, 0.0, probe=interpolant(xs, vs))
-    with pytest.raises(ValueError, match=match):
-        level0_set(xs, vs, 1e-9, lambda t: 1.0, Interval(0.0, 1.0))
 
 
 def test_detectors_accept_finite_samples_whose_sum_overflows():
@@ -540,16 +541,19 @@ def test_detectors_accept_finite_samples_whose_sum_overflows():
     mics = detect_mics(xs, vs, 0.0, 0.0, probe=interpolant(xs, vs))
     assert [(m.lo, m.hi) for m in mics] == [(xs[0], xs[-1])]
     assert detect_direction(xs, vs, 0.0) is PatternKind.CONSTANT
-    assert level0_set(xs, vs, 0.0, lambda t: 1.5e308, Interval(0.0, 1.0)) is None
+    pattern = detect_pattern(xs, vs, 0.0, window=Interval(0.0, 1.0), probe=interpolant(xs, vs))
+    assert pattern.kind is PatternKind.INCREASING and level0_set(pattern) is None
 
 
 # --- level0_set --------------------------------------------------------------
 
 def _level0(pair, table=None):
-    """level0_set on the pair's rho-tilde column, banded as check_pair bands it."""
+    """The level-0 set read off r's pattern on the pair's rho-tilde column,
+    banded as check_pair bands it."""
     table = table or mr.sample_table(pair)
-    return level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
-                      functools.partial(mr.rho_tilde_at, pair), pair.window)
+    return level0_set(detect_pattern(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
+                                     window=pair.window,
+                                     probe=functools.partial(mr.rho_tilde_at, pair)))
 
 
 def test_level0_staircase(staircase_pair):
@@ -579,11 +583,25 @@ def test_level0_single_crossing_degenerate():
     assert l0.lo == pytest.approx(1.0, abs=1e-5)
 
 
+def _assert_unclassifiable_with_no_level0(pair):
+    # a level-0 set that is no interval comes with sign runs of no
+    # one-switch shape, so r's pattern is unclassifiable and no set is read;
+    # the report's failure names the first reason, rho's non-monotonicity
+    with pytest.raises(Unclassifiable, match="does not fit a one-switch pattern"):
+        _level0(pair)
+    report = mr.check_pair(pair)
+    assert report.observed_pattern is None and report.level0 is None
+    assert report.failure and not report.all_ok
+
+
 def test_level0_non_interval_for_wavy_rho():
     pair = mr.make_pair(mr.expr_fn("sin(x)"), mr.expr_fn("x"),
                         Interval(0.1, 9.0), 1024)
-    with pytest.raises(NonInterval):
-        _level0(pair)
+    table = mr.sample_table(pair)
+    with pytest.raises(NonInterval, match="components"):
+        reference_level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
+                             functools.partial(mr.rho_tilde_at, pair), pair.window)
+    _assert_unclassifiable_with_no_level0(pair)
 
 
 def test_level0_close_double_crossing_is_non_interval():
@@ -592,10 +610,11 @@ def test_level0_close_double_crossing_is_non_interval():
     # the zero band, which bracket no single root
     f = "(-1.977267)*(exp(-x) - 2.60666)^3 + (-0.101499)*exp(-x) + (-0.000974)"
     pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(-x)"), Interval(-2.0, 2.0))
+    table = mr.sample_table(pair)
     with pytest.raises(NonInterval, match="even number"):
-        _level0(pair)
-    report = mr.check_pair(pair)
-    assert report.failure and not report.all_ok
+        reference_level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
+                             functools.partial(mr.rho_tilde_at, pair), pair.window)
+    _assert_unclassifiable_with_no_level0(pair)
 
 
 def test_level0_agrees_with_r_mics(staircase_pair):
@@ -625,8 +644,6 @@ def test_detectors_reject_non_ascending_xs(as_tuple):
             detect_direction(bad, vs, 1e-9)
         with pytest.raises(ValueError, match="strictly increasing"):
             detect_mics(bad, vs, 1e-9, 0.0, probe)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            level0_set(bad, vs, 1e-9, lambda t: t - 0.5, Interval(0.0, 1.0))
     # a list checked once may change after: it is checked again
     xs[10], xs[11] = xs[11], xs[10]
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -650,7 +667,7 @@ def _outcome(detector, *args, **kwargs):
     """The detector's result, or the type and message of its error."""
     try:
         return detector(*args, **kwargs)
-    except (Unclassifiable, NonInterval, ValueError) as err:
+    except (Unclassifiable, ValueError) as err:
         return type(err), str(err)
 
 
@@ -674,8 +691,7 @@ def test_detectors_read_a_summary_as_the_plain_column(case):
         column = Column(grid, vs)
         for detect in (lambda c: detect_pattern(*c, zero, window=pair.window, probe=probe),
                        lambda c: detect_direction(*c, zero),
-                       lambda c: detect_mics(*c, flat, min_ic_len, probe),
-                       lambda c: level0_set(*c, zero, probe, pair.window)):
+                       lambda c: detect_mics(*c, flat, min_ic_len, probe)):
             assert _outcome(detect, (grid, column)) == _outcome(detect, (xs, list(vs)))
         directions.append(_outcome(detect_direction, grid, column, zero))
         # the sign check from the summary's signs and from the plain values
@@ -696,3 +712,92 @@ def test_a_summary_is_read_with_its_own_grid():
     assert detect_direction(xs, column, 1e-9) is PatternKind.INCREASING
     with pytest.raises(ValueError, match="the grid it was made over"):
         detect_direction(list(xs), column, 1e-9)
+
+
+# --- the level-0 set is the pattern's switch ----------------------------------
+
+def _epsilon_pairs(eps):
+    """random_pair seeds 0-63 with a flat, rebuilt with K = rho(z) + eps."""
+    quad_tol = mr.GeneratorConfig().quad_tol
+    for seed in range(64):
+        pair, spec, chosen = mr.random_pair(seed)
+        if spec.flats:
+            rho = mr.make_staircase_rho(spec)
+            z = chosen.midpoint
+            f = mr.construct_f(pair.g, rho, z, rho(z)[0] + eps, pair.window, quad_tol)
+            yield dataclasses.replace(pair, f=f)
+
+
+def _both_level0_sets(pair):
+    """The level-0 set read off the pattern, and the reference's second
+    reading of the same column; None for a pattern or set that fails."""
+    table = mr.sample_table(pair)
+    args = (table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde))
+    probe = functools.partial(mr.rho_tilde_at, pair)
+    try:
+        got = level0_set(detect_pattern(*args, window=pair.window, probe=probe))
+    except Unclassifiable:
+        got = None
+    try:
+        want = reference_level0_set(*args, probe, pair.window)
+    except NonInterval:
+        want = None
+    return got, want
+
+
+@pytest.mark.parametrize("case", [*range(64), *_NEGATIVE_CONTROLS, 1e-8, 1e-7, 1e-6],
+                         ids=str)
+def test_level0_set_is_the_reference_reading(case):
+    # the same runs at the same band, each end bisected to the same root:
+    # only the bisections' xtol differs (1e-12 * L against 1e-9 * (1 + L))
+    if isinstance(case, int):
+        pairs = [mr.random_pair(case)[0]]
+    elif isinstance(case, float):
+        pairs = list(_epsilon_pairs(case))
+        assert len(pairs) == 51
+    else:
+        f, g, window = case
+        pairs = [mr.make_pair(mr.expr_fn(f), mr.expr_fn(g), Interval(*window))]
+    for pair in pairs:
+        got, want = _both_level0_sets(pair)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed)
+            assert abs(got.lo - want.lo) <= 2e-9 and abs(got.hi - want.hi) <= 2e-9
+
+
+@st.composite
+def _sign_shapes(draw):
+    """A column of 16+ samples at band 0.5 made of 1-4 runs of distinct
+    adjacent signs: out-of-band samples of magnitude 0.6-3, in-band ones
+    within 0.4 of zero, either sign."""
+    signs = [draw(st.sampled_from([-1, 0, 1]))]
+    for _ in range(draw(st.integers(0, 3))):
+        signs.append(draw(st.sampled_from([s for s in (-1, 0, 1) if s != signs[-1]])))
+    lengths = [draw(st.integers(1, 12)) for _ in signs]
+    lengths[-1] = max(lengths[-1], 16 - sum(lengths[:-1]))
+    vs = []
+    for s, k in zip(signs, lengths):
+        vs += [s * draw(st.floats(0.6, 3.0)) if s else draw(st.floats(-0.4, 0.4))
+               for _ in range(k)]
+    return vs
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_sign_shapes())
+def test_accepted_sign_shapes_are_one_level0_interval(vs):
+    # a shape of one-switch form has at most one in-band run or one bare
+    # crossing, so the reference's NonInterval never fires on it
+    shape = [s for s, _, _ in _runs(_signs(vs, 0.5))]
+    try:
+        _one_switch_kind(shape)
+    except Unclassifiable:
+        assume(False)
+    xs = _grid(0.0, 1.0, len(vs))
+    window, probe = Interval(0.0, 1.0), interpolant(xs, vs)
+    want = reference_level0_set(xs, vs, 0.5, probe, window)
+    got = level0_set(detect_pattern(xs, vs, 0.5, window=window, probe=probe))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed)
+        assert abs(got.lo - want.lo) <= 4e-9 and abs(got.hi - want.hi) <= 4e-9

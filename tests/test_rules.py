@@ -69,12 +69,16 @@ def _pair(f_src, g_src, lo, hi, n=512):
 
 def test_prop1_family_membership():
     # a family holds its composite and every degenerate kind, never the
-    # other family's composite
+    # other family's composite; with rho constant it holds no composite
     switch = Interval(0.0, 1.0)
     for family in (DOWN_UP, UP_DOWN):
         for kind in PatternKind:
-            ok = _check_prop1(mr.Pattern(kind, switch), family, False, switch, 1e-3)
+            ok = _check_prop1(mr.Pattern(kind, switch), family, False)
             assert ok == ((family, kind) not in {(DOWN_UP, UP_DOWN), (UP_DOWN, DOWN_UP)})
+            ok = _check_prop1(mr.Pattern(kind, switch), family, True)
+            assert ok == (kind not in (DOWN_UP, UP_DOWN))
+    assert not _check_prop1(None, DOWN_UP, False)
+    assert not _check_prop1(mr.Pattern(DOWN_UP, switch), None, False)
 
 
 @pytest.mark.parametrize("tol_zero", [float("nan"), float("inf"), -1e-9, 1.0, 10.0])
@@ -115,9 +119,13 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
                                                                                monkeypatch):
     # a Column takes its first differences when it is made, so one Column
     # per sampled column is one difference pass each; signs come from one
-    # rho-tilde pass, read by detect_pattern, level0_set and the sign check
-    tables, summaries, signed = [], [], []
+    # rho-tilde pass, read by detect_pattern and the sign check, and
+    # detect_pattern's is the one pass over their runs (the level-0 set is
+    # its switch)
+    tables, summaries, signed, runs = [], [], [], []
     sample_table, init, signs = rules.sample_table, Column.__init__, patterns._signs
+    run_pass = patterns._runs
+    monkeypatch.setattr(patterns, "_runs", lambda s: runs.append(s) or run_pass(s))
     monkeypatch.setattr(rules, "sample_table",
                         lambda *args: tables.append(sample_table(*args)) or tables[-1])
     monkeypatch.setattr(Column, "__init__",
@@ -128,6 +136,7 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
     assert list(map(id, summaries)) == list(map(id, (table.r, table.rho, table.rho_tilde)))
     columns = set(map(id, summaries))
     assert [id(vs) for vs in signed if id(vs) in columns] == [id(table.rho_tilde)]
+    assert len(runs) == 1
 
 
 def _grid(n):
@@ -148,8 +157,7 @@ def test_a_summary_rejects_what_the_detectors_reject(xs, vs, message):
     assert str(made.value) == message
     for detect in (lambda: mr.detect_direction(xs, vs, 0.0),
                    lambda: mr.detect_mics(xs, vs, 0.0, 0.0, probe=abs),
-                   lambda: mr.detect_pattern(xs, vs, 0.0, window=Interval(0.0, 1.0), probe=abs),
-                   lambda: mr.level0_set(xs, vs, 0.0, abs, Interval(0.0, 1.0))):
+                   lambda: mr.detect_pattern(xs, vs, 0.0, window=Interval(0.0, 1.0), probe=abs)):
         with pytest.raises(ValueError) as detected:
             detect()
         assert str(detected.value) == message
