@@ -219,7 +219,7 @@ def test_csv_rows_come_from_the_checked_table(argv, tmp_path, capsys, monkeypatc
             monkeypatch.setattr(module, "sample_table",
                                 lambda *args: tables.append(sample_table(*args)) or tables[-1])
     out_csv = tmp_path / "dump.csv"
-    code, out, _ = run(capsys, *argv, "--grid-n", "128", "--csv", str(out_csv))
+    code, _, _ = run(capsys, *argv, "--grid-n", "128", "--csv", str(out_csv))
     assert code == 0 and len(tables) == 1
     rows = list(csv.reader(out_csv.open()))
     assert len(rows) == 129

@@ -556,6 +556,19 @@ def _level0(pair, table=None):
                                      probe=functools.partial(mr.rho_tilde_at, pair)))
 
 
+def _reference_level0(pair, table):
+    """The reference's second reading of the same column, at the same band."""
+    return reference_level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
+                                functools.partial(mr.rho_tilde_at, pair), pair.window)
+
+
+def _assert_same_level0(got, want, tol):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed)
+        assert abs(got.lo - want.lo) <= tol and abs(got.hi - want.hi) <= tol
+
+
 def test_level0_staircase(staircase_pair):
     pair, _, _ = staircase_pair
     l0 = _level0(pair)
@@ -597,10 +610,8 @@ def _assert_unclassifiable_with_no_level0(pair):
 def test_level0_non_interval_for_wavy_rho():
     pair = mr.make_pair(mr.expr_fn("sin(x)"), mr.expr_fn("x"),
                         Interval(0.1, 9.0), 1024)
-    table = mr.sample_table(pair)
     with pytest.raises(NonInterval, match="components"):
-        reference_level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
-                             functools.partial(mr.rho_tilde_at, pair), pair.window)
+        _reference_level0(pair, mr.sample_table(pair))
     _assert_unclassifiable_with_no_level0(pair)
 
 
@@ -610,10 +621,8 @@ def test_level0_close_double_crossing_is_non_interval():
     # the zero band, which bracket no single root
     f = "(-1.977267)*(exp(-x) - 2.60666)^3 + (-0.101499)*exp(-x) + (-0.000974)"
     pair = mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(-x)"), Interval(-2.0, 2.0))
-    table = mr.sample_table(pair)
     with pytest.raises(NonInterval, match="even number"):
-        reference_level0_set(table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde),
-                             functools.partial(mr.rho_tilde_at, pair), pair.window)
+        _reference_level0(pair, mr.sample_table(pair))
     _assert_unclassifiable_with_no_level0(pair)
 
 
@@ -729,17 +738,15 @@ def _epsilon_pairs(eps):
 
 
 def _both_level0_sets(pair):
-    """The level-0 set read off the pattern, and the reference's second
-    reading of the same column; None for a pattern or set that fails."""
+    """The level-0 set read off the pattern, and the reference's reading;
+    None for a pattern or set that fails."""
     table = mr.sample_table(pair)
-    args = (table.xs, table.rho_tilde, _band(1e-7, table.rho_tilde))
-    probe = functools.partial(mr.rho_tilde_at, pair)
     try:
-        got = level0_set(detect_pattern(*args, window=pair.window, probe=probe))
+        got = _level0(pair, table)
     except Unclassifiable:
         got = None
     try:
-        want = reference_level0_set(*args, probe, pair.window)
+        want = _reference_level0(pair, table)
     except NonInterval:
         want = None
     return got, want
@@ -759,11 +766,7 @@ def test_level0_set_is_the_reference_reading(case):
         f, g, window = case
         pairs = [mr.make_pair(mr.expr_fn(f), mr.expr_fn(g), Interval(*window))]
     for pair in pairs:
-        got, want = _both_level0_sets(pair)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed)
-            assert abs(got.lo - want.lo) <= 2e-9 and abs(got.hi - want.hi) <= 2e-9
+        _assert_same_level0(*_both_level0_sets(pair), 2e-9)
 
 
 @st.composite
@@ -795,9 +798,5 @@ def test_accepted_sign_shapes_are_one_level0_interval(vs):
         assume(False)
     xs = _grid(0.0, 1.0, len(vs))
     window, probe = Interval(0.0, 1.0), interpolant(xs, vs)
-    want = reference_level0_set(xs, vs, 0.5, probe, window)
-    got = level0_set(detect_pattern(xs, vs, 0.5, window=window, probe=probe))
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert (got.lo_closed, got.hi_closed) == (want.lo_closed, want.hi_closed)
-        assert abs(got.lo - want.lo) <= 4e-9 and abs(got.hi - want.hi) <= 4e-9
+    _assert_same_level0(level0_set(detect_pattern(xs, vs, 0.5, window=window, probe=probe)),
+                        reference_level0_set(xs, vs, 0.5, probe, window), 4e-9)
