@@ -10,10 +10,7 @@ Exit codes: 0 all checks passed, 1 expression or staircase parse error,
 2 a standing assumption failed, 3 at least one check failed (a verify
 case that raises fails every check), 64 usage error or a file that
 cannot be read or written.  Handlers raise and main maps each failure
-family to its code.  MONOTONE_RATIO_THREADS caps verify parallelism
-(also capped at the CPU count and the number of cases); a worker returns
-a case's error as the text of its stderr line, and lets only BadBracket, a
-bug, propagate, as analyze does.
+family to its code.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections import Counter
 
@@ -137,22 +133,16 @@ def cmd_construct(args) -> int:
     return _analyze_pair(make_pair(f, g, window, args.grid_n), args, tol)
 
 
-def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
+def _verify_case(case_seed: int, config: GeneratorConfig, tol: Tolerances
                  ) -> tuple[tuple[tuple[str, bool], ...], str | None]:
     """The report's (name, ok) checks for one generated pair and None; or,
     when making or checking the pair raises an ArithmeticError (such as a
     QuadratureError) or a ValueError, every check failed and the error as
     one "Type: message" line.  A BadBracket is a bug, not a failing case:
-    it propagates, as main lets it under analyze.
-
-    This is the one place that decides how a failing case crosses the
-    verify process pool: a case returns plain values (check names, bools,
-    the error's text); the one exception it raises, BadBracket, pickles by
-    its message."""
-    config = GeneratorConfig(grid_n=grid_n, quad_tol=quad_tol)
+    it propagates, as main lets it under analyze."""
     try:
         pair, _, _ = random_pair(case_seed, config)
-        return check_pair(pair, Tolerances(tol_zero=tol_zero)).checks, None
+        return check_pair(pair, tol).checks, None
     except BadBracket:
         raise
     except (ArithmeticError, ValueError) as err:
@@ -162,28 +152,10 @@ def _verify_case(case_seed: int, grid_n: int, tol_zero: float, quad_tol: float
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise _UsageError("--cases must be at least 1")
-    _checked_tolerances(args, GeneratorConfig.windows)
-    raw_threads = os.environ.get("MONOTONE_RATIO_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise _UsageError("MONOTONE_RATIO_THREADS must be a positive integer, "
-                          f"got {raw_threads!r}")
-    seeds = [args.seed + i for i in range(args.cases)]
-    threads = min(threads, os.cpu_count() or 1, len(seeds))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                _verify_case, seeds,
-                [args.grid_n] * len(seeds), [args.tol_zero] * len(seeds),
-                [args.quad_tol] * len(seeds)))
-    else:
-        results = [_verify_case(s, args.grid_n, args.tol_zero, args.quad_tol)
-                   for s in seeds]
-    # results arrive in seed order either way, so output is deterministic
+    tol = _checked_tolerances(args, GeneratorConfig.windows)
+    config = GeneratorConfig(grid_n=args.grid_n, quad_tol=args.quad_tol)
+    seeds = range(args.seed, args.seed + args.cases)
+    results = [_verify_case(seed, config, tol) for seed in seeds]
     for seed, (_, error) in zip(seeds, results):
         if error is not None:
             print(f"error: seed {seed}: {error}", file=sys.stderr)

@@ -38,7 +38,7 @@ class QuadratureError(ArithmeticError):
     def __init__(self, a: float, b: float, estimate: float):
         self.a, self.b, self.estimate = a, b, estimate
         super().__init__(
-            f"quadrature did not converge on [{a:g}, {b:g}] "
+            f"quadrature did not converge on [{a!r}, {b!r}] "
             f"(error estimate {estimate:.3g})")
 
 
@@ -404,11 +404,16 @@ class ConstructedFn:
 
 
 def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -> None:
-    """Raise ValidationError at the first of n samples where rho's sampled
-    direction reverses; steps within 1e-12 relative count as flat."""
+    """Raise ValidationError at the first of n samples that is not finite,
+    else at the first where rho's sampled direction reverses; steps within
+    1e-12 relative count as flat."""
     step = window.length / (n - 1)
     xs = [window.lo + i * step for i in range(n)]
     vs = values(rho, xs)
+    if not math.isfinite(sum(vs)):  # as in sample_table: the sum, then the scan
+        i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
+        if i is not None:
+            raise ValidationError(xs[i], f"rho takes the non-finite value {vs[i]!r}")
     tol = 1e-12 * (1.0 + max(map(abs, vs)))
     direction = 0
     for i in range(n - 1):

@@ -85,7 +85,6 @@ class LineTracer:
 def run_corpus(tracer: LineTracer) -> list[str]:
     """Run the corpus under the tracer; returns one line per command whose
     exit code differs from the README's."""
-    os.environ.pop("MONOTONE_RATIO_THREADS", None)  # keep every case in this process
     wrong = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:

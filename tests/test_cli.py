@@ -366,6 +366,14 @@ def test_construct_non_monotone_rho_names_the_turn(capsys):
     assert abs(float(err.split("near x =")[1])) < 0.05
 
 
+def test_construct_non_finite_rho_names_the_first_sample(capsys):
+    # inf*x - inf*x is NaN everywhere: once read as flat, so the build failed
+    # later with a quadrature error on the panel [-2, -2]
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "1e308*10*x - 1e308*10*x", "--z", "0")
+    assert code == 2 and out == ""
+    assert err == "error: assumption violated: rho takes the non-finite value nan near x = -2\n"
+
+
 @pytest.mark.parametrize("argv", [
     (*_CONSTRUCT, "--z", "0", "--staircase", "{missing}/stair.json"),
     (*_CONSTRUCT, "--z", "0", "--staircase", "{tmp}"),
@@ -450,42 +458,6 @@ def test_verify_zero_cases_is_usage_error(capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-def test_verify_bad_thread_count_is_usage_error(capsys, monkeypatch, threads):
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", threads)
-    code, out, err = run(capsys, "verify", "--cases", "1", "--grid-n", "256")
-    assert code == 64
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "MONOTONE_RATIO_THREADS" in err
-
-
-@pytest.mark.parametrize("cases,cpus,workers", [(3, 8, 3), (6, 4, 4)])
-def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers):
-    import concurrent.futures
-
-    seen = []
-
-    class SerialPool:  # records the requested size, spawns nothing
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1000")
-    code, out, _ = run(capsys, "verify", "--cases", str(cases), "--grid-n", "256")
-    assert seen == [workers]
-    assert code == 0 and json.loads(out)["cases"] == cases
-
-
 @pytest.mark.parametrize("error", [
     monoratio.QuadratureError(-0.5, 0.25, 3e-9), monoratio.DomainFault(0.5, "log of non-positive argument"),
     monoratio.ValidationError(1.5, "rho is not monotone on the window"), monoratio.ZeroG(-0.0),
@@ -493,8 +465,6 @@ def test_verify_thread_count_is_capped(capsys, monkeypatch, cases, cpus, workers
     monoratio.ParseError(0, "empty expression"), monoratio.StaircaseError("slopes must be positive")],
     ids=lambda error: type(error).__name__)
 def test_a_case_error_reaches_the_parent_as_its_line(capsys, monkeypatch, error):
-    # all but the last fail to unpickle (their __init__ takes other
-    # arguments than their message), so a worker returns the error as text
     import monoratio.cli as cli
 
     def random_pair(seed, config):
@@ -504,20 +474,16 @@ def test_a_case_error_reaches_the_parent_as_its_line(capsys, monkeypatch, error)
 
     monkeypatch.setattr(cli, "random_pair", random_pair)
     line = f"{type(error).__name__}: {error}"
-    assert cli._verify_case(1, 256, 1e-7, 1e-10) == \
+    config = monoratio.GeneratorConfig(grid_n=256)
+    assert cli._verify_case(1, config, monoratio.Tolerances()) == \
         (tuple((name, False) for name in cli.CHECK_NAMES), line)
-    argv = ("verify", "--seed", "0", "--cases", "2", "--grid-n", "256")
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1")
-    serial = run(capsys, *argv)
-    assert serial[0] == 3 and json.loads(serial[1])["failing_seeds"] == [1]
-    assert serial[2] == f"error: seed 1: {line}\n"
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
-    assert run(capsys, *argv) == serial
+    code, out, err = run(capsys, "verify", "--seed", "0", "--cases", "2", "--grid-n", "256")
+    assert code == 3 and json.loads(out)["failing_seeds"] == [1]
+    assert err == f"error: seed 1: {line}\n"
 
 
 def test_verify_lets_a_bad_bracket_propagate(monkeypatch):
-    # a bug, as under analyze: not a failing seed, on either path
+    # a bug, as under analyze: not a failing seed
     import monoratio.cli as cli
 
     def random_pair(seed, config):
@@ -526,26 +492,8 @@ def test_verify_lets_a_bad_bracket_propagate(monkeypatch):
         return monoratio.random_pair(seed, config)
 
     monkeypatch.setattr(cli, "random_pair", random_pair)
-    argv = ["verify", "--seed", "0", "--cases", "2", "--grid-n", "256"]
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MONOTONE_RATIO_THREADS", threads)
-        with pytest.raises(BadBracket, match=r"^no sign change in \[0, 1\]$"):
-            main(argv)
-
-
-def test_verify_error_in_a_worker_is_the_serial_error(capsys, monkeypatch):
-    # every panel fails to converge at this tolerance, so both cases raise:
-    # each is a failing seed with one stderr line, on either path
-    argv = ("verify", "--cases", "2", "--quad-tol", "1e-300")
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "1")
-    serial = run(capsys, *argv)
-    assert serial[0] == 3 and json.loads(serial[1])["failing_seeds"] == [0, 1]
-    assert [line.split(": ")[:3] for line in serial[2].splitlines()] == \
-        [["error", f"seed {seed}", "QuadratureError"] for seed in (0, 1)]
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setenv("MONOTONE_RATIO_THREADS", "2")
-    assert run(capsys, *argv) == serial
+    with pytest.raises(BadBracket, match=r"^no sign change in \[0, 1\]$"):
+        main(["verify", "--seed", "0", "--cases", "2", "--grid-n", "256"])
 
 
 def test_verify_survives_a_faulting_case(capsys):
@@ -562,6 +510,29 @@ def test_verify_survives_a_faulting_case(capsys):
     assert len(lines) == 4 and "Traceback" not in err
     for seed, line in zip(range(4), lines):
         assert line.startswith(f"error: seed {seed}: QuadratureError: quadrature did not converge")
+        # each failing panel is about 4e-15 wide: its ends, once printed
+        # with :g, read alike
+        ends = line[line.index("[") + 1:line.index("]")].split(", ")
+        lo, hi = map(float, ends)
+        assert lo < hi and ends == [repr(lo), repr(hi)]
+
+
+@pytest.mark.parametrize("extra", [(), ("--quad-tol", "1e-30")], ids=["default", "faulting"])
+def test_verify_seed_ranges_split_a_campaign(capsys, extra):
+    # each case depends on its seed alone, so disjoint --seed/--cases ranges
+    # run side by side add up to the whole campaign, as the README advises
+    def verify(seed, cases):
+        code, out, err = run(capsys, "verify", "--seed", str(seed), "--cases", str(cases),
+                             "--grid-n", "256", *extra)
+        return code, json.loads(out), err
+
+    (code, whole, err), parts = verify(0, 4), (verify(0, 2), verify(2, 2))
+    assert code == max(part[0] for part in parts)
+    assert whole["failing_seeds"] == [s for part in parts for s in part[1]["failing_seeds"]]
+    assert whole["checks"] == {
+        name: {key: sum(part[1]["checks"][name][key] for part in parts) for key in counts}
+        for name, counts in whole["checks"].items()}
+    assert err == "".join(part[2] for part in parts)
 
 
 def test_verify_counts_a_faulting_case_among_passing_ones(capsys, monkeypatch):
