@@ -14,7 +14,8 @@ integrated quartic through the leaf's five samples.  One column of rho's
 values and g's derivatives holds the five samples of every node interval,
 and one loop over the node intervals appends each leaf's row: an interval
 whose first estimate passes is one leaf, and one that fails is refined, one
-point at a time, its leaves appended in place.  A query then looks up its
+point at a time, its leaves appended in place.  A fault is rho's first in
+the column, else g's, else one met by the loop.  A query then looks up its
 leaf and evaluates a polynomial, with no integrand calls.
 """
 
@@ -46,37 +47,18 @@ class StaircaseError(ValueError):
     """Invalid staircase specification."""
 
 
-def _simpson_leaves(fn: Callable[[float], float], nodes: Sequence[float],
-                    tol: float, max_depth: int):
-    """Yield the panels adaptive Simpson accepts on each [nodes[i],
-    nodes[i + 1]] (nodes ascending), left to right, as
-    (x0, h, f0, f1, f2, f3, f4, value): fn sampled at x0 + k*h/4 and the
-    accepted, Richardson-corrected integral.
-
-    Every node interval starts at tolerance tol, which halves with each
-    split; a panel's error estimate is |S_fine - S_coarse|/15.  Adjacent
-    intervals share their end sample, and empty ones yield nothing.
-
-    Raises QuadratureError if a panel's estimate is still above tolerance
-    at max_depth.
-    """
-    fb = fn(nodes[0])
-    for a, b in zip(nodes, nodes[1:]):
-        fa, fb = fb, fn(b)
-        if a != b:
-            m = 0.5 * (a + b)
-            fm = fn(m)
-            yield from _refined(fn, a, b, fa, fn(0.5 * (a + m)), fm, fn(0.5 * (m + b)), fb,
-                                tol, max_depth)
+# depth at which a panel that still fails its estimate raises QuadratureError
+_MAX_DEPTH = 40
 
 
 def _refined(fn: Callable[[float], float], a: float, b: float, f0: float, f1: float,
-             f2: float, f3: float, f4: float, tol: float, max_depth: int):
-    """Yield _simpson_leaves's panels on [a, b] (a < b), given fn's samples
-    f0 ... f4 at a + k*(b - a)/4; fn is called, in _simpson_leaves's order,
-    only at the points the subdivision adds.  The subdivision runs on an
-    explicit stack: a self-referencing closure would be a reference cycle
-    that keeps every caller's table alive until a full garbage collection."""
+             f2: float, f3: float, f4: float, tol: float):
+    """Yield the panels adaptive Simpson accepts on [a, b] (a < b), left to
+    right, as (x0, h, f0, ..., f4), fn's samples at x0 + k*h/4, given f0 ...
+    f4 at a + k*(b - a)/4, calling fn only where splits add points.  tol
+    halves per split; a panel still above it at _MAX_DEPTH raises
+    QuadratureError.  The splits run on a stack: a self-referencing closure
+    would be a cycle holding every caller's table until a full collection."""
     stack = [(a, b, f0, f2, f4, (b - a) / 6.0 * (f0 + 4.0 * f2 + f4), tol, 0)]
     quarters = f1, f3
     while stack:
@@ -89,9 +71,9 @@ def _refined(fn: Callable[[float], float], a: float, b: float, f0: float, f1: fl
         right = h12 * (f1 + 4.0 * frm + f2)
         est = (left + right - whole) / 15.0
         if abs(est) <= panel_tol:
-            yield x0, x2 - x0, f0, flm, f1, frm, f2, left + right + est
+            yield x0, x2 - x0, f0, flm, f1, frm, f2
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(x0, x2, abs(est))
         half = 0.5 * panel_tol
         stack.append((x1, x2, f1, frm, f2, right, half, depth + 1))
@@ -100,11 +82,10 @@ def _refined(fn: Callable[[float], float], a: float, b: float, f0: float, f1: fl
 
 def _column_leaves(fn: Callable[[float], float], ends: list[float], fs: list[float],
                    tol: float):
-    """Yield the leaves _simpson_leaves(fn, ends, tol, 40) yields, given
-    fs, fn's samples at each interval's ends, quarter points and midpoint
-    in ascending x: an interval whose first estimate passes, by
-    _simpson_leaves's floats, is one leaf; one that fails it is refined
-    from its five samples, and an empty one is skipped."""
+    """Yield _refined's leaves on each [ends[j], ends[j + 1]], given fs,
+    fn's samples at the intervals' ends, quarter points and midpoints in
+    ascending x: an interval whose first estimate passes is one leaf, one
+    that fails is refined, and an empty one is skipped."""
     for a, b, f0, f1, f2, f3, f4 in zip(ends, ends[1:], fs[0:-1:4], fs[1::4], fs[2::4],
                                         fs[3::4], fs[4::4]):
         h = b - a
@@ -112,42 +93,32 @@ def _column_leaves(fn: Callable[[float], float], ends: list[float], fs: list[flo
             continue
         if abs((h / 12.0 * (f0 + 4.0 * f1 + f2) + h / 12.0 * (f2 + 4.0 * f3 + f4)
                 - h / 6.0 * (f0 + 4.0 * f2 + f4)) / 15.0) <= tol:
-            yield a, h, f0, f1, f2, f3, f4, None  # as _simpson_leaves yields it
+            yield a, h, f0, f1, f2, f3, f4
         else:
-            yield from _refined(fn, a, b, f0, f1, f2, f3, f4, tol, 40)
+            yield from _refined(fn, a, b, f0, f1, f2, f3, f4, tol)
 
 
 def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
                 tol: float) -> tuple[list[float], list[tuple[float, ...]]]:
-    """(starts, rows) of the leaves _simpson_leaves(integrand, ends, tol, 40)
-    yields, where integrand(u) is rho(u)[0] * g(u)[1]: each leaf's start
-    and its row (cumulative integral, 1/h, c1 ... c5), the integral
-    starting at 0.
+    """(starts, rows) of _column_leaves's leaves for the integrand
+    rho(u)[0] * g(u)[1]: each leaf's start and its row (integral from
+    ends[0], 1/h, c1 ... c5).
 
-    One column of rho's values and g's derivatives holds the five samples
-    of every interval [ends[j], ends[j + 1]], in ascending x, and
-    _column_leaves takes the intervals from it in order, so an interval
-    is sampled again only where its refinement needs new points.  If the
-    column faults, the build runs _simpson_leaves itself, one point at a
-    time, so the error raised is the one the leaf-at-a-time build raises
-    first: a fault of rho or g, or a QuadratureError before it.
+    One column of rho's values and g's derivatives holds every interval's
+    five samples, in ascending x, so an interval is sampled again only
+    where its refinement adds points.  Reading the column raises rho's
+    first fault, else g's; then a QuadratureError, or a refinement point's
+    fault, is raised left to right.
     """
-    def integrand(u: float) -> float:
-        return rho(u)[0] * g(u)[1]
-
     mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     xs = [0.0] * (4 * len(mids) + 1)
     xs[0::4], xs[2::4] = ends, mids
     xs[1::4] = [0.5 * (a + m) for a, m in zip(ends, mids)]
     xs[3::4] = [0.5 * (m + b) for m, b in zip(mids, ends[1:])]
-    try:
-        fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
-    except (ArithmeticError, ValueError):
-        leaves = _simpson_leaves(integrand, ends, tol, 40)
-    else:
-        leaves = _column_leaves(integrand, ends, fs, tol)
+    fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
     starts, rows, cum = [], [], 0.0
-    for x0, h, f0, f1, f2, f3, f4, _ in leaves:
+    for x0, h, f0, f1, f2, f3, f4 in _column_leaves(lambda u: rho(u)[0] * g(u)[1],
+                                                    ends, fs, tol):
         # h * (integral from 0 to t of the quartic through (k/4, f_k))
         # = c1 t + ... + c5 t^5, from the forward differences d1 ... d4
         # of the samples; at t = 1 it is Boole's rule, the accepted value
@@ -212,15 +183,26 @@ class StaircaseSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StaircaseSpec":
         """The spec a parsed JSON object describes; StaircaseError if it is
-        malformed (wrong shapes or types) or invalid."""
+        malformed (not arrays of JSON numbers where those belong) or invalid."""
+        def array(v):
+            if type(v) is not list:
+                raise TypeError(f"expected an array, got {v!r:.40}")
+            return v
+
+        def number(v):
+            if type(v) not in (int, float):  # bool is an int, but no JSON number
+                raise TypeError(f"expected a number, got {v!r:.40}")
+            return float(v)
+
         try:
             fields = dict(
-                flats=tuple((float(lo), float(hi)) for lo, hi in data.get("flats", [])),
-                slopes=tuple(float(s) for s in data.get("slopes", [1.0])),
+                flats=tuple((number(lo), number(hi))
+                            for lo, hi in map(array, array(data.get("flats", [])))),
+                slopes=tuple(map(number, array(data.get("slopes", [1.0])))),
                 direction=data.get("direction", "up"),
-                anchor_value=float(data.get("anchor_value", 0.0)),
+                anchor_value=number(data.get("anchor_value", 0.0)),
             )
-        except (AttributeError, TypeError, ValueError) as err:
+        except (AttributeError, TypeError, ValueError, OverflowError) as err:
             raise StaircaseError(f"malformed staircase spec: {err}") from None
         return cls(**fields)
 
@@ -315,11 +297,10 @@ class ConstructedFn:
     intervals in one loop, appending each leaf's start and row with the
     running integral; an interval whose first estimate fails is refined
     from its five column samples and its leaves appended in place.  The
-    table is, float for
-    float, the one a build of one integrand call per sample and one leaf at
-    a time makes, and so is the error: if the column faults, the grid is
-    sampled again one point at a time, so a fault of rho or g, or a
-    QuadratureError before it, is raised as that build raises it.
+    table is, float for float, the one a build of one integrand call per
+    sample and one leaf at a time makes.  Its error is rho's first fault in
+    the column, else g's, else a QuadratureError or refinement-point fault,
+    left to right.
 
     A query bisects for its leaf, unpacks its row and evaluates one
     degree-5 polynomial; it calls neither rho nor g for the value.  A
@@ -337,6 +318,8 @@ class ConstructedFn:
         # NaN or a negative tol fails every panel, and inf accepts them all
         if not (math.isfinite(quad_tol) and quad_tol > 0.0):
             raise ValueError(f"quad_tol must be finite and above 0, got {quad_tol!r}")
+        if not window.length > 0.0:  # else the build has no leaf to hold z
+            raise ValueError(f"window must have positive length, got {window}")
         self.g = g
         self.rho = rho
         self.z = z

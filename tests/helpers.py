@@ -1,15 +1,18 @@
 """Shared test machinery: random expression trees and a pretty printer
 for them, the central finite-difference oracle for derivative checks, the
 samples' linear interpolant as a detector probe, the vertical and
-horizontal reflections of functions, pairs, intervals and patterns, and
-the second reading of rho-tilde's sign runs that the level-0 set once
-made, kept as a reference for the one that detect_pattern makes."""
+horizontal reflections of functions, pairs, intervals and patterns, the
+second reading of rho-tilde's sign runs that the level-0 set once made,
+kept as a reference for the one that detect_pattern makes, and the
+leaf-at-a-time adaptive Simpson the constructor's build once ran, kept as
+the reference its table must match."""
 
 import dataclasses
 import math
 import random
 from bisect import bisect_right
 
+from monoratio.construct import _MAX_DEPTH, QuadratureError
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
 from monoratio.intervals import Interval
 from monoratio.patterns import PatternKind, _column, _run_interval, _runs
@@ -253,3 +256,37 @@ def reference_level0_set(xs, rho_tilde, band, probe, window):
 
     return _run_interval(xs, band_runs[0][0], band_runs[-1][1], band_probe, band_probe,
                          window.lo, window.hi, xtol)
+
+
+def simpson_leaves(fn, nodes, tol):
+    """The panels adaptive Simpson accepts on each [nodes[i], nodes[i + 1]]
+    (nodes ascending), left to right, by one fn call per sample and one
+    leaf at a time, as (x0, h, f0, f1, f2, f3, f4, value): fn sampled at
+    x0 + k*h/4 and the accepted, Richardson-corrected integral.
+
+    Every node interval starts at tolerance tol, which halves with each
+    split; a panel's error estimate is |S_fine - S_coarse|/15.  Adjacent
+    intervals share their end sample, and empty ones yield nothing.
+    Raises QuadratureError if a panel's estimate is still above tolerance
+    at the constructor's depth bound.
+    """
+    def panel(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        fl, fr = fn(0.5 * (a + m)), fn(0.5 * (m + b))
+        h12 = (b - a) / 12.0
+        left, right = h12 * (fa + 4.0 * fl + fm), h12 * (fm + 4.0 * fr + fb)
+        est = (left + right - whole) / 15.0
+        if abs(est) <= tol:
+            yield a, b - a, fa, fl, fm, fr, fb, left + right + est
+        elif depth >= _MAX_DEPTH:
+            raise QuadratureError(a, b, abs(est))
+        else:
+            yield from panel(a, m, fa, fl, fm, left, 0.5 * tol, depth + 1)
+            yield from panel(m, b, fm, fr, fb, right, 0.5 * tol, depth + 1)
+
+    fb = fn(nodes[0])
+    for a, b in zip(nodes, nodes[1:]):
+        fa, fb = fb, fn(b)
+        if a != b:
+            fm = fn(0.5 * (a + b))
+            yield from panel(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)

@@ -275,6 +275,12 @@ _CONSTRUCT = ("construct", "--g", "exp(x)", "--window", "-2", "2", "--grid-n", "
     '{"flats": "ab"}',
     '{"slopes": ["a"]}',
     '{"flats": [[0, 1]], "slopes": [1, 1], "anchor_value": null}',
+    # strings, booleans and objects are no arrays or JSON numbers
+    '{"flats": ["01"], "slopes": [1, 1]}',
+    '{"slopes": {"2": 0}}',
+    '{"slopes": [true]}',
+    '{"slopes": [1], "anchor_value": "0.5"}',
+    pytest.param('{"slopes": [' + "9" * 400 + "]}", id="an int too large for a float"),
     b"\xff\xfe\x7b",  # not UTF-8
     pytest.param('{"flats": ' + "[" * 100_000 + "]" * 100_000 + "}",
                  id="nested past the json module's recursion limit"),
@@ -372,6 +378,16 @@ def test_construct_non_finite_rho_names_the_first_sample(capsys):
     code, out, err = run(capsys, *_CONSTRUCT, "--rho", "1e308*10*x - 1e308*10*x", "--z", "0")
     assert code == 2 and out == ""
     assert err == "error: assumption violated: rho takes the non-finite value nan near x = -2\n"
+
+
+def test_construct_column_fault_names_its_point(capsys):
+    # rho faults at the build point 0.25; read as one column before any
+    # panel is refined, so the panel that cannot converge at this
+    # tolerance is never reached
+    code, out, err = run(capsys, *_CONSTRUCT, "--rho", "x + 0*log(abs(x - 0.25))", "--z", "0",
+                         "--quad-tol", "1e-30")
+    assert code == 2 and out == ""
+    assert err == "error: assumption violated: log of non-positive argument at x = 0.25\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,12 +9,12 @@ from monoratio import Interval, construct
 from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
                                  GeneratorConfig, QuadratureError,
                                  StaircaseError, StaircaseFn, StaircaseSpec,
-                                 _draw_flats, _simpson_leaves, construct_f,
+                                 _draw_flats, _leaf_table, construct_f,
                                  make_staircase_rho, random_pair)
 from monoratio.expr import DomainFault
 from monoratio.ratio import median_abs
 
-from helpers import interpolant
+from helpers import interpolant, simpson_leaves
 
 
 def _unit_flat_spec():
@@ -24,13 +24,19 @@ def _unit_flat_spec():
 # --- adaptive Simpson --------------------------------------------------------
 
 def test_simpson_polynomial_exact():
-    leaves = _simpson_leaves(lambda u: u * u, (0.0, 3.0), 1e-10, 40)
+    leaves = simpson_leaves(lambda u: u * u, (0.0, 3.0), 1e-10)
     assert sum(value for *_, value in leaves) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_simpson_depth_exhaustion():
-    with pytest.raises(QuadratureError):
-        list(_simpson_leaves(math.exp, (0.0, 4.0), 1e-18, 1))
+    # rounding keeps every estimate above a tolerance this small, down to
+    # the depth bound; the build's own refinement stops at the same panel
+    with pytest.raises(QuadratureError) as reference:
+        list(simpson_leaves(math.exp, (0.0, 4.0), 1e-18))
+    with pytest.raises(QuadratureError) as build:
+        _leaf_table(lambda x: (1.0, 0.0), G_TEMPLATES[1][0], [0.0, 4.0], 1e-18)
+    assert vars(build.value) == vars(reference.value)
+    assert reference.value.b - reference.value.a == 4.0 / 2 ** 40
 
 
 # --- staircase ---------------------------------------------------------------
@@ -176,6 +182,15 @@ def test_construct_rejects_bad_quad_tol(quad_tol):
         assert str(err.value) == f"quad_tol must be finite and above 0, got {quad_tol!r}"
 
 
+def test_construct_rejects_zero_length_window():
+    # with no node interval the build has no leaf to hold z
+    g, rho, window = mr.expr_fn("exp(x)"), mr.expr_fn("atan(x)"), Interval(0.0, 0.0)
+    for build in (construct_f, ConstructedFn):
+        with pytest.raises(ValueError) as err:
+            build(g, rho, 0.0, 0.0, window)
+        assert str(err.value) == "window must have positive length, got [0, 0]"
+
+
 def test_construct_smooth_atan_rho():
     # smooth monotone rho without breakpoints; single degenerate choice
     rho = mr.expr_fn("atan(2*x)")
@@ -212,7 +227,7 @@ def _scalar_table(g, rho, window, quad_tol=1e-10):
     nodes.sort()
     nodes.append(hi)
     starts, rows, cum = [], [], 0.0
-    for x0, h, f0, f1, f2, f3, f4, _ in _simpson_leaves(integrand, nodes, quad_tol, 40):
+    for x0, h, f0, f1, f2, f3, f4, _ in simpson_leaves(integrand, nodes, quad_tol):
         p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
         q1, q2, q3 = p2 - p1, p3 - p2, p4 - p3
         r1, r2 = q2 - q1, q3 - q2
@@ -300,23 +315,32 @@ def _faulty_step_rho(fault_lo, fault_hi):
     return rho
 
 
-@pytest.mark.parametrize("fault_lo, fault_hi, error", [
-    # the jump's interval stops the leaf-at-a-time build before it reaches
-    # the fault at 0.400390625, a sample of the same block
-    (0.4, 0.401, QuadratureError),
+@pytest.mark.parametrize("fault_lo, fault_hi, x", [
+    # a sample of the jump's block: the column is read, and faults, before
+    # the jump's panel is refined
+    (0.4, 0.401, 0.400390625),
     # [0.2578125, 0.26171875] faults at its mid, last quarter point and
-    # end; the leaf-at-a-time build samples the end first
-    (0.2597, 0.2618, DomainFault),
+    # end; the mid is the column's first
+    (0.2597, 0.2618, 0.259765625),
 ])
-def test_blocked_build_raises_scalar_builds_error(fault_lo, fault_hi, error):
+def test_blocked_build_raises_the_columns_first_fault(fault_lo, fault_hi, x):
     rho, g, window = _faulty_step_rho(fault_lo, fault_hi), mr.expr_fn("exp(x)"), Interval(-2.0, 2.0)
-    with pytest.raises(error) as scalar:
-        _scalar_table(g, rho, window)
-    with pytest.raises(error) as blocked:
+    with pytest.raises(DomainFault) as blocked:
         construct_f(g, rho, 0.0, 0.0, window)
-    assert vars(blocked.value) == vars(scalar.value)
-    if error is DomainFault:
-        assert blocked.value.x == 0.26171875
+    assert blocked.value.x == x
+
+
+def test_blocked_build_raises_rhos_fault_before_gs():
+    # g faults at 0.25, left of rho's fault at 1.5; both are build points,
+    # and neither is a sample of construct_f's checks
+    g = mr.expr_fn("exp(x) + 0*log(abs(x - 0.25))")
+    rho = mr.expr_fn("x + 0*log(abs(x - 1.5))")
+    with pytest.raises(DomainFault) as blocked:
+        construct_f(g, rho, 0.0, 0.0, Interval(-2.0, 2.0))
+    assert blocked.value.x == 1.5
+    with pytest.raises(DomainFault) as g_only:
+        construct_f(g, mr.expr_fn("x"), 0.0, 0.0, Interval(-2.0, 2.0))
+    assert g_only.value.x == 0.25
 
 
 def test_blocked_build_without_split_makes_no_scalar_rho_calls(monkeypatch):
