@@ -249,23 +249,19 @@ class StaircaseFn:
         return base if s == 0.0 else base + s * (x - x0), s
 
     def values(self, xs: Sequence[float]) -> list[float]:
-        """The value at every x, the float of one call per x.  The segment
-        index moves along ascending xs; it is bisected again only where xs
-        step back or are NaN."""
-        nodes, rows, last = self.breakpoints, self._rows, len(self.breakpoints)
-        out = []
-        i, lo, nxt = 0, math.nan, -math.inf
-        for x in xs:
-            if not lo <= x < nxt:  # left segment i: reload its row and ends
-                if lo <= x:
-                    while i < last and nodes[i] <= x:
-                        i += 1
-                else:  # stepped back (or NaN): bisect again
-                    i = bisect.bisect_right(nodes, x)
-                base, x0, s = rows[i]
-                lo = nodes[i - 1] if i else -math.inf
-                nxt = nodes[i] if i < last else math.inf
-            out.append(base if s == 0.0 else base + s * (x - x0))
+        """The value at every x, the float of one call per x.  Ascending xs
+        are cut at the breakpoints, one list per segment; xs that step back
+        or hold a NaN take one call per x where there is a breakpoint."""
+        if self.breakpoints and (math.isnan(sum(xs)) or sorted(xs) != list(xs)):
+            return [self(x)[0] for x in xs]
+        # segment i holds the xs from breakpoint i - 1 up to, not at, breakpoint i
+        ends = [bisect.bisect_left(xs, node) for node in self.breakpoints]
+        ends.append(len(xs))
+        out, start = [], 0
+        for (base, x0, s), end in zip(self._rows, ends):
+            out += [base] * (end - start) if s == 0.0 else [base + s * (x - x0)
+                                                            for x in xs[start:end]]
+            start = end
         return out
 
     def __repr__(self) -> str:

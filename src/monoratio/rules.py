@@ -25,11 +25,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
-from operator import add, lt, mul, sub, truediv
+from operator import add, ge, le, lt, mul, sub, truediv
 from typing import ClassVar, Sequence
 
 from .intervals import Interval
-from .patterns import (Column, Pattern, PatternKind, Unclassifiable,
+from .patterns import (Column, Pattern, PatternKind, Unclassifiable, _runs,
                        detect_direction, detect_mics, detect_pattern, level0_set)
 from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
                     rho_tilde_at, sample_table, values)
@@ -228,27 +228,45 @@ def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
     return ok, tuple(fits)
 
 
-def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], signs: Sequence[int],
-                         fd_step: float) -> tuple[bool, int]:
+def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], r: Sequence[float],
+                         signs: Sequence[int], fd_step: float) -> tuple[bool, int]:
     """sign(r') = sign(rho-tilde), given as signs at the grid's x's, wherever
-    rho-tilde is clear of zero; r' is probed by a central finite difference
-    with a step well below the grid spacing, so curvature near a crossing
-    cannot flip the compared sign.  r is read from values, one column a side."""
+    rho-tilde is clear of zero, with r the table's finite samples there.
+
+    A kept sample is decided from the table when both grid neighbours are
+    kept with its sign and r[i+1] - r[i-1] has that sign too.  Every other
+    kept sample (a window edge, a neighbour of the band or of a sign
+    change, a two-cell difference against its sign) has r' probed by a
+    central finite difference with a step well below the grid spacing, so
+    curvature near a crossing cannot flip the compared sign; r is read
+    there from values, one column a side, and nothing is read when no
+    sample is left.  The table's evidence is at grid scale: an r that
+    wiggles inside each cell against rho-tilde, while its two-cell
+    differences keep rho-tilde's sign, passes where the stencil fails it."""
+    stencil = []  # the indices the table cannot decide, ascending
+    for s, first, last in _runs(signs):
+        if s == 0:
+            continue
+        # a run's ends border another sign or the window; its inside is
+        # undecided where the two-cell difference is 0 or against s
+        steps = map(sub, r[first + 2:last + 1], r[first:last - 1])
+        stencil.append(first)
+        stencil += compress(range(first + 1, last), map(ge if s > 0 else le, repeat(0.0), steps))
+        if last > first:
+            stencil.append(last)
+    if not stencil:
+        return True, 0
 
     def r_column(shift) -> list[float]:
-        # dropped before the quotient is built, to keep the check's
-        # allocation peak down
         shifted = list(map(shift, xs, repeat(fd_step)))
-        fv, gv = values(pair.f, shifted), values(pair.g, shifted)
-        del shifted
-        return list(map(truediv, fv, gv))
+        return list(map(truediv, values(pair.f, shifted), values(pair.g, shifted)))
 
-    xs = list(compress(grid, signs))
+    xs = list(map(grid.__getitem__, stencil))
     r_hi, r_lo = r_column(add), r_column(sub)
     fd = map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step))
     # a quotient agrees with rho-tilde's sign s when quotient * s is above
     # 0; a zero or NaN quotient is a violation against either sign
-    kept = list(compress(signs, signs))
+    kept = list(map(signs.__getitem__, stencil))
     violations = len(kept) - sum(map(lt, repeat(0.0), map(mul, fd, kept)))
     return violations == 0, violations
 
@@ -323,14 +341,15 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     mics_rt = detect_mics(xs, rt_col, tol.tol_flat * scale_rt, min_ic_len,
                           probe=rho_tilde)
     signs = rt_col.signs(tol_rt)
-    # the differences go before the sign check, which sets the allocation peak
+    # the differences go before the sign check, which would otherwise
+    # allocate on top of them, above the peak that r's m.i.c. sweep sets
     del r_col, rho_col, rt_col
 
     prop1 = failure is None and _check_prop1(observed, predicted_family, constant_rho)
     prop2, fits = _check_prop2(table, mics_r, mics_rho, tol)
     prop2 = prop2 and failure is None
     uniqueness = len(mics_r) <= 1
-    sign_ok, violations = _check_sign_identity(pair, xs, signs, step / tol.fd_shrink)
+    sign_ok, violations = _check_sign_identity(pair, xs, table.r, signs, step / tol.fd_shrink)
 
     return AnalysisReport(
         f_label=getattr(pair.f, "label", "f"),

@@ -3,20 +3,23 @@ for them, the central finite-difference oracle for derivative checks, the
 samples' linear interpolant as a detector probe, the vertical and
 horizontal reflections of functions, pairs, intervals and patterns, the
 second reading of rho-tilde's sign runs that the level-0 set once made,
-kept as a reference for the one that detect_pattern makes, and the
+kept as a reference for the one that detect_pattern makes, the
 leaf-at-a-time adaptive Simpson the constructor's build once ran, kept as
-the reference its table must match."""
+the reference its table must match, and the sign-identity check that
+probes every kept sample, kept as the reference for the grid-first one."""
 
 import dataclasses
 import math
 import random
 from bisect import bisect_right
+from itertools import compress, repeat
+from operator import add, lt, mul, sub, truediv
 
 from monoratio.construct import _MAX_DEPTH, QuadratureError
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
 from monoratio.intervals import Interval
 from monoratio.patterns import PatternKind, _column, _run_interval, _runs
-from monoratio.ratio import refine_sign_change
+from monoratio.ratio import refine_sign_change, values
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
 
@@ -290,3 +293,21 @@ def simpson_leaves(fn, nodes, tol):
         if a != b:
             fm = fn(0.5 * (a + b))
             yield from panel(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+
+
+def sign_identity_stencil(pair, grid, signs, fd_step):
+    """(ok, violations) of sign(r') = sign(rho-tilde) with r' probed at
+    every kept sample (signs nonzero) by a central finite difference of
+    step fd_step, r read from values, one column a side.  A zero or NaN
+    quotient is a violation against either sign."""
+
+    def r_column(shift):
+        shifted = list(map(shift, xs, repeat(fd_step)))
+        return list(map(truediv, values(pair.f, shifted), values(pair.g, shifted)))
+
+    xs = list(compress(grid, signs))
+    r_hi, r_lo = r_column(add), r_column(sub)
+    fd = map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step))
+    kept = list(compress(signs, signs))
+    violations = len(kept) - sum(map(lt, repeat(0.0), map(mul, fd, kept)))
+    return violations == 0, violations

@@ -21,7 +21,7 @@ from monoratio.patterns import Column
 from monoratio.ratio import columns, median_abs, values
 from monoratio.rules import _check_sign_identity
 
-from helpers import mirrored, negated, random_ast, reflect
+from helpers import mirrored, negated, random_ast, reflect, sign_identity_stencil
 
 
 def _per_point(fn, xs):
@@ -224,7 +224,14 @@ def test_staircase_column_matches_per_point_calls(spec):
     shuffled = grid + extra
     rng.shuffle(shuffled)
     with_nan = grid[:700] + [math.nan] + grid[700:1400] + [math.nan, math.nan] + grid[1400:]
-    for xs in (grid, extra, shuffled, with_nan, grid[::-1], []):
+    # a NaN amid a flat's samples: one call puts it past the last breakpoint
+    mids = {min(grid, key=lambda x: abs(x - 0.5 * (a + b))) for a, b in spec.flats}
+    nan_on_flats = [math.nan if x in mids else x for x in grid]
+    # ascending columns that values cuts at the breakpoints: a lone NaN,
+    # one infinity at an end, and signed zeros, which compare equal
+    ascending = ([math.nan], sorted(edges + grid), [-math.inf, *grid], [*grid, math.inf],
+                 [-0.0, 0.0, -0.0, 0.0], grid[:1])
+    for xs in (grid, extra, shuffled, with_nan, nan_on_flats, grid[::-1], [], *ascending):
         expected = tuple(map(list, zip(*map(rho, xs)))) or ([], [])
         assert _bits(columns(rho, xs)) == _bits(expected)
         assert _bits((rho.values(xs), [])) == _bits((expected[0], []))
@@ -312,25 +319,26 @@ def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
             table = mr.sample_table(pair)
             tol_abs = 1e-7 * (1.0 + median_abs(table.rho_tilde))
             signs = Column(table.xs, table.rho_tilde).signs(tol_abs)
-            assert _check_sign_identity(pair, table.xs, signs, table.step / 16.0)[0]
+            assert _check_sign_identity(pair, table.xs, table.r, signs, table.step / 16.0)[0]
         assert calls["rho"] == g.calls == calls["f"] < 100, (seed, calls, g.calls)
     assert labels == {g.label for g in G_TEMPLATES[1] + G_TEMPLATES[-1]}
 
 
 class _ValuesOnly:
-    """Forwards calls and values, counting the values reads; a column would
-    compute derivatives."""
+    """Forwards calls and values, counting the values reads and the points
+    they read; a column would compute derivatives."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.reads = 0
+        self.reads = self.points = 0
 
     def __call__(self, x):
         return self.fn(x)
 
     def values(self, xs):
         self.reads += 1
-        return self.fn.values(xs)
+        self.points += len(xs)
+        return values(self.fn, xs)
 
     def column(self, xs):
         raise AssertionError("column called")
@@ -349,10 +357,22 @@ def _sign_violations_per_point(pair, table, tol_abs, fd_step):
     return violations
 
 
+def _undecided(signs, r):
+    """The kept samples the table cannot decide, by one test per point: a
+    window edge, a neighbour of another sign, or a two-cell difference of r
+    that is 0 or against the sample's sign."""
+    last = len(signs) - 1
+    return [i for i, s in enumerate(signs)
+            if s and not (0 < i < last and signs[i - 1] == s == signs[i + 1]
+                          and (r[i + 1] - r[i - 1]) * s > 0.0)]
+
+
 @pytest.mark.parametrize("f,g,window", [
     ("exp(-x)*sin(3*x) + x^2/(1 + x^2)", "exp(x)", (-2.0, 2.0)),
     ("x^3 - x", "x + 3", (-1.5, 2.0)),
-    ("2*exp(x)", "exp(x)", (-2.0, 2.0)),  # r is 2.0 exactly: every quotient is 0
+    # r is 2.0 exactly: rho-tilde is 0, so the own and negated tables keep
+    # no sample and read nothing, and every quotient is 0
+    ("2*exp(x)", "exp(x)", (-2.0, 2.0)),
 ])
 def test_sign_identity_reads_values_alone(f, g, window):
     # fakes whose column raises, against one comparison per point, on the
@@ -366,11 +386,39 @@ def test_sign_identity_reads_values_alone(f, g, window):
         broken = dataclasses.replace(table, rho_tilde=rho_tilde)
         tol_abs = 1e-7 * (1.0 + median_abs(rho_tilde))
         expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
-        fakes.f.reads = fakes.g.reads = 0
+        fakes.f.reads = fakes.g.reads = fakes.f.points = fakes.g.points = 0
         signs = Column(broken.xs, rho_tilde).signs(tol_abs)
-        assert _check_sign_identity(fakes, broken.xs, signs, fd_step) == (expected == 0, expected)
-        # one column of each per shifted side
-        assert (fakes.f.reads, fakes.g.reads) == (2, 2)
+        assert (_check_sign_identity(fakes, broken.xs, broken.r, signs, fd_step)
+                == (expected == 0, expected))
+        # one column of each per shifted side, over the undecided samples
+        # alone, and none when every kept sample is decided
+        undecided = len(_undecided(signs, broken.r))
+        assert (fakes.f.reads, fakes.g.reads) == ((2, 2) if undecided else (0, 0))
+        assert fakes.f.points == fakes.g.points == 2 * undecided
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_sign_identity_counts_as_the_stencil_everywhere(seed):
+    # the grid-first check against the reference that probes every kept
+    # sample, on the pair's own rho-tilde, its negation (every interior
+    # difference disagrees) and an alternating one (every sample borders
+    # another sign); on the own table the stencil reads at most 1% of the
+    # kept samples
+    pair = mr.random_pair(seed)[0]
+    table = mr.sample_table(pair)
+    fakes = dataclasses.replace(pair, f=_ValuesOnly(pair.f), g=_ValuesOnly(pair.g))
+    fd_step = table.step / 16.0
+    for k, rho_tilde in enumerate((table.rho_tilde, [-v for v in table.rho_tilde],
+                                   [(-1.0) ** i * (1.0 + v)
+                                    for i, v in enumerate(table.rho_tilde)])):
+        signs = Column(table.xs, rho_tilde).signs(1e-7 * (1.0 + median_abs(rho_tilde)))
+        fakes.f.points = 0
+        assert (_check_sign_identity(fakes, table.xs, table.r, signs, fd_step)
+                == sign_identity_stencil(pair, table.xs, signs, fd_step))
+        kept = len(signs) - signs.count(0)
+        assert fakes.f.points == 2 * len(_undecided(signs, table.r))
+        if k == 0:
+            assert fakes.f.points <= 2 * 0.01 * kept, (fakes.f.points, kept)
 
 
 class _NaNValues:
@@ -385,10 +433,12 @@ def test_sign_identity_counts_a_nan_quotient_against_either_sign():
     pair = mr.make_pair(ExprFn(parse("x^3 - x")), ExprFn(parse("x + 3")), mr.Interval(-1.5, 2.0))
     table = mr.sample_table(pair)
     signs = Column(table.xs, table.rho_tilde).signs(1e-7 * (1.0 + median_abs(table.rho_tilde)))
-    assert 1 in signs and -1 in signs
+    # the stencil reads the samples the table cannot decide, of both signs
+    undecided = _undecided(signs, table.r)
+    assert {signs[i] for i in undecided} == {1, -1}
     nan_f = dataclasses.replace(pair, f=_NaNValues())
-    kept = len(signs) - signs.count(0)
-    assert _check_sign_identity(nan_f, table.xs, signs, table.step / 16.0) == (False, kept)
+    assert (_check_sign_identity(nan_f, table.xs, table.r, signs, table.step / 16.0)
+            == (False, len(undecided)))
 
 
 def test_columns_calls_a_plain_function_once_per_point():
@@ -479,8 +529,9 @@ def test_pipeline_reads_every_grid_by_its_fast_path(monkeypatch, case):
 
 def test_expr_case_allocation_peak_stays_small():
     # one expr_analyze-style case on the default 2048-point grid, whole
-    # columns throughout, peaks at 722,943 bytes when this test runs alone
-    # and at 717,999 in its file; the sign-identity check sets the peak
+    # columns throughout, peaks at 647,864 bytes when this test runs alone
+    # and at 643,864 in its file; r's m.i.c. sweep, with the three column
+    # summaries alive, sets the peak, and the bound leaves 6% headroom
     def case():
         f = ExprFn(parse("1.3*(exp(x))^2 + 0.4*exp(x) + 0.2"))
         g = ExprFn(parse("exp(x)"))
@@ -494,7 +545,7 @@ def test_expr_case_allocation_peak_stays_small():
     finally:
         tracemalloc.stop()
     assert report.all_ok
-    assert peak < 768 << 10, f"allocation peak {peak} bytes"
+    assert peak < 672 << 10, f"allocation peak {peak} bytes"
 
 
 def test_generated_pair_memory_stays_small():

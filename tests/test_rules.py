@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -6,9 +7,10 @@ import monoratio as mr
 from monoratio import Direction, Interval, PatternKind
 from monoratio import patterns, rules
 from monoratio.patterns import Column
+from monoratio.ratio import median_abs
 from monoratio.rules import RULE_ROWS, Tolerances, _check_prop1, _inside
 
-from helpers import mirror_vertical, reflect
+from helpers import mirror_vertical, reflect, sign_identity_stencil
 
 UP, DOWN = Direction.UP, Direction.DOWN
 DOWN_UP, UP_DOWN = PatternKind.DOWN_UP, PatternKind.UP_DOWN
@@ -119,13 +121,14 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
                                                                                monkeypatch):
     # a Column takes its first differences when it is made, so one Column
     # per sampled column is one difference pass each; signs come from one
-    # rho-tilde pass, read by detect_pattern and the sign check, and
-    # detect_pattern's is the one pass over their runs (the level-0 set is
-    # its switch)
+    # rho-tilde pass, read by detect_pattern and the sign check, and each
+    # of the two makes one pass over their runs (the level-0 set is
+    # detect_pattern's switch)
     tables, summaries, signed, runs = [], [], [], []
     sample_table, init, signs = rules.sample_table, Column.__init__, patterns._signs
     run_pass = patterns._runs
     monkeypatch.setattr(patterns, "_runs", lambda s: runs.append(s) or run_pass(s))
+    monkeypatch.setattr(rules, "_runs", lambda s: runs.append(s) or run_pass(s))
     monkeypatch.setattr(rules, "sample_table",
                         lambda *args: tables.append(sample_table(*args)) or tables[-1])
     monkeypatch.setattr(Column, "__init__",
@@ -136,7 +139,7 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
     assert list(map(id, summaries)) == list(map(id, (table.r, table.rho, table.rho_tilde)))
     columns = set(map(id, summaries))
     assert [id(vs) for vs in signed if id(vs) in columns] == [id(table.rho_tilde)]
-    assert len(runs) == 1
+    assert len(runs) == 2 and runs[0] is runs[1]
 
 
 def _grid(n):
@@ -371,3 +374,45 @@ def test_prop2_rejects_wrong_anchor_value():
     assert not fit.is_r_mic
     assert abs(fit.c) > 1e-3  # C = (K - rho(z)) * g(z) = 0.7
     assert fit.c == pytest.approx(0.7, abs=1e-6)
+
+
+class _CellWiggle:
+    """f = e^x w with w(x) = x - a s(x) sin(2 pi (x - x0) / step), a half a
+    grid step and x0 a sample: the values wiggle inside each cell of the
+    grid against the derivative channel e^x (w + 1), which gives rho - r = 1
+    and rho-tilde = e^x > 0, so it says r rises.  At every sample sin is 0,
+    so r = x rises across each two cells, while r' = 1 - pi s cos(...) < 0
+    there where s is 1.  taper makes s = sin(pi (x - lo) / L)^2, which
+    takes the wiggle out at the window's ends."""
+
+    def __init__(self, window, n, taper):
+        self.lo, self.length = window.lo, window.length
+        self.step = window.length / n
+        self.x0, self.a, self.taper = window.lo + 0.5 * self.step, 0.5 * self.step, taper
+
+    def __call__(self, x):
+        s = math.sin(math.pi * (x - self.lo) / self.length) ** 2 if self.taper else 1.0
+        w = x - self.a * s * math.sin(2.0 * math.pi * (x - self.x0) / self.step)
+        return math.exp(x) * w, math.exp(x) * (w + 1.0)
+
+
+@pytest.mark.parametrize("taper,violations,everywhere", [(False, 2, 256), (True, 0, 156)])
+def test_sign_identity_reads_a_wiggle_inside_the_cells_at_the_stencil_alone(taper, violations,
+                                                                           everywhere):
+    # the grid-first check takes a two-cell difference of r as evidence
+    # where the stencil looks a sixteenth of a step either side: it flags
+    # the wiggle only at the window's two end samples, which go to the
+    # stencil, and misses it when it fades out there; the stencil on every
+    # kept sample flags each one where the wiggle is at least a third of
+    # its full size
+    window = Interval(1.0, 2.0)
+    pair = mr.make_pair(_CellWiggle(window, 256, taper), mr.expr_fn("exp(x)"), window, 256)
+    report = mr.check_pair(pair)
+    table = report.table
+    signs = Column(table.xs, table.rho_tilde).signs(1e-7 * (1.0 + median_abs(table.rho_tilde)))
+    assert signs == [1] * 256
+    # only the sign check can see the wiggle
+    assert report.failure is None and report.sign_violations == violations
+    assert dict(report.checks) == {"prop1": True, "prop2": True, "uniqueness": True,
+                                   "sign_identity": violations == 0}
+    assert sign_identity_stencil(pair, table.xs, signs, table.step / 16.0) == (False, everywhere)
