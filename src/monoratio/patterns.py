@@ -58,7 +58,8 @@ def _signs(values: Iterable[float], band: float) -> list[int]:
 
 class Column:
     """One sampled quantity as the detectors share it: values vs at the x's
-    of a Grid, their first differences, and their signs once per band.
+    of a Grid, their first differences, and their signs and sign runs once
+    per band.
     Making one is the detectors' check: 16+ values, as many as xs, ascending
     xs and finite values, unless finite says the caller tested them."""
 
@@ -75,11 +76,17 @@ class Column:
         self.vs = vs
         self.steps = list(map(sub, vs[1:], vs))
         self._by_band: dict[float, list[int]] = {}
+        self._runs_by_band: dict[float, list[tuple[int, int, int]]] = {}
 
     def signs(self, band: float) -> list[int]:
         if band not in self._by_band:
             self._by_band[band] = _signs(self.vs, band)
         return self._by_band[band]
+
+    def runs(self, band: float) -> list[tuple[int, int, int]]:
+        if band not in self._runs_by_band:
+            self._runs_by_band[band] = _runs(self.signs(band))
+        return self._runs_by_band[band]
 
 
 def _column(xs: Sequence[float], vs: Sequence[float] | Column, band: float) -> Column:
@@ -156,7 +163,7 @@ def detect_pattern(xs: Sequence[float], vs: Sequence[float], band: float,
     lo_edge, hi_edge = window.lo, window.hi
     xtol = 1e-12 * (hi_edge - lo_edge)
 
-    runs = _runs(column.signs(band))
+    runs = column.runs(band)
     shape = [s for s, _, _ in runs]
     kind = _one_switch_kind(shape)
     if kind is PatternKind.CONSTANT:

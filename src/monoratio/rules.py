@@ -29,7 +29,7 @@ from operator import add, ge, le, lt, mul, sub, truediv
 from typing import ClassVar, Sequence
 
 from .intervals import Interval
-from .patterns import (Column, Pattern, PatternKind, Unclassifiable, _runs,
+from .patterns import (Column, Pattern, PatternKind, Unclassifiable,
                        detect_direction, detect_mics, detect_pattern, level0_set)
 from .ratio import (FunctionPair, SampleTable, median_abs, ratio_at, rho_at,
                     rho_tilde_at, sample_table, values)
@@ -229,9 +229,11 @@ def _check_prop2(table: SampleTable, mics_r: tuple[Interval, ...],
 
 
 def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], r: Sequence[float],
-                         signs: Sequence[int], fd_step: float) -> tuple[bool, int]:
-    """sign(r') = sign(rho-tilde), given as signs at the grid's x's, wherever
-    rho-tilde is clear of zero, with r the table's finite samples there.
+                         runs: Sequence[tuple[int, int, int]],
+                         fd_step: float) -> tuple[bool, int]:
+    """sign(r') = sign(rho-tilde), given as the (sign, first, last) runs of
+    its signs at the grid's x's, wherever rho-tilde is clear of zero, with
+    r the table's finite samples there.
 
     A kept sample is decided from the table when both grid neighbours are
     kept with its sign and r[i+1] - r[i-1] has that sign too.  Every other
@@ -243,17 +245,20 @@ def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], r: Sequence[
     sample is left.  The table's evidence is at grid scale: an r that
     wiggles inside each cell against rho-tilde, while its two-cell
     differences keep rho-tilde's sign, passes where the stencil fails it."""
-    stencil = []  # the indices the table cannot decide, ascending
-    for s, first, last in _runs(signs):
+    # the indices the table cannot decide, ascending, and their signs
+    stencil, kept = [], []
+    for s, first, last in runs:
         if s == 0:
             continue
         # a run's ends border another sign or the window; its inside is
         # undecided where the two-cell difference is 0 or against s
         steps = map(sub, r[first + 2:last + 1], r[first:last - 1])
+        n = len(stencil)
         stencil.append(first)
         stencil += compress(range(first + 1, last), map(ge if s > 0 else le, repeat(0.0), steps))
         if last > first:
             stencil.append(last)
+        kept += repeat(s, len(stencil) - n)
     if not stencil:
         return True, 0
 
@@ -266,7 +271,6 @@ def _check_sign_identity(pair: FunctionPair, grid: Sequence[float], r: Sequence[
     fd = map(truediv, map(sub, r_hi, r_lo), repeat(2.0 * fd_step))
     # a quotient agrees with rho-tilde's sign s when quotient * s is above
     # 0; a zero or NaN quotient is a violation against either sign
-    kept = list(map(signs.__getitem__, stencil))
     violations = len(kept) - sum(map(lt, repeat(0.0), map(mul, fd, kept)))
     return violations == 0, violations
 
@@ -340,7 +344,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
                            probe=functools.partial(rho_at, pair))
     mics_rt = detect_mics(xs, rt_col, tol.tol_flat * scale_rt, min_ic_len,
                           probe=rho_tilde)
-    signs = rt_col.signs(tol_rt)
+    runs = rt_col.runs(tol_rt)  # detect_pattern's, grouped once
     # the differences go before the sign check, which would otherwise
     # allocate on top of them, above the peak that r's m.i.c. sweep sets
     del r_col, rho_col, rt_col
@@ -349,7 +353,7 @@ def check_pair(pair: FunctionPair, tol: Tolerances | None = None) -> AnalysisRep
     prop2, fits = _check_prop2(table, mics_r, mics_rho, tol)
     prop2 = prop2 and failure is None
     uniqueness = len(mics_r) <= 1
-    sign_ok, violations = _check_sign_identity(pair, xs, table.r, signs, step / tol.fd_shrink)
+    sign_ok, violations = _check_sign_identity(pair, xs, table.r, runs, step / tol.fd_shrink)
 
     return AnalysisReport(
         f_label=getattr(pair.f, "label", "f"),

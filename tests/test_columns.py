@@ -318,8 +318,8 @@ def test_campaign_grids_make_no_staircase_or_template_scalar_calls(monkeypatch):
             patch.setattr(ConstructedFn, "__call__", counting("f", ConstructedFn.__call__))
             table = mr.sample_table(pair)
             tol_abs = 1e-7 * (1.0 + median_abs(table.rho_tilde))
-            signs = Column(table.xs, table.rho_tilde).signs(tol_abs)
-            assert _check_sign_identity(pair, table.xs, table.r, signs, table.step / 16.0)[0]
+            runs = Column(table.xs, table.rho_tilde).runs(tol_abs)
+            assert _check_sign_identity(pair, table.xs, table.r, runs, table.step / 16.0)[0]
         assert calls["rho"] == g.calls == calls["f"] < 100, (seed, calls, g.calls)
     assert labels == {g.label for g in G_TEMPLATES[1] + G_TEMPLATES[-1]}
 
@@ -387,8 +387,9 @@ def test_sign_identity_reads_values_alone(f, g, window):
         tol_abs = 1e-7 * (1.0 + median_abs(rho_tilde))
         expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
         fakes.f.reads = fakes.g.reads = fakes.f.points = fakes.g.points = 0
-        signs = Column(broken.xs, rho_tilde).signs(tol_abs)
-        assert (_check_sign_identity(fakes, broken.xs, broken.r, signs, fd_step)
+        column = Column(broken.xs, rho_tilde)
+        signs = column.signs(tol_abs)
+        assert (_check_sign_identity(fakes, broken.xs, broken.r, column.runs(tol_abs), fd_step)
                 == (expected == 0, expected))
         # one column of each per shifted side, over the undecided samples
         # alone, and none when every kept sample is decided
@@ -411,9 +412,10 @@ def test_sign_identity_counts_as_the_stencil_everywhere(seed):
     for k, rho_tilde in enumerate((table.rho_tilde, [-v for v in table.rho_tilde],
                                    [(-1.0) ** i * (1.0 + v)
                                     for i, v in enumerate(table.rho_tilde)])):
-        signs = Column(table.xs, rho_tilde).signs(1e-7 * (1.0 + median_abs(rho_tilde)))
+        column, band = Column(table.xs, rho_tilde), 1e-7 * (1.0 + median_abs(rho_tilde))
+        signs = column.signs(band)
         fakes.f.points = 0
-        assert (_check_sign_identity(fakes, table.xs, table.r, signs, fd_step)
+        assert (_check_sign_identity(fakes, table.xs, table.r, column.runs(band), fd_step)
                 == sign_identity_stencil(pair, table.xs, signs, fd_step))
         kept = len(signs) - signs.count(0)
         assert fakes.f.points == 2 * len(_undecided(signs, table.r))
@@ -432,12 +434,13 @@ def test_sign_identity_counts_a_nan_quotient_against_either_sign():
     # rho-tilde of (x^3 - x)/(x + 3) takes both signs on the window
     pair = mr.make_pair(ExprFn(parse("x^3 - x")), ExprFn(parse("x + 3")), mr.Interval(-1.5, 2.0))
     table = mr.sample_table(pair)
-    signs = Column(table.xs, table.rho_tilde).signs(1e-7 * (1.0 + median_abs(table.rho_tilde)))
+    column, band = Column(table.xs, table.rho_tilde), 1e-7 * (1.0 + median_abs(table.rho_tilde))
+    signs = column.signs(band)
     # the stencil reads the samples the table cannot decide, of both signs
     undecided = _undecided(signs, table.r)
     assert {signs[i] for i in undecided} == {1, -1}
     nan_f = dataclasses.replace(pair, f=_NaNValues())
-    assert (_check_sign_identity(nan_f, table.xs, table.r, signs, table.step / 16.0)
+    assert (_check_sign_identity(nan_f, table.xs, table.r, column.runs(band), table.step / 16.0)
             == (False, len(undecided)))
 
 

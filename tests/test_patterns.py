@@ -707,8 +707,9 @@ def test_detectors_read_a_summary_as_the_plain_column(case):
         fd_step = table.step / 16.0
         own = [(v > zero) - (v < -zero) for v in vs]
         assert column.signs(zero) == own
-        assert (_check_sign_identity(pair, grid, table.r, column.signs(zero), fd_step)
-                == _check_sign_identity(pair, xs, table.r, own, fd_step))
+        assert column.runs(zero) == _runs(own)
+        assert (_check_sign_identity(pair, grid, table.r, column.runs(zero), fd_step)
+                == _check_sign_identity(pair, xs, table.r, _runs(own), fd_step))
     if not isinstance(case, int):
         # rho's differences take both signs beyond the band: the sign-run path
         assert directions[1] not in (PatternKind.INCREASING, PatternKind.DECREASING,

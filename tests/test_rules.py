@@ -121,14 +121,12 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
                                                                                monkeypatch):
     # a Column takes its first differences when it is made, so one Column
     # per sampled column is one difference pass each; signs come from one
-    # rho-tilde pass, read by detect_pattern and the sign check, and each
-    # of the two makes one pass over their runs (the level-0 set is
-    # detect_pattern's switch)
+    # rho-tilde pass, and detect_pattern's is the one pass over their runs,
+    # which the sign check reads too (the level-0 set is its switch)
     tables, summaries, signed, runs = [], [], [], []
     sample_table, init, signs = rules.sample_table, Column.__init__, patterns._signs
     run_pass = patterns._runs
     monkeypatch.setattr(patterns, "_runs", lambda s: runs.append(s) or run_pass(s))
-    monkeypatch.setattr(rules, "_runs", lambda s: runs.append(s) or run_pass(s))
     monkeypatch.setattr(rules, "sample_table",
                         lambda *args: tables.append(sample_table(*args)) or tables[-1])
     monkeypatch.setattr(Column, "__init__",
@@ -139,7 +137,7 @@ def test_check_pair_takes_differences_once_per_column_and_rho_tilde_signs_once(s
     assert list(map(id, summaries)) == list(map(id, (table.r, table.rho, table.rho_tilde)))
     columns = set(map(id, summaries))
     assert [id(vs) for vs in signed if id(vs) in columns] == [id(table.rho_tilde)]
-    assert len(runs) == 2 and runs[0] is runs[1]
+    assert len(runs) == 1
 
 
 def _grid(n):
