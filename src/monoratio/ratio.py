@@ -24,7 +24,9 @@ from .intervals import Interval
 # a values(xs) -> values method, which values() prefers.  Either method is
 # a fast path, held to one contract: it returns the floats of one call per
 # x, or raises the error that the first faulting x, in xs order, raises
-# itself.  columns() and values() pass its result or its error on.
+# itself.  columns() and values() pass its result or its error on.  The
+# one exception is a constructed f, whose column reads g's column, then
+# rho's, and so raises g's first fault, else rho's (construct.ConstructedFn).
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -299,14 +301,17 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     """Evaluate f and g on n uniform interior points (inset from the window
     endpoints by half a step) and derive r, rho, rho-tilde, all of which
     must be finite (ValidationError at the first x where one is not).  A
-    sign flip of f that is not a continuous zero crossing is a SignChange."""
+    sign flip of f that is not a continuous zero crossing is a SignChange.
+    g's column is read once, first, and handed to a constructed f."""
     n = pair.grid_n if n is None else n
     if n < 2:
         raise ValueError("n must be >= 2")
     lo, step = pair.window.lo, pair.window.length / n
     xs = [lo + (i + 0.5) * step for i in range(n)]
-    fv, fd = columns(pair.f, xs)
     gv, gd = columns(pair.g, xs)
+    column_with = getattr(pair.f, "column_with", None)  # on a constructed f
+    fv, fd = (column_with(xs, gd) if column_with and getattr(pair.f, "g", None) is pair.g
+              else columns(pair.f, xs))
     r = list(map(truediv, fv, gv))
     rho = list(map(truediv, fd, gd))
     rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]

@@ -170,14 +170,26 @@ def test_template_columns_raise_the_scalar_calls_error(g):
             assert _bits(g.column(xs)) == _bits(expected)
 
 
-def test_constructed_column_faults_where_a_call_faults_first():
-    # rho = sqrt(x + 3) faults below -3, g = log(x + 2) below -2; a call
-    # reads rho, then g
-    f = mr.construct_f(mr.expr_fn("log(x + 2)"), mr.expr_fn("sqrt(x + 3)"), 0.5, 1.0,
-                       mr.Interval(0.0, 1.0))
-    for xs, reason in (([0.5, -2.5, -3.5], "log of non-positive argument at x = -2.5"),
-                       ([0.5, -3.5, -2.5], "sqrt of negative argument at x = -3.5")):
-        assert _fault(f.column, xs) == _scalar_fault(f, xs) == (DomainFault, reason)
+def test_constructed_column_faults_at_gs_first_fault_else_rhos():
+    # rho = sqrt(x + 3) faults below -3, g = log(x + 4) below -4.  A call
+    # reads rho, then g; a column reads g's column, then rho's, so its
+    # fault is g's first, else rho's, which may lie past the first
+    # faulting x.  column_with, handed g's derivatives, reads rho alone.
+    g = mr.expr_fn("log(x + 4)")
+    f = mr.construct_f(g, mr.expr_fn("sqrt(x + 3)"), 0.5, 1.0, mr.Interval(0.0, 1.0))
+    log_at, sqrt_at = "log of non-positive argument at x = ", "sqrt of negative argument at x = "
+    for xs, column_reason, call_reason in (
+            ([0.5, -4.5, -3.5], log_at + "-4.5", sqrt_at + "-4.5"),
+            ([0.5, -3.5, -4.5], log_at + "-4.5", sqrt_at + "-3.5"),
+            ([0.5, -3.5, -3.25], sqrt_at + "-3.5", sqrt_at + "-3.5")):
+        assert _fault(f.column, xs) == (DomainFault, column_reason)
+        assert _scalar_fault(f, xs) == (DomainFault, call_reason)
+    xs = [0.5, -3.5, -3.25]
+    assert _fault(lambda xs: f.column_with(xs, columns(g, xs)[1]), xs) == \
+        (DomainFault, sqrt_at + "-3.5")
+    # a fault g's column reads past, in derivatives handed over, is rho's
+    assert _fault(lambda xs: f.column_with(xs, [1.0] * 3), [0.5, -3.5, -4.5]) == \
+        (DomainFault, sqrt_at + "-3.5")
 
 
 @pytest.mark.parametrize("seed", range(64))

@@ -5,14 +5,14 @@ import random
 import pytest
 
 import monoratio as mr
-from monoratio import Interval, construct
+from monoratio import Interval, construct, ratio
 from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
                                  GeneratorConfig, QuadratureError,
                                  StaircaseError, StaircaseFn, StaircaseSpec,
                                  _draw_flats, _leaf_table, construct_f,
                                  make_staircase_rho, random_pair)
 from monoratio.expr import DomainFault
-from monoratio.ratio import median_abs
+from monoratio.ratio import GRID_N_MAX, check_g_assumptions, median_abs
 
 from helpers import interpolant, simpson_leaves
 
@@ -425,3 +425,44 @@ def test_random_pair_chosen_flat_is_the_mic():
         assert len(mics) == 1
         assert mics[0].lo == pytest.approx(chosen.lo, abs=1e-3)
         assert mics[0].hi == pytest.approx(chosen.hi, abs=1e-3)
+
+
+# --- g is validated once per generated pair ----------------------------------
+
+@pytest.mark.parametrize("window", GeneratorConfig.windows)
+@pytest.mark.parametrize("sign_gg,g", [(k, g) for k, gs in G_TEMPLATES.items() for g in gs],
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_g_templates_pass_the_full_grid_check_on_every_window(sign_gg, g, window):
+    # random_pair validates g at construct_f's 256 points alone: the
+    # catalogue passes make_pair's 2048-point check on every window, with
+    # the row's sign of g*g' and the sign of g' random_pair reads at lo
+    window = Interval(*window)
+    sign_g, sign_gp = check_g_assumptions(g, window, 2048)
+    assert sign_g * sign_gp == sign_gg
+    assert sign_gp == (1 if g(window.lo)[1] > 0.0 else -1)
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_random_pair_equals_the_pair_make_pair_validates(seed):
+    pair = random_pair(seed)[0]
+    assert pair == mr.make_pair(pair.f, pair.g, pair.window, pair.grid_n)
+
+
+def test_random_pair_checks_g_once(monkeypatch):
+    calls = []
+    for module in (construct, ratio):
+        real = module.check_g_assumptions
+        monkeypatch.setattr(module, "check_g_assumptions",
+                            lambda g, window, n, real=real: calls.append(n) or real(g, window, n))
+    for seed in range(8):
+        random_pair(seed, GeneratorConfig(grid_n=256))
+    assert calls == [256] * 8
+
+
+@pytest.mark.parametrize("grid_n", [63, GRID_N_MAX + 1])
+def test_random_pair_rejects_a_bad_grid_before_the_build(monkeypatch, grid_n):
+    monkeypatch.setattr(construct, "construct_f",
+                        lambda *args, **kwargs: pytest.fail("built before the grid check"))
+    with pytest.raises(ValueError, match=f"^grid_n must be between 64 and {GRID_N_MAX}, "
+                                         f"got {grid_n}$"):
+        random_pair(0, GeneratorConfig(grid_n=grid_n))

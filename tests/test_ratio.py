@@ -240,6 +240,47 @@ def test_sample_table_rejects_a_pole_of_f(f, pole):
     assert err.value.x == pytest.approx(pole, abs=1e-8)
 
 
+class _CountedReads:
+    """fn with its column reads and scalar calls counted."""
+
+    def __init__(self, fn):
+        self.fn, self.reads, self.calls = fn, 0, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+    def column(self, xs):
+        self.reads += 1
+        return columns(self.fn, xs)
+
+
+def test_sample_table_reads_a_constructed_pairs_g_once(staircase_pair):
+    # the constructed f takes g's derivative column from sample_table's read
+    pair, _, rho = staircase_pair
+    g = _CountedReads(pair.g)
+    f = mr.construct_f(g, rho, z=0.0, K=0.0, window=pair.window)
+    constructed = mr.make_pair(f, g, pair.window, 256)
+    g.reads = 0
+    table = mr.sample_table(constructed)
+    assert g.reads == 1  # its scalar calls are f's, bisecting f's zero crossing
+    plain = mr.sample_table(mr.make_pair(f, pair.g, pair.window, 256))  # f.g is not pair.g
+    assert (table.f_values, table.rho_tilde) == (plain.f_values, plain.rho_tilde)
+    # paired with another g, f's derivatives are still rho times its own g's
+    g2 = mr.expr_fn("2*exp(x)")
+    other = mr.sample_table(mr.make_pair(f, g2, pair.window, 256))
+    assert other.rho == list(map(operator.truediv, columns(f, other.xs)[1],
+                                 columns(g2, other.xs)[1]))
+
+
+def test_sample_table_reads_an_expression_pairs_f_and_g_once():
+    f, g = _CountedReads(mr.expr_fn("x^2 + 1")), _CountedReads(mr.expr_fn("exp(x)"))
+    pair = mr.make_pair(f, g, Interval(0.0, 1.0), 256)
+    f.reads = g.reads = 0
+    mr.sample_table(pair)
+    assert (f.reads, g.reads, f.calls, g.calls) == (1, 1, 0, 0)
+
+
 # --- check_g_assumptions' extremes against the abs-based scans -------------
 
 def _reference_chase(xs, window, tracks):
