@@ -81,14 +81,20 @@ class FunctionPair:
 
 @lru_cache(maxsize=4)
 def _chebyshev_cosines(n: int) -> tuple[float, ...]:
-    """cos(pi (2k + 1) / 2n) for k = n - 1 down to 0: ascending.  The
-    pipeline asks for two n alone (256 and 2048), whatever the window."""
+    """cos(pi (2k + 1) / 2n) for k = n - 1 down to 0: ascending, whatever
+    the window.  The pipeline asks for n = 256 and the analysis grid_n."""
     return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in reversed(range(n)))
 
 
+@lru_cache(maxsize=4)
+def _chebyshev_grid(mid: float, half: float, n: int) -> tuple[float, ...]:
+    """One window's points; 32n bytes, 4 * 8 MiB at GRID_N_MAX.  Copied by
+    _chebyshev_points, so no caller's fast path can alter the cache."""
+    return tuple(mid + half * c for c in _chebyshev_cosines(n))
+
+
 def _chebyshev_points(window: Interval, n: int) -> list[float]:
-    mid, half = window.midpoint, 0.5 * window.length
-    return [mid + half * c for c in _chebyshev_cosines(n)]
+    return list(_chebyshev_grid(window.midpoint, 0.5 * window.length, n))
 
 
 def refine_sign_change(probe: Callable[[float], float], bracket: tuple[float, float],
@@ -281,6 +287,15 @@ class Grid(tuple):
         return max(map(sub, self[1:], self))
 
 
+# the floats depend on (lo, step, n) alone, so that is the key; lo = -0.0
+# shares 0.0's entry, whose floats it would give
+@lru_cache(maxsize=4)
+def _analysis_grid(lo: float, step: float, n: int) -> Grid:
+    """sample_table's n points, inset by half a step: one Grid per (window, n),
+    ascent checked and max_cell taken once; 32n bytes, 4 * 8 MiB at GRID_N_MAX."""
+    return Grid([lo + (i + 0.5) * step for i in range(n)])
+
+
 @dataclass(frozen=True)
 class SampleTable:
     """One shared evaluation pass over the analysis grid."""
@@ -298,16 +313,17 @@ class SampleTable:
 
 
 def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
-    """Evaluate f and g on n uniform interior points (inset from the window
-    endpoints by half a step) and derive r, rho, rho-tilde, all of which
-    must be finite (ValidationError at the first x where one is not).  A
-    sign flip of f that is not a continuous zero crossing is a SignChange.
-    g's column is read once, first, and handed to a constructed f."""
+    """Evaluate f and g on the n points of _analysis_grid, one Grid per window
+    and n that reports share, and derive r, rho, rho-tilde, all finite (else
+    a ValidationError at the first x where one is not).  A sign flip of f
+    that is not a continuous zero crossing is a SignChange.  g's column is
+    read once, first, and handed to a constructed f."""
     n = pair.grid_n if n is None else n
     if n < 2:
         raise ValueError("n must be >= 2")
-    lo, step = pair.window.lo, pair.window.length / n
-    xs = [lo + (i + 0.5) * step for i in range(n)]
+    if n > GRID_N_MAX:  # the memory guard: check_grid raises its ceiling error
+        check_grid(pair.window.lo, pair.window.hi, n)
+    xs = _analysis_grid(pair.window.lo, pair.window.length / n, n)
     gv, gd = columns(pair.g, xs)
     column_with = getattr(pair.f, "column_with", None)  # on a constructed f
     fv, fd = (column_with(xs, gd) if column_with and getattr(pair.f, "g", None) is pair.g
@@ -325,7 +341,7 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     # f may cross zero, but a sign flip it does not cross continuously (a
     # pole between grid points) breaks the analysis
     _chase_sign_flips(xs, pair.window, ((fv, _extremes(fv), lambda t: pair.f(t)[0], "f", None),))
-    return SampleTable(Grid(xs), fv, gv, r, rho, rho_t)
+    return SampleTable(xs, fv, gv, r, rho, rho_t)
 
 
 def median_abs(values: Sequence[float]) -> float:

@@ -1,7 +1,12 @@
 import bisect
+import dataclasses
+import functools
 import itertools
+import json
 import math
 import operator
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from monoratio import Interval
 from monoratio.ratio import (GRID_N_MAX, ZERO_REL_TOL, Grid, _chebyshev_points,
                              check_g_assumptions, check_grid, columns, median_abs,
                              refine_sign_change)
+from monoratio.rules import check_pair
 
 from helpers import interpolant, mirrored, mirrored_interval, negated
 
@@ -88,6 +94,27 @@ def test_check_grid_ceiling():
     for grid_n in (GRID_N_MAX + 1, 10 ** 11):
         with pytest.raises(ValueError, match=f"between 64 and {GRID_N_MAX}"):
             mr.make_pair(mr.expr_fn("x"), mr.expr_fn("x + 1"), Interval(0.0, 1.0), grid_n)
+
+
+class _Unsampled:
+    """A g that fails any column read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def column(self, xs):
+        raise AssertionError(f"g sampled at {len(xs)} points")
+
+
+def test_sample_table_rejects_an_n_above_the_ceiling():
+    # an explicit n is held to check_grid's memory guard before any sample
+    pair = _pair("x", "exp(x)", 0.0, 1.0)
+    pair = dataclasses.replace(pair, g=_Unsampled(pair.g))
+    with pytest.raises(ValueError, match=f"between 64 and {GRID_N_MAX}, got {GRID_N_MAX + 1}"):
+        mr.sample_table(pair, GRID_N_MAX + 1)
 
 
 def test_ratio_rho_values():
@@ -279,6 +306,98 @@ def test_sample_table_reads_an_expression_pairs_f_and_g_once():
     f.reads = g.reads = 0
     mr.sample_table(pair)
     assert (f.reads, g.reads, f.calls, g.calls) == (1, 1, 0, 0)
+
+
+# --- the window's grids, built once per (window, n) ------------------------
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
+def _sample_formula(lo, hi, n):
+    step = (hi - lo) / n
+    return [lo + (i + 0.5) * step for i in range(n)]
+
+
+def _table_hex(table):
+    return [_hex(column) for column in (table.xs, table.f_values, table.g_values,
+                                        table.r, table.rho, table.rho_tilde)]
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("window", [*mr.GeneratorConfig.windows,   # random_pair's
+                                    (0.5, 3.0), (1.5, 5.0),        # and expr_analyze's
+                                    (-0.0, 1.0)])
+def test_sample_grid_is_the_formula_bit_for_bit(window, n):
+    table = mr.sample_table(_pair("x", "exp(x)", *window, n))
+    assert _hex(table.xs) == _hex(_sample_formula(*window, n))
+    assert table.xs.max_cell == max(map(operator.sub, table.xs[1:], table.xs))
+
+
+def test_a_window_at_minus_zero_shares_the_grid_of_zero():
+    neg, pos = (mr.sample_table(_pair("x", "exp(x)", lo, 1.0, 512)).xs for lo in (-0.0, 0.0))
+    assert neg is pos
+    assert _hex(neg) == _hex(_sample_formula(-0.0, 1.0, 512))
+
+
+def test_tables_over_one_window_share_one_grid(monkeypatch):
+    calls, max_cell = [], Grid.max_cell.func
+    counted = functools.cached_property(lambda grid: calls.append(1) or max_cell(grid))
+    counted.__set_name__(Grid, "max_cell")
+    monkeypatch.setattr(Grid, "max_cell", counted)
+    window = (-1.25, 2.75)  # sampled by no other test: the grid is built here
+    a = mr.sample_table(_pair("x^2", "exp(x)", *window, 2048))
+    b = mr.sample_table(_pair("sin(x)", "exp(x)", *window, 2048))
+    assert a.xs is b.xs
+    assert a.xs.max_cell == b.xs.max_cell == max_cell(Grid(_sample_formula(*window, 2048)))
+    assert len(calls) == 1
+    # another n or another window is another grid
+    assert mr.sample_table(_pair("x^2", "exp(x)", *window, 1024)).xs is not a.xs
+    assert mr.sample_table(_pair("x^2", "exp(x)", -1.25, 2.5, 2048)).xs is not a.xs
+
+
+def test_chebyshev_points_are_a_fresh_list():
+    window = Interval(-1.8, 2.2)
+    xs = _chebyshev_points(window, 256)
+    want = list(xs)
+    xs[0] = math.nan
+    xs.reverse()
+    assert _chebyshev_points(window, 256) == want
+
+
+def test_the_grid_caches_stay_small_and_rebuild_bit_for_bit():
+    pairs = [_pair("x^3 + x", "exp(x)", -2.0 + 0.1 * k, 2.0 + 0.1 * k, 2048) for k in range(6)]
+    first = [_table_hex(mr.sample_table(pair)) for pair in pairs]
+    assert mr.ratio._analysis_grid.cache_info().currsize <= 4
+    assert mr.ratio._chebyshev_grid.cache_info().currsize <= 4
+    misses = mr.ratio._analysis_grid.cache_info().misses
+    assert _table_hex(mr.sample_table(pairs[0])) == first[0]
+    assert mr.ratio._analysis_grid.cache_info().misses == misses + 1  # it was evicted
+
+
+def test_threads_that_share_a_window_read_the_same_reports():
+    window = Interval(-1.75, 2.25)  # sampled by no other test: the threads race on the misses
+    pairs = [mr.make_pair(mr.expr_fn(f), mr.expr_fn("exp(x)"), window)
+             for f in ("x^3 + exp(x)", "max(x - 0.5, 0)^2 + 0.3*exp(x)", "sin(3*x)*exp(x)")]
+    results = []
+
+    def work():
+        results.append([json.dumps(check_pair(pair).to_dict(), sort_keys=True)
+                        for pair in pairs])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [json.dumps(check_pair(pair).to_dict(), sort_keys=True) for pair in pairs]
+    assert results == [expected] * len(threads)
 
 
 # --- check_g_assumptions' extremes against the abs-based scans -------------
