@@ -32,7 +32,8 @@ from .intervals import Interval
 # make_pair is bound here for the benchmark's tracer, which times
 # construct.make_pair as the "ratio" layer
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,  # noqa: F401
-                    check_g_assumptions, check_grid, columns, make_pair, values)
+                    check_g_assumptions, check_grid, columns, first_non_finite, make_pair,
+                    values)
 
 
 class QuadratureError(ArithmeticError):
@@ -391,10 +392,9 @@ def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -
     step = window.length / (n - 1)
     xs = [window.lo + i * step for i in range(n)]
     vs = values(rho, xs)
-    if not math.isfinite(sum(vs)):  # as in sample_table: the sum, then the scan
-        i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
-        if i is not None:
-            raise ValidationError(xs[i], f"rho takes the non-finite value {vs[i]!r}")
+    i = first_non_finite(vs)
+    if i is not None:
+        raise ValidationError(xs[i], f"rho takes the non-finite value {vs[i]!r}")
     tol = 1e-12 * (1.0 + max(map(abs, vs)))
     direction = 0
     for i in range(n - 1):

@@ -1,6 +1,6 @@
 """Forward-mode evaluation of parsed expressions (``syntax``) on
 (value, derivative) float pairs; nothing is rewritten symbolically.  Each
-ExprFn turns its AST into straight-line loops over a column of points
+ExprFn turns its AST into one straight-line loop over a column of points
 (source transformation), compiled once per shape and pattern of repeated
 subtrees; a scalar call is a column of one.  A point outside the domain
 raises DomainFault at the first such x.
@@ -69,61 +69,59 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# The one evaluator: the AST compiled to straight-line loops
+# The one evaluator: the AST compiled to a straight-line loop
 #
 # An ExprFn turns its AST into Python source once, at construction: a loop
 # over the points whose body computes each node's value and derivative from
-# its operands', children first and left to right, and a values-only twin
-# that computes derivatives only at and under sqrt, a non-constant ^, and a
-# ^ whose constant is below 1 or not finite: no other fault depends on one.
-# Each non-constant subtree has a value number, its (node type, op) and its
-# operands' numbers, a literal's its bits; a subtree already computed in
-# the loop is read by name, not computed again.  The (node type, op) pairs
-# only select the fixed templates below, and the constants enter through a
-# tuple argument, so no text of the AST reaches the source: the source
-# depends on the tree's shape and on which of its subtrees repeat, and trees
-# alike in both share the loops compiled from it.
+# its operands', children first and left to right.  Each non-constant
+# subtree has a value number, its (node type, op) and its operands'
+# numbers, a literal's its bits; a subtree already computed in the loop is
+# read by name, not computed again.  The (node type, op) pairs only select
+# the fixed templates below, and the constants enter through a tuple
+# argument, so no text of the AST reaches the source: the source depends on
+# the tree's shape and on which of its subtrees repeat, and trees alike in
+# both share the loop compiled from it.
 #
-# The loops append each point's floats to lists the caller passes in, and a
-# body raises where the point leaves the domain: a _Fault with its reason
-# (log, sqrt, ^), ZeroDivisionError (/), a bare OverflowError (exp alone) or
-# math's ValueError (sin or cos of an infinity).  ExprFn maps that to one
-# DomainFault at the x after the last value appended: the first faulting x.
-# A skipped repeat is a subtree that already ran clear at that x, so the
-# first fault and its reason stay those of the full tree.
+# The loop appends each point's floats to lists the caller passes in, and
+# its body raises where the point leaves the domain: a _Fault with its
+# reason (log, sqrt, ^), ZeroDivisionError (/), a bare OverflowError (exp
+# alone) or math's ValueError (sin or cos of an infinity).  ExprFn maps that
+# to one DomainFault at the x after the last value appended: the first
+# faulting x.  A skipped repeat is a subtree that already ran clear at that
+# x, so the first fault and its reason stay those of the full tree.
 
-# (node type, op) -> the statements of its value and of its derivative, over
-# the operands' values {a} {b}, their derivatives {da} {db} and the node's
-# own names {v} {d}
+# (node type, op) -> the statements of its value, then of its derivative,
+# over the operands' values {a} {b}, their derivatives {da} {db} and the
+# node's own names {v} {d}
 _SOURCE = {
-    (Unary, "neg"): ("{v} = -{a}", "{d} = -{da}"),
-    (Unary, "sin"): ("{v} = sin({a})", "{d} = cos({a}) * {da}"),
-    (Unary, "cos"): ("{v} = cos({a})", "{d} = -sin({a}) * {da}"),
-    (Unary, "exp"): ("{v} = exp({a})", "{d} = {v} * {da}"),
-    (Unary, "log"): ('if {a} <= 0.0: raise _Fault("log of non-positive argument")\n'
-                     "{v} = log({a})", "{d} = {da} / {a}"),
+    (Unary, "neg"): "{v} = -{a}\n{d} = -{da}",
+    (Unary, "sin"): "{v} = sin({a})\n{d} = cos({a}) * {da}",
+    (Unary, "cos"): "{v} = cos({a})\n{d} = -sin({a}) * {da}",
+    (Unary, "exp"): "{v} = exp({a})\n{d} = {v} * {da}",
+    (Unary, "log"): 'if {a} <= 0.0: raise _Fault("log of non-positive argument")\n'
+                    "{v} = log({a})\n{d} = {da} / {a}",
     # at a zero argument the fault depends on the slope; sqrt(-0.0) is +0.0
-    (Unary, "sqrt"): ("""if {a} < 0.0: raise _Fault("sqrt of negative argument")
+    (Unary, "sqrt"): """if {a} < 0.0: raise _Fault("sqrt of negative argument")
 if {a} == 0.0:
     if {da} != 0.0: raise _Fault("sqrt derivative singular at zero")
     {v} = {d} = 0.0
 else:
     {v} = sqrt({a})
-    {d} = {da} / (2.0 * {v})""", ""),
+    {d} = {da} / (2.0 * {v})""",
     # abs'(0) := 0 by convention
-    (Unary, "abs"): ("{v} = abs({a})",
-                     "{d} = (1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0)) * {da}"),
-    (Unary, "atan"): ("{v} = atan({a})", "{d} = {da} / (1.0 + {a} * {a})"),
-    (Unary, "tanh"): ("{v} = tanh({a})", "{d} = (1.0 - {v} * {v}) * {da}"),
-    (Binary, "+"): ("{v} = {a} + {b}", "{d} = {da} + {db}"),
-    (Binary, "-"): ("{v} = {a} - {b}", "{d} = {da} - {db}"),
-    (Binary, "*"): ("{v} = {a} * {b}", "{d} = {da} * {b} + {a} * {db}"),
-    (Binary, "/"): ("i{v} = 1.0 / {b}\n{v} = {a} * i{v}",
-                    "{d} = ({da} * {b} - {a} * {db}) * i{v} * i{v}"),
+    (Unary, "abs"): "{v} = abs({a})\n"
+                    "{d} = (1.0 if {a} > 0.0 else (-1.0 if {a} < 0.0 else 0.0)) * {da}",
+    (Unary, "atan"): "{v} = atan({a})\n{d} = {da} / (1.0 + {a} * {a})",
+    (Unary, "tanh"): "{v} = tanh({a})\n{d} = (1.0 - {v} * {v}) * {da}",
+    (Binary, "+"): "{v} = {a} + {b}\n{d} = {da} + {db}",
+    (Binary, "-"): "{v} = {a} - {b}\n{d} = {da} - {db}",
+    (Binary, "*"): "{v} = {a} * {b}\n{d} = {da} * {b} + {a} * {db}",
+    (Binary, "/"): "i{v} = 1.0 / {b}\n{v} = {a} * i{v}\n"
+                   "{d} = ({da} * {b} - {a} * {db}) * i{v} * i{v}",
     # ties take the left argument's derivative
-    (Call2, "min"): ("{v} = {a} if {a} <= {b} else {b}", "{d} = {da} if {a} <= {b} else {db}"),
-    (Call2, "max"): ("{v} = {a} if {a} >= {b} else {b}", "{d} = {da} if {a} >= {b} else {db}"),
-    (Binary, "^"): ("{v}, {d} = _d_pow({a}, {da}, {b}, {db})", ""),
+    (Call2, "min"): "{v} = {a} if {a} <= {b} else {b}\n{d} = {da} if {a} <= {b} else {db}",
+    (Call2, "max"): "{v} = {a} if {a} >= {b} else {b}\n{d} = {da} if {a} >= {b} else {db}",
+    (Binary, "^"): "{v}, {d} = _d_pow({a}, {da}, {b}, {db})",
 }
 
 # a ^ c for a constant c: _d_pow's formula and its overflow fault where its
@@ -137,16 +135,6 @@ _POW_CONST = """if {a} {cmp} 0.0:
         raise _Fault("pow overflow")
 else:
     {v}, {d} = _d_pow({a}, {da}, {b}, 0.0)"""
-
-# its value alone, for a finite c >= 1: then a ** (c - 1.0) cannot overflow
-# where a ** c did not, and at a zero base _d_pow raises nothing
-_POW_CONST_VALUE = """if {a} {cmp} 0.0:
-    try:
-        {v} = {a} ** {b}
-    except OverflowError:
-        raise _Fault("pow overflow")
-else:
-    {v} = _d_pow({a}, 0.0, {b}, 0.0)[0]"""
 
 _LOOP_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
                  "sqrt": math.sqrt, "atan": math.atan, "tanh": math.tanh, "_d_pow": _d_pow,
@@ -162,13 +150,11 @@ def _pow_fast_cmp(c) -> str:
     return "!=" if integral else ">"
 
 
-def _number(node: Expr, slopes: bool, numbers: dict, dag: list, consts: list,
-            sloped: set) -> tuple:
+def _number(node: Expr, numbers: dict, dag: list, consts: list) -> tuple:
     """Value-number node and return its key (a literal's: its bits) and the
     names of its value and derivative.  A subtree met first is appended to
     dag, children first, with its operands' names; a repeat gives back the
-    constant slots its leaves took.  sloped collects the numbers whose
-    derivatives the values-only loop computes."""
+    constant slots its leaves took."""
     if isinstance(node, Var):
         return "x", ("x", "1.0")
     # a literal and a negated one (the parser reads -0.03 as neg(0.03)) take
@@ -181,100 +167,88 @@ def _number(node: Expr, slopes: bool, numbers: dict, dag: list, consts: list,
     op = (type(node), getattr(node, "op", None))
     if op not in _SOURCE:
         raise ValueError(f"unknown expression node {node!r}")
-    # the faults of sqrt and ^ depend on the derivatives, except those of a
-    # ^ c with a finite c >= 1 (see _POW_CONST_VALUE)
-    slopes = slopes or op == (Unary, "sqrt") or op == (Binary, "^") and not (
-        isinstance(node.rhs, Const) and 1.0 <= node.rhs.value < math.inf)
     start = len(consts)
-    keys, operands = zip(*(_number(arg, slopes, numbers, dag, consts, sloped) for arg in
+    keys, operands = zip(*(_number(arg, numbers, dag, consts) for arg in
                            ((node.arg,) if isinstance(node, Unary) else (node.lhs, node.rhs))))
     n = numbers.setdefault((op, *keys), len(numbers))
     if n == len(dag):
         dag.append((node, operands))
     else:
         del consts[start:]
-    if slopes:
-        sloped.add(n)
     return n, (f"v{n}", f"d{n}")
 
 
-def _statements(node: Expr, operands: tuple, n: int, slopes: bool) -> list[str]:
+def _statements(node: Expr, operands: tuple, n: int) -> list[str]:
     """The statements that compute node, number n, from its operands'
-    names: its value and, with slopes, its derivative."""
+    names: its value, then its derivative."""
     (a, da), (b, db) = (*operands, ("", ""))[:2]
     names = {"a": a, "da": da, "b": b, "db": db, "v": f"v{n}", "d": f"d{n}"}
     if isinstance(node, Binary) and node.op == "^" and isinstance(node.rhs, Const):
-        source = _POW_CONST if slopes else _POW_CONST_VALUE
-        names["cmp"] = _pow_fast_cmp(node.rhs.value)
+        source, names["cmp"] = _POW_CONST, _pow_fast_cmp(node.rhs.value)
     else:
-        value, slope = _SOURCE[type(node), node.op]
-        source = f"{value}\n{slope}" if slopes and slope else value
+        source = _SOURCE[type(node), node.op]
     return source.format(**names).split("\n")
 
 
 def _loop_source(ast: Expr) -> tuple[str, tuple]:
-    """The source of the two loops over ast, column(xs, consts, values,
-    derivs) and values(xs, consts, values), which append to the lists they
-    are given, and the constants tuple they read."""
+    """The source of the loop over ast, column(xs, consts, values, derivs),
+    which appends to the lists it is given, and the constants tuple it reads."""
     dag: list = []
     consts: list = []
-    sloped: set = set()
-    _, (v, d) = _number(ast, False, {}, dag, consts, sloped)
-    lines: list[str] = []
-    for name, column in (("column", True), ("values", False)):
-        body = [line for n, (node, operands) in enumerate(dag)
-                for line in _statements(node, operands, n, column or n in sloped)]
-        lines += [f"def {name}(xs, consts, values{', derivs' if column else ''}):",
-                  f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
-                  "    value, deriv = values.append, derivs.append" if column
-                  else "    value = values.append",
-                  "    for x in map(float, xs):",
-                  *(f"        {line}" for line in body),
-                  f"        value({v})",
-                  *([f"        deriv({d})"] if column else [])]
-    return "\n".join(lines) + "\n", tuple(consts)
+    _, (v, d) = _number(ast, {}, dag, consts)
+    return "\n".join([
+        "def column(xs, consts, values, derivs):",
+        f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
+        "    value, deriv = values.append, derivs.append",
+        "    for x in map(float, xs):",
+        *(f"        {line}" for n, (node, operands) in enumerate(dag)
+          for line in _statements(node, operands, n)),
+        f"        value({v})",
+        f"        deriv({d})"]) + "\n", tuple(consts)
 
 
-# the shapes whose loops stay compiled, about 5 KB each with their source
+# the shapes whose loops stay compiled, about 3 KB each with their source
 _SHAPES = 128
 
 
 @functools.lru_cache(maxsize=_SHAPES)
-def _shape_loops(source: str) -> tuple[Callable, Callable]:
-    """The (column, values) loops of source: pure, so every tree of its shape shares them."""
+def _shape_loop(source: str) -> Callable:
+    """The column loop of source: pure, so every tree of its shape shares it."""
     namespace = dict(_LOOP_GLOBALS)
-    exec(compile(source, "<monoratio.expr loops>", "exec"), namespace)
-    # popped, so that no cycle through the loops' globals outlives them
-    return namespace.pop("column"), namespace.pop("values")
-
-
-def _compile_loops(ast: Expr) -> tuple[tuple, Callable, Callable]:
-    """(constants, column loop, values loop) of ast, its shape compiled once."""
-    source, consts = _loop_source(ast)
-    return (consts, *_shape_loops(source))
+    exec(compile(source, "<monoratio.expr loop>", "exec"), namespace)
+    # popped, so that no cycle through the loop's globals outlives it
+    return namespace.pop("column")
 
 
 class ExprFn:
     """Adapter turning a parsed AST into a differentiable-function callable.
-    Construction compiles the column loops, so an unknown op raises there."""
+    Construction compiles the column loop, so an unknown op raises there."""
 
-    __slots__ = ("ast", "label", "_consts", "_column", "_values")
+    __slots__ = ("ast", "label", "_consts", "_column")
 
     def __init__(self, ast: Expr, label: str = "expr"):
-        self._consts, self._column, self._values = _compile_loops(ast)
+        source, self._consts = _loop_source(ast)
+        self._column = _shape_loop(source)
         self.ast = ast
         self.label = label
 
-    def _run(self, loop: Callable, xs: Sequence[float], *out: list) -> tuple[list, ...]:
-        """The lists out, filled by loop over xs; where a point faults, the
-        error of the first faulting x: a DomainFault after the last value,
-        or a ValueError at an x that is not finite."""
+    def __call__(self, x: float) -> tuple[float, float]:
+        (value,), (deriv,) = self.column((x,))
+        return value, deriv
+
+    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        """(values, derivatives) at every x, the floats of one call per x,
+        or the error of the first faulting x, as one call there raises it:
+        a DomainFault after the last value, or a ValueError at an x that is
+        not finite."""
         stop = len(xs)
         # a finite sum clears every x in one C-level pass
         if not math.isfinite(sum(xs)):
             stop = next((i for i, x in enumerate(xs) if not math.isfinite(x)), stop)
+        values: list[float] = []
+        derivs: list[float] = []
         try:
-            loop(xs if stop == len(xs) else xs[:stop], self._consts, *out)
+            self._column(xs if stop == len(xs) else xs[:stop], self._consts, values, derivs)
         except _Fault as err:
             reason = err.reason
         except ZeroDivisionError:
@@ -286,22 +260,8 @@ class ExprFn:
         else:
             if stop < len(xs):
                 raise ValueError(f"x must be finite, got {xs[stop]!r}")
-            return out
-        raise DomainFault(xs[len(out[0])], reason)
-
-    def __call__(self, x: float) -> tuple[float, float]:
-        (value,), (deriv,) = self._run(self._column, (x,), [], [])
-        return value, deriv
-
-    def column(self, xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        """(values, derivatives) at every x, the floats of one call per x,
-        or the error of the first faulting x, as one call there raises it."""
-        return self._run(self._column, xs, [], [])
-
-    def values(self, xs: Sequence[float]) -> list[float]:
-        """column(xs)'s values, with the derivatives computed only where a
-        fault can depend on them; faults as column."""
-        return self._run(self._values, xs, [])[0]
+            return values, derivs
+        raise DomainFault(xs[len(values)], reason)
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

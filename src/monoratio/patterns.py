@@ -22,7 +22,7 @@ from operator import ge, ne, sub
 from typing import Callable, Iterable, Sequence
 
 from .intervals import Interval
-from .ratio import BadBracket, Grid, refine_sign_change  # noqa: F401
+from .ratio import BadBracket, Grid, first_non_finite, refine_sign_change  # noqa: F401
 
 
 class Unclassifiable(Exception):
@@ -67,12 +67,9 @@ class Column:
         if len(xs) != len(vs) or len(xs) < 16:
             raise ValueError(f"need equal x and value columns of 16+ samples, got {len(xs)}, {len(vs)}")
         self.xs = xs if isinstance(xs, Grid) else Grid(xs)
-        # a NaN or an infinity makes the sum non-finite; so can finite
-        # samples whose sum overflows, hence the scan
-        if not (finite or math.isfinite(sum(vs))):
-            i = next((i for i, v in enumerate(vs) if not math.isfinite(v)), None)
-            if i is not None:
-                raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
+        i = None if finite else first_non_finite(vs)
+        if i is not None:
+            raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
         self.vs = vs
         self.steps = list(map(sub, vs[1:], vs))
         self._by_band: dict[float, list[int]] = {}

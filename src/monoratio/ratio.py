@@ -80,17 +80,12 @@ class FunctionPair:
 
 
 @lru_cache(maxsize=4)
-def _chebyshev_cosines(n: int) -> tuple[float, ...]:
-    """cos(pi (2k + 1) / 2n) for k = n - 1 down to 0: ascending, whatever
-    the window.  The pipeline asks for n = 256 and the analysis grid_n."""
-    return tuple(math.cos(math.pi * (2 * k + 1) / (2 * n)) for k in reversed(range(n)))
-
-
-@lru_cache(maxsize=4)
 def _chebyshev_grid(mid: float, half: float, n: int) -> tuple[float, ...]:
-    """One window's points; 32n bytes, 4 * 8 MiB at GRID_N_MAX.  Copied by
+    """One window's points, mid + half cos(pi (2k + 1) / 2n) for k = n - 1
+    down to 0, ascending; 32n bytes, 4 * 8 MiB at GRID_N_MAX.  Copied by
     _chebyshev_points, so no caller's fast path can alter the cache."""
-    return tuple(mid + half * c for c in _chebyshev_cosines(n))
+    return tuple(mid + half * math.cos(math.pi * (2 * k + 1) / (2 * n))
+                 for k in reversed(range(n)))
 
 
 def _chebyshev_points(window: Interval, n: int) -> list[float]:
@@ -147,6 +142,16 @@ def values(fn: DifferentiableFn, xs: Sequence[float]) -> list[float]:
     fn has that method, which computes no derivative it need not."""
     only_values = getattr(fn, "values", None)
     return columns(fn, xs)[0] if only_values is None else only_values(xs)
+
+
+def first_non_finite(column: Sequence[float]) -> int | None:
+    """The index of column's first sample that is not finite, or None.  A
+    finite sum, the common case, clears the column in one C-level pass; a
+    non-finite one holds such a sample or finite ones whose sum overflows,
+    hence the scan."""
+    if math.isfinite(sum(column)):
+        return None
+    return next((i for i, v in enumerate(column) if not math.isfinite(v)), None)
 
 
 def _extremes(column: Sequence[float]) -> tuple[float, float] | None:
@@ -332,12 +337,9 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     rho = list(map(truediv, fd, gd))
     rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
     for name, column in (("r", r), ("rho", rho), ("rho-tilde", rho_t)):
-        # a non-finite sum, the rare case, holds a non-finite sample or
-        # finite ones whose sum overflows, hence the scan
-        if not math.isfinite(sum(column)):
-            i = next((i for i, v in enumerate(column) if not math.isfinite(v)), None)
-            if i is not None:
-                raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
+        i = first_non_finite(column)
+        if i is not None:
+            raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
     # f may cross zero, but a sign flip it does not cross continuously (a
     # pole between grid points) breaks the analysis
     _chase_sign_flips(xs, pair.window, ((fv, _extremes(fv), lambda t: pair.f(t)[0], "f", None),))

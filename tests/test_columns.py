@@ -5,6 +5,7 @@ faulting x, in xs order, raises itself; ratio.columns and ratio.values
 pass that on."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -106,7 +107,7 @@ def test_expr_column_matches_per_point_calls_bit_for_bit():
     ("min(x, 1 - x) + max(abs(x), 0.5)", [-1.0, 0.0, 0.5, 1.0]),
     ("tanh(x) + atan(x) - cos(x)*sin(x)", [-1.0, 0.0, 2.0]),
     # where a point faults, or takes a special case, on a derivative
-    # alone, so values must not skip it
+    # alone, so reading values alone must not skip it
     ("sqrt(0*x)", [1.0, -1.0]),  # a -0.0 argument gives +0.0
     ("x^(x*0 + 0.5)", [1.0, 0.0]),  # non-constant exponent at a zero base
     ("x^0.5", [1.0, 0.0]),  # constant exponent off the fast path
@@ -144,12 +145,12 @@ def _scalar_fault(fn, xs):
     return _fault(lambda xs: [fn(x) for x in xs], xs)
 
 
-@pytest.mark.parametrize("method", ["column", "values"])
-def test_expr_fast_paths_raise_at_the_first_faulting_x(method):
+@pytest.mark.parametrize("reader", [columns, values], ids=["column", "values"])
+def test_expr_fast_paths_raise_at_the_first_faulting_x(reader):
     # a fault before an infinity is the fault; an infinity after clear
     # points is the scalar call's ValueError, naming the x
     fn = mr.expr_fn("log(x)")
-    read = getattr(fn, method)
+    read = functools.partial(reader, fn)
     with pytest.raises(DomainFault, match=r"^log of non-positive argument at x = -1.0$"):
         read([-1.0, math.inf])
     for xs in ([1.0, math.inf], [1.0, -math.inf, -1.0], [2.0, math.nan]):
@@ -280,7 +281,7 @@ def test_reflection_wrappers_column_matches_per_point_calls(wrap):
         for xs in (grid, mirror_grid, shuffled):
             expected = tuple(map(list, zip(*map(wrapped, xs))))
             assert _bits(wrapped.column(xs)) == _bits(expected)
-            assert _bits((wrapped.values(xs), [])) == _bits((expected[0], []))
+            assert _bits((values(wrapped, xs), [])) == _bits((expected[0], []))
 
 
 @pytest.mark.parametrize("read", [_per_point, _by_column, _by_values],

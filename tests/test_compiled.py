@@ -1,6 +1,6 @@
-"""The loops ExprFn compiles from its AST: op validation before any source
-is compiled, constants kept out of the source, loops shared by trees of one
-shape, a repeated subtree computed once, bit-identical columns on hand-built
+"""The loop ExprFn compiles from its AST: op validation before any source
+is compiled, constants kept out of the source, one loop per shape, shared
+by the trees of that shape, a repeated subtree computed once, bit-identical columns on hand-built
 constants, deep copies, and faults read through the reflections with no
 call per x."""
 
@@ -66,9 +66,19 @@ def test_source_holds_no_constant_text_and_only_table_names():
         assert text not in source
     # every function of the language has a template
     for op in UNARY_FUNCTIONS:
-        assert _loop_source(Unary(op, Var()))[0].count("def ") == 2
+        assert _loop_source(Unary(op, Var()))[0].count("def ") == 1
     for op in BINARY_FUNCTIONS:
-        assert _loop_source(Call2(op, Var(), Var()))[0].count("def ") == 2
+        assert _loop_source(Call2(op, Var(), Var()))[0].count("def ") == 1
+
+
+def test_each_shape_compiles_one_loop():
+    # the column loop is the only one, repeats, sqrt and powers included:
+    # ratio.values reads a value alone from it
+    for text in ("exp(x)*exp(x) + exp(x)", "(exp(x))^2", "x^0.5 + sqrt(x + 2)", "x^(x - 1)"):
+        source, _ = _loop_source(parse(text))
+        assert source.count("def ") == 1 and source.startswith("def column("), text
+        fn = ExprFn(parse(text))
+        assert fn._column is expr._shape_loop(source) and not hasattr(fn, "values")
 
 
 _SPECIALS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324, -2.0, 3.0)
@@ -115,13 +125,9 @@ def test_hand_built_constants_match_per_point_calls_bit_for_bit(c):
                 assert _bits(expected) == _bits(reference), (ast, xs)
             assert _bits(_by_column(fn, xs)) == _bits(expected), (ast, xs)
             assert _bits(_by_values(fn, xs)) == _bits(_values_of(expected)), (ast, xs)
-            # the compiled loops, where they return, return those floats
+            # the compiled loop, where it returns, returns those floats
             try:
                 assert _bits(fn.column(xs)) == _bits(expected), (ast, xs)
-            except (ArithmeticError, ValueError):
-                pass
-            try:
-                assert _bits((fn.values(xs), [])) == _bits(_values_of(expected)), (ast, xs)
             except (ArithmeticError, ValueError):
                 pass
 
@@ -133,23 +139,18 @@ def test_trees_of_one_shape_share_their_loops():
         shapes = {}
         for fn in fns:
             first = shapes.setdefault(_loop_source(fn.ast)[0], fn)
-            assert (fn._column, fn._values) == (first._column, first._values)
-        # a constant exponent selects its template by c alone: integral
-        # c >= 1, other integral c, non-integral c, and a negated literal,
-        # which is no Const (no special is a finite non-integral c >= 1)
-        assert len({id(fn._column) for fn in fns}) == len(shapes) <= 4
+            assert fn._column is first._column
+        # a constant exponent selects its template by c alone: integral c,
+        # non-integral c, and a negated literal, which is no Const
+        assert len({id(fn._column) for fn in fns}) == len(shapes) <= 3
     assert ExprFn(parse("(-1.5)*exp(x)"))._column is ExprFn(parse("1.5*exp(x)"))._column
     assert ExprFn(parse("x^(-2)"))._column is ExprFn(parse("x^(-0.5)"))._column
     assert ExprFn(parse("x^2"))._column is not ExprFn(parse("x^(-2)"))._column
 
 
 def test_a_repeated_subtree_is_computed_once_per_loop():
-    column, values = _loop_source(parse("exp(x)*exp(x) + exp(x)"))[0].split("def values")
-    assert column.count("exp(") == values.count("exp(") == 1
-    # the values loop of a constant power c >= 1 carries no derivative
-    column, values = _loop_source(parse("(exp(x))^2"))[0].split("def values")
-    assert " d0 = " in column
-    assert not any(line.lstrip().startswith("d") for line in values.split("\n"))
+    assert _loop_source(parse("exp(x)*exp(x) + exp(x)"))[0].count("exp(") == 1
+    assert " d0 = " in _loop_source(parse("(exp(x))^2"))[0]
     # twins of one shape whose constants differ share no subtree
     assert ExprFn(parse("exp(2*x) + exp(3*x)"))._column is not \
         ExprFn(parse("exp(2*x) + exp(2*x)"))._column
@@ -169,10 +170,10 @@ def test_a_shape_evicted_from_the_cache_still_evaluates():
     expected = _bits(fn.column(xs))
     for a, b in itertools.product(range(12), repeat=2):  # 144 other shapes
         ExprFn(Binary("*", _nested("sin", a), _nested("cos", b)))
-    info = expr._shape_loops.cache_info()
+    info = expr._shape_loop.cache_info()
     assert info.currsize == expr._SHAPES < 144
     twin = ExprFn(ast)
-    assert expr._shape_loops.cache_info().misses == info.misses + 1
+    assert expr._shape_loop.cache_info().misses == info.misses + 1
     assert twin._column is not fn._column
     assert _bits(fn.column(xs)) == _bits(twin.column(xs)) == expected
 
@@ -188,7 +189,7 @@ def test_threads_that_share_shapes_read_the_same_floats():
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     interval = sys.getswitchinterval()
-    expr._shape_loops.cache_clear()  # so that the threads race on the misses
+    expr._shape_loop.cache_clear()  # so that the threads race on the misses
     sys.setswitchinterval(1e-6)
     try:
         for thread in threads:
@@ -199,7 +200,7 @@ def test_threads_that_share_shapes_read_the_same_floats():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * len(threads)
-    assert expr._shape_loops.cache_info().currsize == 2  # integral and other k
+    assert expr._shape_loop.cache_info().currsize == 2  # integral and other k
 
 
 class _CountingExprFn(ExprFn):
@@ -229,7 +230,7 @@ def test_exprfn_copies_round_trip(copier):
         assert twin._column is fn._column
         xs = [0.1 * k for k in range(1, 40)]
         assert _bits(twin.column(xs)) == _bits(fn.column(xs))
-        assert twin.values(xs) == fn.values(xs)
+        assert values(twin, xs) == values(fn, xs)
         assert twin(0.7) == fn(0.7)
     assert twin.calls == 6 and counting.calls == 6
 
@@ -253,6 +254,6 @@ def test_reflections_have_the_fast_paths_of_what_they_wrap():
     staircase = StaircaseFn(mr.StaircaseSpec())
     for wrap in (negated, mirrored):
         for fn, has in ((plain, ()), (template, ("column",)), (staircase, ("values",)),
-                        (mr.expr_fn("x"), ("column", "values"))):
+                        (mr.expr_fn("x"), ("column",))):
             wrapped = wrap(fn)
             assert tuple(m for m in ("column", "values") if hasattr(wrapped, m)) == has

@@ -370,7 +370,7 @@ def test_refinement_samples_only_points_the_column_lacks(monkeypatch):
     rho, g = mr.expr_fn("max(min(x, 0.3), x - 0.5)"), mr.expr_fn("exp(x)")
     recording = type("Recording", (), {
         "__call__": lambda self, x: calls.append(x) or rho(x),
-        "values": lambda self, xs: column.extend(xs) or rho.values(xs)})()
+        "values": lambda self, xs: column.extend(xs) or ratio.values(rho, xs)})()
     f = ConstructedFn(g, recording, 0.5, 0.3, Interval(-2.0, 2.0), 1e-10)
     assert len(calls) == len(set(calls)) == 68
     assert set(calls).isdisjoint(column)

@@ -1,10 +1,11 @@
 """The compiled float-pair evaluator against a test-local copy of the
 operator-overloading dual-number evaluator it replaced: values,
 derivatives and domain-fault reasons must agree bit for bit, one call per
-point and through ExprFn.column and ExprFn.values, whose fault must name
+point and through ExprFn.column and ratio.values, whose fault must name
 the first faulting x of the column; on random trees, and on trees that read
-one subtree several times, which the compiled loops compute once."""
+one subtree several times, which the compiled loop computes once."""
 
+import functools
 import math
 import random
 import struct
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from monoratio.expr import Binary, Call2, Const, DomainFault, ExprFn, Unary, Var, _loop_source
+from monoratio.ratio import values
 
 from helpers import UNARY_OPS, random_ast
 from test_compiled import _SPECIALS, _pack
@@ -216,7 +218,7 @@ def _column_bits(result):
 
 def _assert_agrees(ast, fn, xs, pack=_column_bits):
     """fn against the dual evaluator at each x of xs, one call per x, and
-    on xs as one column through column and values, bit for bit as pack
+    on xs as one column through column and ratio.values, bit for bit as pack
     packs them; return the column's reference: its (values, derivs) or its
     first fault's x and reason."""
     results = [(x, _reference(ast, x)) for x in xs]
@@ -227,7 +229,7 @@ def _assert_agrees(ast, fn, xs, pack=_column_bits):
     old = _first_fault_or_columns(results)
     only_values = old if isinstance(old[1], str) else (old[0], [])
     assert pack(_read(fn.column, xs)) == pack(old), (ast, xs)
-    assert pack(_read(fn.values, xs)) == pack(only_values), (ast, xs)
+    assert pack(_read(functools.partial(values, fn), xs)) == pack(only_values), (ast, xs)
     return old
 
 
@@ -262,8 +264,8 @@ def _nan_blind_bits(result):
 
 def _reusing(rng, t):
     """Trees that read the subtree t several times, before and after a
-    derivative-carrying reader (sqrt, or a power whose exponent is below 1
-    or not finite) where the random choices give one."""
+    reader whose fault can depend on a slope (sqrt, or a power whose
+    exponent is below 1 or not finite) where the random choices give one."""
     c = Const(round(rng.uniform(-3.0, 3.0), 4))
     h = Unary(rng.choice(UNARY_OPS), t)
     trees = [Binary(op, t, t) for op in "+-*/^"] + [Call2(op, t, t) for op in ("min", "max")]
@@ -317,5 +319,4 @@ def test_twin_subtrees_are_shared_by_their_bits(ast):
 
 
 def test_nan_twins_are_computed_once():
-    column, values = _loop_source(_NAN_TWINS)[0].split("def values")
-    assert column.count("exp(") == values.count("exp(") == 1
+    assert _loop_source(_NAN_TWINS)[0].count("exp(") == 1
