@@ -6,17 +6,17 @@ the chosen constancy interval of rho, and K = rho(z), the function
     f(x) = K*g(z) + integral from z to x of rho(u) dg(u)
 
 has f'/g' = rho, and the only maximal constancy interval of f/g is the
-chosen one.  Since g is differentiable the Stieltjes integral reduces to
-an ordinary integral of rho*g'.  The build runs adaptive Simpson on a
-node grid split a priori at the staircase breakpoints and keeps every
-accepted panel as a leaf of a table: cumulative integral plus the
-integrated quartic through the leaf's five samples.  One column of rho's
-values and g's derivatives holds the five samples of every node interval,
-and one loop over the node intervals appends each leaf's row: an interval
-whose first estimate passes is one leaf, and one that fails is refined, one
-point at a time, its leaves appended in place.  A fault is rho's first in
-the column, else g's, else one met by the loop.  A query then looks up its
-leaf and evaluates a polynomial, with no integrand calls.
+chosen one.  Since g is differentiable the Stieltjes integral reduces to an
+ordinary integral of rho*g'.  The build runs adaptive Simpson on a node
+grid, cached per window with its samples, split a priori at the staircase
+breakpoints, and keeps each accepted panel as a leaf of a table: cumulative
+integral plus the integrated quartic through the leaf's five samples.  One
+column of rho's values and g's derivatives holds the five samples of every
+node interval, and one loop over the node intervals appends each leaf's
+row: an interval whose first estimate passes is one leaf, and one that
+fails is refined, one point at a time, its leaves appended in place.  A
+fault is rho's first in the column, else g's, else one met by the loop.  A
+query looks up its leaf and evaluates a polynomial, calling no integrand.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from operator import mul, neg
+from functools import lru_cache
+from operator import mul, neg, sub
 from typing import Callable, ClassVar, Sequence
 
 from .intervals import Interval
@@ -102,22 +104,17 @@ def _column_leaves(fn: Callable[[float], float], ends: list[float], fs: list[flo
 
 
 def _leaf_table(rho: DifferentiableFn, g: DifferentiableFn, ends: list[float],
-                tol: float) -> tuple[list[float], list[tuple[float, ...]]]:
+                xs: list[float], tol: float) -> tuple[list[float], list[tuple[float, ...]]]:
     """(starts, rows) of _column_leaves's leaves for the integrand
     rho(u)[0] * g(u)[1]: each leaf's start and its row (integral from
     ends[0], 1/h, c1 ... c5).
 
-    One column of rho's values and g's derivatives holds every interval's
-    five samples, in ascending x, so an interval is sampled again only
-    where its refinement adds points.  Reading the column raises rho's
-    first fault, else g's; then a QuadratureError, or a refinement point's
-    fault, is raised left to right.
+    xs holds every interval's five samples, _samples's, in ascending x, and
+    one column of rho's values and g's derivatives reads them all, so an
+    interval is sampled again only where its refinement adds points.
+    Reading the column raises rho's first fault, else g's; then a
+    QuadratureError, or a refinement point's fault, is raised left to right.
     """
-    mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-    xs = [0.0] * (4 * len(mids) + 1)
-    xs[0::4], xs[2::4] = ends, mids
-    xs[1::4] = [0.5 * (a + m) for a, m in zip(ends, mids)]
-    xs[3::4] = [0.5 * (m + b) for m, b in zip(mids, ends[1:])]
     fs = list(map(mul, values(rho, xs), columns(g, xs)[1]))
     starts, rows, cum = [], [], 0.0
     for x0, h, f0, f1, f2, f3, f4 in _column_leaves(lambda u: rho(u)[0] * g(u)[1],
@@ -283,23 +280,52 @@ def make_staircase_rho(spec: StaircaseSpec) -> StaircaseFn:
 _PANELS = 1024
 
 
+def _samples(a: float, b: float) -> list[float]:
+    """[a, b]'s samples after a: quarter point, midpoint, quarter point, b."""
+    m = 0.5 * (a + b)
+    return [0.5 * (a + m), m, 0.5 * (m + b), b]
+
+
+# the floats depend on (lo, hi) alone, so that is the key; lo = -0.0
+# shares 0.0's entry, whose floats it would give
+@lru_cache(maxsize=4)
+def _window_points(lo: float, hi: float) -> tuple[array, array]:
+    """The node grid lo + i*step, then hi, and its 4*_PANELS + 1 samples: 8
+    bytes a point, 4 * 40 KB at most.  _build_points hands out copies."""
+    step = (hi - lo) / _PANELS
+    ends = [lo + i * step for i in range(_PANELS)] + [hi]
+    xs = ends[:1] + [x for a, b in zip(ends, ends[1:]) for x in _samples(a, b)]
+    return array("d", ends), array("d", xs)
+
+
+def _build_points(lo: float, hi: float, breakpoints: Sequence[float]) -> tuple[list, list]:
+    """(ends, xs): a copy of _window_points's, each breakpoint in (lo, hi) put
+    after its equals, as sorted puts it, and only its interval resampled."""
+    ends, xs = (points.tolist() for points in _window_points(lo, hi))
+    for x in sorted(x for x in breakpoints if lo < x < hi):
+        j = bisect.bisect_right(ends, x)
+        xs[4 * j - 3:4 * j + 1] = _samples(ends[j - 1], x) + _samples(x, ends[j])
+        ends.insert(j, x)
+    return ends, xs
+
+
 class ConstructedFn:
     """f built as K*g(z) + cumulative integral of rho*g' from z.
 
     The build runs adaptive Simpson over a uniform node grid joined with
-    rho's breakpoints, so no panel straddles a known kink, and keeps every
-    accepted sub-panel as a leaf: its start, in the list _starts, and one
-    row of the list _table, the tuple (cumulative integral up to it,
-    inverse width, c1 ... c5), whose c's are the five coefficients of the
-    integrated quartic through its five samples.  _leaf_table reads rho
-    and g as one column over every node interval's samples, then takes the
-    intervals in one loop, appending each leaf's start and row with the
-    running integral; an interval whose first estimate fails is refined
-    from its five column samples and its leaves appended in place.  The
-    table is, float for float, the one a build of one integrand call per
-    sample and one leaf at a time makes.  Its error is rho's first fault in
-    the column, else g's, else a QuadratureError or refinement-point fault,
-    left to right.
+    rho's breakpoints, so no panel straddles a known kink: _build_points
+    splices them into a copy of the window's cached grid and samples.  It
+    keeps every accepted sub-panel as a leaf: its start, in the list
+    _starts, and one row of the list _table, the tuple (cumulative integral
+    up to it, inverse width, c1 ... c5), whose c's are the five coefficients
+    of the integrated quartic through its five samples.  _leaf_table reads
+    rho and g as one column over every node interval's samples, then takes
+    the intervals in one loop, appending each leaf's start and row with the
+    running integral; an interval whose first estimate fails is refined from
+    its five column samples and its leaves appended in place.  The table is,
+    float for float, the one a build of one integrand call per sample and
+    one leaf at a time makes.  Its error is rho's first fault in the column,
+    else g's, else the first QuadratureError or refinement-point fault.
 
     A query bisects for its leaf, unpacks its row and evaluates one
     degree-5 polynomial; it calls neither rho nor g for the value.  A
@@ -328,11 +354,9 @@ class ConstructedFn:
         self.window = window
         self.quad_tol = quad_tol
 
-        lo, hi, step = window.lo, window.hi, window.length / _PANELS
-        nodes = sorted([lo + i * step for i in range(_PANELS)]
-                       + [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]) + [hi]
+        ends, xs = _build_points(window.lo, window.hi, getattr(rho, "breakpoints", ()))
         # one row per leaf: (cumulative integral, 1/h, c1 ... c5)
-        self._starts, self._table = _leaf_table(rho, g, nodes, quad_tol)
+        self._starts, self._table = _leaf_table(rho, g, ends, xs, quad_tol)
         self._base = K * g(z)[0]
         self._Fz = self._antideriv(z, self._leaf(z))
         self.label = f"stieltjes({getattr(rho, 'label', 'rho')}, {getattr(g, 'label', 'g')})"
@@ -396,9 +420,12 @@ def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -
     if i is not None:
         raise ValidationError(xs[i], f"rho takes the non-finite value {vs[i]!r}")
     tol = 1e-12 * (1.0 + max(map(abs, vs)))
+    steps = list(map(sub, vs[1:], vs))
+    # the walk below raises exactly when a rise and a fall both clear the band
+    if max(steps) <= tol or min(steps) >= -tol:
+        return
     direction = 0
-    for i in range(n - 1):
-        delta = vs[i + 1] - vs[i]
+    for i, delta in enumerate(steps):
         step_dir = 1 if delta > tol else -1 if delta < -tol else 0
         if step_dir and step_dir == -direction:
             raise ValidationError(xs[i], "rho is not monotone on the window")

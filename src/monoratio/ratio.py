@@ -176,10 +176,12 @@ def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
         flips += ((i, k) for i in compress(range(len(xs) - 1),
                                            map(ne, positive, positive[1:])))
     for i, k in sorted(flips):
-        values, _, probe, name, zero_error = tracks[k]
+        values, extremes, probe, name, zero_error = tracks[k]
+        # max |v| is max(hi, -lo), read from the extremes unless a NaN voids them
+        biggest = max(map(abs, values)) if extremes is None else max(extremes[1], -extremes[0])
         try:
             root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
-            small = abs(probe(root)) <= 1e-6 * max(1.0, max(map(abs, values)))
+            small = abs(probe(root)) <= 1e-6 * max(1.0, biggest)
         except ArithmeticError as err:  # e.g. a DomainFault on the pole
             raise SignChange(getattr(err, "x", xs[i]), name) from None
         if not small:

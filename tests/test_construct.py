@@ -9,10 +9,11 @@ from monoratio import Interval, construct, ratio
 from monoratio.construct import (_PANELS, G_TEMPLATES, ConstructedFn,
                                  GeneratorConfig, QuadratureError,
                                  StaircaseError, StaircaseFn, StaircaseSpec,
-                                 _draw_flats, _leaf_table, construct_f,
+                                 _build_points, _check_rho_monotone, _draw_flats,
+                                 _leaf_table, _window_points, construct_f,
                                  make_staircase_rho, random_pair)
 from monoratio.expr import DomainFault
-from monoratio.ratio import GRID_N_MAX, check_g_assumptions, median_abs
+from monoratio.ratio import GRID_N_MAX, ValidationError, check_g_assumptions, median_abs
 
 from helpers import interpolant, simpson_leaves
 
@@ -34,7 +35,8 @@ def test_simpson_depth_exhaustion():
     with pytest.raises(QuadratureError) as reference:
         list(simpson_leaves(math.exp, (0.0, 4.0), 1e-18))
     with pytest.raises(QuadratureError) as build:
-        _leaf_table(lambda x: (1.0, 0.0), G_TEMPLATES[1][0], [0.0, 4.0], 1e-18)
+        _leaf_table(lambda x: (1.0, 0.0), G_TEMPLATES[1][0], [0.0, 4.0],
+                    [0.0, 1.0, 2.0, 3.0, 4.0], 1e-18)
     assert vars(build.value) == vars(reference.value)
     assert reference.value.b - reference.value.a == 4.0 / 2 ** 40
 
@@ -170,6 +172,53 @@ def test_construct_rejects_non_monotone_rho():
                     window=Interval(-2.0, 2.0))
 
 
+def _walked_reversal(vs):
+    """The index where the step-by-step walk over vs meets its first
+    reversal, or None: the reference for _check_rho_monotone's verdict."""
+    tol = 1e-12 * (1.0 + max(map(abs, vs)))
+    direction = 0
+    for i in range(len(vs) - 1):
+        delta = vs[i + 1] - vs[i]
+        step_dir = 1 if delta > tol else -1 if delta < -tol else 0
+        if step_dir and step_dir == -direction:
+            return i
+        direction = step_dir or direction
+    return None
+
+
+def _monotone_columns():
+    # walks of big and in-band steps: rises, falls and ties within the band
+    rng = random.Random(5)
+    for _ in range(300):
+        steps = rng.choice(([1.0, 0.0, 1e-13], [-1.0, 0.0, -1e-13, 1e-13], [1.0, -1.0, 0.0, 1e-13],
+                            [1.0, -1e-10, 0.0], [0.0, 1e-13, -1e-13], [1e-11, -1e-11, 0.0, 1e-13]))
+        vs = [rng.uniform(-2.0, 2.0)]
+        for _ in range(127):
+            vs.append(vs[-1] + rng.choice(steps) * rng.uniform(0.5, 1.5))
+        yield vs
+    yield [1.0] * 128
+    yield [float(i % 2) * 1e-13 for i in range(128)]  # a wiggle inside the band
+    yield [float(i) for i in range(64)] + [63.0 - 1e-9] * 64  # one fall just past it
+
+
+def test_check_rho_monotone_matches_the_walk():
+    window, outcomes = Interval(-2.0, 2.0), set()
+    step = window.length / 127
+    xs = [window.lo + i * step for i in range(128)]
+    for vs in _monotone_columns():
+        table = dict(zip(xs, vs))
+        i = _walked_reversal(vs)
+        outcomes.add(i is None)
+        if i is None:
+            _check_rho_monotone(lambda x: (table[x], 0.0), window)
+            continue
+        with pytest.raises(ValidationError) as err:
+            _check_rho_monotone(lambda x: (table[x], 0.0), window)
+        assert err.value.x == xs[i]
+        assert str(err.value) == str(ValidationError(xs[i], "rho is not monotone on the window"))
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("quad_tol", [math.nan, -1.0, 0.0, math.inf])
 def test_construct_rejects_bad_quad_tol(quad_tol):
     # built with NaN or -1, every panel fails and the error blames the
@@ -221,11 +270,7 @@ def _scalar_table(g, rho, window, quad_tol=1e-10):
     def integrand(u):
         return rho(u)[0] * g(u)[1]
 
-    lo, hi, step = window.lo, window.hi, window.length / _PANELS
-    nodes = [lo + i * step for i in range(_PANELS)]
-    nodes += [x for x in getattr(rho, "breakpoints", ()) if lo < x < hi]
-    nodes.sort()
-    nodes.append(hi)
+    nodes, _ = _sorted_points(window.lo, window.hi, getattr(rho, "breakpoints", ()))
     starts, rows, cum = [], [], 0.0
     for x0, h, f0, f1, f2, f3, f4, _ in simpson_leaves(integrand, nodes, quad_tol):
         p1, p2, p3, p4 = f1 - f0, f2 - f1, f3 - f2, f4 - f3
@@ -379,6 +424,83 @@ def test_refinement_samples_only_points_the_column_lacks(monkeypatch):
     assert len(f._starts) == 1041
     assert hashlib.sha256(table.encode()).hexdigest() == \
         "f4d808dc37a5ef0690bc78121bda25e4f853ba5a628efd94963edc26558278e7"
+
+
+# --- the build points ---------------------------------------------------------
+
+def _sorted_points(lo, hi, breakpoints):
+    """(ends, xs) by sorting the nodes with the breakpoints and computing
+    every interval's samples: the reference _build_points must match."""
+    step = (hi - lo) / _PANELS
+    ends = sorted([lo + i * step for i in range(_PANELS)]
+                  + [x for x in breakpoints if lo < x < hi]) + [hi]
+    mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    xs = [0.0] * (4 * len(mids) + 1)
+    xs[0::4], xs[2::4] = ends, mids
+    xs[1::4] = [0.5 * (a + m) for a, m in zip(ends, mids)]
+    xs[3::4] = [0.5 * (m + b) for m, b in zip(mids, ends[1:])]
+    return ends, xs
+
+
+def _breakpoint_cases(lo, hi):
+    step = (hi - lo) / _PANELS
+    node, rng = lo + 512 * step, random.Random(hash((lo, hi)))
+    yield "none", ()
+    yield "on a node", (node,)
+    yield "duplicates", (node, node, lo + 3.3 * step, lo + 3.3 * step)
+    yield "two in one interval", (lo + 7.6 * step, lo + 7.2 * step)
+    yield "beside a node", (math.nextafter(node, math.inf), math.nextafter(node, -math.inf))
+    yield "at and outside the edges", (lo, hi, lo - 1.0, hi + 1.0, lo + step)
+    yield "signed zeros", (-0.0, 0.0, 0.0)
+    for k in range(8):
+        yield f"random {k}", tuple(rng.uniform(lo - 0.1, hi + 0.1) for _ in range(rng.randint(1, 9)))
+
+
+@pytest.mark.parametrize("window", GeneratorConfig.windows + ((0.5, 3.0), (1.5, 5.0), (-0.0, 1.0)))
+def test_build_points_match_sorted_points(window):
+    for name, breakpoints in _breakpoint_cases(*window):
+        # float.hex, not ==: equality cannot tell -0.0 from 0.0
+        got, want = _build_points(*window, breakpoints), _sorted_points(*window, breakpoints)
+        assert [list(map(float.hex, v)) for v in got] == [list(map(float.hex, v)) for v in want], name
+
+
+def test_window_points_cache_holds_four_windows_and_rebuilds_bit_for_bit():
+    _window_points.cache_clear()
+    windows = GeneratorConfig.windows + ((0.5, 3.0),)
+    first = [points.tobytes() for points in _window_points(*windows[0])]
+    for window in windows[1:]:
+        _window_points(*window)
+    assert _window_points.cache_info().currsize == 4
+    assert [points.tobytes() for points in _window_points(*windows[0])] == first
+    assert _window_points.cache_info().misses == 6
+
+
+def test_window_points_share_signed_zeros_entry():
+    _window_points.cache_clear()
+    assert _window_points(0.0, 1.0) is _window_points(-0.0, 1.0)
+    assert _window_points.cache_info().currsize == 1
+
+
+def test_a_column_that_mutates_its_xs_leaves_the_next_build_intact():
+    exp = G_TEMPLATES[1][0]
+
+    class Scribbler:
+        """exp(x) whose column overwrites the xs it is handed."""
+        __call__ = staticmethod(exp)
+
+        def column(self, xs):
+            out = exp.column(xs)
+            xs[:] = [math.nan] * len(xs)
+            return out
+
+    spec = StaircaseSpec(flats=((-0.5, 0.25),), slopes=(1.0, 2.0))
+    window = Interval(-2.0, 2.0)
+    ConstructedFn(Scribbler(), make_staircase_rho(spec), 0.0, 0.0, window)
+    f = ConstructedFn(exp, make_staircase_rho(spec), 0.0, 0.0, window)
+    starts, rows = _scalar_table(exp, make_staircase_rho(spec), window)
+    assert list(map(float.hex, f._starts)) == list(map(float.hex, starts))
+    assert [tuple(map(float.hex, row)) for row in f._table] == \
+        [tuple(map(float.hex, row)) for row in rows]
 
 
 # --- the generator -----------------------------------------------------------
