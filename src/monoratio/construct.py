@@ -31,10 +31,11 @@ from operator import mul, neg, sub
 from typing import Callable, ClassVar, Sequence
 
 from .intervals import Interval
+from .patterns import _runs, _signs
 # make_pair is bound here for the benchmark's tracer, which times
 # construct.make_pair as the "ratio" layer
 from .ratio import (DifferentiableFn, FunctionPair, ValidationError,  # noqa: F401
-                    check_g_assumptions, check_grid, columns, first_non_finite, make_pair,
+                    check_finite, check_g_assumptions, check_grid, columns, make_pair,
                     values)
 
 
@@ -416,20 +417,17 @@ def _check_rho_monotone(rho: DifferentiableFn, window: Interval, n: int = 128) -
     step = window.length / (n - 1)
     xs = [window.lo + i * step for i in range(n)]
     vs = values(rho, xs)
-    i = first_non_finite(vs)
-    if i is not None:
-        raise ValidationError(xs[i], f"rho takes the non-finite value {vs[i]!r}")
+    check_finite(xs, ("rho", vs))
     tol = 1e-12 * (1.0 + max(map(abs, vs)))
     steps = list(map(sub, vs[1:], vs))
-    # the walk below raises exactly when a rise and a fall both clear the band
+    # rho reverses exactly when a rise and a fall both clear the band
     if max(steps) <= tol or min(steps) >= -tol:
         return
-    direction = 0
-    for i, delta in enumerate(steps):
-        step_dir = 1 if delta > tol else -1 if delta < -tol else 0
-        if step_dir and step_dir == -direction:
-            raise ValidationError(xs[i], "rho is not monotone on the window")
-        direction = step_dir or direction
+    # it reverses at the first step of the first nonzero sign run whose
+    # sign differs from the nonzero run before it
+    turns = [run for run in _runs(_signs(steps, tol)) if run[0]]
+    i = next(b for (s, _, _), (t, b, _) in zip(turns, turns[1:]) if s != t)
+    raise ValidationError(xs[i], "rho is not monotone on the window")
 
 
 def construct_f(g: DifferentiableFn, rho: DifferentiableFn, z: float, K: float,
@@ -540,9 +538,9 @@ _ROWS = ((True, 1), (False, 1), (True, -1), (False, -1))  # (rho rises?, sign gg
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """random_pair's settings: the flat-count range, the analysis grid
-    and the quadrature tolerance are settable; the draw ranges are fixed
-    class constants."""
+    """random_pair's settings: the analysis grid and the quadrature
+    tolerance are settable; the windows and draw ranges, the flat-count
+    range among them, are fixed class constants."""
 
     windows: ClassVar[tuple[tuple[float, float], ...]] = (
         (-2.0, 2.0), (-1.8, 2.2), (-2.4, 1.6), (-1.5, 2.5))
@@ -551,7 +549,7 @@ class GeneratorConfig:
     edge_margin_frac: ClassVar[float] = 0.12
     slope_range: ClassVar[tuple[float, float]] = (0.8, 2.5)
     anchor_range: ClassVar[tuple[float, float]] = (-1.5, 1.5)
-    n_flats: tuple[int, int] = (0, 3)
+    n_flats: ClassVar[tuple[int, int]] = (0, 3)
     grid_n: int = 2048
     quad_tol: float = 1e-10
 

@@ -242,6 +242,7 @@ class ExprFn:
         a DomainFault after the last value, or a ValueError at an x that is
         not finite."""
         stop = len(xs)
+        # inline, not ratio.first_non_finite: that call slows each scalar call (a probe) about 7%
         # a finite sum clears every x in one C-level pass
         if not math.isfinite(sum(xs)):
             stop = next((i for i, x in enumerate(xs) if not math.isfinite(x)), stop)

@@ -58,8 +58,7 @@ def _signs(values: Iterable[float], band: float) -> list[int]:
 
 class Column:
     """One sampled quantity as the detectors share it: values vs at the x's
-    of a Grid, their first differences, and their signs and sign runs once
-    per band.
+    of a Grid, their first differences, and their sign runs once per band.
     Making one is the detectors' check: 16+ values, as many as xs, ascending
     xs and finite values, unless finite says the caller tested them."""
 
@@ -72,17 +71,11 @@ class Column:
             raise ValueError(f"sample at x = {xs[i]!r} is not finite: {vs[i]!r}")
         self.vs = vs
         self.steps = list(map(sub, vs[1:], vs))
-        self._by_band: dict[float, list[int]] = {}
         self._runs_by_band: dict[float, list[tuple[int, int, int]]] = {}
-
-    def signs(self, band: float) -> list[int]:
-        if band not in self._by_band:
-            self._by_band[band] = _signs(self.vs, band)
-        return self._by_band[band]
 
     def runs(self, band: float) -> list[tuple[int, int, int]]:
         if band not in self._runs_by_band:
-            self._runs_by_band[band] = _runs(self.signs(band))
+            self._runs_by_band[band] = _runs(_signs(self.vs, band))
         return self._runs_by_band[band]
 
 

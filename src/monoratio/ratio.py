@@ -154,34 +154,35 @@ def first_non_finite(column: Sequence[float]) -> int | None:
     return next((i for i, v in enumerate(column) if not math.isfinite(v)), None)
 
 
-def _extremes(column: Sequence[float]) -> tuple[float, float] | None:
-    """(min, max) of the column; None if its sum is NaN, as any NaN sample makes it."""
-    return None if math.isnan(sum(column)) else (min(column), max(column))
+def check_finite(xs: Sequence[float], *named: tuple[str, Sequence[float]]) -> None:
+    """Raise a ValidationError at the first x where a (name, column), taken
+    in the order given, holds a sample that is not finite."""
+    for name, column in named:
+        i = first_non_finite(column)
+        if i is not None:
+            raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
 
 
 def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
     """Bisect each sign flip between adjacent samples, scanning the tracks
-    together in x order.  A track is (values, _extremes(values), probe,
-    name, zero_error).  A crossing where |probe| <= 1e-6 * max(1, max
-    |values|) is a root, raised as zero_error(root) unless zero_error is
-    None (roots allowed); any other flip, or an arithmetic fault of the
-    probe inside the bracket, is a SignChange: typically a pole."""
+    together in x order.  A track is (values, (min, max) of the finite
+    values, probe, name, zero_error).  A crossing where |probe| <= 1e-6 *
+    max(1, max |values|) is a root, raised as zero_error(root) unless
+    zero_error is None (roots allowed); any other flip, or an arithmetic
+    fault of the probe inside the bracket, is a SignChange: typically a pole."""
     xtol = 1e-9 * (1.0 + window.length)
     flips = []
-    for k, (values, extremes, *_) in enumerate(tracks):
-        # one sign throughout, the common case, needs no scan
-        if extremes is not None and (extremes[0] > 0.0 or extremes[1] <= 0.0):
+    for k, (values, (lo, hi), *_) in enumerate(tracks):
+        if lo > 0.0 or hi <= 0.0:  # one sign throughout, the common case, needs no scan
             continue
         positive = [v > 0.0 for v in values]
         flips += ((i, k) for i in compress(range(len(xs) - 1),
                                            map(ne, positive, positive[1:])))
     for i, k in sorted(flips):
-        values, extremes, probe, name, zero_error = tracks[k]
-        # max |v| is max(hi, -lo), read from the extremes unless a NaN voids them
-        biggest = max(map(abs, values)) if extremes is None else max(extremes[1], -extremes[0])
+        _, (lo, hi), probe, name, zero_error = tracks[k]
         try:
             root = refine_sign_change(probe, (xs[i], xs[i + 1]), xtol)
-            small = abs(probe(root)) <= 1e-6 * max(1.0, biggest)
+            small = abs(probe(root)) <= 1e-6 * max(1.0, hi, -lo)  # max |v| is max(hi, -lo)
         except ArithmeticError as err:  # e.g. a DomainFault on the pole
             raise SignChange(getattr(err, "x", xs[i]), name) from None
         if not small:
@@ -193,25 +194,24 @@ def _chase_sign_flips(xs: list[float], window: Interval, tracks) -> None:
 def check_g_assumptions(g: DifferentiableFn, window: Interval, n: int) -> tuple[int, int]:
     """Validate g != 0, g' != 0, constant signs, on n Chebyshev samples.
 
-    Returns (sign of g, sign of g').  A sign flip between adjacent samples
-    is chased down by bisection: a small-magnitude root reports ZeroG /
-    ZeroGPrime at the located crossing, anything else is a SignChange.
+    Returns (sign of g, sign of g').  Both columns are screened for a
+    sample that is not finite (a ValidationError) before either zero scan.
+    A sign flip between adjacent samples is chased down by bisection: a
+    small-magnitude root reports ZeroG / ZeroGPrime at the located
+    crossing, anything else is a SignChange.
     """
     xs = _chebyshev_points(window, n)
     values, derivs = columns(g, xs)
-    tracks = ((values, _extremes(values), lambda t: g(t)[0], "g", ZeroG),
-              (derivs, _extremes(derivs), lambda t: g(t)[1], "g'", ZeroGPrime))
+    check_finite(xs, ("g", values), ("g'", derivs))
+    tracks = ((values, (min(values), max(values)), lambda t: g(t)[0], "g", ZeroG),
+              (derivs, (min(derivs), max(derivs)), lambda t: g(t)[1], "g'", ZeroGPrime))
 
-    for column, extremes, *_, zero_error in tracks:
-        if extremes is None:  # a NaN column: max |v| taken in order, then the walk
-            tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
-        else:
-            # max |v| is max(hi, -lo); min |v| is max(lo, -hi) for one
-            # sign and at most 0 for both: above tol, no sample is a zero
-            lo, hi = extremes
-            tol = ZERO_REL_TOL * max(1.0, hi, -lo)
-            if max(lo, -hi) > tol:
-                continue
+    for column, (lo, hi), *_, zero_error in tracks:
+        # max |v| is max(hi, -lo); min |v| is max(lo, -hi) for one sign
+        # and at most 0 for both: above tol, no sample is a zero
+        tol = ZERO_REL_TOL * max(1.0, hi, -lo)
+        if max(lo, -hi) > tol:
+            continue
         for x, v in zip(xs, column):
             if abs(v) <= tol:
                 raise zero_error(x)
@@ -338,13 +338,10 @@ def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     r = list(map(truediv, fv, gv))
     rho = list(map(truediv, fd, gd))
     rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
-    for name, column in (("r", r), ("rho", rho), ("rho-tilde", rho_t)):
-        i = first_non_finite(column)
-        if i is not None:
-            raise ValidationError(xs[i], f"{name} takes the non-finite value {column[i]!r}")
+    check_finite(xs, ("r", r), ("rho", rho), ("rho-tilde", rho_t))
     # f may cross zero, but a sign flip it does not cross continuously (a
-    # pole between grid points) breaks the analysis
-    _chase_sign_flips(xs, pair.window, ((fv, _extremes(fv), lambda t: pair.f(t)[0], "f", None),))
+    # pole between grid points) breaks the analysis; fv is finite, as r is
+    _chase_sign_flips(xs, pair.window, ((fv, (min(fv), max(fv)), lambda t: pair.f(t)[0], "f", None),))
     return SampleTable(xs, fv, gv, r, rho, rho_t)
 
 

@@ -15,13 +15,19 @@ from bisect import bisect_right
 from itertools import compress, repeat
 from operator import add, lt, mul, sub, truediv
 
-from monoratio.construct import _MAX_DEPTH, QuadratureError
+from monoratio.construct import _MAX_DEPTH, GeneratorConfig, QuadratureError
 from monoratio.expr import Binary, Call2, Const, DomainFault, Unary, Var
 from monoratio.intervals import Interval
-from monoratio.patterns import PatternKind, _column, _run_interval, _runs
+from monoratio.patterns import PatternKind, _column, _run_interval, _runs, _signs
 from monoratio.ratio import refine_sign_change, values
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "atan", "tanh")
+
+
+class OneFlatOrMore(GeneratorConfig):
+    """random_pair's ranges with at least one flat, so a flat is chosen."""
+
+    n_flats = (1, 3)
 
 
 def random_ast(rng: random.Random, depth: int):
@@ -217,7 +223,7 @@ def reference_level0_set(xs, rho_tilde, band, probe, window):
     rho_tilde = column.vs
     xtol = 1e-9 * (1.0 + window.length)
 
-    runs = _runs(column.signs(band))
+    runs = _runs(_signs(column.vs, band))
     band_runs = [(i0, i1) for s, i0, i1 in runs if s == 0]
     # index ranges of the in-band runs and of the direct sign
     # crossings between out-of-band neighbours, in order

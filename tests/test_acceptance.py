@@ -16,8 +16,8 @@ from monoratio import PatternKind
 from monoratio.ratio import median_abs
 
 from conftest import record_criterion
-from helpers import (central_fd, format_expr, mirror_vertical, pick_usable_point, random_ast,
-                     reflect)
+from helpers import (OneFlatOrMore, central_fd, format_expr, mirror_vertical, pick_usable_point,
+                     random_ast, reflect)
 
 SWITCH_TOL = 1e-3          # observed switch vs the constructed chosen flat, in x
 MIC_ENDPOINT_TOL = 1e-3    # constructed mic vs prescribed flat, in x
@@ -108,7 +108,7 @@ def test_criterion_4_mic_coincidence(campaign):
 
 
 def test_criterion_5_constructor():
-    config = mr.GeneratorConfig(n_flats=(1, 3))
+    config = OneFlatOrMore()
     t0 = time.monotonic()
     bad = []
     for seed in range(10_000, 10_200):

@@ -182,6 +182,19 @@ def test_analyze_non_finite_samples_are_assumption_failure(capsys):
     assert len(err.splitlines()) == 1 and "r takes the non-finite value inf" in err
 
 
+@pytest.mark.parametrize("g, value", [("1e308*10 + x", "inf"),
+                                      ("exp(x) + 0*(1e308*10*(x - 0.5))", "nan")])
+def test_analyze_non_finite_g_is_assumption_failure(capsys, g, value):
+    # g is inf, or NaN, at every sample: the g check names g itself, not a
+    # zero of g nor the r it would later spoil
+    code, out, err = run(capsys, "analyze", "--f", "x", "--g", g,
+                         "--window", "0", "1", "--grid-n", "256")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"g takes the non-finite value {value}" in err
+
+
 def test_analyze_pole_of_f_is_assumption_failure(capsys):
     # no grid point lands on the pole, so every sample is finite
     code, out, err = run(capsys, "analyze", "--f", "1/(x-0.5)", "--g", "exp(x)",

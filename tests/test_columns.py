@@ -18,7 +18,7 @@ import monoratio as mr
 from monoratio import ratio
 from monoratio.construct import G_TEMPLATES, ConstructedFn, StaircaseFn, random_pair
 from monoratio.expr import Binary, Const, DomainFault, ExprFn, Var, parse
-from monoratio.patterns import Column
+from monoratio.patterns import Column, _signs
 from monoratio.ratio import columns, median_abs, values
 from monoratio.rules import _check_sign_identity
 
@@ -401,7 +401,7 @@ def test_sign_identity_reads_values_alone(f, g, window):
         expected = _sign_violations_per_point(pair, broken, tol_abs, fd_step)
         fakes.f.reads = fakes.g.reads = fakes.f.points = fakes.g.points = 0
         column = Column(broken.xs, rho_tilde)
-        signs = column.signs(tol_abs)
+        signs = _signs(column.vs, tol_abs)
         assert (_check_sign_identity(fakes, broken.xs, broken.r, column.runs(tol_abs), fd_step)
                 == (expected == 0, expected))
         # one column of each per shifted side, over the undecided samples
@@ -426,7 +426,7 @@ def test_sign_identity_counts_as_the_stencil_everywhere(seed):
                                    [(-1.0) ** i * (1.0 + v)
                                     for i, v in enumerate(table.rho_tilde)])):
         column, band = Column(table.xs, rho_tilde), 1e-7 * (1.0 + median_abs(rho_tilde))
-        signs = column.signs(band)
+        signs = _signs(column.vs, band)
         fakes.f.points = 0
         assert (_check_sign_identity(fakes, table.xs, table.r, column.runs(band), fd_step)
                 == sign_identity_stencil(pair, table.xs, signs, fd_step))
@@ -448,7 +448,7 @@ def test_sign_identity_counts_a_nan_quotient_against_either_sign():
     pair = mr.make_pair(ExprFn(parse("x^3 - x")), ExprFn(parse("x + 3")), mr.Interval(-1.5, 2.0))
     table = mr.sample_table(pair)
     column, band = Column(table.xs, table.rho_tilde), 1e-7 * (1.0 + median_abs(table.rho_tilde))
-    signs = column.signs(band)
+    signs = _signs(column.vs, band)
     # the stencil reads the samples the table cannot decide, of both signs
     undecided = _undecided(signs, table.r)
     assert {signs[i] for i in undecided} == {1, -1}

@@ -52,21 +52,44 @@ def test_make_pair_pole_is_sign_change():
 
 def test_make_pair_nan_g_is_sign_change():
     # 1e308*x*10 overflows to inf past x = 0.18, so g = exp(x) + NaN there;
-    # min/max over a column with NaN samples would miss the flip
-    with pytest.raises(mr.SignChange) as exc:
+    # the screen names the first NaN sample before any sign is read
+    with pytest.raises(mr.ValidationError, match="g takes the non-finite value nan") as exc:
         _pair("x", "exp(x) + 0*(1e308*x*10)", 0.0, 1.0)
     assert exc.value.x == pytest.approx(0.18, abs=1e-3)
 
 
 def test_zero_scan_names_the_first_zero_after_a_nan_first_sample():
     # g is NaN below x = -0.18 (0 times an overflow) and 0 up to x = 0;
-    # a NaN first sample makes min NaN, which must not pass the scan
+    # the NaN first sample is named before the zero scan runs
     g = "max(x, 0) + 0*(1e308*(0-x)*10)"
     xs = _chebyshev_points(Interval(-1.0, 1.0), 256)
     assert math.isnan(mr.expr_fn(g)(xs[0])[0])
-    with pytest.raises(mr.ZeroG) as exc:
+    with pytest.raises(mr.ValidationError, match="g takes the non-finite value nan") as exc:
         _pair("x", g, -1.0, 1.0)
-    assert exc.value.x == next(x for x in xs if mr.expr_fn(g)(x)[0] == 0.0)
+    assert exc.value.x == xs[0]
+
+
+def test_make_pair_all_nan_g_is_named():
+    # 1e308*10 is inf, so g is exp(x) + NaN at every sample: the g check
+    # names g, where r would otherwise take the blame
+    with pytest.raises(mr.ValidationError, match="g takes the non-finite value nan") as exc:
+        _pair("x", "exp(x) + 0*(1e308*10*(x - 0.5))", 0.0, 1.0)
+    assert exc.value.x == _chebyshev_points(Interval(0.0, 1.0), 256)[0]
+
+
+@pytest.mark.parametrize("values, derivs, message, at", [
+    # finite values, an infinite derivative at the third sample
+    ([1.0] * 24, [1.0, 1.0, math.inf] + [1.0] * 21, "g' takes the non-finite value inf", 2),
+    # a zero derivative first and a NaN value later: both columns are
+    # screened before either zero scan, so the NaN is named
+    ([1.0] * 5 + [math.nan] + [1.0] * 18, [0.0] + [1.0] * 23, "g takes the non-finite value nan", 5),
+])
+def test_g_check_screens_both_columns_first(values, derivs, message, at):
+    window = Interval(-1.0, 2.0)
+    xs = _chebyshev_points(window, 24)
+    with pytest.raises(mr.ValidationError, match=message) as exc:
+        check_g_assumptions(_TableG(xs, values, derivs, False), window, 24)
+    assert exc.value.x == xs[at]
 
 
 @pytest.mark.parametrize("n", [64, 256, 2047, 2048])
@@ -427,9 +450,14 @@ def _reference_chase(xs, window, tracks):
 
 
 def _reference_check_g(g, window, n):
-    """check_g_assumptions as it was with one abs map per zero scan."""
+    """check_g_assumptions as it was with one abs map per zero scan, after
+    a sample-by-sample screen for values that are not finite."""
     xs = _chebyshev_points(window, n)
     values, derivs = columns(g, xs)
+    for name, column in (("g", values), ("g'", derivs)):
+        for x, v in zip(xs, column):
+            if not math.isfinite(v):
+                raise mr.ValidationError(x, f"{name} takes the non-finite value {v!r}")
     for column, zero_error in ((values, mr.ZeroG), (derivs, mr.ZeroGPrime)):
         tol = ZERO_REL_TOL * max(1.0, max(map(abs, column)))
         if not min(map(abs, column)) > tol:

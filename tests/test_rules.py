@@ -6,7 +6,7 @@ import pytest
 import monoratio as mr
 from monoratio import Direction, Interval, PatternKind
 from monoratio import patterns, rules
-from monoratio.patterns import Column
+from monoratio.patterns import Column, _signs
 from monoratio.ratio import median_abs
 from monoratio.rules import RULE_ROWS, Tolerances, _check_prop1, _inside
 
@@ -407,7 +407,7 @@ def test_sign_identity_reads_a_wiggle_inside_the_cells_at_the_stencil_alone(tape
     pair = mr.make_pair(_CellWiggle(window, 256, taper), mr.expr_fn("exp(x)"), window, 256)
     report = mr.check_pair(pair)
     table = report.table
-    signs = Column(table.xs, table.rho_tilde).signs(1e-7 * (1.0 + median_abs(table.rho_tilde)))
+    signs = _signs(table.rho_tilde, 1e-7 * (1.0 + median_abs(table.rho_tilde)))
     assert signs == [1] * 256
     # only the sign check can see the wiggle
     assert report.failure is None and report.sign_violations == violations
