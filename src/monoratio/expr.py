@@ -3,7 +3,8 @@
 ExprFn turns its AST into one straight-line loop over a column of points
 (source transformation), compiled once per shape and pattern of repeated
 subtrees; a scalar call is a column of one.  A point outside the domain
-raises DomainFault at the first such x.
+raises DomainFault at the first such x.  A pair of ExprFns also compiles
+one loop over both trees, which gives sample_table all five of its columns.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ def _d_pow(a: float, da: float, b: float, db: float) -> tuple[float, float]:
 # to one DomainFault at the x after the last value appended: the first
 # faulting x.  A skipped repeat is a subtree that already ran clear at that
 # x, so the first fault and its reason stay those of the full tree.
+#
+# A pair's loop (ExprFn.table_with) numbers g's tree, then f's, into one
+# dag, so a subtree of g that f reads is computed once per point.  Any
+# fault there hands the pair back to sample_table's column reads.
 
 # (node type, op) -> the statements of its value, then of its derivative,
 # over the operands' values {a} {b}, their derivatives {da} {db} and the
@@ -190,21 +195,32 @@ def _statements(node: Expr, operands: tuple, n: int) -> list[str]:
     return source.format(**names).split("\n")
 
 
-def _loop_source(ast: Expr) -> tuple[str, tuple]:
-    """The source of the loop over ast, column(xs, consts, values, derivs),
-    which appends to the lists it is given, and the constants tuple it reads."""
-    dag: list = []
-    consts: list = []
-    _, (v, d) = _number(ast, {}, dag, consts)
+# what a loop appends per point: one tree's value and derivative, or a
+# pair's five sample_table columns by that function's own expressions,
+# f, g, r = f/g, rho = f'/g' and rho-tilde = (f'g - fg')/|g'|
+_COLUMN = ("{v}", "{d}")
+_PAIR = ("{fv}", "{gv}", "{fv} / {gv}", "{fd} / {gd}", "({fd} * {gv} - {fv} * {gd}) / abs({gd})")
+
+
+def _loop_source(ast: Expr, g: Expr | None = None) -> tuple[str, tuple]:
+    """The source of the loop over ast, column(xs, consts, *outs), and the
+    constants tuple it reads.  At each x the loop appends _COLUMN's floats
+    to the lists outs; with g, _PAIR's, over g's tree numbered first, so a
+    subtree f = ast shares with it is computed once per point, and over xs
+    that hold floats already, as an analysis Grid does."""
+    dag, consts, numbers, names = [], [], {}, {}
+    for root, tree in ((("", ast),) if g is None else (("g", g), ("f", ast))):
+        _, (names[f"{root}v"], names[f"{root}d"]) = _number(tree, numbers, dag, consts)
+    outputs = _COLUMN if g is None else _PAIR
     return "\n".join([
-        "def column(xs, consts, values, derivs):",
+        "def column(xs, consts, *outs):",
         f"    ({''.join(f'c{k}, ' for k in range(len(consts)))}) = consts",
-        "    value, deriv = values.append, derivs.append",
-        "    for x in map(float, xs):",
+        f"    ({''.join(f'o{k}, ' for k in range(len(outputs)))}) = [out.append for out in outs]",
+        f"    for x in {'map(float, xs)' if g is None else 'xs'}:",
         *(f"        {line}" for n, (node, operands) in enumerate(dag)
           for line in _statements(node, operands, n)),
-        f"        value({v})",
-        f"        deriv({d})"]) + "\n", tuple(consts)
+        *(f"        o{k}({output.format(**names)})" for k, output in enumerate(outputs))]
+    ) + "\n", tuple(consts)
 
 
 # the shapes whose loops stay compiled, about 3 KB each with their source
@@ -263,6 +279,22 @@ class ExprFn:
                 raise ValueError(f"x must be finite, got {xs[stop]!r}")
             return values, derivs
         raise DomainFault(xs[len(values)], reason)
+
+    def table_with(self, g, xs: Sequence[float]) -> tuple[list[float], ...] | None:
+        """The columns f, g, r, rho and rho-tilde over xs, this ExprFn being
+        f, from one loop over the pair, with the floats of sample_table's
+        own path; None where g is not an ExprFn, a point faults or r, rho
+        or rho-tilde is not finite, for that path to raise its error."""
+        if not isinstance(g, ExprFn):
+            return None
+        source, consts = _loop_source(self.ast, g.ast)
+        table = tuple([] for _ in _PAIR)
+        try:
+            _shape_loop(source)(xs, consts, *table)
+        except (ArithmeticError, ValueError):  # the faults column maps
+            return None
+        # finite ratios leave g, g' and f finite; an overflowing sum falls back too
+        return table if math.isfinite(sum(map(sum, table[2:]))) else None
 
     def __repr__(self) -> str:
         return f"ExprFn({self.label!r})"

@@ -27,6 +27,9 @@ from .intervals import Interval
 # itself.  columns() and values() pass its result or its error on.  The
 # one exception is a constructed f, whose column reads g's column, then
 # rho's, and so raises g's first fault, else rho's (construct.ConstructedFn).
+# An f may also have table_with(g, xs), which sample_table tries first: it
+# returns sample_table's five columns, the same floats, or None, and then
+# sample_table reads the columns itself and raises their error (ExprFn's).
 DifferentiableFn = Callable[[float], tuple[float, float]]
 
 # "nonzero" means above this times max(1, largest sample magnitude)
@@ -321,24 +324,31 @@ class SampleTable:
 
 def sample_table(pair: FunctionPair, n: int | None = None) -> SampleTable:
     """Evaluate f and g on the n points of _analysis_grid, one Grid per window
-    and n that reports share, and derive r, rho, rho-tilde, all finite (else
-    a ValidationError at the first x where one is not).  A sign flip of f
-    that is not a continuous zero crossing is a SignChange.  g's column is
-    read once, first, and handed to a constructed f."""
+    and n that reports share, and derive r, rho, rho-tilde.  f.table_with
+    (an ExprFn's, paired with an ExprFn g) gives all five from one pass, or
+    None; then g's column is read once, first, and handed to a constructed
+    f, and the first x where g, g', r, rho or rho-tilde is not finite, in
+    that order of names, is a ValidationError.  A sign flip of f that is
+    not a continuous zero crossing is a SignChange."""
     n = pair.grid_n if n is None else n
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > GRID_N_MAX:  # the memory guard: check_grid raises its ceiling error
         check_grid(pair.window.lo, pair.window.hi, n)
     xs = _analysis_grid(pair.window.lo, pair.window.length / n, n)
-    gv, gd = columns(pair.g, xs)
-    column_with = getattr(pair.f, "column_with", None)  # on a constructed f
-    fv, fd = (column_with(xs, gd) if column_with and getattr(pair.f, "g", None) is pair.g
-              else columns(pair.f, xs))
-    r = list(map(truediv, fv, gv))
-    rho = list(map(truediv, fd, gd))
-    rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
-    check_finite(xs, ("r", r), ("rho", rho), ("rho-tilde", rho_t))
+    table_with = getattr(pair.f, "table_with", None)  # on an expression f
+    table = table_with(pair.g, xs) if table_with else None
+    if table is None:
+        gv, gd = columns(pair.g, xs)
+        column_with = getattr(pair.f, "column_with", None)  # on a constructed f
+        fv, fd = (column_with(xs, gd) if column_with and getattr(pair.f, "g", None) is pair.g
+                  else columns(pair.f, xs))
+        r = list(map(truediv, fv, gv))
+        rho = list(map(truediv, fd, gd))
+        rho_t = [(ap * b - a * bp) / abs(bp) for a, ap, b, bp in zip(fv, fd, gv, gd)]
+        check_finite(xs, ("g", gv), ("g'", gd), ("r", r), ("rho", rho), ("rho-tilde", rho_t))
+    else:
+        fv, gv, r, rho, rho_t = table
     # f may cross zero, but a sign flip it does not cross continuously (a
     # pole between grid points) breaks the analysis; fv is finite, as r is
     _chase_sign_flips(xs, pair.window, ((fv, (min(fv), max(fv)), lambda t: pair.f(t)[0], "f", None),))

@@ -189,9 +189,9 @@ def _inside(table: SampleTable, interval: Interval) -> range:
 
 def _fit_on_interval(table: SampleTable, idx: range) -> tuple[float, float, float]:
     """Fit r = K1 + C/g over the samples idx; returns (K1, C, max residual)."""
-    k1 = statistics.median(table.rho[i] for i in idx)
-    errors = [table.r[i] - k1 for i in idx]
-    weights = [1.0 / table.g_values[i] for i in idx]
+    k1 = statistics.median(table.rho[idx.start:idx.stop])
+    errors = [r - k1 for r in table.r[idx.start:idx.stop]]
+    weights = [1.0 / g for g in table.g_values[idx.start:idx.stop]]
     denom = sum(w * w for w in weights)
     c = sum(e * w for e, w in zip(errors, weights)) / denom
     residual = max(abs(e - c * w) for e, w in zip(errors, weights))

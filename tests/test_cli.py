@@ -195,6 +195,18 @@ def test_analyze_non_finite_g_is_assumption_failure(capsys, g, value):
     assert f"g takes the non-finite value {value}" in err
 
 
+def test_analyze_names_g_non_finite_at_an_analysis_grid_point(capsys):
+    # g is NaN at the grid point 128.5/256 alone, which no Chebyshev point
+    # of the g check comes near: the table names g, not the r it spoils
+    code, out, err = run(capsys, "analyze", "--f", "x", "--g",
+                         "exp(x) + 0*(1e300*exp(700 - 1e12*(x - 0.501953125)^2))",
+                         "--window", "0", "1", "--grid-n", "256")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert "g takes the non-finite value nan near x = 0.501953125" in err
+
+
 def test_analyze_pole_of_f_is_assumption_failure(capsys):
     # no grid point lands on the pole, so every sample is finite
     code, out, err = run(capsys, "analyze", "--f", "1/(x-0.5)", "--g", "exp(x)",
